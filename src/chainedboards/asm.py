@@ -16,10 +16,9 @@ leans on that form, which is checkable while filling top-down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
-from .boards import BoardSpec, Composition, Shape, max_rooks
+from .boards import BoardSpec, Composition, Shape, max_rooks, suffix_bound_table
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple
 
@@ -109,18 +108,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     circ = board.circular
     target = max_rooks(board)
 
-    @lru_cache(maxsize=None)
-    def suffix_max(l: int, prev: int, a1: int) -> int:
-        """Max total of matrix sums l..k-1 given matrix l-1 sums to prev."""
-        if l >= k:
-            return 0
-        hi = n - prev
-        if circ and l == k - 1:
-            hi = min(hi, n - a1)
-        best = 0
-        for a in range(0, max(hi, 0) + 1):
-            best = max(best, a + suffix_max(l + 1, a, a1))
-        return best
+    suffix_max = suffix_bound_table(board)  # indexed by board: matrix l is board l + 1
 
     mats = [[[0] * n for _ in range(n)] for _ in range(k)]
     row_sums = [[0] * n for _ in range(k)]
@@ -180,7 +168,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
             yield from finish_matrix(l, s2, done)
             return
         a1 = mat_sum[0] if (circ and l >= 1) else 0
-        upper = done + s2 + min(n - 1 - i, cap - s2) + suffix_max(l + 1, s2, a1)
+        upper = done + s2 + min(n - 1 - i, cap - s2) + suffix_max[l + 2][s2][a1]
         if upper < target or done + s2 > target:
             return
         yield from fill(l, i + 1, 0, 0, s2, done)
@@ -204,7 +192,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
                 yield ChainedASM(board, tuple(tuple(map(tuple, m)) for m in mats))
             return
         a1 = mat_sum[0] if circ else 0
-        if done + suffix_max(l + 1, s, a1) < target:
+        if done + suffix_max[l + 2][s][a1] < target:
             return
         yield from fill(l + 1, 0, 0, 0, 0, done)
 

@@ -194,7 +194,8 @@ def maximum_compositions(board: BoardSpec) -> Iterator[Composition]:
                 comp.append(n if i % 2 == 0 else 0)
             out.add(tuple(comp))
         else:
-            out.update(_linear_even_max(n, k))
+            for js in weakly_increasing(n, k // 2):
+                out.add(tuple(part for j in js for part in (n - j, j)))
     else:
         if k % 2 == 0:
             for j in range(n + 1):
@@ -208,19 +209,36 @@ def maximum_compositions(board: BoardSpec) -> Iterator[Composition]:
     yield from sorted(out)
 
 
-def _linear_even_max(n: int, k: int) -> Iterator[Composition]:
-    half = k // 2
-    js = [0] * half
+def weakly_increasing(n: int, length: int) -> Iterator[tuple[int, ...]]:
+    """All weakly increasing integer chains of the given length in 0..n."""
+    chain = [0] * length
 
-    def extend(pos: int, lo: int) -> Iterator[Composition]:
-        if pos == half:
-            comp = []
-            for j in js:
-                comp.extend((n - j, j))
-            yield tuple(comp)
+    def extend(pos: int, lo: int) -> Iterator[tuple[int, ...]]:
+        if pos == length:
+            yield tuple(chain)
             return
         for j in range(lo, n + 1):
-            js[pos] = j
+            chain[pos] = j
             yield from extend(pos + 1, j)
 
     yield from extend(0, 0)
+
+
+def suffix_bound_table(board: BoardSpec) -> list[list[list[int]]]:
+    """``bound[b][prev][a1]``: the most rooks boards b..k can hold when board
+    b-1 holds ``prev`` and, circularly, board 1 holds ``a1`` (0 for b > k).
+
+    Only the caps a_{i-1} + a_i <= n and, on the last board of a circular
+    chain, a_k + a_1 <= n are used, so for partial placements it is an upper
+    bound.  Index b runs over 1..k+1; prev and a1 over 0..n.
+    """
+    n, k = board.n, board.k
+    bound = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(k + 2)]
+    for b in range(k, 0, -1):
+        for prev in range(n + 1):
+            for a1 in range(n + 1):
+                hi = n - prev
+                if board.circular and b == k:
+                    hi = min(hi, n - a1)
+                bound[b][prev][a1] = max(a + bound[b + 1][a][a1] for a in range(hi + 1))
+    return bound

@@ -118,6 +118,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise UnsupportedDomainError(f"--limit must be >= 0, got {args.limit}")
     board = BoardSpec(Shape(args.shape), args.n, args.k)
     if args.family == "placements":
         m = max_rooks(board) if args.m is None else args.m

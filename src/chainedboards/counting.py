@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .boards import BoardSpec, admissible_compositions
+from .boards import BoardSpec, weakly_increasing
 from .errors import InputDomainError
 
 
@@ -29,19 +29,39 @@ def falling_factorial(n: int, m: int) -> int:
 def count_placements_formula(board: BoardSpec, m: int) -> int:
     """Number of ways to place m non-attacking rooks on ``board``.
 
-    Sums, over the admissible compositions (a_1,...,a_k) of m, the product
-    of C(n - a_{i-1}, a_i) * (n)_{a_i}, with a_0 = 0 (linear) or a_k
-    (circular).
+    The paper's sum, over the admissible compositions (a_1,...,a_k) of m, of
+    the product of C(n - a_{i-1}, a_i) * (n)_{a_i}, with a_0 = 0 (linear) or
+    a_k (circular), evaluated as a transfer DP over (previous part, rooks so
+    far): O(k * n^2 * m) per circular start a_k, instead of one term per
+    composition.
     """
-    n = board.n
+    n, k = board.n, board.k
+    if not (0 <= m <= n * k):
+        raise InputDomainError(f"m must be in 0..n*k, got {m}")
+    weight = [[math.comb(n - p, a) * falling_factorial(n, a) for a in range(n - p + 1)]
+              for p in range(n + 1)]
+
+    def paths(start: int, steps: int) -> dict[tuple[int, int], int]:
+        """Weighted paths of ``steps`` parts from part ``start``, keyed by
+        (last part, rooks placed), keeping totals <= m."""
+        ways = {(start, 0): 1}
+        for _ in range(steps):
+            nxt: dict[tuple[int, int], int] = {}
+            for (p, t), w in ways.items():
+                for a in range(min(n - p, m - t) + 1):
+                    key = (a, t + a)
+                    nxt[key] = nxt.get(key, 0) + w * weight[p][a]
+            ways = nxt
+        return ways
+
+    if not board.circular:
+        return sum(w for (_, t), w in paths(0, k).items() if t == m)
+    # fix a_k = c: k - 1 free steps from c, then a closing step that picks c
     total = 0
-    for comp in admissible_compositions(board, m):
-        prev = comp[-1] if board.circular else 0
-        term = 1
-        for a in comp:
-            term *= math.comb(n - prev, a) * falling_factorial(n, a)
-            prev = a
-        total += term
+    for c in range(min(n, m) + 1):
+        for (p, t), w in paths(c, k - 1).items():
+            if t + c == m and p + c <= n:
+                total += w * weight[p][c]
     return total
 
 
@@ -57,7 +77,7 @@ def count_max_linear(n: int, k: int) -> int:
     if k % 2 == 1:
         return math.factorial(n) ** ((k + 1) // 2)
     total = 0
-    for chain in _weakly_increasing(n, k // 2):
+    for chain in weakly_increasing(n, k // 2):
         prev = 0
         term = 1
         for j in chain:
@@ -72,7 +92,7 @@ def count_max_linear_multinomial(n: int, k: int) -> int:
     if n < 1 or k < 1 or k % 2 == 1:
         raise InputDomainError("defined for n >= 1 and even k >= 2")
     total = 0
-    for chain in _weakly_increasing(n, k // 2):
+    for chain in weakly_increasing(n, k // 2):
         gaps = [n - chain[-1]]
         gaps.extend(chain[i + 1] - chain[i] for i in reversed(range(len(chain) - 1)))
         gaps.append(chain[0])
@@ -142,21 +162,6 @@ def qtasm_count(m: int) -> int:
     if total.denominator != 1:
         raise AssertionError(f"quarter-turn product did not cancel: {total}")
     return total.numerator
-
-
-def _weakly_increasing(n: int, length: int):
-    """All weakly increasing integer chains of the given length in 0..n."""
-    chain = [0] * length
-
-    def extend(pos: int, lo: int):
-        if pos == length:
-            yield tuple(chain)
-            return
-        for j in range(lo, n + 1):
-            chain[pos] = j
-            yield from extend(pos + 1, j)
-
-    yield from extend(0, 0)
 
 
 def _multinomial(n: int, parts: list[int]) -> int:

@@ -32,7 +32,8 @@ def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str
             raise InputDomainError(f"each matrix must be {board.n}x{board.n}")
         for row in mat:
             for x in row:
-                if x not in allowed:
+                # bool is an int subclass: True would pass as 1
+                if isinstance(x, bool) or x not in allowed:
                     raise InputDomainError(f"{what} entries must be in {sorted(allowed)}, got {x}")
         fixed.append(tuple(tuple(int(x) for x in row) for row in mat))
     return tuple(fixed)

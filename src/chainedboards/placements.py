@@ -8,7 +8,6 @@ lexicographic order of their sorted square lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from .boards import (
@@ -19,6 +18,7 @@ from .boards import (
     check_square,
     is_admissible_composition,
     self_chained,
+    suffix_bound_table,
 )
 from .errors import InputDomainError
 
@@ -102,7 +102,7 @@ def _search(board: BoardSpec, m: int, count_only: bool) -> Iterator[RookPlacemen
         raise InputDomainError(f"m must be in 0..n*k, got {m}")
     n, k = board.n, board.k
     circ = board.circular
-    suffix_bound = _suffix_bound_table(board)
+    suffix_bound = suffix_bound_table(board)
 
     rows = [set() for _ in range(k + 1)]  # rows occupied per board, 1-based
     cols = [set() for _ in range(k + 1)]
@@ -132,7 +132,7 @@ def _search(board: BoardSpec, m: int, count_only: bool) -> Iterator[RookPlacemen
             room = min(room, n - len(cols[1]) - cur)
         room = max(room, 0)
         # bounding room and the suffix independently keeps this an over-estimate
-        later = suffix_bound(b + 1, cur, len(rows[1]) if circ else 0)
+        later = suffix_bound[b + 1][cur][len(rows[1]) if circ else 0]
         return room + later
 
     def walk(b: int, r: int, placed: int) -> Iterator[RookPlacement | None]:
@@ -157,32 +157,6 @@ def _search(board: BoardSpec, m: int, count_only: bool) -> Iterator[RookPlacemen
         yield from walk(b, r + 1, placed)
 
     yield from walk(1, 1, 0)
-
-
-def _suffix_bound_table(board: BoardSpec):
-    """Max rooks on boards b..k given the previous board's final count.
-
-    The bound uses only the adjacency cap a_{i-1} + a_i <= n; the circular
-    wrap cap against a_1 is applied when a_1 is known.
-    """
-    n, k = board.n, board.k
-
-    @lru_cache(maxsize=None)
-    def bound(b: int, prev: int, a1: int) -> int:
-        if b > k:
-            return 0
-        best = 0
-        hi = n - prev
-        if board.circular and b == k:
-            hi = min(hi, n - a1)
-        for a in range(0, max(hi, 0) + 1):
-            best = max(best, a + bound(b + 1, a, a1))
-        return best
-
-    def lookup(b: int, prev: int, a1: int) -> int:
-        return bound(b, min(prev, n), a1)
-
-    return lookup
 
 
 __all__ = [

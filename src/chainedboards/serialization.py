@@ -48,7 +48,7 @@ def str_to_edge(s: str) -> EdgeId:
     try:
         kind, rest = s.split(":", 1)
         nums = tuple(int(x) for x in rest.split(","))
-    except ValueError:
+    except (ValueError, AttributeError):  # AttributeError: not a string
         raise ParseError(f"bad edge id {s!r}") from None
     if kind in ("h", "v") and len(nums) == 3 or kind in ("c", "bl", "bt") and len(nums) == 2:
         return (kind, *nums)
@@ -64,7 +64,7 @@ def str_to_vertex(s: str) -> Vertex:
         l, rest = s.split(":", 1)
         i, j = rest.split(",")
         return (int(l), int(i), int(j))
-    except ValueError:
+    except (ValueError, AttributeError):  # AttributeError: not a string
         raise ParseError(f"bad vertex id {s!r}") from None
 
 

@@ -194,3 +194,29 @@ def test_malformed_input_is_exit_1(tmp_path, capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "render", "--format", "ascii", "--in", str(src))
     assert code == 1
+
+
+def test_enumerate_negative_limit_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--family", "asm", "--shape", "circular", "-n", "2", "-k", "2",
+        "--limit", "-1",
+    )
+    assert code == 2 and out == "" and "--limit" in err
+
+
+def test_validate_fpl_with_non_string_edge_is_exit_1(tmp_path, capsys):
+    src = tmp_path / "fpl.json"
+    src.write_text(json.dumps({"family": "fpl", "shape": "circular", "n": 2, "k": 2, "edges": [5]}))
+    code, _, err = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and "bad edge id 5" in err
+
+
+def test_validate_rejects_boolean_matrix_entry(tmp_path, capsys):
+    src = tmp_path / "asm.json"
+    src.write_text(
+        json.dumps(
+            {"family": "chained-asm", "shape": "circular", "n": 1, "k": 2, "matrices": [[[True]], [[0]]]}
+        )
+    )
+    code, out, _ = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and out.strip() == "invalid"

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
 
-from chainedboards.boards import circular, linear, max_rooks
+from chainedboards.boards import admissible_compositions, circular, linear, max_rooks
 from chainedboards.counting import (
     classical_asm_count,
+    count_max,
     count_max_circular,
     count_max_linear,
     count_max_linear_multinomial,
@@ -33,6 +35,64 @@ def test_count_placements_formula_examples():
     assert count_placements_formula(circular(2, 2), 1) == 8
     # above the maximum there are no placements
     assert count_placements_formula(circular(2, 2), 3) == 0
+
+
+def composition_sum(board, m):
+    """The paper's formula term by term, one product per admissible composition."""
+    n = board.n
+    weight = [[math.comb(n - p, a) * falling_factorial(n, a) for a in range(n + 1)]
+              for p in range(n + 1)]
+    total = 0
+    for comp in admissible_compositions(board, m):
+        prev = comp[-1] if board.circular else 0
+        term = 1
+        for a in comp:
+            term *= weight[prev][a]
+            prev = a
+        total += term
+    return total
+
+
+def test_transfer_dp_matches_composition_sum():
+    for ctor in (linear, circular):
+        for n in range(1, 7):
+            for k in range(1, 9):
+                board = ctor(n, k)
+                for m in range(n * k + 1):
+                    want = composition_sum(board, m)
+                    assert count_placements_formula(board, m) == want, (board, m)
+
+
+def linear_suffix_sum(n, k, m):
+    """The linear composition sum with shared suffixes: the sum over parts
+    i..k given the previous part, taken right to left and memoized."""
+
+    @functools.lru_cache(maxsize=None)
+    def rest(i, prev, left):
+        if i == k:
+            return 1 if left == 0 else 0
+        return sum(
+            math.comb(n - prev, a) * falling_factorial(n, a) * rest(i + 1, a, left - a)
+            for a in range(min(n - prev, left) + 1)
+        )
+
+    return rest(0, 0, m)
+
+
+def test_transfer_dp_on_boards_the_walk_cannot_finish():
+    # too large for the composition walk to finish in a test
+    big = circular(6, 12)
+    assert count_placements_formula(big, 36) == count_max(big)
+    big = linear(8, 12)
+    assert count_placements_formula(big, max_rooks(big)) == count_max(big)
+    assert count_placements_formula(big, 40) == linear_suffix_sum(8, 12, 40)
+
+
+def test_formula_rejects_m_outside_range():
+    for board in (linear(3, 4), circular(3, 4)):
+        for m in (-1, board.n * board.k + 1):
+            with pytest.raises(InputDomainError):
+                count_placements_formula(board, m)
 
 
 def test_formula_matches_brute_force_small():
