@@ -20,7 +20,7 @@ from typing import Iterator
 
 from .boards import BoardSpec, Composition, Shape, max_rooks, suffix_bound_table
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError
-from .perms import ChainedPermutation, Matrix, _check_matrix_tuple
+from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,6 @@ class ChainedASM:
         return sum(sum(row) for mat in self.matrices for row in mat)
 
 
-def _previous(a: ChainedASM, l: int) -> Matrix | None:
-    """Matrix l-1 (1-based l); None stands for the zero matrix."""
-    if l > 1:
-        return a.matrices[l - 2]
-    return a.matrices[a.board.k - 1] if a.board.circular else None
-
-
 def chained_asm_problems(a: ChainedASM) -> list[str]:
     """Diagnostics against the three chained-ASM conditions; empty = valid."""
     n, k = a.board.n, a.board.k
@@ -61,7 +54,7 @@ def chained_asm_problems(a: ChainedASM) -> list[str]:
                     )
                     break
     for l in range(1, k + 1):
-        prev = _previous(a, l)
+        prev = _previous_matrix(a.board, a.matrices, l)
         cur = a.matrices[l - 1]
         for i in range(n):
             s = sum(prev[i]) if prev is not None else 0
@@ -216,10 +209,9 @@ class PlainASM:
             raise InputDomainError("size must be >= 1")
         if len(self.rows) != self.size or any(len(r) != self.size for r in self.rows):
             raise InputDomainError(f"matrix must be {self.size}x{self.size}")
-        fixed = tuple(tuple(int(x) for x in r) for r in self.rows)
-        if any(x not in (-1, 0, 1) for r in fixed for x in r):
+        if any(type(x) is not int or x not in (-1, 0, 1) for r in self.rows for x in r):
             raise InputDomainError("entries must be in {-1, 0, 1}")
-        object.__setattr__(self, "rows", fixed)
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
 
 
 def plain_asm_problems(p: PlainASM) -> list[str]:

@@ -19,25 +19,19 @@ from .asm import (
 )
 from .boards import BoardSpec, Shape, max_rooks
 from .counting import count_max, count_placements_formula
-from .errors import (
-    ChainedBoardsError,
-    InputDomainError,
-    ParseError,
-    UnsupportedDomainError,
-    ValidationError,
-)
+from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, ValidationError
 from .ice import from_fpl, from_ice, to_fpl, to_ice
 from .matchings import from_matching, to_matching
 from .perms import from_one_line, placement_to_matrices, to_one_line
 from .placements import count_placements_brute, enumerate_placements
 from .rendering import render
-from .serialization import deserialize, serialize
+from .serialization import deserialize, family_of, serialize
 from .triangles import from_monotone_triangles, to_monotone_triangles
 from .verify import verify_tables
 
 _CONVERSIONS = {
-    ("oneline", "matrix"): from_one_line,
     ("matrix", "oneline"): to_one_line,
+    ("oneline", "matrix"): from_one_line,
     ("matrix", "matching"): to_matching,
     ("matching", "matrix"): from_matching,
     ("matrix", "asm"): permutation_to_asm,
@@ -48,18 +42,6 @@ _CONVERSIONS = {
     ("ice", "asm"): from_ice,
     ("ice", "fpl"): to_fpl,
     ("fpl", "ice"): from_fpl,
-}
-
-_DOC_FAMILY = {
-    "one-line": "oneline",
-    "chained-permutation": "matrix",
-    "chain-matching": "matching",
-    "chained-asm": "asm",
-    "monotone-triangle-chain": "mt",
-    "ice": "ice",
-    "fpl": "fpl",
-    "placement": "placement",
-    "plain-asm": "plain-asm",
 }
 
 
@@ -144,7 +126,7 @@ def _cmd_convert(args) -> int:
         raise UnsupportedDomainError("--from and --to must differ")
     steps = _conversion_path(args.source, args.target)
     obj = deserialize(_read_input(args.infile))
-    family = _DOC_FAMILY[_family_of(obj)]
+    family = family_of(obj).alias
     if family != args.source:
         raise ValidationError(f"input document is a {family}, not a {args.source}")
     for step in steps:
@@ -153,42 +135,21 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _family_of(obj) -> str:
-    from .asm import ChainedASM, PlainASM
-    from .ice import FPLConfiguration, IceConfiguration
-    from .matchings import ChainMatching
-    from .perms import ChainedPermutation, OneLine
-    from .placements import RookPlacement
-    from .triangles import MonotoneTriangleChain
-
-    names = {
-        RookPlacement: "placement",
-        ChainedPermutation: "chained-permutation",
-        OneLine: "one-line",
-        ChainMatching: "chain-matching",
-        ChainedASM: "chained-asm",
-        PlainASM: "plain-asm",
-        MonotoneTriangleChain: "monotone-triangle-chain",
-        IceConfiguration: "ice",
-        FPLConfiguration: "fpl",
-    }
-    return names[type(obj)]
-
-
 def _cmd_validate(args) -> int:
     try:
         obj = deserialize(_read_input(args.infile))
-    except ValidationError as exc:
-        for problem in exc.problems:
+    except (ParseError, ValidationError) as exc:
+        problems = exc.problems if isinstance(exc, ValidationError) else [f"error: {exc}"]
+        for problem in problems:
             print(problem, file=sys.stderr)
         print("invalid")
         return 1
-    family = _family_of(obj)
-    if args.family is not None and args.family not in (family, _DOC_FAMILY[family]):
-        print(f"document is a {family}, not a {args.family}", file=sys.stderr)
+    family = family_of(obj)
+    if args.family is not None and args.family not in (family.name, family.alias):
+        print(f"document is a {family.name}, not a {args.family}", file=sys.stderr)
         print("invalid")
         return 1
-    print(f"valid {family}")
+    print(f"valid {family.name}")
     return 0
 
 
@@ -238,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate)
 
-    families = ["matrix", "oneline", "matching", "asm", "mt", "ice", "fpl"]
+    families = list(dict.fromkeys(name for pair in _CONVERSIONS for name in pair))
     p = sub.add_parser("convert", help="convert between object families")
     p.add_argument("--from", dest="source", required=True, choices=families)
     p.add_argument("--to", dest="target", required=True, choices=families)
@@ -275,21 +236,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UnsupportedDomainError,) as exc:
+    except UnsupportedDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ParseError, InputDomainError) as exc:
+    except (ChainedBoardsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ValidationError):
-            for problem in exc.problems:
-                if problem != str(exc):
-                    print(problem, file=sys.stderr)
-        return 1
-    except ChainedBoardsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for problem in getattr(exc, "problems", ()):  # a ValidationError's diagnostics
+            if problem != str(exc):
+                print(problem, file=sys.stderr)
         return 1
 
 

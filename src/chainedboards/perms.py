@@ -23,20 +23,26 @@ from .placements import RookPlacement, validate_placement
 Matrix = tuple[tuple[int, ...], ...]
 
 
+def _ascii_int(text: str) -> int:
+    """int() of a string of ASCII digits only: no sign, space, underscore
+    or other script's digits, all of which int() accepts."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise ValueError(f"expected ASCII digits, got {text!r}")
+
+
 def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str) -> Matrix:
     if len(matrices) != board.k:
         raise InputDomainError(f"expected {board.k} matrices, got {len(matrices)}")
-    fixed = []
     for mat in matrices:
         if len(mat) != board.n or any(len(row) != board.n for row in mat):
             raise InputDomainError(f"each matrix must be {board.n}x{board.n}")
         for row in mat:
             for x in row:
-                # bool is an int subclass: True would pass as 1
-                if isinstance(x, bool) or x not in allowed:
+                # bool is an int subclass (True == 1) and 1.0 == 1: both must fail
+                if type(x) is not int or x not in allowed:
                     raise InputDomainError(f"{what} entries must be in {sorted(allowed)}, got {x}")
-        fixed.append(tuple(tuple(int(x) for x in row) for row in mat))
-    return tuple(fixed)
+    return tuple(tuple(map(tuple, mat)) for mat in matrices)
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,7 @@ def validate_chained_permutation(cp: ChainedPermutation) -> bool:
 
 
 def _previous_matrix(board: BoardSpec, matrices, l: int):
+    """Matrix l-1 (1-based l); None stands for the zero matrix."""
     if l > 1:
         return matrices[l - 2]
     return matrices[board.k - 1] if board.shape is Shape.CIRCULAR else None
@@ -126,12 +133,10 @@ class OneLine:
     def __post_init__(self):
         if len(self.blocks) != self.board.k:
             raise InputDomainError(f"expected {self.board.k} blocks, got {len(self.blocks)}")
-        fixed = []
         for block in self.blocks:
-            if len(block) != self.board.n:
-                raise InputDomainError(f"each block must have {self.board.n} entries")
-            fixed.append(tuple(int(x) for x in block))
-        object.__setattr__(self, "blocks", tuple(fixed))
+            if len(block) != self.board.n or any(type(x) is not int for x in block):
+                raise InputDomainError(f"each block must have {self.board.n} integer entries")
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
 
 
 def one_line_problems(o: OneLine) -> list[str]:
@@ -219,15 +224,11 @@ def parse_one_line(text: str) -> OneLine:
         raise ParseError(f"empty block in one-line string {text!r}")
     blocks = []
     for piece in pieces:
-        if "," in piece:
-            try:
-                blocks.append(tuple(int(x) for x in piece.split(",")))
-            except ValueError as exc:
-                raise ParseError(f"bad block {piece!r}: {exc}") from None
-        else:
-            if not piece.isdigit():
-                raise ParseError(f"bad block {piece!r}: expected digits")
-            blocks.append(tuple(int(ch) for ch in piece))
+        entries = piece.split(",") if "," in piece else piece  # a digit per entry when n < 10
+        try:
+            blocks.append(tuple(_ascii_int(x) for x in entries))
+        except ValueError as exc:
+            raise ParseError(f"bad block {piece!r}: {exc}") from None
     n = len(blocks[0])
     if any(len(b) != n for b in blocks):
         raise ParseError("blocks have unequal lengths")

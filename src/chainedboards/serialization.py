@@ -7,18 +7,21 @@ are row-major arrays of integers, placements are arrays of
 identities, fully-packed loops are arrays of grid-graph edge ids, and ice
 configurations map each grid-graph edge id to the vertex id its arrow
 points at.  ``deserialize`` also accepts the bare one-line string format
-(``0200-3104-...``).  Parsing is strict: valid JSON that decodes to an
-object violating its family's invariants is a validation error.
+(``0200-3104-...``).  ``FAMILIES`` is the one registry of the families.
+
+Parsing is strict: numbers are JSON integers (no booleans or floats), ids
+use ASCII digits, and valid JSON that decodes to an object violating its
+family's invariants is a validation error.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .asm import ChainedASM, PlainASM, chained_asm_problems, plain_asm_problems
 from .boards import BoardSpec, Shape
-from .errors import InputDomainError, ParseError, ValidationError
+from .errors import InputDomainError, ParseError, UnsupportedDomainError, ValidationError
 from .ice import (
     EdgeId,
     FPLConfiguration,
@@ -32,6 +35,7 @@ from .matchings import ChainMatching, build_chain_graph, matching_problems
 from .perms import (
     ChainedPermutation,
     OneLine,
+    _ascii_int,
     chained_permutation_problems,
     one_line_problems,
     parse_one_line,
@@ -47,7 +51,7 @@ def edge_to_str(e: EdgeId) -> str:
 def str_to_edge(s: str) -> EdgeId:
     try:
         kind, rest = s.split(":", 1)
-        nums = tuple(int(x) for x in rest.split(","))
+        nums = tuple(_ascii_int(x) for x in rest.split(","))
     except (ValueError, AttributeError):  # AttributeError: not a string
         raise ParseError(f"bad edge id {s!r}") from None
     if kind in ("h", "v") and len(nums) == 3 or kind in ("c", "bl", "bt") and len(nums) == 2:
@@ -63,57 +67,143 @@ def str_to_vertex(s: str) -> Vertex:
     try:
         l, rest = s.split(":", 1)
         i, j = rest.split(",")
-        return (int(l), int(i), int(j))
+        return (_ascii_int(l), _ascii_int(i), _ascii_int(j))
     except (ValueError, AttributeError):  # AttributeError: not a string
         raise ParseError(f"bad vertex id {s!r}") from None
 
 
-def _doc(family: str, board: BoardSpec | None, payload: dict[str, Any]) -> str:
-    doc: dict[str, Any] = {"family": family}
-    if board is not None:
-        doc.update(shape=board.shape.value, n=board.n, k=board.k)
-    doc.update(payload)
-    return json.dumps(doc, separators=(", ", ": ")) + "\n"
+def _array(value) -> list:
+    if type(value) is not list:
+        raise ParseError(f"expected an array, got {json.dumps(value)}")
+    return value
+
+
+def _ints(value, depth: int = 0):
+    """``value`` as ``depth`` levels of nested tuples around JSON integers;
+    a boolean, float or string where an integer belongs is a ParseError."""
+    if depth:
+        return tuple(_ints(v, depth - 1) for v in _array(value))
+    if type(value) is not int:
+        raise ParseError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _circular(obj: GridGraph | MonotoneTriangleChain) -> BoardSpec:
+    return BoardSpec(Shape.CIRCULAR, obj.n, obj.k)
+
+
+def _ice_from(board: BoardSpec, mapping: dict) -> IceConfiguration:
+    graph = GridGraph(board.n, board.k)
+    heads = []
+    for e in graph.edges():
+        key = edge_to_str(e)
+        if key not in mapping:
+            raise ParseError(f"orientation is missing edge {key}")
+        heads.append(str_to_vertex(mapping[key]))
+    if len(mapping) != len(heads):
+        raise ParseError("orientation lists unknown edges")
+    return IceConfiguration(graph, tuple(heads))
+
+
+class Family(NamedTuple):
+    """One document family: what names it, what it holds and how it is checked."""
+
+    name: str  # the document's "family" value
+    alias: str  # its name for `chained-boards convert`
+    cls: type
+    shapes: tuple[str, ...]  # shapes a document may name; () for a plain ASM, which has only n
+    board: Callable[[Any], BoardSpec | None]
+    key: str  # the payload's key
+    encode: Callable[[Any], Any]  # object -> JSON payload
+    decode: Callable[[Any, Any], Any]  # (board, or n for a plain ASM; payload) -> object
+    problems: Callable[[Any], list[str]]  # diagnostics; empty = valid
+
+
+_BOTH = ("linear", "circular")
+_CIRCULAR = ("circular",)
+
+FAMILIES = (
+    Family(
+        "placement", "placement", RookPlacement, _BOTH, lambda p: p.board, "squares",
+        lambda p: [list(s) for s in p.squares],
+        lambda board, v: RookPlacement(board, _ints(v, 2)),
+        lambda p: [] if validate_placement(p) else ["placement has attacking rooks"],
+    ),
+    Family(
+        "chained-permutation", "matrix", ChainedPermutation, _BOTH, lambda cp: cp.board, "matrices",
+        lambda cp: [[list(r) for r in m] for m in cp.matrices],
+        lambda board, v: ChainedPermutation(board, _ints(v, 3)),
+        chained_permutation_problems,
+    ),
+    Family(
+        "one-line", "oneline", OneLine, _BOTH, lambda o: o.board, "blocks",
+        lambda o: [list(b) for b in o.blocks],
+        lambda board, v: OneLine(board, _ints(v, 2)),
+        one_line_problems,
+    ),
+    Family(
+        "chain-matching", "matching", ChainMatching, _BOTH, lambda m: m.graph.board, "edges",
+        lambda m: [list(e) for e in m.edges],
+        lambda board, v: ChainMatching(build_chain_graph(board), _ints(v, 2)),
+        matching_problems,
+    ),
+    Family(
+        "chained-asm", "asm", ChainedASM, _BOTH, lambda a: a.board, "matrices",
+        lambda a: [[list(r) for r in m] for m in a.matrices],
+        lambda board, v: ChainedASM(board, _ints(v, 3)),
+        chained_asm_problems,
+    ),
+    Family(
+        "plain-asm", "plain-asm", PlainASM, (), lambda p: None, "matrix",
+        lambda p: [list(r) for r in p.rows],
+        lambda n, v: PlainASM(n, _ints(v, 2)),
+        plain_asm_problems,
+    ),
+    Family(
+        "monotone-triangle-chain", "mt", MonotoneTriangleChain, _CIRCULAR, _circular, "triangles",
+        lambda t: [[list(row) for row in tri] for tri in t.triangles],
+        lambda board, v: MonotoneTriangleChain(board.n, board.k, _ints(v, 3)),
+        mt_chain_problems,
+    ),
+    Family(
+        "ice", "ice", IceConfiguration, _CIRCULAR, lambda c: _circular(c.graph), "orientation",
+        lambda c: {edge_to_str(e): vertex_to_str(h) for e, h in zip(c.graph.edges(), c.heads)},
+        _ice_from,
+        ice_problems,
+    ),
+    Family(
+        "fpl", "fpl", FPLConfiguration, _CIRCULAR, lambda f: _circular(f.graph), "edges",
+        lambda f: [edge_to_str(e) for e in f.chosen],
+        lambda board, v: FPLConfiguration(
+            GridGraph(board.n, board.k), tuple(map(str_to_edge, _array(v)))
+        ),
+        fpl_problems,
+    ),
+)
+_BY_NAME = {f.name: f for f in FAMILIES}
+_BY_CLASS = {f.cls: f for f in FAMILIES}
+
+
+def family_of(obj) -> Family:
+    """The registry row of ``obj``'s document family."""
+    try:
+        return _BY_CLASS[type(obj)]
+    except KeyError:
+        raise ValidationError(f"no canonical document for {type(obj).__name__}") from None
 
 
 def serialize(obj) -> str:
     """The canonical one-line document for any domain object."""
-    if isinstance(obj, RookPlacement):
-        return _doc("placement", obj.board, {"squares": [list(s) for s in obj.squares]})
-    if isinstance(obj, ChainedPermutation):
-        return _doc(
-            "chained-permutation", obj.board, {"matrices": [[list(r) for r in m] for m in obj.matrices]}
-        )
-    if isinstance(obj, OneLine):
-        return _doc("one-line", obj.board, {"blocks": [list(b) for b in obj.blocks]})
-    if isinstance(obj, ChainMatching):
-        return _doc("chain-matching", obj.graph.board, {"edges": [list(e) for e in obj.edges]})
-    if isinstance(obj, ChainedASM):
-        return _doc(
-            "chained-asm", obj.board, {"matrices": [[list(r) for r in m] for m in obj.matrices]}
-        )
-    if isinstance(obj, PlainASM):
-        return json.dumps(
-            {"family": "plain-asm", "n": obj.size, "matrix": [list(r) for r in obj.rows]},
-            separators=(", ", ": "),
-        ) + "\n"
-    if isinstance(obj, MonotoneTriangleChain):
-        board = BoardSpec(Shape.CIRCULAR, obj.n, obj.k)
-        return _doc(
-            "monotone-triangle-chain",
-            board,
-            {"triangles": [[list(row) for row in tri] for tri in obj.triangles]},
-        )
-    if isinstance(obj, IceConfiguration):
-        board = BoardSpec(Shape.CIRCULAR, obj.graph.n, obj.graph.k)
-        orientation = {
-            edge_to_str(e): vertex_to_str(h) for e, h in zip(obj.graph.edges(), obj.heads)
-        }
-        return _doc("ice", board, {"orientation": orientation})
-    if isinstance(obj, FPLConfiguration):
-        board = BoardSpec(Shape.CIRCULAR, obj.graph.n, obj.graph.k)
-        return _doc("fpl", board, {"edges": [edge_to_str(e) for e in obj.chosen]})
-    raise ValidationError(f"no canonical document for {type(obj).__name__}")
+    family = family_of(obj)
+    payload = family.encode(obj)
+    board = family.board(obj)
+    doc: dict[str, Any] = {"family": family.name}
+    if board is None:  # a plain ASM: its size is the whole header
+        doc["n"] = len(payload)
+    else:
+        doc.update(shape=board.shape.value, n=board.n, k=board.k)
+    doc[family.key] = payload
+    return json.dumps(doc, separators=(", ", ": ")) + "\n"
 
 
 def _need(doc: dict, key: str):
@@ -122,106 +212,57 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _board_from(doc: dict) -> BoardSpec:
+def _board_from(doc: dict, shapes: tuple[str, ...]) -> BoardSpec:
     shape = _need(doc, "shape")
-    try:
-        shape = Shape(shape)
-    except ValueError:
-        raise ParseError(f"unknown shape {shape!r}") from None
-    n, k = _need(doc, "n"), _need(doc, "k")
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ParseError("n and k must be integers")
-    return BoardSpec(shape, n, k)
+    if shape not in shapes:
+        raise ParseError(f"shape must be {' or '.join(shapes)}, got {json.dumps(shape)}")
+    return BoardSpec(Shape(shape), _ints(_need(doc, "n")), _ints(_need(doc, "k")))
 
 
-def _checked(obj, problems: list[str]):
+def _checked(family: Family, obj):
+    problems = family.problems(obj)
     if problems:
         raise ValidationError(f"document decodes to an invalid {type(obj).__name__}", problems)
     return obj
 
 
 def deserialize(text: str):
-    """Parse a canonical document (or a bare one-line string) and validate it."""
+    """Parse a canonical document (or a bare one-line string) and validate it.
+
+    Raises ParseError for text that is not a document of a known family and
+    ValidationError for one that decodes to an invalid object, nothing else.
+    """
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty document")
     if not stripped.startswith("{"):
-        o = parse_one_line(stripped)
-        return _checked(o, one_line_problems(o))
+        return _checked(_BY_NAME["one-line"], parse_one_line(stripped))
     try:
         doc = json.loads(stripped)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at offset {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
-    family = _need(doc, "family")
+    name = _need(doc, "family")
+    family = _BY_NAME.get(name) if type(name) is str else None
+    if family is None:
+        raise ParseError(f"unknown family {name!r}")
     try:
-        if family == "placement":
-            p = RookPlacement(
-                _board_from(doc), tuple(tuple(s) for s in _need(doc, "squares"))
-            )
-            if not validate_placement(p):
-                raise ValidationError("document decodes to an attacking placement")
-            return p
-        if family == "chained-permutation":
-            cp = ChainedPermutation(
-                _board_from(doc),
-                tuple(tuple(map(tuple, m)) for m in _need(doc, "matrices")),
-            )
-            return _checked(cp, chained_permutation_problems(cp))
-        if family == "one-line":
-            o = OneLine(_board_from(doc), tuple(tuple(b) for b in _need(doc, "blocks")))
-            return _checked(o, one_line_problems(o))
-        if family == "chain-matching":
-            m = ChainMatching(
-                build_chain_graph(_board_from(doc)),
-                tuple(tuple(e) for e in _need(doc, "edges")),
-            )
-            return _checked(m, matching_problems(m))
-        if family == "chained-asm":
-            a = ChainedASM(
-                _board_from(doc),
-                tuple(tuple(map(tuple, m)) for m in _need(doc, "matrices")),
-            )
-            return _checked(a, chained_asm_problems(a))
-        if family == "plain-asm":
-            p = PlainASM(_need(doc, "n"), tuple(tuple(r) for r in _need(doc, "matrix")))
-            return _checked(p, plain_asm_problems(p))
-        if family == "monotone-triangle-chain":
-            board = _board_from(doc)
-            t = MonotoneTriangleChain(
-                board.n,
-                board.k,
-                tuple(tuple(tuple(row) for row in tri) for tri in _need(doc, "triangles")),
-            )
-            return _checked(t, mt_chain_problems(t))
-        if family == "ice":
-            board = _board_from(doc)
-            graph = GridGraph(board.n, board.k)
-            mapping = _need(doc, "orientation")
-            heads = []
-            for e in graph.edges():
-                key = edge_to_str(e)
-                if key not in mapping:
-                    raise ParseError(f"orientation is missing edge {key}")
-                heads.append(str_to_vertex(mapping[key]))
-            if len(mapping) != len(graph.edges()):
-                raise ParseError("orientation lists unknown edges")
-            c = IceConfiguration(graph, tuple(heads))
-            return _checked(c, ice_problems(c))
-        if family == "fpl":
-            board = _board_from(doc)
-            graph = GridGraph(board.n, board.k)
-            f = FPLConfiguration(graph, tuple(str_to_edge(s) for s in _need(doc, "edges")))
-            return _checked(f, fpl_problems(f))
-    except (TypeError, IndexError) as exc:
-        raise ParseError(f"malformed {family} payload: {exc}") from None
-    except InputDomainError as exc:
+        where = _board_from(doc, family.shapes) if family.shapes else _ints(_need(doc, "n"))
+        return _checked(family, family.decode(where, _need(doc, family.key)))
+    except (TypeError, ValueError, IndexError, RecursionError) as exc:
+        # e.g. a square or an edge of two numbers, or a message quoting a deeply nested value
+        raise ParseError(f"malformed {name} payload: {exc}") from None
+    except (InputDomainError, UnsupportedDomainError) as exc:
         raise ValidationError(str(exc)) from None
-    raise ParseError(f"unknown family {family!r}")
 
 
 __all__ = [
+    "FAMILIES",
+    "Family",
+    "family_of",
     "serialize",
     "deserialize",
     "edge_to_str",

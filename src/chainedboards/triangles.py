@@ -42,12 +42,11 @@ class MonotoneTriangleChain:
             raise InputDomainError("need n >= 1 and even k >= 2")
         if len(self.triangles) != self.k // 2:
             raise InputDomainError(f"expected {self.k // 2} triangles, got {len(self.triangles)}")
-        fixed = []
         for tri in self.triangles:
-            if len(tri) != self.n:
-                raise InputDomainError(f"each triangle must have {self.n} rows")
-            fixed.append(tuple(tuple(int(x) for x in row) for row in tri))
-        object.__setattr__(self, "triangles", tuple(fixed))
+            if len(tri) != self.n or any(type(x) is not int for row in tri for x in row):
+                raise InputDomainError(f"each triangle must have {self.n} rows of integers")
+        fixed = tuple(tuple(map(tuple, tri)) for tri in self.triangles)
+        object.__setattr__(self, "triangles", fixed)
 
 
 def pair_matrices(a: ChainedASM) -> tuple[Matrix, ...]:

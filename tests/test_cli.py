@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 
-from chainedboards.cli import main
-from chainedboards.serialization import deserialize, serialize
-from tests.worked_examples import ONE_LINE_46, WORKED_46
+import pytest
+
+from chainedboards.cli import _CONVERSIONS, main
+from chainedboards.serialization import FAMILIES, deserialize, serialize
+from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, WORKED_46
 
 
 def run(capsys, *argv):
@@ -220,3 +222,27 @@ def test_validate_rejects_boolean_matrix_entry(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "validate", "--in", str(src))
     assert code == 1 and out.strip() == "invalid"
+
+
+@pytest.mark.parametrize("text", [*MALFORMED.values(), ODD_K_ICE], ids=[*MALFORMED.keys(), "ice with odd k"])
+def test_validate_rejects_malformed_documents_with_exit_1(tmp_path, capsys, text):
+    src = tmp_path / "doc.json"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and out == "invalid\n" and err
+    assert "Traceback" not in err
+
+
+def test_convert_choices_are_the_registry_aliases(capsys):
+    aliases = {f.alias for f in FAMILIES}
+    assert {name for pair in _CONVERSIONS for name in pair} <= aliases
+    code, _, err = run(capsys, "convert", "--from", "plain-asm", "--to", "asm")
+    assert code == 2 and "invalid choice" in err
+
+
+def test_validate_family_accepts_name_or_alias(tmp_path, capsys):
+    src = tmp_path / "asm.json"
+    src.write_text(serialize(WORKED_46))
+    for family in ("chained-asm", "asm"):
+        code, out, _ = run(capsys, "validate", "--family", family, "--in", str(src))
+        assert code == 0 and out == "valid chained-asm\n"

@@ -6,8 +6,10 @@ import pytest
 
 from chainedboards.boards import Square, circular, linear, max_rooks
 from chainedboards.counting import count_max_circular, count_max_linear
-from chainedboards.errors import ParseError, ValidationError
+from chainedboards.asm import ChainedASM, PlainASM
+from chainedboards.errors import InputDomainError, ParseError, ValidationError
 from chainedboards.perms import (
+    ChainedPermutation,
     OneLine,
     from_one_line,
     matrices_to_placement,
@@ -20,6 +22,7 @@ from chainedboards.perms import (
     validate_one_line,
 )
 from chainedboards.placements import RookPlacement, enumerate_placements
+from chainedboards.triangles import MonotoneTriangleChain
 
 from tests.worked_examples import ONE_LINE_54, ONE_LINE_46, P22_CIRCULAR
 
@@ -181,3 +184,21 @@ def test_cardinality_p_n4_circular_is_factorial_2n():
         board = circular(n, 4)
         assert sum(1 for _ in max_placements(board)) == math.factorial(2 * n)
         assert count_max_circular(n, 4) == math.factorial(2 * n)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: ChainedPermutation(linear(1, 1), (((x,),),)),
+        lambda x: ChainedASM(linear(1, 1), (((x,),),)),
+        lambda x: OneLine(linear(1, 1), ((x,),)),
+        lambda x: PlainASM(1, ((x,),)),
+        lambda x: MonotoneTriangleChain(1, 2, (((x,),),)),
+    ],
+    ids=["ChainedPermutation", "ChainedASM", "OneLine", "PlainASM", "MonotoneTriangleChain"],
+)
+def test_constructors_take_ints_only(make, bad):
+    make(1)  # the same object with the int 1 is well-formed
+    with pytest.raises(InputDomainError):
+        make(bad)

@@ -3,17 +3,30 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainedboards.asm import PlainASM, enumerate_chained_asm, fold_qt, permutation_to_asm
+from chainedboards.asm import (
+    PlainASM,
+    enumerate_chained_asm,
+    fold_qt,
+    permutation_to_asm,
+    split_linear_odd,
+)
 from chainedboards.boards import circular, linear, max_rooks
-from chainedboards.errors import ParseError, ValidationError
+from chainedboards.errors import ChainedBoardsError, ParseError, ValidationError
 from chainedboards.ice import to_fpl, to_ice
 from chainedboards.matchings import to_matching
 from chainedboards.perms import placement_to_matrices, to_one_line
 from chainedboards.placements import canonical_placement, enumerate_placements
-from chainedboards.serialization import deserialize, serialize
+from chainedboards.serialization import (
+    FAMILIES,
+    deserialize,
+    family_of,
+    serialize,
+)
 from chainedboards.triangles import to_monotone_triangles
-from tests.worked_examples import ONE_LINE_46, QT_6, WORKED_46
+from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, QT_6, WORKED_46
 
 
 def sample_objects():
@@ -142,3 +155,113 @@ def test_permutation_asm_documents_distinct():
     asm = permutation_to_asm(cp)
     assert serialize(cp) != serialize(asm)
     assert deserialize(serialize(asm)) == asm
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_raise_parse_errors(text):
+    with pytest.raises(ParseError):
+        deserialize(text)
+
+
+def test_grid_graph_document_with_odd_k_is_invalid():
+    # GridGraph raises UnsupportedDomainError, which the CLI would report as a usage error
+    with pytest.raises(ValidationError):
+        deserialize(ODD_K_ICE)
+
+
+def test_families_registry_is_one_row_per_class_and_name():
+    assert len({f.name for f in FAMILIES}) == len({f.cls for f in FAMILIES}) == len(FAMILIES) == 9
+    for obj in sample_objects():
+        assert json.loads(serialize(obj))["family"] == family_of(obj).name
+    with pytest.raises(ValidationError):
+        family_of(linear(2, 2))
+
+
+def _enumerated_objects() -> list:
+    """Objects of every family, enumerated on small boards."""
+    out = []
+    for board in (linear(2, 2), circular(2, 2), linear(1, 3), circular(3, 1)):
+        out += enumerate_placements(board, 1)
+        for p in enumerate_placements(board, max_rooks(board)):
+            cp = placement_to_matrices(p)
+            out += [p, cp, to_one_line(cp), to_matching(cp)]
+    out += [part for a in enumerate_chained_asm(linear(3, 1)) for part in split_linear_odd(a)]
+    out += enumerate_chained_asm(linear(2, 3))
+    for a in enumerate_chained_asm(circular(2, 2)):
+        ice = to_ice(a)
+        out += [a, to_monotone_triangles(a), ice, to_fpl(ice)]
+    return out
+
+
+ENUMERATED = _enumerated_objects()
+CANONICAL_DOCS = sorted({serialize(o) for o in ENUMERATED})
+
+# JSON values of every kind; strings draw on the characters of ids and
+# one-line strings, including lookalikes that int() would accept (a small
+# alphabet also spares Hypothesis building its Unicode tables)
+ID_TEXT = st.text(alphabet="0123456789:,-hvcblt\u0661+_ ", max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | ID_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ID_TEXT, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def test_enumerated_objects_cover_every_family():
+    assert {family_of(o).name for o in ENUMERATED} == {f.name for f in FAMILIES}
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(st.sampled_from(ENUMERATED))
+def test_round_trip_property(obj):
+    text = serialize(obj)
+    back = deserialize(text)
+    assert back == obj and type(back) is type(obj)
+    assert serialize(back) == text
+
+
+def _edit(data, doc: dict) -> None:
+    """Replace, insert or delete one value at a drawn depth on a drawn path
+    from one of the document's keys (not "family") towards a leaf."""
+    path = [data.draw(st.sampled_from([k for k in reversed(doc) if k != "family"]))]  # payload first
+    node = doc[path[0]]
+    while isinstance(node, (list, dict)) and node:
+        path.append(data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node)))))
+        node = node[path[-1]]
+    depth = len(path) - data.draw(st.integers(0, len(path) - 1))  # simplest draw: the deepest
+    holder = doc
+    for key in path[: depth - 1]:
+        holder = holder[key]
+    key, value = path[depth - 1], data.draw(JSON_VALUES)
+    action = data.draw(st.sampled_from(("delete", "replace", "insert")))
+    if action == "replace":
+        holder[key] = value
+    elif action == "delete":
+        del holder[key]
+    elif isinstance(holder, list):
+        holder.insert(key, value)
+    else:
+        holder[data.draw(ID_TEXT)] = value
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.data())
+def test_any_json_edit_of_a_document_gives_an_object_or_a_library_error(data):
+    doc = json.loads(data.draw(st.sampled_from(CANONICAL_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if len(doc) > 1:
+            _edit(data, doc)
+    try:
+        obj = deserialize(json.dumps(doc))
+    except ChainedBoardsError:
+        return
+    assert deserialize(serialize(obj)) == obj
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.text(alphabet="0123456789-,\u0661\u00b2+_ ", min_size=1, max_size=14))
+def test_any_one_line_string_gives_an_object_or_a_library_error(text):
+    try:
+        deserialize(text)
+    except ChainedBoardsError:
+        pass
