@@ -6,7 +6,6 @@ from .boards import (
     Composition,
     Shape,
     Square,
-    admissible_compositions,
     attacks,
     circular,
     is_admissible_composition,

@@ -182,7 +182,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
                     if req is not None and row_sums[k - 1][i] != req:
                         return
             if done == target:
-                yield ChainedASM(board, tuple(tuple(map(tuple, m)) for m in mats))
+                yield ChainedASM(board, mats)  # the constructor copies mats
             return
         a1 = mat_sum[0] if circ else 0
         if done + suffix_max[l + 2][s][a1] < target:

@@ -28,3 +28,11 @@ class ParseError(ChainedBoardsError):
 
 class UnsupportedDomainError(ChainedBoardsError):
     """The requested operation is not defined for this family of inputs."""
+
+
+def clip(text: str, limit: int = 40) -> str:
+    """``text`` cut to its first ``limit`` characters plus its length, so a
+    message that quotes input stays short whatever the input's size."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}… ({len(text)} characters)"

@@ -232,10 +232,7 @@ def from_ice(c: IceConfiguration) -> ChainedASM:
         sources_in = horiz_in == 2  # both horizontal in, both vertical out
         value = 1 if sources_in == (l % 2 == 1) else -1
         grids[l - 1][i - 1][j - 1] = value
-    a = ChainedASM(
-        BoardSpec(Shape.CIRCULAR, n, k),
-        tuple(tuple(map(tuple, g)) for g in grids),
-    )
+    a = ChainedASM(BoardSpec(Shape.CIRCULAR, n, k), grids)
     bad = chained_asm_problems(a)
     if bad:
         raise ValidationError("ice configuration decodes to an invalid chained ASM", bad)
@@ -269,18 +266,21 @@ def to_fpl(c: IceConfiguration) -> FPLConfiguration:
     return FPLConfiguration(c.graph, tuple(chosen))
 
 
+def _fpl_boundary(e: EdgeId) -> bool | None:
+    """Whether an FPL holds boundary edge ``e``; None for an inner edge."""
+    if e[0] == "bl":
+        return e[2] % 2 == 1
+    if e[0] == "bt":
+        return e[2] % 2 == 0
+    return None
+
+
 def fpl_problems(f: FPLConfiguration) -> list[str]:
     """Fixed boundary pattern plus degree exactly 2 at interior vertices."""
     problems = []
     for e in f.graph.edges():
-        kind = e[0]
-        if kind == "bl":
-            want = e[2] % 2 == 1
-        elif kind == "bt":
-            want = e[2] % 2 == 0
-        else:
-            continue
-        if f.contains(e) != want:
+        want = _fpl_boundary(e)
+        if want is not None and f.contains(e) != want:
             state = "must contain" if want else "must not contain"
             problems.append(f"fully-packed loop {state} boundary edge {e}")
     for v in f.graph.interior_vertices():
@@ -370,13 +370,6 @@ def enumerate_fpl(n: int, k: int) -> Iterator[FPLConfiguration]:
     remaining: dict[Vertex, int] = {v: 4 for v in interior}
     chosen: list[EdgeId] = []
 
-    def forced_state(e: EdgeId) -> bool | None:
-        if e[0] == "bl":
-            return e[2] % 2 == 1
-        if e[0] == "bt":
-            return e[2] % 2 == 0
-        return None
-
     def feasible(v: Vertex) -> bool:
         if v not in interior:
             return True
@@ -388,7 +381,7 @@ def enumerate_fpl(n: int, k: int) -> Iterator[FPLConfiguration]:
             return
         e = edges[idx]
         u, v = graph.endpoints(e)
-        forced = forced_state(e)
+        forced = _fpl_boundary(e)
         for take in (False, True):
             if forced is not None and take != forced:
                 continue

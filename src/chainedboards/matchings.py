@@ -126,7 +126,7 @@ def from_matching(m: ChainMatching) -> ChainedPermutation:
     grids = [[[0] * n for _ in range(n)] for _ in range(board.k)]
     for l, i, j in m.edges:
         grids[l - 1][i - 1][j - 1] = 1
-    return ChainedPermutation(board, tuple(tuple(map(tuple, g)) for g in grids))
+    return ChainedPermutation(board, grids)
 
 
 def enumerate_matchings(board: BoardSpec) -> Iterator[ChainMatching]:

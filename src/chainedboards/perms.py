@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boards import BoardSpec, Shape, Square, max_rooks
-from .errors import InputDomainError, ParseError, ValidationError
+from .errors import InputDomainError, ParseError, ValidationError, clip
 from .placements import RookPlacement, validate_placement
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -28,7 +28,7 @@ def _ascii_int(text: str) -> int:
     or other script's digits, all of which int() accepts."""
     if text.isascii() and text.isdigit():
         return int(text)
-    raise ValueError(f"expected ASCII digits, got {text!r}")
+    raise ValueError(f"expected ASCII digits, got {clip(repr(text))}")
 
 
 def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str) -> Matrix:
@@ -109,7 +109,7 @@ def placement_to_matrices(p: RookPlacement) -> ChainedPermutation:
     grids = [[[0] * n for _ in range(n)] for _ in range(p.board.k)]
     for s in p.squares:
         grids[s.board - 1][s.row - 1][s.col - 1] = 1
-    return ChainedPermutation(p.board, tuple(tuple(map(tuple, g)) for g in grids))
+    return ChainedPermutation(p.board, grids)
 
 
 def matrices_to_placement(cp: ChainedPermutation) -> RookPlacement:
@@ -195,8 +195,8 @@ def from_one_line(o: OneLine) -> ChainedPermutation:
         for i, v in enumerate(block):
             if v:
                 mat[i][v - 1] = 1
-        matrices.append(tuple(map(tuple, mat)))
-    return ChainedPermutation(o.board, tuple(matrices))
+        matrices.append(mat)
+    return ChainedPermutation(o.board, matrices)
 
 
 def one_line_text(o: OneLine) -> str:
@@ -221,14 +221,14 @@ def parse_one_line(text: str) -> OneLine:
         s = s[:-1]
     pieces = s.split("-")
     if any(not piece for piece in pieces):
-        raise ParseError(f"empty block in one-line string {text!r}")
+        raise ParseError(f"empty block in one-line string {clip(repr(text))}")
     blocks = []
     for piece in pieces:
         entries = piece.split(",") if "," in piece else piece  # a digit per entry when n < 10
         try:
             blocks.append(tuple(_ascii_int(x) for x in entries))
         except ValueError as exc:
-            raise ParseError(f"bad block {piece!r}: {exc}") from None
+            raise ParseError(f"bad block {clip(repr(piece))}: {exc}") from None
     n = len(blocks[0])
     if any(len(b) != n for b in blocks):
         raise ParseError("blocks have unequal lengths")

@@ -86,18 +86,6 @@ def canonical_placement(board: BoardSpec, comp: Composition) -> RookPlacement:
 
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     """All valid m-rook placements, each exactly once, in lexicographic order."""
-    yield from _search(board, m, count_only=False)
-
-
-def count_placements_brute(board: BoardSpec, m: int) -> int:
-    """Length of the enumerate_placements stream, without materializing it."""
-    total = 0
-    for _ in _search(board, m, count_only=True):
-        total += 1
-    return total
-
-
-def _search(board: BoardSpec, m: int, count_only: bool) -> Iterator[RookPlacement | None]:
     if not (0 <= m <= board.n * board.k):
         raise InputDomainError(f"m must be in 0..n*k, got {m}")
     n, k = board.n, board.k
@@ -135,9 +123,9 @@ def _search(board: BoardSpec, m: int, count_only: bool) -> Iterator[RookPlacemen
         later = suffix_bound[b + 1][cur][len(rows[1]) if circ else 0]
         return room + later
 
-    def walk(b: int, r: int, placed: int) -> Iterator[RookPlacement | None]:
+    def walk(b: int, r: int, placed: int) -> Iterator[RookPlacement]:
         if placed == m:
-            yield None if count_only else RookPlacement(board, tuple(chosen))
+            yield RookPlacement(board, tuple(chosen))
             return
         if b > k or placed + capacity(b, r) < m:
             return
@@ -157,6 +145,11 @@ def _search(board: BoardSpec, m: int, count_only: bool) -> Iterator[RookPlacemen
         yield from walk(b, r + 1, placed)
 
     yield from walk(1, 1, 0)
+
+
+def count_placements_brute(board: BoardSpec, m: int) -> int:
+    """Length of the enumerate_placements stream."""
+    return sum(1 for _ in enumerate_placements(board, m))
 
 
 __all__ = [

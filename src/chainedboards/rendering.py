@@ -20,41 +20,12 @@ from .triangles import MonotoneTriangleChain
 
 def render(obj, format: str = "ascii") -> str:
     """Render ``obj`` in the requested format ('ascii' or 'dot')."""
-    if format == "ascii":
-        return _render_ascii(obj)
-    if format == "dot":
-        return _render_dot(obj)
-    raise UnsupportedDomainError(f"unknown format {format!r}")
-
-
-def _render_ascii(obj) -> str:
-    if isinstance(obj, BoardSpec):
-        return _boards_ascii(obj, set())
-    if isinstance(obj, RookPlacement):
-        return _boards_ascii(obj.board, set(obj.squares))
-    if isinstance(obj, (ChainedPermutation, ChainedASM)):
-        return _matrices_ascii(obj.matrices)
-    if isinstance(obj, PlainASM):
-        return _matrices_ascii((obj.rows,))
-    if isinstance(obj, OneLine):
-        return one_line_text(obj) + "\n"
-    if isinstance(obj, MonotoneTriangleChain):
-        return _triangles_ascii(obj)
-    raise UnsupportedDomainError(f"no ascii rendering for {type(obj).__name__}")
-
-
-def _render_dot(obj) -> str:
-    if isinstance(obj, ChainGraph):
-        return _chain_graph_dot(obj, matched=frozenset())
-    if isinstance(obj, ChainMatching):
-        return _chain_graph_dot(obj.graph, matched=frozenset(obj.edges))
-    if isinstance(obj, GridGraph):
-        return _grid_graph_dot(obj)
-    if isinstance(obj, IceConfiguration):
-        return _ice_dot(obj)
-    if isinstance(obj, FPLConfiguration):
-        return _fpl_dot(obj)
-    raise UnsupportedDomainError(f"no dot rendering for {type(obj).__name__}")
+    if format not in ("ascii", "dot"):
+        raise UnsupportedDomainError(f"unknown format {format!r}")
+    renderer = _RENDERERS.get((type(obj), format))
+    if renderer is None:
+        raise UnsupportedDomainError(f"no {format} rendering for {type(obj).__name__}")
+    return renderer(obj)
 
 
 def _boards_ascii(board: BoardSpec, rooks: set) -> str:
@@ -143,5 +114,20 @@ def _fpl_dot(f: FPLConfiguration) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
+
+_RENDERERS = {
+    (BoardSpec, "ascii"): lambda b: _boards_ascii(b, set()),
+    (RookPlacement, "ascii"): lambda p: _boards_ascii(p.board, set(p.squares)),
+    (ChainedPermutation, "ascii"): lambda cp: _matrices_ascii(cp.matrices),
+    (ChainedASM, "ascii"): lambda a: _matrices_ascii(a.matrices),
+    (PlainASM, "ascii"): lambda p: _matrices_ascii((p.rows,)),
+    (OneLine, "ascii"): lambda o: one_line_text(o) + "\n",
+    (MonotoneTriangleChain, "ascii"): _triangles_ascii,
+    (ChainGraph, "dot"): lambda g: _chain_graph_dot(g, matched=frozenset()),
+    (ChainMatching, "dot"): lambda m: _chain_graph_dot(m.graph, matched=frozenset(m.edges)),
+    (GridGraph, "dot"): _grid_graph_dot,
+    (IceConfiguration, "dot"): _ice_dot,
+    (FPLConfiguration, "dot"): _fpl_dot,
+}
 
 __all__ = ["render"]

@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 
 from .asm import ChainedASM, PlainASM, chained_asm_problems, plain_asm_problems
 from .boards import BoardSpec, Shape
-from .errors import InputDomainError, ParseError, UnsupportedDomainError, ValidationError
+from .errors import InputDomainError, ParseError, UnsupportedDomainError, ValidationError, clip
 from .ice import (
     EdgeId,
     FPLConfiguration,
@@ -53,10 +53,10 @@ def str_to_edge(s: str) -> EdgeId:
         kind, rest = s.split(":", 1)
         nums = tuple(_ascii_int(x) for x in rest.split(","))
     except (ValueError, AttributeError):  # AttributeError: not a string
-        raise ParseError(f"bad edge id {s!r}") from None
+        raise ParseError(f"bad edge id {clip(repr(s))}") from None
     if kind in ("h", "v") and len(nums) == 3 or kind in ("c", "bl", "bt") and len(nums) == 2:
         return (kind, *nums)
-    raise ParseError(f"bad edge id {s!r}")
+    raise ParseError(f"bad edge id {clip(repr(s))}")
 
 
 def vertex_to_str(v: Vertex) -> str:
@@ -69,12 +69,12 @@ def str_to_vertex(s: str) -> Vertex:
         i, j = rest.split(",")
         return (_ascii_int(l), _ascii_int(i), _ascii_int(j))
     except (ValueError, AttributeError):  # AttributeError: not a string
-        raise ParseError(f"bad vertex id {s!r}") from None
+        raise ParseError(f"bad vertex id {clip(repr(s))}") from None
 
 
 def _array(value) -> list:
     if type(value) is not list:
-        raise ParseError(f"expected an array, got {json.dumps(value)}")
+        raise ParseError(f"expected an array, got {clip(json.dumps(value))}")
     return value
 
 
@@ -84,7 +84,7 @@ def _ints(value, depth: int = 0):
     if depth:
         return tuple(_ints(v, depth - 1) for v in _array(value))
     if type(value) is not int:
-        raise ParseError(f"expected an integer, got {json.dumps(value)}")
+        raise ParseError(f"expected an integer, got {clip(json.dumps(value))}")
     return value
 
 
@@ -94,15 +94,31 @@ def _circular(obj: GridGraph | MonotoneTriangleChain) -> BoardSpec:
 
 def _ice_from(board: BoardSpec, mapping: dict) -> IceConfiguration:
     graph = GridGraph(board.n, board.k)
+    # the grid graph has k(2n^2 + n) edges: checked before they are listed,
+    # and with every one of them present no other key can be
+    want = board.k * (2 * board.n * board.n + board.n)
+    if len(mapping) != want:
+        raise ParseError(f"orientation maps {len(mapping)} edge ids, not the grid graph's {want}")
     heads = []
     for e in graph.edges():
         key = edge_to_str(e)
         if key not in mapping:
             raise ParseError(f"orientation is missing edge {key}")
         heads.append(str_to_vertex(mapping[key]))
-    if len(mapping) != len(heads):
-        raise ParseError("orientation lists unknown edges")
     return IceConfiguration(graph, tuple(heads))
+
+
+def _fpl_from(board: BoardSpec, value) -> FPLConfiguration:
+    graph = GridGraph(board.n, board.k)
+    edges = tuple(map(str_to_edge, _array(value)))
+    # a fully-packed loop holds n^2 k + nk/2 edges: fewer fail before the graph's are listed
+    want = board.n * board.n * board.k + board.n * board.k // 2
+    if len(edges) < want:
+        raise ValidationError(
+            "document decodes to an invalid FPLConfiguration",
+            [f"fully-packed loop lists {len(edges)} edges, fewer than the {want} it needs"],
+        )
+    return FPLConfiguration(graph, edges)
 
 
 class Family(NamedTuple):
@@ -174,9 +190,7 @@ FAMILIES = (
     Family(
         "fpl", "fpl", FPLConfiguration, _CIRCULAR, lambda f: _circular(f.graph), "edges",
         lambda f: [edge_to_str(e) for e in f.chosen],
-        lambda board, v: FPLConfiguration(
-            GridGraph(board.n, board.k), tuple(map(str_to_edge, _array(v)))
-        ),
+        _fpl_from,
         fpl_problems,
     ),
 )
@@ -215,7 +229,7 @@ def _need(doc: dict, key: str):
 def _board_from(doc: dict, shapes: tuple[str, ...]) -> BoardSpec:
     shape = _need(doc, "shape")
     if shape not in shapes:
-        raise ParseError(f"shape must be {' or '.join(shapes)}, got {json.dumps(shape)}")
+        raise ParseError(f"shape must be {' or '.join(shapes)}, got {clip(json.dumps(shape))}")
     return BoardSpec(Shape(shape), _ints(_need(doc, "n")), _ints(_need(doc, "k")))
 
 
@@ -241,6 +255,8 @@ def deserialize(text: str):
         doc = json.loads(stripped)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at offset {exc.pos}: {exc.msg}") from None
+    except ValueError as exc:  # an integer beyond Python's int-conversion digit limit
+        raise ParseError(f"bad JSON: {exc}") from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
     if not isinstance(doc, dict):
@@ -248,7 +264,7 @@ def deserialize(text: str):
     name = _need(doc, "family")
     family = _BY_NAME.get(name) if type(name) is str else None
     if family is None:
-        raise ParseError(f"unknown family {name!r}")
+        raise ParseError(f"unknown family {clip(repr(name))}")
     try:
         where = _board_from(doc, family.shapes) if family.shapes else _ints(_need(doc, "n"))
         return _checked(family, family.decode(where, _need(doc, family.key)))

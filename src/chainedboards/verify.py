@@ -111,6 +111,17 @@ class VerificationReport:
         return tuple(r for r in self.records if r.status == "skip")
 
 
+def _check(family: str, board: BoardSpec, source: str, expected: int, actual) -> VerificationRecord:
+    """Time ``actual()``, compare it with ``expected`` and record the outcome."""
+    start = time.perf_counter()
+    got = actual()
+    seconds = time.perf_counter() - start
+    return VerificationRecord(
+        family, board.shape.value, board.n, board.k, max_rooks(board),
+        expected, got, source, "pass" if got == expected else "fail", seconds,
+    )
+
+
 def verify_tables(
     max_n: int | None = None,
     max_k: int | None = None,
@@ -122,26 +133,18 @@ def verify_tables(
     for board, expected in TABLE_CELLS:
         if (max_n is not None and board.n > max_n) or (max_k is not None and board.k > max_k):
             continue
-        m = max_rooks(board)
         estimate = expected / _NOMINAL_RATE * _SAFETY
         if estimate > left:
             records.append(
                 VerificationRecord(
-                    "chained-asm", board.shape.value, board.n, board.k, m,
+                    "chained-asm", board.shape.value, board.n, board.k, max_rooks(board),
                     expected, None, "paper-table", "skip", 0.0,
                 )
             )
             continue
         left -= estimate
-        start = time.perf_counter()
-        actual = count_chained_asm(board)
-        seconds = time.perf_counter() - start
         records.append(
-            VerificationRecord(
-                "chained-asm", board.shape.value, board.n, board.k, m,
-                expected, actual, "paper-table",
-                "pass" if actual == expected else "fail", seconds,
-            )
+            _check("chained-asm", board, "paper-table", expected, lambda: count_chained_asm(board))
         )
 
     for shape in (linear, circular):
@@ -149,15 +152,10 @@ def verify_tables(
             for k in range(1, 7):
                 board = shape(n, k)
                 m = max_rooks(board)
-                want = count_max(board)
-                start = time.perf_counter()
-                got = count_placements_formula(board, m)
-                seconds = time.perf_counter() - start
                 records.append(
-                    VerificationRecord(
-                        "max-placements", board.shape.value, n, k, m,
-                        want, got, "closed-form",
-                        "pass" if got == want else "fail", seconds,
+                    _check(
+                        "max-placements", board, "closed-form", count_max(board),
+                        lambda: count_placements_formula(board, m),
                     )
                 )
 
@@ -166,15 +164,10 @@ def verify_tables(
             for k in range(1, 4):
                 board = shape(n, k)
                 m = max_rooks(board)
-                start = time.perf_counter()
-                brute = count_placements_brute(board, m)
-                seconds = time.perf_counter() - start
-                formula = count_placements_formula(board, m)
                 records.append(
-                    VerificationRecord(
-                        "placements", board.shape.value, n, k, m,
-                        brute, formula, "brute-force",
-                        "pass" if formula == brute else "fail", seconds,
+                    _check(
+                        "placements", board, "brute-force", count_placements_brute(board, m),
+                        lambda: count_placements_formula(board, m),
                     )
                 )
 

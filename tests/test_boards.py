@@ -6,7 +6,6 @@ import pytest
 
 from chainedboards.boards import (
     Square,
-    admissible_compositions,
     attacks,
     circular,
     is_admissible_composition,
@@ -16,6 +15,7 @@ from chainedboards.boards import (
 )
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import canonical_placement, validate_placement
+from tests.reference import admissible_compositions
 
 ALL_SMALL = [
     ctor(n, k)

@@ -6,7 +6,7 @@ import pytest
 
 from chainedboards.cli import _CONVERSIONS, main
 from chainedboards.serialization import FAMILIES, deserialize, serialize
-from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, WORKED_46
+from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, OVERSIZED, WORKED_46
 
 
 def run(capsys, *argv):
@@ -246,3 +246,12 @@ def test_validate_family_accepts_name_or_alias(tmp_path, capsys):
     for family in ("chained-asm", "asm"):
         code, out, _ = run(capsys, "validate", "--family", family, "--in", str(src))
         assert code == 0 and out == "valid chained-asm\n"
+
+
+@pytest.mark.parametrize("text", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_validate_rejects_oversized_input_briefly(tmp_path, capsys, text):
+    src = tmp_path / "doc.json"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and out == "invalid\n"
+    assert "Traceback" not in err and 0 < len(err) < 1000

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from chainedboards.boards import admissible_compositions, circular, linear, max_rooks
+from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
     classical_asm_count,
     count_max,
@@ -18,6 +18,7 @@ from chainedboards.counting import (
 )
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import count_placements_brute
+from tests.reference import admissible_compositions
 
 
 def test_falling_factorial():

@@ -72,7 +72,7 @@ def test_count_matches_enumeration_length():
 
 
 def test_enumeration_composition_set_matches_admissible():
-    from chainedboards.boards import admissible_compositions
+    from tests.reference import admissible_compositions
 
     for ctor in (linear, circular):
         for n in range(1, 4):

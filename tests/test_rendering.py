@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from chainedboards.asm import PlainASM
 from chainedboards.boards import circular, linear
 from chainedboards.errors import UnsupportedDomainError
 from chainedboards.ice import build_grid_graph, to_ice
@@ -11,8 +12,9 @@ from chainedboards.matchings import build_chain_graph, to_matching
 from chainedboards.perms import from_one_line, parse_one_line
 from chainedboards.placements import canonical_placement
 from chainedboards.rendering import render
-from chainedboards.serialization import str_to_vertex, vertex_to_str
+from chainedboards.serialization import FAMILIES, family_of, str_to_vertex, vertex_to_str
 from chainedboards.triangles import to_monotone_triangles
+from tests.test_serialization import sample_objects
 from tests.worked_examples import ONE_LINE_46, WORKED_46
 
 
@@ -92,3 +94,26 @@ def test_renders_deterministic():
 def test_one_line_ascii_is_wire_format():
     o = parse_one_line(ONE_LINE_46)
     assert render(o, "ascii") == ONE_LINE_46 + "\n"
+
+
+SAMPLES = {family_of(obj).name: obj for obj in sample_objects()}
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=[f.name for f in FAMILIES])
+def test_every_family_renders_in_exactly_one_format(family):
+    obj = SAMPLES[family.name]
+    rendered, refused = [], []
+    for fmt in ("ascii", "dot"):
+        try:
+            assert render(obj, fmt).endswith("\n")
+            rendered.append(fmt)
+        except UnsupportedDomainError as exc:
+            assert str(exc) == f"no {fmt} rendering for {family.cls.__name__}"
+            refused.append(fmt)
+    assert len(rendered) == len(refused) == 1
+
+
+def test_ascii_plain_asm():
+    assert render(PlainASM(3, ((0, 1, 0), (1, -1, 1), (0, 1, 0))), "ascii") == (
+        " 0  1  0\n 1 -1  1\n 0  1  0\n"
+    )

@@ -26,7 +26,7 @@ from chainedboards.serialization import (
     serialize,
 )
 from chainedboards.triangles import to_monotone_triangles
-from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, QT_6, WORKED_46
+from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, OVERSIZED, QT_6, WORKED_46
 
 
 def sample_objects():
@@ -265,3 +265,72 @@ def test_any_one_line_string_gives_an_object_or_a_library_error(text):
         deserialize(text)
     except ChainedBoardsError:
         pass
+
+
+def test_integer_beyond_the_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="^bad JSON: ") as info:
+        deserialize(OVERSIZED["integer beyond the digit limit"])
+    assert len(str(info.value)) < 200
+
+
+def test_fpl_and_ice_edge_counts_match_the_grid_graph():
+    for n, k in ((1, 2), (2, 2), (2, 4), (3, 2), (3, 4)):
+        ice = to_ice(next(iter(enumerate_chained_asm(circular(n, k)))))
+        assert len(to_fpl(ice).chosen) == n * n * k + n * k // 2
+        assert len(json.loads(serialize(ice))["orientation"]) == k * (2 * n * n + n)
+
+
+def test_fpl_with_too_few_edges_fails_with_one_problem():
+    with pytest.raises(ValidationError) as info:
+        deserialize(OVERSIZED["fpl with n = 400 and no edges"])
+    assert info.value.problems == ["fully-packed loop lists 0 edges, fewer than the 320400 it needs"]
+    doc = json.loads(serialize(to_fpl(to_ice(WORKED_46))))
+    doc["edges"].pop()
+    with pytest.raises(ValidationError) as info:
+        deserialize(json.dumps(doc))
+    assert len(info.value.problems) == 1
+
+
+def test_ice_with_another_edge_count_is_a_parse_error():
+    with pytest.raises(ParseError, match="^orientation maps 0 edge ids, not the grid graph's 640800$"):
+        deserialize('{"family": "ice", "shape": "circular", "n": 400, "k": 2, "orientation": {}}')
+    doc = json.loads(serialize(to_ice(WORKED_46)))
+    doc["orientation"]["bl:9,9"] = "9:9,0"
+    with pytest.raises(ParseError, match="^orientation maps"):
+        deserialize(json.dumps(doc))
+    del doc["orientation"]["bl:1,1"]  # the count is right again, with an unknown edge
+    with pytest.raises(ParseError, match="^orientation is missing edge bl:1,1$"):
+        deserialize(json.dumps(doc))
+
+
+LONG = "x" * 100000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        OVERSIZED["long non-JSON"],
+        "1,2-" + LONG + "-",  # a bad entry of a comma-separated block
+        LONG + "--",  # an empty block
+        json.dumps({"family": LONG}),
+        json.dumps({"family": "chained-asm", "shape": LONG}),
+        json.dumps({"family": "chained-asm", "shape": "linear", "n": LONG}),
+        json.dumps({"family": "chained-asm", "shape": "linear", "n": 1, "k": 1, "matrices": LONG}),
+        json.dumps({"family": "fpl", "shape": "circular", "n": 1, "k": 2, "edges": [LONG] * 3}),
+        serialize(to_ice(WORKED_46)).replace('"1:1,1"', json.dumps(LONG), 1),
+    ],
+    ids=["non-JSON", "block entry", "empty block", "family", "shape", "integer", "array", "edge", "vertex"],
+)
+def test_parse_errors_quote_at_most_the_start_of_long_input(text):
+    with pytest.raises(ParseError) as info:
+        deserialize(text)
+    assert len(str(info.value)) < 200 and "characters)" in str(info.value)
+
+
+def test_parse_errors_quote_short_input_whole():
+    with pytest.raises(ParseError, match=r"^bad block '1x': expected ASCII digits, got 'x'$"):
+        deserialize("1x-")
+    with pytest.raises(ParseError, match=r"^unknown family 'chained-bsm'$"):
+        deserialize('{"family": "chained-bsm"}')
+    with pytest.raises(ParseError, match=r'^shape must be circular, got "linear"$'):
+        deserialize('{"family": "fpl", "shape": "linear"}')

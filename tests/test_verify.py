@@ -35,12 +35,84 @@ def test_tiny_budget_skips_loudly():
     assert any(r.family == "max-placements" and r.status == "pass" for r in report.records)
 
 
+# every row of verify_tables(max_n=1, max_k=2) but its seconds column
+SMALL_REPORT = """
+chained-asm linear 1 1 1 1 1 paper-table pass
+chained-asm linear 1 2 1 2 2 paper-table pass
+chained-asm circular 1 1 0 1 1 paper-table pass
+chained-asm circular 1 2 1 2 2 paper-table pass
+max-placements linear 1 1 1 1 1 closed-form pass
+max-placements linear 1 2 1 2 2 closed-form pass
+max-placements linear 1 3 2 1 1 closed-form pass
+max-placements linear 1 4 2 3 3 closed-form pass
+max-placements linear 1 5 3 1 1 closed-form pass
+max-placements linear 1 6 3 4 4 closed-form pass
+max-placements linear 2 1 2 2 2 closed-form pass
+max-placements linear 2 2 2 12 12 closed-form pass
+max-placements linear 2 3 4 4 4 closed-form pass
+max-placements linear 2 4 4 76 76 closed-form pass
+max-placements linear 2 5 6 8 8 closed-form pass
+max-placements linear 2 6 6 384 384 closed-form pass
+max-placements linear 3 1 3 6 6 closed-form pass
+max-placements linear 3 2 3 120 120 closed-form pass
+max-placements linear 3 3 6 36 36 closed-form pass
+max-placements linear 3 4 6 5292 5292 closed-form pass
+max-placements linear 3 5 9 216 216 closed-form pass
+max-placements linear 3 6 9 164160 164160 closed-form pass
+max-placements linear 4 1 4 24 24 closed-form pass
+max-placements linear 4 2 4 1680 1680 closed-form pass
+max-placements linear 4 3 8 576 576 closed-form pass
+max-placements linear 4 4 8 720576 720576 closed-form pass
+max-placements linear 4 5 12 13824 13824 closed-form pass
+max-placements linear 4 6 12 191324160 191324160 closed-form pass
+max-placements circular 1 1 0 1 1 closed-form pass
+max-placements circular 1 2 1 2 2 closed-form pass
+max-placements circular 1 3 1 3 3 closed-form pass
+max-placements circular 1 4 2 2 2 closed-form pass
+max-placements circular 1 5 2 5 5 closed-form pass
+max-placements circular 1 6 3 2 2 closed-form pass
+max-placements circular 2 1 1 2 2 closed-form pass
+max-placements circular 2 2 2 8 8 closed-form pass
+max-placements circular 2 3 3 8 8 closed-form pass
+max-placements circular 2 4 4 24 24 closed-form pass
+max-placements circular 2 5 5 32 32 closed-form pass
+max-placements circular 2 6 6 80 80 closed-form pass
+max-placements circular 3 1 1 6 6 closed-form pass
+max-placements circular 3 2 3 48 48 closed-form pass
+max-placements circular 3 3 4 324 324 closed-form pass
+max-placements circular 3 4 6 720 720 closed-form pass
+max-placements circular 3 5 7 9720 9720 closed-form pass
+max-placements circular 3 6 9 12096 12096 closed-form pass
+max-placements circular 4 1 2 12 12 closed-form pass
+max-placements circular 4 2 4 384 384 closed-form pass
+max-placements circular 4 3 6 1728 1728 closed-form pass
+max-placements circular 4 4 8 40320 40320 closed-form pass
+max-placements circular 4 5 10 248832 248832 closed-form pass
+max-placements circular 4 6 12 4783104 4783104 closed-form pass
+placements linear 1 1 1 1 1 brute-force pass
+placements linear 1 2 1 2 2 brute-force pass
+placements linear 1 3 2 1 1 brute-force pass
+placements linear 2 1 2 2 2 brute-force pass
+placements linear 2 2 2 12 12 brute-force pass
+placements linear 2 3 4 4 4 brute-force pass
+placements circular 1 1 0 1 1 brute-force pass
+placements circular 1 2 1 2 2 brute-force pass
+placements circular 1 3 1 3 3 brute-force pass
+placements circular 2 1 1 2 2 brute-force pass
+placements circular 2 2 2 8 8 brute-force pass
+placements circular 2 3 3 8 8 brute-force pass
+"""
+
+
 def test_tsv_layout():
     report = verify_tables(max_n=1, max_k=2, budget_seconds=5)
     text = report.to_tsv()
     lines = text.strip().splitlines()
     assert lines[0] == VerificationReport.HEADER
     assert all(len(line.split("\t")) == 10 for line in lines)
+    assert [line.split("\t")[:-1] for line in lines[1:]] == [
+        row.split() for row in SMALL_REPORT.strip().splitlines()
+    ]
 
 
 def test_table_constant_is_complete():

@@ -119,5 +119,15 @@ MALFORMED = {
     "JSON nested 100k deep": '{"family": "chained-asm", "matrices": ' + "[" * 100_000 + "]" * 100_000 + "}",
 }
 
+# Small or plain documents that once cost time or output far beyond their
+# size, or escaped the parse boundary: each must be rejected briefly.
+OVERSIZED = {
+    "integer beyond the digit limit": _doc(
+        "chained-asm", shape="circular", n=1, k=1, matrices=[[[0]]]
+    ).replace("[[[0]]]", "[[[" + "9" * 5000 + "]]]"),
+    "fpl with n = 400 and no edges": _doc("fpl", shape="circular", n=400, k=2, edges=[]),
+    "long non-JSON": "[" * 100_000 + "]" * 100_000,
+}
+
 # Valid JSON whose grid graph does not exist (odd k): a ValidationError.
 ODD_K_ICE = _doc("ice", shape="circular", n=1, k=3, orientation=ICE_12)
