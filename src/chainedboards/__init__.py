@@ -28,12 +28,11 @@ from .placements import (
     canonical_placement,
     count_placements_brute,
     enumerate_placements,
-    validate_placement,
+    placement_problems,
 )
 from .perms import (
     ChainedPermutation,
     OneLine,
-    chained_permutation_problems,
     from_one_line,
     matrices_to_placement,
     one_line_problems,
@@ -41,20 +40,15 @@ from .perms import (
     parse_one_line,
     placement_to_matrices,
     to_one_line,
-    validate_chained_permutation,
-    validate_one_line,
 )
 from .matchings import (
     ChainGraph,
     ChainMatching,
-    build_chain_graph,
     enumerate_matchings,
     from_matching,
     matching_kind,
     matching_problems,
-    matching_size,
     to_matching,
-    validate_matching,
 )
 from .asm import (
     ChainedASM,
@@ -72,8 +66,6 @@ from .asm import (
     split_circular_k4,
     split_linear_odd,
     unfold_qt,
-    validate_chained_asm,
-    validate_plain_asm,
 )
 from .triangles import (
     MonotoneTriangleChain,
@@ -82,13 +74,11 @@ from .triangles import (
     mt_chain_problems,
     pair_matrices,
     to_monotone_triangles,
-    validate_mt_chain,
 )
 from .ice import (
     FPLConfiguration,
     GridGraph,
     IceConfiguration,
-    build_grid_graph,
     enumerate_fpl,
     enumerate_ice,
     fpl_problems,
@@ -97,8 +87,6 @@ from .ice import (
     ice_problems,
     to_fpl,
     to_ice,
-    validate_fpl,
-    validate_ice,
 )
 from .serialization import deserialize, serialize
 from .rendering import render

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .boards import BoardSpec, Composition, Shape, max_rooks, suffix_bound_table
-from .errors import InputDomainError, UnsupportedDomainError, ValidationError
+from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
 
 
@@ -35,12 +35,14 @@ class ChainedASM:
             _check_matrix_tuple(self.board, self.matrices, {-1, 0, 1}, "chained ASM"),
         )
 
-    def total(self) -> int:
-        return sum(sum(row) for mat in self.matrices for row in mat)
 
+def chained_asm_problems(a: ChainedASM | ChainedPermutation) -> list[str]:
+    """Diagnostics against the three chained-ASM conditions; empty = valid.
 
-def chained_asm_problems(a: ChainedASM) -> list[str]:
-    """Diagnostics against the three chained-ASM conditions; empty = valid."""
+    It reads only ``.board`` and ``.matrices``, so it also checks a
+    ``ChainedPermutation``: a 0/1 tuple meets the three conditions exactly
+    when it is a chained permutation.
+    """
     n, k = a.board.n, a.board.k
     problems = []
     for l, mat in enumerate(a.matrices, start=1):
@@ -66,15 +68,11 @@ def chained_asm_problems(a: ChainedASM) -> list[str]:
                         f" {m} rows up from the bottom"
                     )
                     break
-    total = a.total()
+    total = sum(sum(row) for mat in a.matrices for row in mat)
     want = max_rooks(a.board)
     if total != want:
         problems.append(f"condition (3): total entry sum is {total}, maximum is {want}")
     return problems
-
-
-def validate_chained_asm(a: ChainedASM) -> bool:
-    return not chained_asm_problems(a)
 
 
 def asm_sum_composition(a: ChainedASM) -> Composition:
@@ -208,7 +206,7 @@ class PlainASM:
         if self.size < 1:
             raise InputDomainError("size must be >= 1")
         if len(self.rows) != self.size or any(len(r) != self.size for r in self.rows):
-            raise InputDomainError(f"matrix must be {self.size}x{self.size}")
+            raise InputDomainError(f"matrix must be {clip(self.size)}x{clip(self.size)}")
         if any(type(x) is not int or x not in (-1, 0, 1) for r in self.rows for x in r):
             raise InputDomainError("entries must be in {-1, 0, 1}")
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
@@ -237,10 +235,6 @@ def plain_asm_problems(p: PlainASM) -> list[str]:
         if s != 1:
             problems.append(f"column {j + 1} sums to {s}, not 1")
     return problems
-
-
-def validate_plain_asm(p: PlainASM) -> bool:
-    return not plain_asm_problems(p)
 
 
 def rotate_cw(rows: Matrix) -> Matrix:
@@ -273,7 +267,7 @@ def split_linear_odd(a: ChainedASM) -> tuple[PlainASM, ...]:
     out = []
     for l in range(1, a.board.k + 1, 2):
         p = PlainASM(a.board.n, a.matrices[l - 1])
-        if not validate_plain_asm(p):
+        if plain_asm_problems(p):
             raise ValidationError(f"matrix {l} is not an alternating sign matrix")
         out.append(p)
     return tuple(out)
@@ -366,14 +360,12 @@ __all__ = [
     "ChainedASM",
     "PlainASM",
     "chained_asm_problems",
-    "validate_chained_asm",
     "asm_sum_composition",
     "permutation_to_asm",
     "asm_to_permutation",
     "enumerate_chained_asm",
     "count_chained_asm",
     "plain_asm_problems",
-    "validate_plain_asm",
     "rotate_cw",
     "rotate_ccw",
     "rotate_half",

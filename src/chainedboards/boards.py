@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .errors import InputDomainError
+from .errors import InputDomainError, clip
 
 
 class Shape(enum.Enum):
@@ -40,16 +40,13 @@ class BoardSpec:
         if not isinstance(self.shape, Shape):
             raise InputDomainError(f"shape must be a Shape, got {self.shape!r}")
         if self.n < 1:
-            raise InputDomainError(f"board side n must be >= 1, got {self.n}")
+            raise InputDomainError(f"board side n must be >= 1, got {clip(self.n)}")
         if self.k < 1:
-            raise InputDomainError(f"board count k must be >= 1, got {self.k}")
+            raise InputDomainError(f"board count k must be >= 1, got {clip(self.k)}")
 
     @property
     def circular(self) -> bool:
         return self.shape is Shape.CIRCULAR
-
-    def max_rooks(self) -> int:
-        return max_rooks(self)
 
     def squares(self) -> Iterator[Square]:
         """All squares in (board, row, col) order."""
@@ -78,7 +75,9 @@ class Square(NamedTuple):
 def check_square(board: BoardSpec, s: Square) -> None:
     """Raise InputDomainError unless ``s`` is in range for ``board``."""
     if not (1 <= s.board <= board.k and 1 <= s.row <= board.n and 1 <= s.col <= board.n):
-        raise InputDomainError(f"square {tuple(s)} out of range for n={board.n}, k={board.k}")
+        raise InputDomainError(
+            f"square {clip(tuple(s))} out of range for n={clip(board.n)}, k={clip(board.k)}"
+        )
 
 
 def _chains_into(board: BoardSpec, s: Square, t: Square) -> bool:

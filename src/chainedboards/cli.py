@@ -60,6 +60,17 @@ def _conversion_path(src: str, dst: str) -> list:
     raise UnsupportedDomainError(f"no conversion from {src} to {dst}")
 
 
+_SHOWN_PROBLEMS = 20
+
+
+def _print_problems(problems: list[str]) -> None:
+    """The first 20 problems to stderr, then a count of the rest."""
+    for problem in problems[:_SHOWN_PROBLEMS]:
+        print(problem, file=sys.stderr)
+    if len(problems) > _SHOWN_PROBLEMS:
+        print(f"… and {len(problems) - _SHOWN_PROBLEMS} more problems", file=sys.stderr)
+
+
 def _board_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shape", required=True, choices=["linear", "circular"])
     parser.add_argument("-n", required=True, type=int, help="board side length")
@@ -139,9 +150,7 @@ def _cmd_validate(args) -> int:
     try:
         obj = deserialize(_read_input(args.infile))
     except (ParseError, ValidationError) as exc:
-        problems = exc.problems if isinstance(exc, ValidationError) else [f"error: {exc}"]
-        for problem in problems:
-            print(problem, file=sys.stderr)
+        _print_problems(exc.problems if isinstance(exc, ValidationError) else [f"error: {exc}"])
         print("invalid")
         return 1
     family = family_of(obj)
@@ -241,9 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ChainedBoardsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for problem in getattr(exc, "problems", ()):  # a ValidationError's diagnostics
-            if problem != str(exc):
-                print(problem, file=sys.stderr)
+        _print_problems([p for p in getattr(exc, "problems", ()) if p != str(exc)])
         return 1
 
 

@@ -30,9 +30,11 @@ class UnsupportedDomainError(ChainedBoardsError):
     """The requested operation is not defined for this family of inputs."""
 
 
-def clip(text: str, limit: int = 40) -> str:
-    """``text`` cut to its first ``limit`` characters plus its length, so a
-    message that quotes input stays short whatever the input's size."""
+def clip(value: object, limit: int = 40) -> str:
+    """``str(value)`` cut to its first ``limit`` characters plus its length,
+    so a message that quotes input (a string, or a number as long as a
+    document's n or k) stays short whatever the input's size."""
+    text = str(value)
     if len(text) <= limit:
         return text
     return f"{text[:limit]}… ({len(text)} characters)"

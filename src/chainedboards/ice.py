@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .asm import ChainedASM, chained_asm_problems
 from .boards import BoardSpec, Shape
-from .errors import InputDomainError, UnsupportedDomainError, ValidationError
+from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 
 Vertex = tuple[int, int, int]  # (board l, i, j); i or j == 0 on the boundary
 EdgeId = tuple  # ("h", l, i, j) | ("v", l, i, j) | ("c", l, i) | ("bl", l, i) | ("bt", l, j)
@@ -96,10 +96,6 @@ class GridGraph:
         return (north, south, east, west)
 
 
-def build_grid_graph(n: int, k: int) -> GridGraph:
-    return GridGraph(n, k)
-
-
 def vertex_parity(v: Vertex) -> int:
     l, i, j = v
     return (l + i + j) % 2
@@ -121,7 +117,7 @@ class IceConfiguration:
         for e, h in zip(edges, self.heads):
             h = tuple(h)
             if h not in self.graph.endpoints(e):
-                raise InputDomainError(f"{h} is not an endpoint of edge {e}")
+                raise InputDomainError(f"{clip(h)} is not an endpoint of edge {e}")
             fixed.append(h)
         object.__setattr__(self, "heads", tuple(fixed))
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(edges)})
@@ -144,15 +140,11 @@ def _dwbc_head(e: EdgeId) -> Vertex | None:
     return None
 
 
-def _board_of_chained_asm(a: ChainedASM) -> GridGraph:
-    if a.board.shape is not Shape.CIRCULAR or a.board.k % 2 != 0:
-        raise UnsupportedDomainError("square ice is defined only for circular boards with even k")
-    return GridGraph(a.board.n, a.board.k)
-
-
 def to_ice(a: ChainedASM) -> IceConfiguration:
     """Orient every edge of the grid graph by the partial-sum rules."""
-    graph = _board_of_chained_asm(a)
+    if a.board.shape is not Shape.CIRCULAR or a.board.k % 2 != 0:
+        raise UnsupportedDomainError("square ice is defined only for circular boards with even k")
+    graph = GridGraph(a.board.n, a.board.k)
     n, k = graph.n, graph.k
     mats = a.matrices
     prefix = [
@@ -210,10 +202,6 @@ def ice_problems(c: IceConfiguration) -> list[str]:
     return problems
 
 
-def validate_ice(c: IceConfiguration) -> bool:
-    return not ice_problems(c)
-
-
 def from_ice(c: IceConfiguration) -> ChainedASM:
     """Classify each interior vertex into the six configurations and read
     the matrix entries back off."""
@@ -249,7 +237,7 @@ class FPLConfiguration:
         picked = set(tuple(e) for e in self.chosen)
         for e in picked:
             if e not in order:
-                raise InputDomainError(f"unknown edge {e!r}")
+                raise InputDomainError(f"unknown edge {clip(repr(e))}")
         object.__setattr__(self, "chosen", tuple(sorted(picked, key=order.__getitem__)))
         object.__setattr__(self, "_set", frozenset(picked))
 
@@ -288,10 +276,6 @@ def fpl_problems(f: FPLConfiguration) -> list[str]:
         if deg != 2:
             problems.append(f"interior vertex {v} has degree {deg}, not 2")
     return problems
-
-
-def validate_fpl(f: FPLConfiguration) -> bool:
-    return not fpl_problems(f)
 
 
 def from_fpl(f: FPLConfiguration) -> IceConfiguration:
@@ -409,16 +393,13 @@ __all__ = [
     "GridGraph",
     "IceConfiguration",
     "FPLConfiguration",
-    "build_grid_graph",
     "vertex_parity",
     "to_ice",
     "from_ice",
     "ice_problems",
-    "validate_ice",
     "to_fpl",
     "from_fpl",
     "fpl_problems",
-    "validate_fpl",
     "enumerate_ice",
     "enumerate_fpl",
 ]

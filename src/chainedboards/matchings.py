@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .boards import BoardSpec, max_rooks
-from .errors import InputDomainError, ValidationError
+from .errors import InputDomainError, ValidationError, clip
 from .perms import ChainedPermutation
 
 Vertex = tuple[int, int]  # (row, index); circular rows run 1..k, linear 0..k
@@ -46,7 +46,7 @@ class ChainGraph:
     def endpoints(self, edge: EdgeId) -> tuple[Vertex, Vertex]:
         l, i, j = edge
         if not (1 <= l <= self.board.k and 1 <= i <= self.board.n and 1 <= j <= self.board.n):
-            raise InputDomainError(f"edge {edge} out of range")
+            raise InputDomainError(f"edge {clip(edge)} out of range")
         below = l - 1
         if self.board.circular and below == 0:
             below = self.board.k
@@ -55,10 +55,6 @@ class ChainGraph:
     def is_loop(self, edge: EdgeId) -> bool:
         u, v = self.endpoints(edge)
         return u == v
-
-
-def build_chain_graph(board: BoardSpec) -> ChainGraph:
-    return ChainGraph(board)
 
 
 @dataclass(frozen=True)
@@ -73,11 +69,6 @@ class ChainMatching:
         object.__setattr__(self, "edges", fixed)
 
 
-def matching_size(board: BoardSpec) -> int:
-    """Edges in the matching of a chained permutation: one per rook."""
-    return max_rooks(board)
-
-
 def matching_kind(board: BoardSpec) -> str:
     """perfect / near-perfect / leaves-n-unmatched, by shape and parity."""
     if board.circular:
@@ -90,20 +81,16 @@ def matching_problems(m: ChainMatching) -> list[str]:
     seen: set[Vertex] = set()
     for e in m.edges:
         if m.graph.is_loop(e):
-            problems.append(f"edge {e} is a loop")
+            problems.append(f"edge {clip(e)} is a loop")
             continue
         for v in m.graph.endpoints(e):
             if v in seen:
-                problems.append(f"vertex {v} is covered twice")
+                problems.append(f"vertex {clip(v)} is covered twice")
             seen.add(v)
-    want = matching_size(m.graph.board)
+    want = max_rooks(m.graph.board)  # one edge per rook
     if len(m.edges) != want:
-        problems.append(f"matching has {len(m.edges)} edges, expected {want}")
+        problems.append(f"matching has {len(m.edges)} edges, expected {clip(want)}")
     return problems
-
-
-def validate_matching(m: ChainMatching) -> bool:
-    return not matching_problems(m)
 
 
 def to_matching(cp: ChainedPermutation) -> ChainMatching:
@@ -114,7 +101,7 @@ def to_matching(cp: ChainedPermutation) -> ChainMatching:
         for j, x in enumerate(row)
         if x
     ]
-    return ChainMatching(build_chain_graph(cp.board), tuple(edges))
+    return ChainMatching(ChainGraph(cp.board), tuple(edges))
 
 
 def from_matching(m: ChainMatching) -> ChainedPermutation:
@@ -131,9 +118,9 @@ def from_matching(m: ChainMatching) -> ChainedPermutation:
 
 def enumerate_matchings(board: BoardSpec) -> Iterator[ChainMatching]:
     """All matchings of the chained-permutation size, by direct search."""
-    graph = build_chain_graph(board)
+    graph = ChainGraph(board)
     all_edges = [e for e in graph.edges() if not graph.is_loop(e)]
-    want = matching_size(board)
+    want = max_rooks(board)
     used: set[Vertex] = set()
     chosen: list[EdgeId] = []
 
@@ -160,11 +147,8 @@ def enumerate_matchings(board: BoardSpec) -> Iterator[ChainMatching]:
 __all__ = [
     "ChainGraph",
     "ChainMatching",
-    "build_chain_graph",
-    "matching_size",
     "matching_kind",
     "matching_problems",
-    "validate_matching",
     "to_matching",
     "from_matching",
     "enumerate_matchings",

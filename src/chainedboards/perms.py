@@ -4,7 +4,9 @@ A chained permutation is the matrix form of a maximum rook placement: a
 k-tuple of n x n 0/1 matrices where every row and column holds at most one
 1, a 1 in row i of matrix l-1 excludes 1s from column i of matrix l (matrix
 0 is the zero matrix for linear chains and matrix k for circular ones), and
-the total number of 1s is the board's maximum rook count.
+the total number of 1s is the board's maximum rook count.  These are the
+chained ASM conditions restricted to 0/1 entries, so
+``asm.chained_asm_problems`` is their check.
 
 One-line notation records, per row of each matrix, the column of its 1 (0
 for an empty row).  Blocks are joined by dashes and written with a trailing
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .boards import BoardSpec, Shape, Square, max_rooks
 from .errors import InputDomainError, ParseError, ValidationError, clip
-from .placements import RookPlacement, validate_placement
+from .placements import RookPlacement, placement_problems
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -33,15 +35,17 @@ def _ascii_int(text: str) -> int:
 
 def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str) -> Matrix:
     if len(matrices) != board.k:
-        raise InputDomainError(f"expected {board.k} matrices, got {len(matrices)}")
+        raise InputDomainError(f"expected {clip(board.k)} matrices, got {len(matrices)}")
     for mat in matrices:
         if len(mat) != board.n or any(len(row) != board.n for row in mat):
-            raise InputDomainError(f"each matrix must be {board.n}x{board.n}")
+            raise InputDomainError(f"each matrix must be {clip(board.n)}x{clip(board.n)}")
         for row in mat:
             for x in row:
                 # bool is an int subclass (True == 1) and 1.0 == 1: both must fail
                 if type(x) is not int or x not in allowed:
-                    raise InputDomainError(f"{what} entries must be in {sorted(allowed)}, got {x}")
+                    raise InputDomainError(
+                        f"{what} entries must be in {sorted(allowed)}, got {clip(x)}"
+                    )
     return tuple(tuple(map(tuple, mat)) for mat in matrices)
 
 
@@ -58,39 +62,9 @@ class ChainedPermutation:
         )
 
 
-def chained_permutation_problems(cp: ChainedPermutation) -> list[str]:
-    """Diagnostics for the chained permutation matrix conditions; empty = valid."""
-    n, k = cp.board.n, cp.board.k
-    problems = []
-    for l, mat in enumerate(cp.matrices, start=1):
-        for i in range(n):
-            if sum(mat[i]) > 1:
-                problems.append(f"matrix {l} row {i + 1} holds more than one 1")
-            if sum(row[i] for row in mat) > 1:
-                problems.append(f"matrix {l} column {i + 1} holds more than one 1")
-    for l in range(1, k + 1):
-        prev = _previous_matrix(cp.board, cp.matrices, l)
-        cur = cp.matrices[l - 1]
-        if prev is None:
-            continue
-        for i in range(n):
-            if sum(prev[i]) + sum(row[i] for row in cur) > 1:
-                problems.append(
-                    f"chaining violated at index {i + 1} between matrices {l - 1 or k} and {l}"
-                )
-    total = sum(sum(row) for mat in cp.matrices for row in mat)
-    want = max_rooks(cp.board)
-    if total != want:
-        problems.append(f"total number of 1s is {total}, maximum is {want}")
-    return problems
-
-
-def validate_chained_permutation(cp: ChainedPermutation) -> bool:
-    return not chained_permutation_problems(cp)
-
-
 def _previous_matrix(board: BoardSpec, matrices, l: int):
-    """Matrix l-1 (1-based l); None stands for the zero matrix."""
+    """Matrix (or one-line block) l-1, for 1-based l; None stands for the
+    zero matrix before the first one of a linear chain."""
     if l > 1:
         return matrices[l - 2]
     return matrices[board.k - 1] if board.shape is Shape.CIRCULAR else None
@@ -103,7 +77,7 @@ def placement_to_matrices(p: RookPlacement) -> ChainedPermutation:
         raise ValidationError(
             f"placement has {p.m} rooks; a chained permutation needs the maximum {want}"
         )
-    if not validate_placement(p):
+    if placement_problems(p):
         raise ValidationError("placement has attacking rooks")
     n = p.board.n
     grids = [[[0] * n for _ in range(n)] for _ in range(p.board.k)]
@@ -132,10 +106,10 @@ class OneLine:
 
     def __post_init__(self):
         if len(self.blocks) != self.board.k:
-            raise InputDomainError(f"expected {self.board.k} blocks, got {len(self.blocks)}")
+            raise InputDomainError(f"expected {clip(self.board.k)} blocks, got {len(self.blocks)}")
         for block in self.blocks:
             if len(block) != self.board.n or any(type(x) is not int for x in block):
-                raise InputDomainError(f"each block must have {self.board.n} integer entries")
+                raise InputDomainError(f"each block must have {clip(self.board.n)} integer entries")
         object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
 
 
@@ -146,7 +120,9 @@ def one_line_problems(o: OneLine) -> list[str]:
     for l, block in enumerate(o.blocks, start=1):
         for i, v in enumerate(block, start=1):
             if not (0 <= v <= n):
-                problems.append(f"condition (1): entry {v} at block {l} position {i} not in 0..{n}")
+                problems.append(
+                    f"condition (1): entry {clip(v)} at block {l} position {i} not in 0..{n}"
+                )
         nonzero = [v for v in block if v != 0]
         if len(nonzero) != len(set(nonzero)):
             problems.append(f"condition (2): repeated nonzero value in block {l}")
@@ -155,12 +131,9 @@ def one_line_problems(o: OneLine) -> list[str]:
     if total != want:
         problems.append(f"condition (3): {total} nonzero entries, expected {want}")
     for l in range(1, k + 1):
-        if l == 1:
-            if o.board.shape is not Shape.CIRCULAR:
-                continue
-            prev = o.blocks[k - 1]
-        else:
-            prev = o.blocks[l - 2]
+        prev = _previous_matrix(o.board, o.blocks, l)
+        if prev is None:
+            continue
         banned = {i + 1 for i, v in enumerate(prev) if v != 0}
         for v in o.blocks[l - 1]:
             if v in banned:
@@ -168,10 +141,6 @@ def one_line_problems(o: OneLine) -> list[str]:
                     f"condition (4): block {l} uses value {v} but the previous block's row {v} is occupied"
                 )
     return problems
-
-
-def validate_one_line(o: OneLine) -> bool:
-    return not one_line_problems(o)
 
 
 def to_one_line(cp: ChainedPermutation) -> OneLine:
@@ -239,14 +208,11 @@ def parse_one_line(text: str) -> OneLine:
 __all__ = [
     "ChainedPermutation",
     "OneLine",
-    "chained_permutation_problems",
-    "validate_chained_permutation",
     "placement_to_matrices",
     "matrices_to_placement",
     "to_one_line",
     "from_one_line",
     "one_line_problems",
-    "validate_one_line",
     "one_line_text",
     "parse_one_line",
 ]

@@ -28,7 +28,7 @@ class RookPlacement:
     """A set of occupied squares on a chained board.
 
     Squares are stored sorted; construction checks coordinate ranges only,
-    use :func:`validate_placement` for the non-attacking property.
+    use :func:`placement_problems` for the non-attacking property.
     """
 
     board: BoardSpec
@@ -51,17 +51,18 @@ class RookPlacement:
         return tuple(counts)
 
 
-def validate_placement(p: RookPlacement) -> bool:
-    """True iff no pair of rooks attacks and no rook self-attacks."""
+def placement_problems(p: RookPlacement) -> list[str]:
+    """``["placement has attacking rooks"]`` if a pair of rooks attacks or a
+    rook self-attacks; empty = valid."""
     squares = p.squares
     for s in squares:
         if self_chained(p.board, s):
-            return False
+            return ["placement has attacking rooks"]
     for i, s in enumerate(squares):
         for t in squares[i + 1 :]:
             if attacks(p.board, s, t):
-                return False
-    return True
+                return ["placement has attacking rooks"]
+    return []
 
 
 def canonical_placement(board: BoardSpec, comp: Composition) -> RookPlacement:
@@ -154,7 +155,7 @@ def count_placements_brute(board: BoardSpec, m: int) -> int:
 
 __all__ = [
     "RookPlacement",
-    "validate_placement",
+    "placement_problems",
     "canonical_placement",
     "enumerate_placements",
     "count_placements_brute",

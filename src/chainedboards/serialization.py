@@ -31,16 +31,15 @@ from .ice import (
     fpl_problems,
     ice_problems,
 )
-from .matchings import ChainMatching, build_chain_graph, matching_problems
+from .matchings import ChainGraph, ChainMatching, matching_problems
 from .perms import (
     ChainedPermutation,
     OneLine,
     _ascii_int,
-    chained_permutation_problems,
     one_line_problems,
     parse_one_line,
 )
-from .placements import RookPlacement, validate_placement
+from .placements import RookPlacement, placement_problems
 from .triangles import MonotoneTriangleChain, mt_chain_problems
 
 
@@ -98,7 +97,9 @@ def _ice_from(board: BoardSpec, mapping: dict) -> IceConfiguration:
     # and with every one of them present no other key can be
     want = board.k * (2 * board.n * board.n + board.n)
     if len(mapping) != want:
-        raise ParseError(f"orientation maps {len(mapping)} edge ids, not the grid graph's {want}")
+        raise ParseError(
+            f"orientation maps {len(mapping)} edge ids, not the grid graph's {clip(want)}"
+        )
     heads = []
     for e in graph.edges():
         key = edge_to_str(e)
@@ -116,7 +117,7 @@ def _fpl_from(board: BoardSpec, value) -> FPLConfiguration:
     if len(edges) < want:
         raise ValidationError(
             "document decodes to an invalid FPLConfiguration",
-            [f"fully-packed loop lists {len(edges)} edges, fewer than the {want} it needs"],
+            [f"fully-packed loop lists {len(edges)} edges, fewer than the {clip(want)} it needs"],
         )
     return FPLConfiguration(graph, edges)
 
@@ -143,13 +144,13 @@ FAMILIES = (
         "placement", "placement", RookPlacement, _BOTH, lambda p: p.board, "squares",
         lambda p: [list(s) for s in p.squares],
         lambda board, v: RookPlacement(board, _ints(v, 2)),
-        lambda p: [] if validate_placement(p) else ["placement has attacking rooks"],
+        placement_problems,
     ),
     Family(
         "chained-permutation", "matrix", ChainedPermutation, _BOTH, lambda cp: cp.board, "matrices",
         lambda cp: [[list(r) for r in m] for m in cp.matrices],
         lambda board, v: ChainedPermutation(board, _ints(v, 3)),
-        chained_permutation_problems,
+        chained_asm_problems,  # a chained permutation is a 0/1 chained ASM
     ),
     Family(
         "one-line", "oneline", OneLine, _BOTH, lambda o: o.board, "blocks",
@@ -160,7 +161,7 @@ FAMILIES = (
     Family(
         "chain-matching", "matching", ChainMatching, _BOTH, lambda m: m.graph.board, "edges",
         lambda m: [list(e) for e in m.edges],
-        lambda board, v: ChainMatching(build_chain_graph(board), _ints(v, 2)),
+        lambda board, v: ChainMatching(ChainGraph(board), _ints(v, 2)),
         matching_problems,
     ),
     Family(

@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .asm import ChainedASM, rotate_ccw, rotate_cw
 from .boards import BoardSpec, Shape
-from .errors import InputDomainError, UnsupportedDomainError, ValidationError
+from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import Matrix
 
 Triangle = tuple[tuple[int, ...], ...]
@@ -41,10 +41,11 @@ class MonotoneTriangleChain:
         if self.n < 1 or self.k < 1 or self.k % 2 != 0:
             raise InputDomainError("need n >= 1 and even k >= 2")
         if len(self.triangles) != self.k // 2:
-            raise InputDomainError(f"expected {self.k // 2} triangles, got {len(self.triangles)}")
+            half = clip(self.k // 2)
+            raise InputDomainError(f"expected {half} triangles, got {len(self.triangles)}")
         for tri in self.triangles:
             if len(tri) != self.n or any(type(x) is not int for row in tri for x in row):
-                raise InputDomainError(f"each triangle must have {self.n} rows of integers")
+                raise InputDomainError(f"each triangle must have {clip(self.n)} rows of integers")
         fixed = tuple(tuple(map(tuple, tri)) for tri in self.triangles)
         object.__setattr__(self, "triangles", fixed)
 
@@ -113,10 +114,6 @@ def mt_chain_problems(t: MonotoneTriangleChain) -> list[str]:
     return problems
 
 
-def validate_mt_chain(t: MonotoneTriangleChain) -> bool:
-    return not mt_chain_problems(t)
-
-
 def from_monotone_triangles(t: MonotoneTriangleChain) -> ChainedASM:
     problems = mt_chain_problems(t)
     if problems:
@@ -167,7 +164,7 @@ def enumerate_mt_chains(n: int, k: int) -> Iterator[MonotoneTriangleChain]:
     patterns = list(_strict_gt_patterns(n))
     for combo in itertools.product(patterns, repeat=k // 2):
         chain = MonotoneTriangleChain(n, k, combo)
-        if validate_mt_chain(chain):
+        if not mt_chain_problems(chain):
             yield chain
 
 
@@ -177,6 +174,5 @@ __all__ = [
     "to_monotone_triangles",
     "from_monotone_triangles",
     "mt_chain_problems",
-    "validate_mt_chain",
     "enumerate_mt_chains",
 ]

@@ -10,17 +10,17 @@ import time
 
 from chainedboards.asm import (
     ChainedASM,
+    chained_asm_problems,
     concat_circular_k4,
     count_chained_asm,
     enumerate_chained_asm,
     fold_qt,
     join_linear_odd,
     permutation_to_asm,
+    plain_asm_problems,
     split_circular_k4,
     split_linear_odd,
     unfold_qt,
-    validate_chained_asm,
-    validate_plain_asm,
 )
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
@@ -32,29 +32,29 @@ from chainedboards.counting import (
     qtasm_count,
 )
 from chainedboards.ice import (
+    fpl_problems,
     from_fpl,
     from_ice,
+    ice_problems,
     to_fpl,
     to_ice,
-    validate_fpl,
-    validate_ice,
 )
-from chainedboards.matchings import from_matching, to_matching, validate_matching
+from chainedboards.matchings import from_matching, matching_problems, to_matching
 from chainedboards.perms import (
     from_one_line,
+    matrices_to_placement,
+    one_line_problems,
     one_line_text,
     parse_one_line,
     placement_to_matrices,
-    matrices_to_placement,
     to_one_line,
-    validate_one_line,
 )
 from chainedboards.placements import count_placements_brute, enumerate_placements
 from chainedboards.serialization import serialize
 from chainedboards.triangles import (
     from_monotone_triangles,
+    mt_chain_problems,
     to_monotone_triangles,
-    validate_mt_chain,
 )
 from tests.worked_examples import (
     ONE_LINE_54,
@@ -156,7 +156,7 @@ def test_criterion_4_special_bijections():
             images = set()
             for a in enumerate_chained_asm(circular(n, 4)):
                 plain = concat_circular_k4(a)
-                assert validate_plain_asm(plain)
+                assert not plain_asm_problems(plain)
                 assert split_circular_k4(plain) == a
                 images.add(plain.rows)
             assert len(images) == expected
@@ -167,14 +167,14 @@ def test_criterion_4_special_bijections():
             images = set()
             for a in enumerate_chained_asm(circular(n, 1)):
                 plain = fold_qt(a)
-                assert validate_plain_asm(plain)
+                assert not plain_asm_problems(plain)
                 assert unfold_qt(plain) == a
                 images.add(plain.rows)
             assert len(images) == expected
 
         # the printed 6x6 -> 12x12 example, byte-exact in canonical form
         source = ChainedASM(circular(6, 1), (QT_6,))
-        assert validate_chained_asm(source)
+        assert not chained_asm_problems(source)
         folded = fold_qt(source)
         assert folded.rows == QT_12
         expected_doc = serialize(
@@ -196,22 +196,22 @@ def test_criterion_5_round_trips():
             for p in enumerate_placements(board, max_rooks(board)):
                 cp = placement_to_matrices(p)
                 o = to_one_line(cp)
-                assert validate_one_line(o)
+                assert not one_line_problems(o)
                 assert from_one_line(o) == cp
                 m = to_matching(cp)
-                assert validate_matching(m)
+                assert not matching_problems(m)
                 assert from_matching(m) == cp
                 assert matrices_to_placement(cp) == p
             for a in enumerate_chained_asm(board):
                 if board.circular and board.k % 2 == 0:
                     mt = to_monotone_triangles(a)
-                    assert validate_mt_chain(mt)
+                    assert not mt_chain_problems(mt)
                     assert from_monotone_triangles(mt) == a
                     ice = to_ice(a)
-                    assert validate_ice(ice)
+                    assert not ice_problems(ice)
                     assert from_ice(ice) == a
                     fpl = to_fpl(ice)
-                    assert validate_fpl(fpl)
+                    assert not fpl_problems(fpl)
                     assert from_fpl(fpl) == ice
                 if not board.circular and board.k % 2 == 1:
                     assert join_linear_odd(split_linear_odd(a), board.k) == a
@@ -268,4 +268,4 @@ def test_permutations_are_chained_asms():
     # supporting check: reinterpreted permutations always validate
     for board in (linear(2, 2), circular(2, 3)):
         for p in enumerate_placements(board, max_rooks(board)):
-            assert validate_chained_asm(permutation_to_asm(placement_to_matrices(p)))
+            assert not chained_asm_problems(permutation_to_asm(placement_to_matrices(p)))

@@ -14,14 +14,13 @@ from chainedboards.asm import (
     fold_qt,
     join_linear_odd,
     permutation_to_asm,
+    plain_asm_problems,
     rotate_ccw,
     rotate_cw,
     rotate_half,
     split_circular_k4,
     split_linear_odd,
     unfold_qt,
-    validate_chained_asm,
-    validate_plain_asm,
 )
 from chainedboards.boards import circular, linear, max_rooks, maximum_compositions
 from chainedboards.counting import classical_asm_count, qtasm_count
@@ -38,14 +37,14 @@ def max_perms(board):
 
 
 def test_validator_accepts_linear_example_with_top_row_minus():
-    assert validate_chained_asm(LINEAR_32_WITH_TOP_MINUS)
+    assert not chained_asm_problems(LINEAR_32_WITH_TOP_MINUS)
     assert LINEAR_32_WITH_TOP_MINUS.matrices[0][0][1] == -1
 
 
 def test_validator_accepts_every_chained_permutation():
     for board in (linear(2, 2), circular(2, 2), circular(2, 3), linear(3, 1)):
         for cp in max_perms(board):
-            assert validate_chained_asm(permutation_to_asm(cp))
+            assert not chained_asm_problems(permutation_to_asm(cp))
 
 
 def test_validator_rejects_minus_in_leftmost_column():
@@ -104,7 +103,7 @@ def test_enumeration_yields_valid_unique_elements():
     for board in (linear(2, 2), circular(2, 3), circular(3, 2), linear(2, 4)):
         seen = set()
         for a in enumerate_chained_asm(board):
-            assert validate_chained_asm(a), chained_asm_problems(a)
+            assert not chained_asm_problems(a), chained_asm_problems(a)
             assert a.matrices not in seen
             seen.add(a.matrices)
 
@@ -141,7 +140,7 @@ def test_linear_k1_is_classical_asm():
         got = list(enumerate_chained_asm(linear(n, 1)))
         assert len(got) == classical_asm_count(n)
         for a in got:
-            assert validate_plain_asm(PlainASM(n, a.matrices[0]))
+            assert not plain_asm_problems(PlainASM(n, a.matrices[0]))
 
 
 def test_sum_composition_lands_in_maximum_compositions():
@@ -207,7 +206,7 @@ def test_concat_circular_k4_counts():
     images = set()
     for a in got:
         plain = concat_circular_k4(a)
-        assert validate_plain_asm(plain)
+        assert not plain_asm_problems(plain)
         assert split_circular_k4(plain) == a
         images.add(plain.rows)
     assert len(images) == 42
@@ -217,15 +216,15 @@ def test_concat_maps_permutations_to_permutation_matrices():
     for cp in max_perms(circular(2, 4)):
         plain = concat_circular_k4(permutation_to_asm(cp))
         assert all(x in (0, 1) for row in plain.rows for x in row)
-        assert validate_plain_asm(plain)
+        assert not plain_asm_problems(plain)
 
 
 def test_fold_qt_matches_worked_12x12():
     a = ChainedASM(circular(6, 1), (QT_6,))
-    assert validate_chained_asm(a)
+    assert not chained_asm_problems(a)
     folded = fold_qt(a)
     assert folded.rows == QT_12
-    assert validate_plain_asm(folded)
+    assert not plain_asm_problems(folded)
     assert unfold_qt(folded) == a
 
 
@@ -237,7 +236,7 @@ def test_fold_qt_counts():
     images = set()
     for a in got4:
         plain = fold_qt(a)
-        assert validate_plain_asm(plain)
+        assert not plain_asm_problems(plain)
         assert rotate_cw(plain.rows) == plain.rows  # quarter-turn symmetric
         assert unfold_qt(plain) == a
         images.add(plain.rows)

@@ -14,7 +14,7 @@ from chainedboards.boards import (
     maximum_compositions,
 )
 from chainedboards.errors import InputDomainError
-from chainedboards.placements import canonical_placement, validate_placement
+from chainedboards.placements import canonical_placement, placement_problems
 from tests.reference import admissible_compositions
 
 ALL_SMALL = [
@@ -151,7 +151,7 @@ def test_canonical_placement_examples():
     assert p.squares == (Square(1, 1, 1), Square(1, 2, 2))
 
     p = canonical_placement(circular(5, 3), (1, 4, 1))
-    assert p.m == 6 and validate_placement(p)
+    assert p.m == 6 and not placement_problems(p)
 
     p = canonical_placement(linear(5, 2), (3, 2))
     assert set(p.squares) == {
@@ -168,7 +168,7 @@ def test_canonical_placement_every_admissible_composition():
         for m in range(board.n * board.k + 1):
             for comp in admissible_compositions(board, m):
                 p = canonical_placement(board, comp)
-                assert validate_placement(p), (board, comp)
+                assert not placement_problems(p), (board, comp)
                 assert p.composition() == comp
 
 
@@ -181,4 +181,4 @@ def test_empty_composition_and_placement():
     board = circular(3, 2)
     assert list(admissible_compositions(board, 0)) == [(0, 0)]
     p = canonical_placement(board, (0, 0))
-    assert p.m == 0 and validate_placement(p)
+    assert p.m == 0 and not placement_problems(p)

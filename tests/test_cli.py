@@ -4,9 +4,18 @@ import json
 
 import pytest
 
-from chainedboards.cli import _CONVERSIONS, main
+from chainedboards.cli import _CONVERSIONS, _print_problems, main
+from chainedboards.errors import ValidationError
 from chainedboards.serialization import FAMILIES, deserialize, serialize
-from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, OVERSIZED, WORKED_46
+from tests.worked_examples import (
+    ALL_ONES_20,
+    LONG_NUMBERS,
+    MALFORMED,
+    ODD_K_ICE,
+    ONE_LINE_46,
+    OVERSIZED,
+    WORKED_46,
+)
 
 
 def run(capsys, *argv):
@@ -255,3 +264,36 @@ def test_validate_rejects_oversized_input_briefly(tmp_path, capsys, text):
     code, out, err = run(capsys, "validate", "--in", str(src))
     assert code == 1 and out == "invalid\n"
     assert "Traceback" not in err and 0 < len(err) < 1000
+
+
+@pytest.mark.parametrize("text", LONG_NUMBERS.values(), ids=LONG_NUMBERS.keys())
+def test_validate_clips_long_sizes_and_numbers(tmp_path, capsys, text):
+    src = tmp_path / "doc.json"
+    src.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and out == "invalid\n"
+    assert "Traceback" not in err and "characters)" in err and len(err.encode()) < 300
+
+
+def test_validate_prints_the_first_20_problems_and_counts_the_rest(tmp_path, capsys):
+    with pytest.raises(ValidationError) as info:
+        deserialize(ALL_ONES_20)
+    problems = info.value.problems
+    assert len(problems) == 801
+    src = tmp_path / "doc.json"
+    src.write_text(ALL_ONES_20, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and out == "invalid\n"
+    assert err.splitlines() == problems[:20] + ["… and 781 more problems"]
+    # the other print site: an error raised inside a subcommand
+    code, out, err = run(capsys, "convert", "--from", "asm", "--to", "mt", "--in", str(src))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {info.value}", *problems[:20], "… and 781 more problems"]
+
+
+@pytest.mark.parametrize("count", [0, 20, 21])
+def test_print_problems_cap_boundary(capsys, count):
+    problems = [f"problem {i}" for i in range(count)]
+    _print_problems(problems)
+    more = ["… and 1 more problems"] if count == 21 else []
+    assert capsys.readouterr().err.splitlines() == problems[:20] + more

@@ -7,8 +7,8 @@ from chainedboards.boards import circular
 from chainedboards.errors import UnsupportedDomainError, ValidationError
 from chainedboards.ice import (
     FPLConfiguration,
+    GridGraph,
     IceConfiguration,
-    build_grid_graph,
     enumerate_fpl,
     enumerate_ice,
     fpl_problems,
@@ -17,8 +17,6 @@ from chainedboards.ice import (
     ice_problems,
     to_fpl,
     to_ice,
-    validate_fpl,
-    validate_ice,
     vertex_parity,
 )
 from tests.worked_examples import WORKED_46
@@ -26,7 +24,7 @@ from tests.worked_examples import WORKED_46
 
 def test_grid_graph_counts():
     for n, k in [(2, 2), (3, 4), (1, 2)]:
-        g = build_grid_graph(n, k)
+        g = GridGraph(n, k)
         assert len(list(g.interior_vertices())) == n * n * k
         edges = g.edges()
         assert sum(1 for e in edges if e[0] in ("bl", "bt")) == 2 * n * k
@@ -39,18 +37,18 @@ def test_grid_graph_counts():
 
 
 def test_grid_graph_chaining_wraps():
-    g = build_grid_graph(2, 4)
+    g = GridGraph(2, 4)
     assert g.endpoints(("c", 4, 1)) == ((4, 1, 2), (1, 2, 1))
     assert g.endpoints(("c", 2, 2)) == ((2, 2, 2), (3, 2, 2))
 
 
 def test_grid_graph_needs_even_k():
     with pytest.raises(UnsupportedDomainError):
-        build_grid_graph(2, 3)
+        GridGraph(2, 3)
 
 
 def test_edges_are_parity_bipartite():
-    g = build_grid_graph(3, 2)
+    g = GridGraph(3, 2)
     for e in g.edges():
         u, v = g.endpoints(e)
         assert vertex_parity(u) != vertex_parity(v)
@@ -72,10 +70,10 @@ def test_boundary_orientation_rules():
 
 def test_worked_example_ice_round_trip():
     ice = to_ice(WORKED_46)
-    assert validate_ice(ice)
+    assert not ice_problems(ice)
     assert from_ice(ice) == WORKED_46
     fpl = to_fpl(ice)
-    assert validate_fpl(fpl)
+    assert not fpl_problems(fpl)
     assert from_fpl(fpl) == ice
 
 
@@ -83,10 +81,10 @@ def test_round_trips_exhaustive():
     for n, k in [(1, 2), (2, 2), (1, 4), (2, 4), (3, 2), (2, 6)]:
         for a in enumerate_chained_asm(circular(n, k)):
             ice = to_ice(a)
-            assert validate_ice(ice), ice_problems(ice)
+            assert not ice_problems(ice), ice_problems(ice)
             assert from_ice(ice) == a
             fpl = to_fpl(ice)
-            assert validate_fpl(fpl), fpl_problems(fpl)
+            assert not fpl_problems(fpl), fpl_problems(fpl)
             assert from_fpl(fpl) == ice
 
 
@@ -97,7 +95,7 @@ def test_flipping_one_interior_edge_invalidates():
     u, v = ice.graph.endpoints(edges[idx])
     flipped = list(ice.heads)
     flipped[idx] = v if flipped[idx] == u else u
-    assert not validate_ice(IceConfiguration(ice.graph, tuple(flipped)))
+    assert ice_problems(IceConfiguration(ice.graph, tuple(flipped)))
 
 
 def test_wrong_boundary_orientation_invalidates():
@@ -124,7 +122,7 @@ def test_fpl_boundary_pattern():
 def test_fpl_missing_edge_rejected():
     fpl = to_fpl(to_ice(WORKED_46))
     trimmed = FPLConfiguration(fpl.graph, tuple(e for e in fpl.chosen if e[0] != "c"))
-    assert not validate_fpl(trimmed)
+    assert fpl_problems(trimmed)
     with pytest.raises(ValidationError):
         from_fpl(trimmed)
 

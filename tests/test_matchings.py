@@ -3,13 +3,12 @@ from __future__ import annotations
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import count_max
 from chainedboards.matchings import (
-    build_chain_graph,
+    ChainGraph,
     enumerate_matchings,
     from_matching,
     matching_kind,
     matching_problems,
     to_matching,
-    validate_matching,
 )
 from chainedboards.perms import from_one_line, parse_one_line, placement_to_matrices
 from chainedboards.placements import enumerate_placements
@@ -21,15 +20,15 @@ def max_perms(board):
 
 
 def test_chain_graph_shape():
-    g = build_chain_graph(circular(2, 2))
+    g = ChainGraph(circular(2, 2))
     assert len(list(g.vertices())) == 4
     assert len(list(g.edges())) == 8  # parallel edges kept distinct
     assert not any(g.is_loop(e) for e in g.edges())
 
-    loops = build_chain_graph(circular(2, 1))
+    loops = ChainGraph(circular(2, 1))
     assert [e for e in loops.edges() if loops.is_loop(e)] == [(1, 1, 1), (1, 2, 2)]
 
-    lin = build_chain_graph(linear(3, 2))
+    lin = ChainGraph(linear(3, 2))
     assert len(list(lin.vertices())) == 9
     assert len(list(lin.edges())) == 18
 
@@ -38,7 +37,7 @@ def test_matching_round_trip_exhaustive():
     for board in (linear(2, 2), circular(2, 2), linear(3, 3), circular(3, 3), circular(2, 1)):
         for cp in max_perms(board):
             m = to_matching(cp)
-            assert validate_matching(m), matching_problems(m)
+            assert not matching_problems(m), matching_problems(m)
             assert from_matching(m) == cp
 
 
@@ -71,7 +70,7 @@ def test_unmatched_vertex_counts():
 def test_one_line_46_matching_is_perfect():
     cp = from_one_line(parse_one_line("0200-3104-3000-3420-0004-1032-"))
     m = to_matching(cp)
-    assert validate_matching(m)
+    assert not matching_problems(m)
     covered = set()
     for e in m.edges:
         covered.update(m.graph.endpoints(e))
@@ -88,7 +87,7 @@ def test_matching_counts_match_closed_forms():
     for board in boards:
         got = 0
         for m in enumerate_matchings(board):
-            assert validate_matching(m)
+            assert not matching_problems(m)
             got += 1
         assert got == count_max(board), board
 

@@ -5,8 +5,8 @@ import itertools
 import pytest
 
 from chainedboards.boards import Square, circular, linear, max_rooks
-from chainedboards.counting import count_max_circular, count_max_linear
-from chainedboards.asm import ChainedASM, PlainASM
+from chainedboards.counting import count_max, count_max_circular, count_max_linear
+from chainedboards.asm import ChainedASM, PlainASM, chained_asm_problems
 from chainedboards.errors import InputDomainError, ParseError, ValidationError
 from chainedboards.perms import (
     ChainedPermutation,
@@ -18,10 +18,8 @@ from chainedboards.perms import (
     parse_one_line,
     placement_to_matrices,
     to_one_line,
-    validate_chained_permutation,
-    validate_one_line,
 )
-from chainedboards.placements import RookPlacement, enumerate_placements
+from chainedboards.placements import RookPlacement, enumerate_placements, placement_problems
 from chainedboards.triangles import MonotoneTriangleChain
 
 from tests.worked_examples import ONE_LINE_54, ONE_LINE_46, P22_CIRCULAR
@@ -35,8 +33,29 @@ def test_placement_matrix_round_trip_exhaustive():
     for board in (linear(2, 2), circular(2, 2), linear(3, 3), circular(3, 3), circular(2, 1)):
         for p in max_placements(board):
             cp = placement_to_matrices(p)
-            assert validate_chained_permutation(cp)
+            assert not chained_asm_problems(cp)
             assert matrices_to_placement(cp) == p
+
+
+def test_chained_asm_check_accepts_exactly_the_maximum_placements():
+    """Every 0/1 k-tuple with n^2 k <= 12, on both shapes: a tuple meets the
+    chained-ASM conditions exactly when its 1s are a maximum placement of
+    non-attacking rooks."""
+    checked = 0
+    for n, k_max in ((1, 12), (2, 3), (3, 1)):
+        for k in range(1, k_max + 1):
+            for board in (linear(n, k), circular(n, k)):
+                valid = 0
+                for bits in itertools.product((0, 1), repeat=n * n * k):
+                    rows = [bits[r * n : (r + 1) * n] for r in range(n * k)]
+                    cp = ChainedPermutation(board, [rows[l * n : (l + 1) * n] for l in range(k)])
+                    p = matrices_to_placement(cp)
+                    placed = p.m == max_rooks(board) and not placement_problems(p)
+                    assert (not chained_asm_problems(cp)) == placed, cp
+                    valid += placed
+                    checked += 1
+                assert valid == count_max(board), board
+    assert checked == 26_140
 
 
 def test_placement_to_matrices_rejects_non_maximum():
@@ -56,7 +75,7 @@ def test_one_line_round_trip_exhaustive():
         for p in max_placements(board):
             cp = placement_to_matrices(p)
             o = to_one_line(cp)
-            assert validate_one_line(o)
+            assert not one_line_problems(o)
             assert from_one_line(o) == cp
 
 
@@ -64,9 +83,9 @@ def test_reference_one_line_strings_round_trip():
     for text, shape_board in ((ONE_LINE_46, circular(4, 6)), (ONE_LINE_54, linear(5, 4))):
         o = parse_one_line(text)
         assert o.board == shape_board
-        assert validate_one_line(o)
+        assert not one_line_problems(o)
         cp = from_one_line(o)
-        assert validate_chained_permutation(cp)
+        assert not chained_asm_problems(cp)
         assert one_line_text(to_one_line(cp)) == text
 
 
@@ -90,9 +109,9 @@ def test_p22_circular_one_line_set():
 
 def test_one_line_examples_from_p22():
     o = parse_one_line("10-02-")
-    assert validate_one_line(o)
+    assert not one_line_problems(o)
     bad = parse_one_line("12-12-")
-    assert not validate_one_line(bad)
+    assert one_line_problems(bad)
     problems = one_line_problems(bad)
     assert any("condition (3)" in p for p in problems)
     assert any("condition (4)" in p for p in problems)
@@ -103,7 +122,7 @@ def test_one_line_examples_from_p22():
 
 def test_one_line_wrong_count_rejected():
     o = OneLine(linear(3, 3), ((3, 0, 0), (0, 0, 0), (0, 0, 3)))
-    assert not validate_one_line(o)
+    assert one_line_problems(o)
     assert any("condition (3)" in p for p in one_line_problems(o))
     with pytest.raises(ValidationError):
         from_one_line(o)
@@ -111,7 +130,7 @@ def test_one_line_wrong_count_rejected():
 
 def test_round_trips_full_grid():
     # all three forms agree on every maximum placement for n <= 3, k <= 4
-    from chainedboards.matchings import from_matching, to_matching, validate_matching
+    from chainedboards.matchings import from_matching, matching_problems, to_matching
 
     for ctor in (linear, circular):
         for n in range(1, 4):
@@ -120,9 +139,9 @@ def test_round_trips_full_grid():
                     cp = placement_to_matrices(p)
                     assert matrices_to_placement(cp) == p
                     o = to_one_line(cp)
-                    assert validate_one_line(o) and from_one_line(o) == cp
+                    assert not one_line_problems(o) and from_one_line(o) == cp
                     m = to_matching(cp)
-                    assert validate_matching(m) and from_matching(m) == cp
+                    assert not matching_problems(m) and from_matching(m) == cp
 
 
 def test_one_line_validator_completeness_exhaustive():
@@ -136,7 +155,7 @@ def test_one_line_validator_completeness_exhaustive():
         accepted = set()
         for flat in itertools.product(range(n + 1), repeat=n * k):
             blocks = tuple(tuple(flat[b * n : (b + 1) * n]) for b in range(k))
-            if validate_one_line(OneLine(board, blocks)):
+            if not one_line_problems(OneLine(board, blocks)):
                 accepted.add(blocks)
         assert accepted == images, board
 

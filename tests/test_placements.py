@@ -12,16 +12,16 @@ from chainedboards.placements import (
     canonical_placement,
     count_placements_brute,
     enumerate_placements,
-    validate_placement,
+    placement_problems,
 )
 
 
 def brute_enumerate(board, m):
-    """Oracle: filter all m-subsets of squares through validate_placement."""
+    """Oracle: filter all m-subsets of squares through placement_problems."""
     out = []
     for combo in itertools.combinations(board.squares(), m):
         p = RookPlacement(board, combo)
-        if validate_placement(p):
+        if not placement_problems(p):
             out.append(p.squares)
     return sorted(out)
 
@@ -29,13 +29,13 @@ def brute_enumerate(board, m):
 def test_validate_placement_examples():
     # a maximum placement with composition (3,2,2) on the circular 5x5 chain
     p = canonical_placement(circular(5, 3), (3, 2, 2))
-    assert p.m == 7 and validate_placement(p)
+    assert p.m == 7 and not placement_problems(p)
 
     two_in_a_row = RookPlacement(linear(2, 1), (Square(1, 1, 1), Square(1, 1, 2)))
-    assert not validate_placement(two_in_a_row)
+    assert placement_problems(two_in_a_row) == ["placement has attacking rooks"]
 
     diagonal = RookPlacement(circular(2, 1), (Square(1, 2, 2),))
-    assert not validate_placement(diagonal)
+    assert placement_problems(diagonal) == ["placement has attacking rooks"]
 
 
 def test_enumerate_placements_counts():
@@ -52,7 +52,7 @@ def test_enumerate_placements_order_and_validity():
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
             for p in got:
-                assert p.m == m and validate_placement(p)
+                assert p.m == m and not placement_problems(p)
 
 
 def test_enumerate_placements_matches_subset_filter():

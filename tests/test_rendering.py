@@ -7,8 +7,8 @@ import pytest
 from chainedboards.asm import PlainASM
 from chainedboards.boards import circular, linear
 from chainedboards.errors import UnsupportedDomainError
-from chainedboards.ice import build_grid_graph, to_ice
-from chainedboards.matchings import build_chain_graph, to_matching
+from chainedboards.ice import GridGraph, to_ice
+from chainedboards.matchings import ChainGraph, to_matching
 from chainedboards.perms import from_one_line, parse_one_line
 from chainedboards.placements import canonical_placement
 from chainedboards.rendering import render
@@ -36,7 +36,7 @@ def test_ascii_triangles():
 
 
 def test_dot_chain_graph_counts():
-    dot = render(build_chain_graph(circular(2, 2)), "dot")
+    dot = render(ChainGraph(circular(2, 2)), "dot")
     assert dot.startswith("graph chain {")
     assert len(re.findall(r'^\s+"\d+:\d+";$', dot, re.M)) == 4
     assert len(re.findall(r" -- ", dot)) == 8
@@ -49,7 +49,7 @@ def test_dot_matching_marks_matched_edges():
 
 
 def test_dot_grid_graph():
-    g = build_grid_graph(2, 2)
+    g = GridGraph(2, 2)
     dot = render(g, "dot")
     assert len(re.findall(r" -- ", dot)) == len(g.edges())
 
@@ -78,7 +78,7 @@ def test_dot_fpl_lists_chosen_edges_only():
 
 def test_unsupported_pairings_rejected():
     with pytest.raises(UnsupportedDomainError):
-        render(build_chain_graph(circular(2, 2)), "ascii")
+        render(ChainGraph(circular(2, 2)), "ascii")
     with pytest.raises(UnsupportedDomainError):
         render(WORKED_46, "dot")
     with pytest.raises(UnsupportedDomainError):

@@ -177,6 +177,25 @@ def test_families_registry_is_one_row_per_class_and_name():
         family_of(linear(2, 2))
 
 
+def test_every_family_is_checked_by_one_exported_problems_function():
+    import sys
+
+    import chainedboards
+
+    for family in FAMILIES:
+        check = family.problems
+        assert check.__name__.endswith("_problems"), family.name
+        assert getattr(sys.modules[check.__module__], check.__name__) is check
+        assert check.__name__ in chainedboards.__all__
+        assert getattr(chainedboards, check.__name__) is check
+    # a chained permutation is checked as a 0/1 chained ASM
+    by_name = {f.name: f for f in FAMILIES}
+    assert by_name["chained-permutation"].problems is by_name["chained-asm"].problems
+    assert not [name for name in chainedboards.__all__ if name.startswith("validate_")]
+    gone = ("chained_permutation_problems", "build_chain_graph", "build_grid_graph", "matching_size")
+    assert not [name for name in gone if hasattr(chainedboards, name)]
+
+
 def _enumerated_objects() -> list:
     """Objects of every family, enumerated on small boards."""
     out = []

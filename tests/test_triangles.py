@@ -14,7 +14,6 @@ from chainedboards.triangles import (
     mt_chain_problems,
     pair_matrices,
     to_monotone_triangles,
-    validate_mt_chain,
 )
 
 from tests.worked_examples import WORKED_46, WORKED_TRIANGLES
@@ -34,7 +33,7 @@ def test_worked_example_pair_matrices():
 def test_worked_example_triangles():
     mt = to_monotone_triangles(WORKED_46)
     assert mt.triangles == WORKED_TRIANGLES
-    assert validate_mt_chain(mt)
+    assert not mt_chain_problems(mt)
     assert [tri[-1] for tri in mt.triangles] == [(1, 3, 5, 7), (1, 3, 5, 8), (2, 3, 5, 7)]
 
 
@@ -46,7 +45,7 @@ def test_round_trip_exhaustive():
     for n, k in [(1, 2), (2, 2), (1, 4), (2, 4), (3, 2), (2, 6)]:
         for a in enumerate_chained_asm(circular(n, k)):
             mt = to_monotone_triangles(a)
-            assert validate_mt_chain(mt), mt_chain_problems(mt)
+            assert not mt_chain_problems(mt), mt_chain_problems(mt)
             assert from_monotone_triangles(mt) == a
 
 
@@ -86,7 +85,7 @@ def test_validator_rejects_cyclic_conflict():
             ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)),
         ),
     )
-    assert not validate_mt_chain(bad)
+    assert mt_chain_problems(bad)
     assert any("chained index" in p for p in mt_chain_problems(bad))
 
 

@@ -129,5 +129,33 @@ OVERSIZED = {
     "long non-JSON": "[" * 100_000 + "]" * 100_000,
 }
 
+# A 4000-digit n or k (under Python's 4300-digit limit), which every message
+# that echoes a size must clip: one document per family whose constructor or
+# check quotes n or k, then the other numbers a message may take from them.
+LONG = int("9" * 4000)
+LONG_NUMBERS = {
+    "chained-asm with a long k": _doc("chained-asm", shape="linear", n=1, k=LONG, matrices=[]),
+    "chained-permutation with a long n": _doc(
+        "chained-permutation", shape="linear", n=LONG, k=1, matrices=[[]]
+    ),
+    "one-line with a long n": _doc("one-line", shape="linear", n=LONG, k=1, blocks=[[]]),
+    "triangle chain with a long k": _doc(
+        "monotone-triangle-chain", shape="circular", n=1, k=2 * LONG, triangles=[]
+    ),
+    "plain-asm with a long n": _doc("plain-asm", n=LONG, matrix=[]),
+    "chain-matching with a long k": _doc("chain-matching", shape="linear", n=1, k=LONG, edges=[]),
+    "placement with a long n": _doc("placement", shape="linear", n=LONG, k=1, squares=[[2, 1, 1]]),
+    "board with a long negative n": _doc("chained-asm", shape="linear", n=-LONG, k=1, matrices=[]),
+    # the edge counts quoted here grow as n^2: a 1500-digit n gives 3000 digits
+    "ice with a long n": _doc("ice", shape="circular", n=int("9" * 1500), k=2, orientation={}),
+    "fpl with a long n": _doc("fpl", shape="circular", n=int("9" * 1500), k=2, edges=[]),
+    "long matrix entry": _doc("chained-asm", shape="linear", n=1, k=1, matrices=[[[LONG]]]),
+    "long one-line entry": _doc("one-line", shape="linear", n=1, k=1, blocks=[[LONG]]),
+    "long matching edge": _doc("chain-matching", shape="linear", n=1, k=1, edges=[[LONG, 1, 1]]),
+}
+
+# A 25 KB chained ASM on circular(20, 20) with every entry 1: 801 problems.
+ALL_ONES_20 = _doc("chained-asm", shape="circular", n=20, k=20, matrices=[[[1] * 20] * 20] * 20)
+
 # Valid JSON whose grid graph does not exist (odd k): a ValidationError.
 ODD_K_ICE = _doc("ice", shape="circular", n=1, k=3, orientation=ICE_12)
