@@ -58,6 +58,7 @@ from .asm import (
     chained_asm_problems,
     concat_circular_k4,
     count_chained_asm,
+    count_chained_asm_tm,
     enumerate_chained_asm,
     fold_qt,
     join_linear_odd,

@@ -16,6 +16,7 @@ leans on that form, which is checkable while filling top-down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterator
 
 from .boards import BoardSpec, Composition, Shape, max_rooks, suffix_bound_table
@@ -194,6 +195,102 @@ def count_chained_asm(board: BoardSpec) -> int:
     return sum(1 for _ in enumerate_chained_asm(board))
 
 
+# --- counting by transfer matrix ------------------------------------------
+#
+# An independent method: it shares no search helper with the enumerator
+# above.  Index bit i of a "row-sum vector" r is the 0/1 sum of row i.
+
+
+def transfer_matrix(n: int) -> list[list[int]]:
+    """``T[r][s]``: how many n x n matrices meet condition (1), have row-sum
+    vector s, and may follow a matrix with row-sum vector r under
+    condition (2).
+
+    Rows are built top-down.  The state is (columns whose last nonzero so
+    far is +1, columns whose last nonzero is -1), mapped to weights indexed
+    by the row-sum bits of the rows so far.  A row is a set of columns
+    signed +1, -1, +1, ... from the left, so there are 2^n of them; it may
+    not repeat a column's last sign.  A column's final last sign is its
+    bottommost nonzero, which fixes that column's bit of r (+1 needs 0, -1
+    needs 1); a column left at zero takes either bit.
+    """
+    if n < 1:
+        raise InputDomainError(f"n must be >= 1, got {clip(n)}")
+    rows = []
+    for cols in range(1 << n):
+        plus = minus = 0
+        for j in range(n):
+            if cols >> j & 1:
+                if (plus | minus).bit_count() % 2 == 0:
+                    plus |= 1 << j
+                else:
+                    minus |= 1 << j
+        rows.append((plus, minus, cols.bit_count() % 2))
+
+    states = {(0, 0): [1]}
+    for i in range(n):
+        half = 1 << i
+        nxt: dict[tuple[int, int], list[int]] = {}
+        for (last_plus, last_minus), weights in states.items():
+            for plus, minus, bit in rows:
+                if plus & last_plus or minus & last_minus:
+                    continue
+                key = ((last_plus & ~minus) | plus, (last_minus & ~plus) | minus)
+                acc = nxt.get(key)
+                if acc is None:
+                    acc = nxt[key] = [0] * (2 * half)
+                lo = bit * half
+                acc[lo : lo + half] = map(add, acc[lo : lo + half], weights)
+        states = nxt
+
+    full = (1 << n) - 1
+    table = [[0] * (full + 1) for _ in range(full + 1)]
+    for (last_plus, last_minus), weights in states.items():
+        free = full & ~(last_plus | last_minus)
+        sub = free
+        while True:  # every r with last_minus set, last_plus clear
+            row = table[last_minus | sub]
+            row[:] = map(add, row, weights)
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return table
+
+
+def count_chained_asm_tm(board: BoardSpec, transfer: list[list[int]] | None = None) -> int:
+    """The number of chained ASMs on ``board``, by a walk over row-sum vectors.
+
+    A linear chain starts from the zero vector; a circular chain must end
+    where it started (the trace, so circular k = 1 is ``T[r][r]``).  Both
+    keep only the walks whose total row-sum weight is ``max_rooks(board)``,
+    condition (3).  ``transfer`` may pass ``transfer_matrix(board.n)`` in,
+    to share one build between boards of the same n.
+    """
+    n, k = board.n, board.k
+    table = transfer_matrix(n) if transfer is None else transfer
+    if len(table) != 1 << n:
+        raise InputDomainError(f"transfer matrix has {len(table)} rows, not 2^{clip(n)}")
+    target = max_rooks(board)
+    steps = [[(s, w, s.bit_count()) for s, w in enumerate(row) if w] for row in table]
+    count = 0
+    for start in range(len(table)) if board.circular else (0,):
+        walk = {(start, 0): 1}  # (row-sum vector, weight so far) -> chains
+        for _ in range(k):
+            nxt: dict[tuple[int, int], int] = {}
+            for (r, done), chains in walk.items():
+                for s, w, ones in steps[r]:
+                    if done + ones <= target:
+                        key = (s, done + ones)
+                        nxt[key] = nxt.get(key, 0) + chains * w
+            walk = nxt
+        count += sum(
+            chains
+            for (r, done), chains in walk.items()
+            if done == target and (r == start or not board.circular)
+        )
+    return count
+
+
 # --- plain ASMs and the special-case bijections ---------------------------
 
 
@@ -365,6 +462,8 @@ __all__ = [
     "asm_to_permutation",
     "enumerate_chained_asm",
     "count_chained_asm",
+    "transfer_matrix",
+    "count_chained_asm_tm",
     "plain_asm_problems",
     "rotate_cw",
     "rotate_ccw",

@@ -9,6 +9,7 @@ domain).  Diagnostics go to stderr; data goes to stdout or --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import deque
 
@@ -237,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

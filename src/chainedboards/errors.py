@@ -33,8 +33,28 @@ class UnsupportedDomainError(ChainedBoardsError):
 def clip(value: object, limit: int = 40) -> str:
     """``str(value)`` cut to its first ``limit`` characters plus its length,
     so a message that quotes input (a string, or a number as long as a
-    document's n or k) stays short whatever the input's size."""
-    text = str(value)
+    document's n or k) stays short whatever the input's size.  It never
+    raises: an int beyond the interpreter's digit limit for ``str`` is
+    described the same way without converting it in full."""
+    try:
+        text = str(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return _clip_long_int(value, limit)
     if len(text) <= limit:
         return text
     return f"{text[:limit]}… ({len(text)} characters)"
+
+
+def _clip_long_int(value: int, limit: int) -> str:
+    """What ``clip`` gives for ``str(value)``, from the int's leading digits."""
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    digits = int(value.bit_length() * 0.30102999566398120) + 1  # log10(2)
+    while 10 ** (digits - 1) > value:
+        digits -= 1
+    while 10**digits <= value:
+        digits += 1
+    lead = value // 10 ** (digits - (limit - len(sign)))
+    return f"{sign}{lead}… ({len(sign) + digits} characters)"

@@ -35,10 +35,18 @@ class RookPlacement:
     squares: tuple[Square, ...]
 
     def __post_init__(self):
-        normalized = tuple(sorted(set(Square(*s) for s in self.squares)))
-        for s in normalized:
+        squares = self.squares
+        # the enumerator's squares are already a strictly increasing tuple
+        # of Squares; anything else is rebuilt, sorted and de-duplicated
+        if not (
+            type(squares) is tuple
+            and all(type(s) is Square for s in squares)
+            and all(s < t for s, t in zip(squares, squares[1:]))
+        ):
+            squares = tuple(sorted(set(Square(*s) for s in squares)))
+            object.__setattr__(self, "squares", squares)
+        for s in squares:
             check_square(self.board, s)
-        object.__setattr__(self, "squares", normalized)
 
     @property
     def m(self) -> int:

@@ -4,10 +4,12 @@ closed-form identities, with a time budget for the expensive cells.
 Each check becomes one record; the report serializes as TSV with columns
 family, shape, n, k, m, expected, actual, source, status, seconds.  A cell
 whose estimated cost exceeds the remaining budget is skipped loudly rather
-than run.  A cell's estimate is its known expected count at a fixed nominal
-rate, times a safety factor, and every cell that runs is charged its
-estimate, so the run/skip decisions depend only on the arguments, never on
-the machine's speed or load.
+than run.  The chained-ASM cells are counted by transfer matrix, built
+once per n within a call.  A cell's estimate is a fixed function of its n
+that bounds the work of that build, at a nominal rate times a safety
+factor, and every cell that runs is charged its estimate, so the run/skip
+decisions depend only on the arguments, never on the machine's speed or
+load.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .asm import count_chained_asm
+from .asm import count_chained_asm_tm, transfer_matrix
 from .boards import BoardSpec, Shape, circular, linear, max_rooks
 from .counting import count_max, count_placements_formula
 from .placements import count_placements_brute
@@ -56,10 +58,17 @@ TABLE_CELLS: tuple[tuple[BoardSpec, int], ...] = tuple(
     for n, expected in enumerate(counts, start=1)
 )
 
-# chained ASMs enumerated per second, a mid value of the table cells' rates
-# (from about 700/s on circular(6,1) to about 25000/s on small cells)
-_NOMINAL_RATE = 7200.0
+# The transfer matrix's row DP makes n passes, each adding at most 2^n rows
+# to at most 3^n sign-mask states of at most 2^n row-sum weights, so n * 12^n
+# bounds its weight additions.  Builds ran at 1.3e8 (n = 5) to 3.7e8 (n = 7)
+# of these units per second on a 2-vCPU machine under Python 3.11.
+_NOMINAL_RATE = 1e8
 _SAFETY = 5.0
+
+
+def _estimate(n: int) -> float:
+    """Seconds charged against the budget for one chained-ASM cell."""
+    return n * 12**n / _NOMINAL_RATE * _SAFETY
 
 
 @dataclass(frozen=True)
@@ -129,11 +138,17 @@ def verify_tables(
 ) -> VerificationReport:
     records = []
     left = budget_seconds
+    transfers: dict[int, list[list[int]]] = {}
+
+    def count_tm(board: BoardSpec) -> int:
+        if board.n not in transfers:
+            transfers[board.n] = transfer_matrix(board.n)
+        return count_chained_asm_tm(board, transfers[board.n])
 
     for board, expected in TABLE_CELLS:
         if (max_n is not None and board.n > max_n) or (max_k is not None and board.k > max_k):
             continue
-        estimate = expected / _NOMINAL_RATE * _SAFETY
+        estimate = _estimate(board.n)
         if estimate > left:
             records.append(
                 VerificationRecord(
@@ -144,7 +159,7 @@ def verify_tables(
             continue
         left -= estimate
         records.append(
-            _check("chained-asm", board, "paper-table", expected, lambda: count_chained_asm(board))
+            _check("chained-asm", board, "paper-table", expected, lambda: count_tm(board))
         )
 
     for shape in (linear, circular):

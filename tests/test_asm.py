@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import itertools
+
 import pytest
 
 from chainedboards.asm import (
@@ -10,6 +13,7 @@ from chainedboards.asm import (
     chained_asm_problems,
     concat_circular_k4,
     count_chained_asm,
+    count_chained_asm_tm,
     enumerate_chained_asm,
     fold_qt,
     join_linear_odd,
@@ -20,13 +24,15 @@ from chainedboards.asm import (
     rotate_half,
     split_circular_k4,
     split_linear_odd,
+    transfer_matrix,
     unfold_qt,
 )
 from chainedboards.boards import circular, linear, max_rooks, maximum_compositions
 from chainedboards.counting import classical_asm_count, qtasm_count
-from chainedboards.errors import UnsupportedDomainError, ValidationError
+from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.perms import placement_to_matrices
 from chainedboards.placements import enumerate_placements
+from chainedboards.verify import TABLE_CELLS
 
 from tests.worked_examples import LINEAR_32_WITH_TOP_MINUS, QT_6, QT_12
 
@@ -248,3 +254,68 @@ def test_fold_qt_domain():
         fold_qt(next(iter(enumerate_chained_asm(circular(3, 1)))))
     with pytest.raises(ValidationError):
         unfold_qt(PlainASM(4, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))))
+
+
+# --- the transfer-matrix counter ------------------------------------------
+
+_transfer = functools.cache(transfer_matrix)
+
+
+def _tm(board):
+    return count_chained_asm_tm(board, _transfer(board.n))
+
+
+def test_transfer_count_matches_the_paper_table():
+    for board, expected in TABLE_CELLS:
+        assert _tm(board) == expected, board
+
+
+# the three cells the enumerator needs longest for; CHAINED_BOARDS_STRETCH
+# enumerates two of them in tests/test_verify.py
+_SLOW_TO_ENUMERATE = {linear(4, 2), linear(3, 4), circular(3, 4)}
+
+
+def test_transfer_count_matches_enumeration():
+    cells = [board for board, _ in TABLE_CELLS if board not in _SLOW_TO_ENUMERATE]
+    assert len(cells) == 47
+    for board in cells:
+        assert _tm(board) == count_chained_asm(board), board
+
+
+def test_transfer_count_matches_closed_forms():
+    for n in range(1, 8):
+        assert _tm(linear(n, 1)) == classical_asm_count(n), n
+    for n in range(1, 7):
+        assert _tm(linear(n, 3)) == classical_asm_count(n) ** 2, n
+    for n in range(1, 6):
+        assert _tm(circular(n, 4)) == classical_asm_count(2 * n), n
+    for m in range(1, 4):
+        assert _tm(circular(2 * m, 1)) == qtasm_count(m), m
+
+
+def test_transfer_matrix_matches_the_conditions_read_literally():
+    # T[r][s] counts the matrices meeting condition (1) with row sums s whose
+    # every column, started from r's bit and summed bottom-up, stays in {0,1}
+    for n in range(1, 4):
+        want = [[0] * (1 << n) for _ in range(1 << n)]
+        for entries in itertools.product((-1, 0, 1), repeat=n * n):
+            rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+            if any(s not in (0, 1) for row in rows for s in itertools.accumulate(row)):
+                continue
+            s = sum(sum(row) << i for i, row in enumerate(rows))
+            for r in range(1 << n):
+                if all(
+                    c in (0, 1)
+                    for j in range(n)
+                    for c in itertools.accumulate([r >> j & 1] + [row[j] for row in rows[::-1]])
+                ):
+                    want[r][s] += 1
+        assert transfer_matrix(n) == want, n
+
+
+def test_transfer_count_builds_its_own_matrix_and_checks_the_one_given():
+    assert count_chained_asm_tm(circular(3, 2)) == 140
+    with pytest.raises(InputDomainError):
+        count_chained_asm_tm(linear(3, 2), transfer_matrix(2))
+    with pytest.raises(InputDomainError):
+        transfer_matrix(0)

@@ -275,6 +275,21 @@ def test_validate_clips_long_sizes_and_numbers(tmp_path, capsys, text):
     assert "Traceback" not in err and "characters)" in err and len(err.encode()) < 300
 
 
+@pytest.mark.parametrize(
+    "name, says",
+    [
+        ("ice with a 2200-digit n", "not the grid graph's 3999999999"),
+        ("fpl with a 2200-digit n", "fewer than the 1999999999"),
+    ],
+)
+def test_validate_names_edge_counts_beyond_the_str_digit_limit(tmp_path, capsys, name, says):
+    src = tmp_path / "doc.json"
+    src.write_text(LONG_NUMBERS[name], encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and out == "invalid\n"
+    assert says in err and "(4401 characters)" in err and "Exceeds the limit" not in err
+
+
 def test_validate_prints_the_first_20_problems_and_counts_the_rest(tmp_path, capsys):
     with pytest.raises(ValidationError) as info:
         deserialize(ALL_ONES_20)

@@ -105,3 +105,33 @@ def test_formula_oracle_at_spot_checks():
     assert count_placements_brute(circ, max_rooks(circ)) == count_placements_formula(
         circ, max_rooks(circ)
     )
+
+
+def test_construction_normalizes_unsorted_and_duplicated_squares():
+    board = linear(3, 2)
+    want = (Square(1, 1, 2), Square(1, 3, 1), Square(2, 2, 3))
+    for given in (
+        (Square(2, 2, 3), Square(1, 1, 2), Square(1, 3, 1)),  # unsorted
+        (Square(1, 1, 2), Square(1, 3, 1), Square(1, 3, 1), Square(2, 2, 3)),  # a duplicate
+        ((2, 2, 3), (1, 1, 2), (1, 3, 1), (1, 1, 2)),  # plain tuples, both
+        [Square(1, 1, 2), Square(1, 3, 1), Square(2, 2, 3)],  # sorted, but a list
+    ):
+        p = RookPlacement(board, given)
+        assert p.squares == want and all(type(s) is Square for s in p.squares)
+    already = RookPlacement(board, want)
+    assert already.squares == want and already == RookPlacement(board, want[::-1])
+
+
+@pytest.mark.parametrize(
+    "square",
+    [(0, 1, 1), (3, 1, 1), (1, 0, 1), (1, 4, 1), (1, 1, 0), (1, 1, 4)],
+)
+def test_construction_rejects_out_of_range_squares(square):
+    board = linear(3, 2)
+    # sorted Squares (the enumerator's form) and unsorted tuples are both checked
+    for given in (
+        tuple(sorted({Square(1, 2, 2), Square(*square)})),
+        ((2, 3, 3), square),
+    ):
+        with pytest.raises(InputDomainError, match="out of range"):
+            RookPlacement(board, given)

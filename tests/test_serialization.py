@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from chainedboards.asm import (
     split_linear_odd,
 )
 from chainedboards.boards import circular, linear, max_rooks
-from chainedboards.errors import ChainedBoardsError, ParseError, ValidationError
+from chainedboards.errors import ChainedBoardsError, ParseError, ValidationError, clip
 from chainedboards.ice import to_fpl, to_ice
 from chainedboards.matchings import to_matching
 from chainedboards.perms import placement_to_matrices, to_one_line
@@ -353,3 +354,22 @@ def test_parse_errors_quote_short_input_whole():
         deserialize('{"family": "chained-bsm"}')
     with pytest.raises(ParseError, match=r'^shape must be circular, got "linear"$'):
         deserialize('{"family": "fpl", "shape": "linear"}')
+
+
+def test_clip_describes_ints_beyond_the_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("this interpreter converts ints of any length")
+    cases = []  # (value, its decimal text), built without str()
+    for digits in (limit + 1, limit + 2, 2 * limit + 1):
+        cases += [
+            (10 ** (digits - 1), "1" + "0" * (digits - 1)),
+            (10**digits - 1, "9" * digits),
+            (7 * 10 ** (digits - 1) + 12345, "7" + "0" * (digits - 6) + "12345"),
+        ]
+    cases += [(-value, "-" + text) for value, text in cases]
+    for value, text in cases:
+        with pytest.raises(ValueError):
+            str(value)
+        assert clip(value) == f"{text[:40]}… ({len(text)} characters)"
+    assert clip(10**limit, limit=5) == f"10000… ({limit + 1} characters)"

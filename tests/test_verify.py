@@ -4,19 +4,29 @@ import os
 
 import pytest
 
+from chainedboards import asm
 from chainedboards.verify import TABLE_CELLS, VerificationReport, verify_tables
 
 
 def test_default_budget_passes_required_cells():
-    # The skip decisions depend only on the expected counts, so the set is
-    # exact: every cell runs and passes except these three.
+    # The skip decisions depend only on the cells' n, so the set is exact:
+    # under the default budget every cell runs and passes.
     report = verify_tables()
     status = {(r.shape, r.n, r.k): r.status for r in report.records if r.family == "chained-asm"}
-    skipped = {("linear", 4, 2), ("linear", 3, 4), ("circular", 3, 4)}
     assert len(status) == len(TABLE_CELLS)
-    assert {key for key, s in status.items() if s == "skip"} == skipped
-    assert all(s == "pass" for key, s in status.items() if key not in skipped)
-    assert not report.failures
+    assert all(s == "pass" for s in status.values())
+    assert not report.skipped and not report.failures
+
+
+def test_tables_do_not_enumerate(monkeypatch):
+    # the table cells are counted by transfer matrix; the enumerator is
+    # their cross-check in the tests, never part of a verify-tables run
+    def refuse(board):
+        raise AssertionError(f"enumerated {board}")
+
+    monkeypatch.setattr(asm, "enumerate_chained_asm", refuse)
+    report = verify_tables()
+    assert not report.skipped and not report.failures
 
 
 def test_max_filters():

@@ -149,6 +149,9 @@ LONG_NUMBERS = {
     # the edge counts quoted here grow as n^2: a 1500-digit n gives 3000 digits
     "ice with a long n": _doc("ice", shape="circular", n=int("9" * 1500), k=2, orientation={}),
     "fpl with a long n": _doc("fpl", shape="circular", n=int("9" * 1500), k=2, edges=[]),
+    # a 2200-digit n makes those counts longer than str() takes (4300 digits)
+    "ice with a 2200-digit n": _doc("ice", shape="circular", n=int("9" * 2200), k=2, orientation={}),
+    "fpl with a 2200-digit n": _doc("fpl", shape="circular", n=int("9" * 2200), k=2, edges=[]),
     "long matrix entry": _doc("chained-asm", shape="linear", n=1, k=1, matrices=[[[LONG]]]),
     "long one-line entry": _doc("one-line", shape="linear", n=1, k=1, blocks=[[LONG]]),
     "long matching edge": _doc("chain-matching", shape="linear", n=1, k=1, edges=[[LONG, 1, 1]]),
