@@ -11,14 +11,12 @@ from .boards import (
     is_admissible_composition,
     linear,
     max_rooks,
-    maximum_compositions,
 )
 from .counting import (
     classical_asm_count,
     count_max,
     count_max_circular,
     count_max_linear,
-    count_max_linear_multinomial,
     count_placements_formula,
     falling_factorial,
     qtasm_count,
@@ -44,7 +42,6 @@ from .perms import (
 from .matchings import (
     ChainGraph,
     ChainMatching,
-    enumerate_matchings,
     from_matching,
     matching_kind,
     matching_problems,
@@ -57,7 +54,6 @@ from .asm import (
     asm_to_permutation,
     chained_asm_problems,
     concat_circular_k4,
-    count_chained_asm,
     count_chained_asm_tm,
     enumerate_chained_asm,
     fold_qt,
@@ -70,7 +66,6 @@ from .asm import (
 )
 from .triangles import (
     MonotoneTriangleChain,
-    enumerate_mt_chains,
     from_monotone_triangles,
     mt_chain_problems,
     pair_matrices,
@@ -80,8 +75,6 @@ from .ice import (
     FPLConfiguration,
     GridGraph,
     IceConfiguration,
-    enumerate_fpl,
-    enumerate_ice,
     fpl_problems,
     from_fpl,
     from_ice,

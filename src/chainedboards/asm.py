@@ -15,11 +15,13 @@ leans on that form, which is checkable while filling top-down.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
 from .boards import BoardSpec, Composition, Shape, max_rooks, suffix_bound_table
+from .counting import _count_walks
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
 
@@ -191,10 +193,6 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     yield from fill(0, 0, 0, 0, 0, 0)
 
 
-def count_chained_asm(board: BoardSpec) -> int:
-    return sum(1 for _ in enumerate_chained_asm(board))
-
-
 # --- counting by transfer matrix ------------------------------------------
 #
 # An independent method: it shares no search helper with the enumerator
@@ -257,38 +255,25 @@ def transfer_matrix(n: int) -> list[list[int]]:
     return table
 
 
-def count_chained_asm_tm(board: BoardSpec, transfer: list[list[int]] | None = None) -> int:
+@functools.cache
+def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """``T``'s nonzero entries as walk steps ``(s, T[r][s], |s|)`` out of each
+    r, sorted by |s|; built once per n in a process."""
+    return tuple(
+        tuple(sorted(((s, w, s.bit_count()) for s, w in enumerate(row) if w), key=lambda t: t[2]))
+        for row in transfer_matrix(n)
+    )
+
+
+def count_chained_asm_tm(board: BoardSpec) -> int:
     """The number of chained ASMs on ``board``, by a walk over row-sum vectors.
 
     A linear chain starts from the zero vector; a circular chain must end
     where it started (the trace, so circular k = 1 is ``T[r][r]``).  Both
     keep only the walks whose total row-sum weight is ``max_rooks(board)``,
-    condition (3).  ``transfer`` may pass ``transfer_matrix(board.n)`` in,
-    to share one build between boards of the same n.
+    condition (3).
     """
-    n, k = board.n, board.k
-    table = transfer_matrix(n) if transfer is None else transfer
-    if len(table) != 1 << n:
-        raise InputDomainError(f"transfer matrix has {len(table)} rows, not 2^{clip(n)}")
-    target = max_rooks(board)
-    steps = [[(s, w, s.bit_count()) for s, w in enumerate(row) if w] for row in table]
-    count = 0
-    for start in range(len(table)) if board.circular else (0,):
-        walk = {(start, 0): 1}  # (row-sum vector, weight so far) -> chains
-        for _ in range(k):
-            nxt: dict[tuple[int, int], int] = {}
-            for (r, done), chains in walk.items():
-                for s, w, ones in steps[r]:
-                    if done + ones <= target:
-                        key = (s, done + ones)
-                        nxt[key] = nxt.get(key, 0) + chains * w
-            walk = nxt
-        count += sum(
-            chains
-            for (r, done), chains in walk.items()
-            if done == target and (r == start or not board.circular)
-        )
-    return count
+    return _count_walks(_transfer_steps(board.n), board.k, max_rooks(board), board.circular)
 
 
 # --- plain ASMs and the special-case bijections ---------------------------
@@ -461,7 +446,6 @@ __all__ = [
     "permutation_to_asm",
     "asm_to_permutation",
     "enumerate_chained_asm",
-    "count_chained_asm",
     "transfer_matrix",
     "count_chained_asm_tm",
     "plain_asm_problems",

@@ -136,40 +136,6 @@ def is_admissible_composition(board: BoardSpec, parts: Composition) -> bool:
     return True
 
 
-def maximum_compositions(board: BoardSpec) -> Iterator[Composition]:
-    """The compositions of maximum placements, from the closed characterization.
-
-    Linear, k even: (n-j_1, j_1, ..., n-j_{k/2}, j_{k/2}) over weakly
-    increasing 0 <= j_1 <= ... <= j_{k/2} <= n.  Linear, k odd: the single
-    (n, 0, n, ..., 0, n).  Circular, k even: (n-j, j, ..., n-j, j) for
-    0 <= j <= n.  Circular, k odd, n even: all parts n/2.  Circular, both
-    odd: the k cyclic shifts of ((n-1)/2, (n+1)/2, ..., (n+1)/2, (n-1)/2).
-    Emitted in lexicographic order.
-    """
-    n, k = board.n, board.k
-    out: set[Composition] = set()
-    if not board.circular:
-        if k % 2 == 1:
-            comp = []
-            for i in range(k):
-                comp.append(n if i % 2 == 0 else 0)
-            out.add(tuple(comp))
-        else:
-            for js in weakly_increasing(n, k // 2):
-                out.add(tuple(part for j in js for part in (n - j, j)))
-    else:
-        if k % 2 == 0:
-            for j in range(n + 1):
-                out.add((n - j, j) * (k // 2))
-        elif n % 2 == 0:
-            out.add((n // 2,) * k)
-        else:
-            base = [(n - 1) // 2 if i % 2 == 0 else (n + 1) // 2 for i in range(k)]
-            for s in range(k):
-                out.add(tuple(base[(i + s) % k] for i in range(k)))
-    yield from sorted(out)
-
-
 def weakly_increasing(n: int, length: int) -> Iterator[tuple[int, ...]]:
     """All weakly increasing integer chains of the given length in 0..n."""
     chain = [0] * length

@@ -20,7 +20,7 @@ from .asm import (
 )
 from .boards import BoardSpec, Shape, max_rooks
 from .counting import count_max, count_placements_formula
-from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, ValidationError
+from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, ValidationError, clip
 from .ice import from_fpl, from_ice, to_fpl, to_ice
 from .matchings import from_matching, to_matching
 from .perms import from_one_line, placement_to_matrices, to_one_line
@@ -100,7 +100,7 @@ def _cmd_count(args) -> int:
     if args.method == "closed":
         if m != top:
             raise UnsupportedDomainError(
-                f"--method closed counts maximum placements only (m = {top})"
+                f"--method closed counts maximum placements only (m = {clip(top)})"
             )
         value = count_max(board)
     elif args.method == "brute":
@@ -113,7 +113,9 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
-        raise UnsupportedDomainError(f"--limit must be >= 0, got {args.limit}")
+        raise UnsupportedDomainError(f"--limit must be >= 0, got {clip(args.limit)}")
+    if args.m is not None and args.family != "placements":
+        raise UnsupportedDomainError("-m applies to --family placements only")
     board = BoardSpec(Shape(args.shape), args.n, args.k)
     if args.family == "placements":
         m = max_rooks(board) if args.m is None else args.m
@@ -170,6 +172,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
+    if not args.budget_seconds >= 0:  # also false for NaN
+        raise UnsupportedDomainError(f"--budget-seconds must be >= 0, got {args.budget_seconds}")
     report = verify_tables(
         max_n=args.max_n, max_k=args.max_k, budget_seconds=args.budget_seconds
     )
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("verify-tables", help="replay the reference counts")
+    p = sub.add_parser("verify-tables", help="check the paper's table and the closed forms")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=30.0)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .boards import BoardSpec, weakly_increasing
-from .errors import InputDomainError
+from .errors import InputDomainError, clip
 
 
 def falling_factorial(n: int, m: int) -> int:
@@ -26,43 +27,55 @@ def falling_factorial(n: int, m: int) -> int:
     return out
 
 
+def _count_walks(steps: Sequence[Sequence[tuple]], k: int, target: int, circular: bool) -> int:
+    """Weighted k-step walks whose costs sum to ``target``.
+
+    ``steps[r]`` lists the steps ``(s, weight, cost)`` out of state r, sorted
+    by cost.  A linear walk starts from state 0 and may end anywhere; a
+    circular one ends where it started, summed over every start (a trace).
+    The walk is a DP over (state, cost so far) with costs capped at
+    ``target``, so each circular start costs as much as one linear walk.
+    """
+    total = 0
+    for start in range(len(steps)) if circular else (0,):
+        walk = {(start, 0): 1}  # (state, cost so far) -> weighted walks
+        for _ in range(k - 1 if circular else k):
+            nxt: dict[tuple[int, int], int] = {}
+            for (r, done), ways in walk.items():
+                room = target - done
+                for s, weight, cost in steps[r]:
+                    if cost > room:
+                        break
+                    key = (s, done + cost)
+                    nxt[key] = nxt.get(key, 0) + ways * weight
+            walk = nxt
+        if circular:  # the last step returns to the start and meets the target exactly
+            total += sum(
+                ways * weight
+                for (r, done), ways in walk.items()
+                for s, weight, cost in steps[r]
+                if s == start and done + cost == target
+            )
+        else:
+            total += sum(ways for (_, done), ways in walk.items() if done == target)
+    return total
+
+
 def count_placements_formula(board: BoardSpec, m: int) -> int:
     """Number of ways to place m non-attacking rooks on ``board``.
 
     The paper's sum, over the admissible compositions (a_1,...,a_k) of m, of
     the product of C(n - a_{i-1}, a_i) * (n)_{a_i}, with a_0 = 0 (linear) or
-    a_k (circular), evaluated as a transfer DP over (previous part, rooks so
-    far): O(k * n^2 * m) per circular start a_k, instead of one term per
-    composition.
+    a_k (circular), evaluated as a walk over parts: step p -> a has that
+    weight and costs a rooks.  That is O(k * n^2 * m) work per walk, with one
+    walk per circular start a_k, instead of one term per composition.
     """
-    n, k = board.n, board.k
-    if not (0 <= m <= n * k):
-        raise InputDomainError(f"m must be in 0..n*k, got {m}")
-    weight = [[math.comb(n - p, a) * falling_factorial(n, a) for a in range(n - p + 1)]
-              for p in range(n + 1)]
-
-    def paths(start: int, steps: int) -> dict[tuple[int, int], int]:
-        """Weighted paths of ``steps`` parts from part ``start``, keyed by
-        (last part, rooks placed), keeping totals <= m."""
-        ways = {(start, 0): 1}
-        for _ in range(steps):
-            nxt: dict[tuple[int, int], int] = {}
-            for (p, t), w in ways.items():
-                for a in range(min(n - p, m - t) + 1):
-                    key = (a, t + a)
-                    nxt[key] = nxt.get(key, 0) + w * weight[p][a]
-            ways = nxt
-        return ways
-
-    if not board.circular:
-        return sum(w for (_, t), w in paths(0, k).items() if t == m)
-    # fix a_k = c: k - 1 free steps from c, then a closing step that picks c
-    total = 0
-    for c in range(min(n, m) + 1):
-        for (p, t), w in paths(c, k - 1).items():
-            if t + c == m and p + c <= n:
-                total += w * weight[p][c]
-    return total
+    n = board.n
+    if not (0 <= m <= n * board.k):
+        raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
+    steps = [[(a, math.comb(n - p, a) * falling_factorial(n, a), a) for a in range(n - p + 1)]
+             for p in range(n + 1)]
+    return _count_walks(steps, board.k, m, board.circular)
 
 
 def count_max_linear(n: int, k: int) -> int:
@@ -83,22 +96,6 @@ def count_max_linear(n: int, k: int) -> int:
         for j in chain:
             term *= math.comb(n - prev, n - j) * math.comb(n, j)
             prev = j
-        total += term
-    return math.factorial(n) ** (k // 2) * total
-
-
-def count_max_linear_multinomial(n: int, k: int) -> int:
-    """The k-even linear count rewritten with multinomial coefficients."""
-    if n < 1 or k < 1 or k % 2 == 1:
-        raise InputDomainError("defined for n >= 1 and even k >= 2")
-    total = 0
-    for chain in weakly_increasing(n, k // 2):
-        gaps = [n - chain[-1]]
-        gaps.extend(chain[i + 1] - chain[i] for i in reversed(range(len(chain) - 1)))
-        gaps.append(chain[0])
-        term = _multinomial(n, gaps)
-        for j in chain:
-            term *= math.comb(n, j)
         total += term
     return math.factorial(n) ** (k // 2) * total
 
@@ -164,19 +161,10 @@ def qtasm_count(m: int) -> int:
     return total.numerator
 
 
-def _multinomial(n: int, parts: list[int]) -> int:
-    assert sum(parts) == n
-    out = math.factorial(n)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
-
-
 __all__ = [
     "falling_factorial",
     "count_placements_formula",
     "count_max_linear",
-    "count_max_linear_multinomial",
     "count_max_circular",
     "count_max",
     "classical_asm_count",

@@ -292,103 +292,6 @@ def from_fpl(f: FPLConfiguration) -> IceConfiguration:
     return IceConfiguration(f.graph, tuple(heads))
 
 
-def enumerate_ice(n: int, k: int) -> Iterator[IceConfiguration]:
-    """All orientations with chained DWBC and two-in two-out, by direct search."""
-    graph = GridGraph(n, k)
-    edges = graph.edges()
-    interior = set(graph.interior_vertices())
-    indeg: dict[Vertex, int] = {v: 0 for v in interior}
-    outdeg: dict[Vertex, int] = {v: 0 for v in interior}
-    remaining: dict[Vertex, int] = {v: 4 for v in interior}
-    heads: list[Vertex | None] = [None] * len(edges)
-
-    def feasible(v: Vertex) -> bool:
-        if v not in interior:
-            return True
-        return (
-            indeg[v] <= 2
-            and outdeg[v] <= 2
-            and indeg[v] + remaining[v] >= 2
-            and outdeg[v] + remaining[v] >= 2
-        )
-
-    def assign(idx: int) -> Iterator[IceConfiguration]:
-        if idx == len(edges):
-            yield IceConfiguration(graph, tuple(heads))
-            return
-        e = edges[idx]
-        u, v = graph.endpoints(e)
-        forced = _dwbc_head(e)
-        for head in (u, v):
-            if forced is not None and head != forced:
-                continue
-            tail = v if head == u else u
-            heads[idx] = head
-            for w in (u, v):
-                if w in interior:
-                    remaining[w] -= 1
-            if head in interior:
-                indeg[head] += 1
-            if tail in interior:
-                outdeg[tail] += 1
-            if feasible(u) and feasible(v):
-                yield from assign(idx + 1)
-            if head in interior:
-                indeg[head] -= 1
-            if tail in interior:
-                outdeg[tail] -= 1
-            for w in (u, v):
-                if w in interior:
-                    remaining[w] += 1
-        heads[idx] = None
-
-    yield from assign(0)
-
-
-def enumerate_fpl(n: int, k: int) -> Iterator[FPLConfiguration]:
-    """All subgraphs with the FPL boundary pattern and interior degree 2."""
-    graph = GridGraph(n, k)
-    edges = graph.edges()
-    interior = set(graph.interior_vertices())
-    degree: dict[Vertex, int] = {v: 0 for v in interior}
-    remaining: dict[Vertex, int] = {v: 4 for v in interior}
-    chosen: list[EdgeId] = []
-
-    def feasible(v: Vertex) -> bool:
-        if v not in interior:
-            return True
-        return degree[v] <= 2 and degree[v] + remaining[v] >= 2
-
-    def assign(idx: int) -> Iterator[FPLConfiguration]:
-        if idx == len(edges):
-            yield FPLConfiguration(graph, tuple(chosen))
-            return
-        e = edges[idx]
-        u, v = graph.endpoints(e)
-        forced = _fpl_boundary(e)
-        for take in (False, True):
-            if forced is not None and take != forced:
-                continue
-            if take:
-                chosen.append(e)
-            for w in (u, v):
-                if w in interior:
-                    remaining[w] -= 1
-                    if take:
-                        degree[w] += 1
-            if feasible(u) and feasible(v):
-                yield from assign(idx + 1)
-            for w in (u, v):
-                if w in interior:
-                    remaining[w] += 1
-                    if take:
-                        degree[w] -= 1
-            if take:
-                chosen.pop()
-
-    yield from assign(0)
-
-
 __all__ = [
     "GridGraph",
     "IceConfiguration",
@@ -400,6 +303,4 @@ __all__ = [
     "to_fpl",
     "from_fpl",
     "fpl_problems",
-    "enumerate_ice",
-    "enumerate_fpl",
 ]

@@ -116,34 +116,6 @@ def from_matching(m: ChainMatching) -> ChainedPermutation:
     return ChainedPermutation(board, grids)
 
 
-def enumerate_matchings(board: BoardSpec) -> Iterator[ChainMatching]:
-    """All matchings of the chained-permutation size, by direct search."""
-    graph = ChainGraph(board)
-    all_edges = [e for e in graph.edges() if not graph.is_loop(e)]
-    want = max_rooks(board)
-    used: set[Vertex] = set()
-    chosen: list[EdgeId] = []
-
-    def extend(start: int) -> Iterator[ChainMatching]:
-        if len(chosen) == want:
-            yield ChainMatching(graph, tuple(chosen))
-            return
-        if want - len(chosen) > len(all_edges) - start:
-            return
-        for idx in range(start, len(all_edges)):
-            e = all_edges[idx]
-            u, v = graph.endpoints(e)
-            if u in used or v in used:
-                continue
-            used.update((u, v))
-            chosen.append(e)
-            yield from extend(idx + 1)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    yield from extend(0)
-
-
 __all__ = [
     "ChainGraph",
     "ChainMatching",
@@ -151,5 +123,4 @@ __all__ = [
     "matching_problems",
     "to_matching",
     "from_matching",
-    "enumerate_matchings",
 ]

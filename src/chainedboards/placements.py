@@ -20,7 +20,7 @@ from .boards import (
     self_chained,
     suffix_bound_table,
 )
-from .errors import InputDomainError
+from .errors import InputDomainError, clip
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def canonical_placement(board: BoardSpec, comp: Composition) -> RookPlacement:
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     """All valid m-rook placements, each exactly once, in lexicographic order."""
     if not (0 <= m <= board.n * board.k):
-        raise InputDomainError(f"m must be in 0..n*k, got {m}")
+        raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     n, k = board.n, board.k
     circ = board.circular
     suffix_bound = suffix_bound_table(board)

@@ -12,9 +12,7 @@ row of its cyclic predecessor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .asm import ChainedASM, rotate_ccw, rotate_cw
 from .boards import BoardSpec, Shape
@@ -134,45 +132,10 @@ def from_monotone_triangles(t: MonotoneTriangleChain) -> ChainedASM:
     return ChainedASM(BoardSpec(Shape.CIRCULAR, n, t.k), tuple(matrices))
 
 
-def _strict_gt_patterns(n: int) -> Iterator[Triangle]:
-    """Strict Gelfand-Tsetlin patterns of order n with entries in 1..2n,
-    generated from the bottom row up."""
-
-    def rows_above(lower: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        choices = [range(lower[i], lower[i + 1] + 1) for i in range(len(lower) - 1)]
-        for combo in itertools.product(*choices):
-            if all(combo[i] < combo[i + 1] for i in range(len(combo) - 1)):
-                yield combo
-
-    def build(rows: list[tuple[int, ...]]) -> Iterator[Triangle]:
-        if len(rows[-1]) == 1:
-            yield tuple(reversed(rows))
-            return
-        for above in rows_above(rows[-1]):
-            rows.append(above)
-            yield from build(rows)
-            rows.pop()
-
-    for bottom in itertools.combinations(range(1, 2 * n + 1), n):
-        yield from build([bottom])
-
-
-def enumerate_mt_chains(n: int, k: int) -> Iterator[MonotoneTriangleChain]:
-    """All valid chains, independently of the ASM enumeration."""
-    if k < 2 or k % 2 != 0:
-        raise UnsupportedDomainError("chains exist only for even k >= 2")
-    patterns = list(_strict_gt_patterns(n))
-    for combo in itertools.product(patterns, repeat=k // 2):
-        chain = MonotoneTriangleChain(n, k, combo)
-        if not mt_chain_problems(chain):
-            yield chain
-
-
 __all__ = [
     "MonotoneTriangleChain",
     "pair_matrices",
     "to_monotone_triangles",
     "from_monotone_triangles",
     "mt_chain_problems",
-    "enumerate_mt_chains",
 ]

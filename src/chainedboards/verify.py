@@ -1,11 +1,12 @@
-"""Verification harness: replays the reference enumeration counts and the
-closed-form identities, with a time budget for the expensive cells.
+"""Verification harness: checks the paper's table of chained-ASM counts by
+transfer matrix, without enumerating them, and the rook-placement formula
+against closed forms and brute force, under a time budget.
 
 Each check becomes one record; the report serializes as TSV with columns
 family, shape, n, k, m, expected, actual, source, status, seconds.  A cell
 whose estimated cost exceeds the remaining budget is skipped loudly rather
 than run.  The chained-ASM cells are counted by transfer matrix, built
-once per n within a call.  A cell's estimate is a fixed function of its n
+once per n in a process.  A cell's estimate is a fixed function of its n
 that bounds the work of that build, at a nominal rate times a safety
 factor, and every cell that runs is charged its estimate, so the run/skip
 decisions depend only on the arguments, never on the machine's speed or
@@ -17,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .asm import count_chained_asm_tm, transfer_matrix
+from .asm import count_chained_asm_tm
 from .boards import BoardSpec, Shape, circular, linear, max_rooks
 from .counting import count_max, count_placements_formula
 from .placements import count_placements_brute
@@ -138,13 +139,6 @@ def verify_tables(
 ) -> VerificationReport:
     records = []
     left = budget_seconds
-    transfers: dict[int, list[list[int]]] = {}
-
-    def count_tm(board: BoardSpec) -> int:
-        if board.n not in transfers:
-            transfers[board.n] = transfer_matrix(board.n)
-        return count_chained_asm_tm(board, transfers[board.n])
-
     for board, expected in TABLE_CELLS:
         if (max_n is not None and board.n > max_n) or (max_k is not None and board.k > max_k):
             continue
@@ -159,7 +153,7 @@ def verify_tables(
             continue
         left -= estimate
         records.append(
-            _check("chained-asm", board, "paper-table", expected, lambda: count_tm(board))
+            _check("chained-asm", board, "paper-table", expected, lambda: count_chained_asm_tm(board))
         )
 
     for shape in (linear, circular):

@@ -1,16 +1,33 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations that only the tests use, one oracle per line:
 
-``admissible_compositions`` walks every admissible composition of ``m``
-explicitly, so the transfer DP in ``count_placements_formula`` can be checked
-against it term by term.
+- ``admissible_compositions``: every admissible composition, for ``count_placements_formula``;
+- ``maximum_compositions``: the paper's closed characterization of the maximum compositions;
+- ``count_max_linear_multinomial``: the paper's multinomial form of ``count_max_linear``;
+- ``count_chained_asm``: enumeration, for the paper's table and ``count_chained_asm_tm``;
+- ``enumerate_matchings``: a chain-graph search, for the chained-permutation counts;
+- ``enumerate_mt_chains``: Gelfand-Tsetlin pattern chains, for ``to_monotone_triangles``;
+- ``enumerate_ice``: a grid-graph orientation search, for ``to_ice``;
+- ``enumerate_fpl``: a grid-graph subgraph search, for ``to_fpl``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import itertools
+import math
+from typing import Callable, Iterator
 
-from chainedboards.boards import BoardSpec, Composition
-from chainedboards.errors import InputDomainError
+from chainedboards.asm import enumerate_chained_asm
+from chainedboards.boards import BoardSpec, Composition, max_rooks, weakly_increasing
+from chainedboards.errors import InputDomainError, UnsupportedDomainError
+from chainedboards.ice import (
+    FPLConfiguration,
+    GridGraph,
+    IceConfiguration,
+    _dwbc_head,
+    _fpl_boundary,
+)
+from chainedboards.matchings import ChainGraph, ChainMatching, EdgeId
+from chainedboards.triangles import MonotoneTriangleChain, Triangle, mt_chain_problems
 
 
 def admissible_compositions(board: BoardSpec, m: int) -> Iterator[Composition]:
@@ -49,3 +66,180 @@ def admissible_compositions(board: BoardSpec, m: int) -> Iterator[Composition]:
             parts.pop()
     else:
         yield from extend(0, 0, m)
+
+
+def maximum_compositions(board: BoardSpec) -> Iterator[Composition]:
+    """The compositions of maximum placements, from the closed characterization.
+
+    Linear, k even: (n-j_1, j_1, ..., n-j_{k/2}, j_{k/2}) over weakly
+    increasing 0 <= j_1 <= ... <= j_{k/2} <= n.  Linear, k odd: the single
+    (n, 0, n, ..., 0, n).  Circular, k even: (n-j, j, ..., n-j, j) for
+    0 <= j <= n.  Circular, k odd, n even: all parts n/2.  Circular, both
+    odd: the k cyclic shifts of ((n-1)/2, (n+1)/2, ..., (n+1)/2, (n-1)/2).
+    Emitted in lexicographic order.
+    """
+    n, k = board.n, board.k
+    out: set[Composition] = set()
+    if not board.circular:
+        if k % 2 == 1:
+            out.add(tuple(n if i % 2 == 0 else 0 for i in range(k)))
+        else:
+            for js in weakly_increasing(n, k // 2):
+                out.add(tuple(part for j in js for part in (n - j, j)))
+    elif k % 2 == 0:
+        for j in range(n + 1):
+            out.add((n - j, j) * (k // 2))
+    elif n % 2 == 0:
+        out.add((n // 2,) * k)
+    else:
+        base = [(n - 1) // 2 if i % 2 == 0 else (n + 1) // 2 for i in range(k)]
+        for s in range(k):
+            out.add(tuple(base[(i + s) % k] for i in range(k)))
+    yield from sorted(out)
+
+
+def count_max_linear_multinomial(n: int, k: int) -> int:
+    """The k-even linear count rewritten with multinomial coefficients."""
+    if n < 1 or k < 1 or k % 2 == 1:
+        raise InputDomainError("defined for n >= 1 and even k >= 2")
+    total = 0
+    for chain in weakly_increasing(n, k // 2):
+        gaps = [n - chain[-1]]
+        gaps.extend(chain[i + 1] - chain[i] for i in reversed(range(len(chain) - 1)))
+        gaps.append(chain[0])
+        term = _multinomial(n, gaps)
+        for j in chain:
+            term *= math.comb(n, j)
+        total += term
+    return math.factorial(n) ** (k // 2) * total
+
+
+def _multinomial(n: int, parts: list[int]) -> int:
+    assert sum(parts) == n
+    out = math.factorial(n)
+    for p in parts:
+        out //= math.factorial(p)
+    return out
+
+
+def count_chained_asm(board: BoardSpec) -> int:
+    return sum(1 for _ in enumerate_chained_asm(board))
+
+
+def enumerate_matchings(board: BoardSpec) -> Iterator[ChainMatching]:
+    """All matchings of the chained-permutation size, by direct search."""
+    graph = ChainGraph(board)
+    all_edges = [e for e in graph.edges() if not graph.is_loop(e)]
+    want = max_rooks(board)
+    used: set[tuple[int, int]] = set()
+    chosen: list[EdgeId] = []
+
+    def extend(start: int) -> Iterator[ChainMatching]:
+        if len(chosen) == want:
+            yield ChainMatching(graph, tuple(chosen))
+            return
+        if want - len(chosen) > len(all_edges) - start:
+            return
+        for idx in range(start, len(all_edges)):
+            e = all_edges[idx]
+            u, v = graph.endpoints(e)
+            if u in used or v in used:
+                continue
+            used.update((u, v))
+            chosen.append(e)
+            yield from extend(idx + 1)
+            chosen.pop()
+            used.difference_update((u, v))
+
+    yield from extend(0)
+
+
+def _strict_gt_patterns(n: int) -> Iterator[Triangle]:
+    """Strict Gelfand-Tsetlin patterns of order n with entries in 1..2n,
+    generated from the bottom row up."""
+
+    def rows_above(lower: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        choices = [range(lower[i], lower[i + 1] + 1) for i in range(len(lower) - 1)]
+        for combo in itertools.product(*choices):
+            if all(combo[i] < combo[i + 1] for i in range(len(combo) - 1)):
+                yield combo
+
+    def build(rows: list[tuple[int, ...]]) -> Iterator[Triangle]:
+        if len(rows[-1]) == 1:
+            yield tuple(reversed(rows))
+            return
+        for above in rows_above(rows[-1]):
+            rows.append(above)
+            yield from build(rows)
+            rows.pop()
+
+    for bottom in itertools.combinations(range(1, 2 * n + 1), n):
+        yield from build([bottom])
+
+
+def enumerate_mt_chains(n: int, k: int) -> Iterator[MonotoneTriangleChain]:
+    """All valid chains, independently of the ASM enumeration."""
+    if k < 2 or k % 2 != 0:
+        raise UnsupportedDomainError("chains exist only for even k >= 2")
+    patterns = list(_strict_gt_patterns(n))
+    for combo in itertools.product(patterns, repeat=k // 2):
+        chain = MonotoneTriangleChain(n, k, combo)
+        if not mt_chain_problems(chain):
+            yield chain
+
+
+def _two_marks_each(graph: GridGraph, options: Callable) -> Iterator[list]:
+    """Every choice of one option per edge, in edge order, that marks each
+    interior vertex exactly twice, as one reused list; ``options(e, u, v)``
+    lists e's options in search order as (what e records, vertices it marks)."""
+    edges = graph.edges()
+    marks = {v: 0 for v in graph.interior_vertices()}
+    left = {v: 4 for v in marks}  # incident edges not yet decided
+    picked: list = []
+
+    def assign(idx: int) -> Iterator[list]:
+        if idx == len(edges):
+            yield picked
+            return
+        u, v = graph.endpoints(edges[idx])
+        ends = [w for w in (u, v) if w in marks]
+        for w in ends:
+            left[w] -= 1
+        for value, marked in options(edges[idx], u, v):
+            hits = [w for w in marked if w in marks]
+            for w in hits:
+                marks[w] += 1
+            if all(marks[w] <= 2 <= marks[w] + left[w] for w in ends):
+                picked.append(value)
+                yield from assign(idx + 1)
+                picked.pop()
+            for w in hits:
+                marks[w] -= 1
+        for w in ends:
+            left[w] += 1
+
+    yield from assign(0)
+
+
+def enumerate_ice(n: int, k: int) -> Iterator[IceConfiguration]:
+    """All orientations with chained DWBC and two-in two-out: an edge marks its head."""
+    graph = GridGraph(n, k)
+
+    def heads(e, u, v):
+        return [(h, (h,)) for h in (u, v) if _dwbc_head(e) in (None, h)]
+
+    for picked in _two_marks_each(graph, heads):
+        yield IceConfiguration(graph, tuple(picked))
+
+
+def enumerate_fpl(n: int, k: int) -> Iterator[FPLConfiguration]:
+    """All subgraphs with the FPL boundary pattern and interior degree 2: a
+    chosen edge marks both its ends."""
+    graph = GridGraph(n, k)
+
+    def takes(e, u, v):
+        skip, take = (None, ()), (e, (u, v))
+        return {None: [skip, take], False: [skip], True: [take]}[_fpl_boundary(e)]
+
+    for picked in _two_marks_each(graph, takes):
+        yield FPLConfiguration(graph, tuple(e for e in picked if e))

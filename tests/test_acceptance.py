@@ -12,7 +12,6 @@ from chainedboards.asm import (
     ChainedASM,
     chained_asm_problems,
     concat_circular_k4,
-    count_chained_asm,
     enumerate_chained_asm,
     fold_qt,
     join_linear_odd,
@@ -27,7 +26,6 @@ from chainedboards.counting import (
     classical_asm_count,
     count_max_circular,
     count_max_linear,
-    count_max_linear_multinomial,
     count_placements_formula,
     qtasm_count,
 )
@@ -56,6 +54,7 @@ from chainedboards.triangles import (
     mt_chain_problems,
     to_monotone_triangles,
 )
+from tests.reference import count_chained_asm, count_max_linear_multinomial
 from tests.worked_examples import (
     ONE_LINE_54,
     ONE_LINE_46,

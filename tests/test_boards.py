@@ -11,11 +11,10 @@ from chainedboards.boards import (
     is_admissible_composition,
     linear,
     max_rooks,
-    maximum_compositions,
 )
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import canonical_placement, placement_problems
-from tests.reference import admissible_compositions
+from tests.reference import admissible_compositions, maximum_compositions
 
 ALL_SMALL = [
     ctor(n, k)

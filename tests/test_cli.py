@@ -290,6 +290,42 @@ def test_validate_names_edge_counts_beyond_the_str_digit_limit(tmp_path, capsys,
     assert says in err and "(4401 characters)" in err and "Exceeds the limit" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # the maximum rook count of a 4300-digit n has 4301 digits, beyond str's limit
+        (["count", "--shape", "linear", "-n", "9" * 4300, "-k", "3", "--method", "closed", "-m", "1"], 2),
+        (["count", "--shape", "linear", "-n", "2", "-k", "2", "-m", "9" * 4000], 1),
+        (["enumerate", "--family", "asm", "--shape", "linear", "-n", "2", "-k", "2", "--limit", "-" + "9" * 4000], 2),
+    ],
+    ids=["closed with a 4300-digit n", "4000-digit m", "4000-digit negative limit"],
+)
+def test_cli_clips_long_numbers_it_echoes(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == want and out == ""
+    assert "Traceback" not in err and "characters)" in err and len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("family", ["asm", "perms"])
+def test_enumerate_m_is_a_usage_error_outside_placements(capsys, family):
+    code, out, err = run(
+        capsys, "enumerate", "--family", family, "--shape", "linear", "-n", "2", "-k", "2",
+        "-m", "1", "--limit", "1",
+    )
+    assert code == 2 and out == "" and "-m applies to --family placements only" in err
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1", "-inf"])
+def test_verify_tables_rejects_a_nan_or_negative_budget(capsys, budget):
+    code, out, err = run(capsys, "verify-tables", "--max-n", "1", "--budget-seconds", budget)
+    assert code == 2 and out == "" and "--budget-seconds" in err
+
+
+def test_verify_tables_runs_every_cell_on_an_infinite_budget(capsys):
+    code, out, err = run(capsys, "verify-tables", "--max-n", "1", "--budget-seconds", "inf")
+    assert code == 0 and err == "" and "\tskip\t" not in out
+
+
 def test_validate_prints_the_first_20_problems_and_counts_the_rest(tmp_path, capsys):
     with pytest.raises(ValidationError) as info:
         deserialize(ALL_ONES_20)

@@ -4,21 +4,23 @@ import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
+    _count_walks,
     classical_asm_count,
     count_max,
     count_max_circular,
     count_max_linear,
-    count_max_linear_multinomial,
     count_placements_formula,
     falling_factorial,
     qtasm_count,
 )
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import count_placements_brute
-from tests.reference import admissible_compositions
+from tests.reference import admissible_compositions, count_max_linear_multinomial
 
 
 def test_falling_factorial():
@@ -87,6 +89,32 @@ def test_transfer_dp_on_boards_the_walk_cannot_finish():
     big = linear(8, 12)
     assert count_placements_formula(big, max_rooks(big)) == count_max(big)
     assert count_placements_formula(big, 40) == linear_suffix_sum(8, 12, 40)
+
+
+@st.composite
+def step_tables(draw):
+    """Up to 4 states, each with up to 5 steps (s, weight, cost), parallel
+    steps allowed, sorted by cost as ``_count_walks`` requires."""
+    states = draw(st.integers(1, 4))
+    step = st.tuples(st.integers(0, states - 1), st.integers(0, 3), st.integers(0, 2))
+    return [sorted(draw(st.lists(step, max_size=5)), key=lambda t: t[2]) for _ in range(states)]
+
+
+def brute_walks(steps, k, target, circular):
+    """Every k-step sequence from each start, listed one by one."""
+    total = 0
+    for start in range(len(steps)) if circular else (0,):
+        walks = [(start, 1, 0)]  # (state, weight product, cost sum)
+        for _ in range(k):
+            walks = [(s, w * weight, c + cost) for r, w, c in walks for s, weight, cost in steps[r]]
+        total += sum(w for r, w, c in walks if c == target and (r == start or not circular))
+    return total
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(step_tables(), st.integers(1, 4), st.integers(0, 9), st.booleans())
+def test_count_walks_matches_every_step_sequence(steps, k, target, circular):
+    assert _count_walks(steps, k, target, circular) == brute_walks(steps, k, target, circular)
 
 
 def test_formula_rejects_m_outside_range():

@@ -9,8 +9,6 @@ from chainedboards.ice import (
     FPLConfiguration,
     GridGraph,
     IceConfiguration,
-    enumerate_fpl,
-    enumerate_ice,
     fpl_problems,
     from_fpl,
     from_ice,
@@ -19,6 +17,7 @@ from chainedboards.ice import (
     to_ice,
     vertex_parity,
 )
+from tests.reference import enumerate_fpl, enumerate_ice
 from tests.worked_examples import WORKED_46
 
 

@@ -4,7 +4,6 @@ from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import count_max
 from chainedboards.matchings import (
     ChainGraph,
-    enumerate_matchings,
     from_matching,
     matching_kind,
     matching_problems,
@@ -12,6 +11,7 @@ from chainedboards.matchings import (
 )
 from chainedboards.perms import from_one_line, parse_one_line, placement_to_matrices
 from chainedboards.placements import enumerate_placements
+from tests.reference import enumerate_matchings
 
 
 def max_perms(board):

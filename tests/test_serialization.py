@@ -193,7 +193,12 @@ def test_every_family_is_checked_by_one_exported_problems_function():
     by_name = {f.name: f for f in FAMILIES}
     assert by_name["chained-permutation"].problems is by_name["chained-asm"].problems
     assert not [name for name in chainedboards.__all__ if name.startswith("validate_")]
-    gone = ("chained_permutation_problems", "build_chain_graph", "build_grid_graph", "matching_size")
+    gone = (
+        "chained_permutation_problems", "build_chain_graph", "build_grid_graph", "matching_size",
+        # test-only oracles, now in tests/reference.py
+        "enumerate_ice", "enumerate_fpl", "enumerate_mt_chains", "enumerate_matchings",
+        "count_max_linear_multinomial", "maximum_compositions", "count_chained_asm",
+    )
     assert not [name for name in gone if hasattr(chainedboards, name)]
 
 

@@ -9,13 +9,13 @@ from chainedboards.perms import placement_to_matrices
 from chainedboards.placements import enumerate_placements
 from chainedboards.triangles import (
     MonotoneTriangleChain,
-    enumerate_mt_chains,
     from_monotone_triangles,
     mt_chain_problems,
     pair_matrices,
     to_monotone_triangles,
 )
 
+from tests.reference import enumerate_mt_chains
 from tests.worked_examples import WORKED_46, WORKED_TRIANGLES
 
 

