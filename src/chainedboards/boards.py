@@ -4,9 +4,12 @@ A board is ``k`` copies of an ``n x n`` chessboard chained together so that
 row ``j`` of board ``i-1`` attacks column ``j`` of board ``i``.  In the
 linear configuration the chain is open (board 0 is empty); in the circular
 configuration board 0 is identified with board ``k``, so the chain closes.
-Circular ``k = 1`` chains a board to itself (its diagonal squares are
-self-attacking) and circular ``k = 2`` applies both chainings between the
-two boards.
+
+The whole rule is :func:`rook_lines`: a rook holds two lines, its row and
+the row of the board before it that its column continues, and two rooks
+attack exactly when they share a line.  Circular ``k = 1`` chains a board
+to itself, so a diagonal square's two lines coincide (it self-attacks);
+circular ``k = 2`` applies both chainings between the two boards.
 
 Every placement of non-attacking rooks induces a composition
 ``(a_1, ..., a_k)`` of per-board rook counts; a composition arises from some
@@ -80,36 +83,33 @@ def check_square(board: BoardSpec, s: Square) -> None:
         )
 
 
-def _chains_into(board: BoardSpec, s: Square, t: Square) -> bool:
-    """True if s sits on the board preceding t's board and s.row == t.col.
+Line = tuple[int, int]  # (board, row); board 0 is the empty board of a linear chain
 
-    A rook in row j of board i-1 attacks column j of board i; circularly,
-    board 0 is board k, so for k = 1 a board precedes itself.
+
+def rook_lines(board: BoardSpec, s: tuple[int, int, int]) -> tuple[Line, Line]:
+    """The two lines a rook on square ``s`` = (board, row, col) holds: row
+    ``row`` of its own board, and row ``col`` of the board before it, which
+    its column continues.
+
+    Board ``b - 1`` comes before board ``b``; before board 1 comes board
+    ``k`` when the chain is circular and the empty board 0 when it is
+    linear.  Two rooks attack exactly when they share a line, and a rook
+    whose two lines coincide (circular k = 1, on the diagonal) attacks
+    itself.  No range check: callers check ``s`` first.
     """
-    if board.circular:
-        follows = t.board == s.board % board.k + 1
-    else:
-        follows = t.board == s.board + 1
-    return follows and s.row == t.col
-
-
-def self_chained(board: BoardSpec, s: Square) -> bool:
-    """True when the chaining relation makes ``s`` attack itself (circular k=1 diagonal)."""
-    return _chains_into(board, s, s)
+    b, row, col = s
+    before = board.k if board.circular and b == 1 else b - 1
+    return (b, row), (before, col)
 
 
 def attacks(board: BoardSpec, s: Square, t: Square) -> bool:
-    """Whether two squares attack each other on ``board``.
+    """Whether two squares attack each other on ``board``: they share a line.
 
-    Symmetric.  Note attacks(board, s, s) is trivially true (a square shares
-    its own row); use :func:`self_chained` to test the circular k=1 diagonal
-    self-attack specifically.
+    Symmetric, and attacks(board, s, s) is true.
     """
     check_square(board, s)
     check_square(board, t)
-    if s.board == t.board and (s.row == t.row or s.col == t.col):
-        return True
-    return _chains_into(board, s, t) or _chains_into(board, t, s)
+    return not set(rook_lines(board, s)).isdisjoint(rook_lines(board, t))
 
 
 def max_rooks(board: BoardSpec) -> int:
@@ -134,21 +134,6 @@ def is_admissible_composition(board: BoardSpec, parts: Composition) -> bool:
             return False
         prev = a
     return True
-
-
-def weakly_increasing(n: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All weakly increasing integer chains of the given length in 0..n."""
-    chain = [0] * length
-
-    def extend(pos: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if pos == length:
-            yield tuple(chain)
-            return
-        for j in range(lo, n + 1):
-            chain[pos] = j
-            yield from extend(pos + 1, j)
-
-    yield from extend(0, 0)
 
 
 def suffix_bound_table(board: BoardSpec) -> list[list[list[int]]]:

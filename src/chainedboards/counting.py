@@ -7,11 +7,12 @@ rational and asserted integral.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from .boards import BoardSpec, weakly_increasing
+from .boards import BoardSpec
 from .errors import InputDomainError, clip
 
 
@@ -19,12 +20,7 @@ def falling_factorial(n: int, m: int) -> int:
     """(n)_m = n (n-1) ... (n-m+1); 1 when m = 0, 0 when m > n."""
     if n < 0 or m < 0:
         raise InputDomainError("falling_factorial needs nonnegative arguments")
-    out = 1
-    for i in range(m):
-        out *= n - i
-        if out == 0:
-            return 0
-    return out
+    return math.perm(n, m)
 
 
 def _count_walks(steps: Sequence[Sequence[tuple]], k: int, target: int, circular: bool) -> int:
@@ -90,7 +86,7 @@ def count_max_linear(n: int, k: int) -> int:
     if k % 2 == 1:
         return math.factorial(n) ** ((k + 1) // 2)
     total = 0
-    for chain in weakly_increasing(n, k // 2):
+    for chain in itertools.combinations_with_replacement(range(n + 1), k // 2):
         prev = 0
         term = 1
         for j in chain:

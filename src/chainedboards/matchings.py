@@ -8,7 +8,10 @@ circular identification never merges edges: k = 2 keeps parallel edges
 and k = 1 keeps loops (which no matching may use).
 
 A 1 at (i, j) of matrix l corresponds to the edge (l, i, j); matchings of
-the right size are exactly the chained permutations.
+the right size are exactly the chained permutations.  The vertices are the
+rooks' lines: the edge (l, i, j) joins the two lines a rook on square
+(l, i, j) holds (``boards.rook_lines``), so two rooks attack exactly when
+their edges share a vertex.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import BoardSpec, max_rooks
+from .boards import BoardSpec, max_rooks, rook_lines
 from .errors import InputDomainError, ValidationError, clip
 from .perms import ChainedPermutation
 
@@ -47,10 +50,7 @@ class ChainGraph:
         l, i, j = edge
         if not (1 <= l <= self.board.k and 1 <= i <= self.board.n and 1 <= j <= self.board.n):
             raise InputDomainError(f"edge {clip(edge)} out of range")
-        below = l - 1
-        if self.board.circular and below == 0:
-            below = self.board.k
-        return ((l, i), (below, j))
+        return rook_lines(self.board, edge)  # the edge (l, i, j) is the square (l, i, j)
 
     def is_loop(self, edge: EdgeId) -> bool:
         u, v = self.endpoints(edge)

@@ -14,10 +14,9 @@ from .boards import (
     BoardSpec,
     Composition,
     Square,
-    attacks,
     check_square,
     is_admissible_composition,
-    self_chained,
+    rook_lines,
     suffix_bound_table,
 )
 from .errors import InputDomainError, clip
@@ -60,16 +59,14 @@ class RookPlacement:
 
 
 def placement_problems(p: RookPlacement) -> list[str]:
-    """``["placement has attacking rooks"]`` if a pair of rooks attacks or a
-    rook self-attacks; empty = valid."""
-    squares = p.squares
-    for s in squares:
-        if self_chained(p.board, s):
-            return ["placement has attacking rooks"]
-    for i, s in enumerate(squares):
-        for t in squares[i + 1 :]:
-            if attacks(p.board, s, t):
+    """``["placement has attacking rooks"]`` if two rooks share a line (or
+    one rook's two lines coincide); empty = valid."""
+    held = set()
+    for s in p.squares:
+        for line in rook_lines(p.board, s):
+            if line in held:
                 return ["placement has attacking rooks"]
+            held.add(line)
     return []
 
 
@@ -101,35 +98,26 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     circ = board.circular
     suffix_bound = suffix_bound_table(board)
 
-    rows = [set() for _ in range(k + 1)]  # rows occupied per board, 1-based
-    cols = [set() for _ in range(k + 1)]
+    # each row's squares with their two lines, worked out once; a square
+    # whose two lines coincide attacks itself and is left out
+    cells: dict[tuple[int, int], list] = {}
+    for s in board.squares():
+        row_line, col_line = rook_lines(board, s)
+        if row_line != col_line:
+            cells.setdefault((s.board, s.row), []).append((s, row_line, col_line))
+    held: set = set()  # the lines of the rooks placed so far
+    counts = [0] * (k + 1)  # rooks per board, 1-based; board 0 stays empty
     chosen: list[Square] = []
-
-    def can_place(b: int, r: int, c: int) -> bool:
-        if r in rows[b] or c in cols[b]:
-            return False
-        if b > 1 and c in rows[b - 1]:
-            return False
-        if circ:
-            if b == 1 and c in rows[k]:  # only bites when k == 1
-                return False
-            if b == k and r in cols[1]:
-                return False
-            if k == 1 and r == c:
-                return False
-        return True
 
     def capacity(b: int, r: int) -> int:
         """Upper bound on rooks still placeable from board b, row r on."""
-        cur = len(rows[b])
-        room = n - r + 1
-        prev_count = len(rows[b - 1]) if b > 1 else 0
-        room = min(room, n - prev_count - cur)
+        cur = counts[b]
+        room = min(n - r + 1, n - counts[b - 1] - cur)
         if circ and b == k:
-            room = min(room, n - len(cols[1]) - cur)
+            room = min(room, n - counts[1] - cur)
         room = max(room, 0)
         # bounding room and the suffix independently keeps this an over-estimate
-        later = suffix_bound[b + 1][cur][len(rows[1]) if circ else 0]
+        later = suffix_bound[b + 1][cur][counts[1] if circ else 0]
         return room + later
 
     def walk(b: int, r: int, placed: int) -> Iterator[RookPlacement]:
@@ -142,15 +130,18 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
         if r > n:
             yield from walk(b + 1, 1, placed)
             return
-        for c in range(1, n + 1):
-            if can_place(b, r, c):
-                rows[b].add(r)
-                cols[b].add(c)
-                chosen.append(Square(b, r, c))
-                yield from walk(b, r + 1, placed + 1)
-                chosen.pop()
-                cols[b].discard(c)
-                rows[b].discard(r)
+        for s, row_line, col_line in cells.get((b, r), ()):
+            if row_line in held or col_line in held:
+                continue
+            held.add(row_line)
+            held.add(col_line)
+            counts[b] += 1
+            chosen.append(s)
+            yield from walk(b, r + 1, placed + 1)
+            chosen.pop()
+            counts[b] -= 1
+            held.discard(col_line)
+            held.discard(row_line)
         yield from walk(b, r + 1, placed)
 
     yield from walk(1, 1, 0)

@@ -65,54 +65,29 @@ def _triangles_ascii(t: MonotoneTriangleChain) -> str:
     return "\n".join(blocks) + "\n"
 
 
+def _dot(kind: str, name: str, vertices, edges) -> str:
+    """Graphviz text for a ``graph`` or ``digraph``; edges are (tail, head, attributes)."""
+    arrow = "->" if kind == "digraph" else "--"
+    lines = [f"{kind} {name} {{"]
+    lines.extend(f'  "{v}";' for v in vertices)
+    lines.extend(f'  "{u}" {arrow} "{v}" [{attrs}];' for u, v, attrs in edges)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _chain_graph_dot(g: ChainGraph, matched: frozenset) -> str:
-    lines = ["graph chain {"]
-    for v in g.vertices():
-        lines.append(f'  "{v[0]}:{v[1]}";')
-    for e in g.edges():
+    def edge(e):
         u, v = g.endpoints(e)
-        attrs = [f'label="{e[0]},{e[1]},{e[2]}"']
-        if e in matched:
-            attrs.append("style=bold")
-        lines.append(f'  "{u[0]}:{u[1]}" -- "{v[0]}:{v[1]}" [{", ".join(attrs)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        bold = ", style=bold" if e in matched else ""
+        return f"{u[0]}:{u[1]}", f"{v[0]}:{v[1]}", f'label="{e[0]},{e[1]},{e[2]}"{bold}'
+
+    return _dot("graph", "chain", (f"{r}:{i}" for r, i in g.vertices()), map(edge, g.edges()))
 
 
-def _grid_graph_dot(g: GridGraph) -> str:
-    lines = ["graph grid {"]
-    for v in g.vertices():
-        lines.append(f'  "{vertex_to_str(v)}";')
-    for e in g.edges():
-        u, v = g.endpoints(e)
-        lines.append(f'  "{vertex_to_str(u)}" -- "{vertex_to_str(v)}" [label="{edge_to_str(e)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _ice_dot(c: IceConfiguration) -> str:
-    lines = ["digraph ice {"]
-    for v in c.graph.vertices():
-        lines.append(f'  "{vertex_to_str(v)}";')
-    for e in c.graph.edges():
-        head = c.head(e)
-        tail = c.tail(e)
-        lines.append(
-            f'  "{vertex_to_str(tail)}" -> "{vertex_to_str(head)}" [label="{edge_to_str(e)}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _fpl_dot(f: FPLConfiguration) -> str:
-    lines = ["graph fpl {"]
-    for v in f.graph.vertices():
-        lines.append(f'  "{vertex_to_str(v)}";')
-    for e in f.chosen:
-        u, v = f.graph.endpoints(e)
-        lines.append(f'  "{vertex_to_str(u)}" -- "{vertex_to_str(v)}" [label="{edge_to_str(e)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _grid_dot(kind: str, name: str, g: GridGraph, edges, ends) -> str:
+    """Grid-graph vertices and ``edges`` (between ``ends(e)``), by their wire ids."""
+    labelled = ((*map(vertex_to_str, ends(e)), f'label="{edge_to_str(e)}"') for e in edges)
+    return _dot(kind, name, map(vertex_to_str, g.vertices()), labelled)
 
 
 _RENDERERS = {
@@ -125,9 +100,13 @@ _RENDERERS = {
     (MonotoneTriangleChain, "ascii"): _triangles_ascii,
     (ChainGraph, "dot"): lambda g: _chain_graph_dot(g, matched=frozenset()),
     (ChainMatching, "dot"): lambda m: _chain_graph_dot(m.graph, matched=frozenset(m.edges)),
-    (GridGraph, "dot"): _grid_graph_dot,
-    (IceConfiguration, "dot"): _ice_dot,
-    (FPLConfiguration, "dot"): _fpl_dot,
+    (GridGraph, "dot"): lambda g: _grid_dot("graph", "grid", g, g.edges(), g.endpoints),
+    (IceConfiguration, "dot"): lambda c: _grid_dot(
+        "digraph", "ice", c.graph, c.graph.edges(), lambda e: (c.tail(e), c.head(e))
+    ),
+    (FPLConfiguration, "dot"): lambda f: _grid_dot(
+        "graph", "fpl", f.graph, f.chosen, f.graph.endpoints
+    ),
 }
 
 __all__ = ["render"]

@@ -17,7 +17,7 @@ import math
 from typing import Callable, Iterator
 
 from chainedboards.asm import enumerate_chained_asm
-from chainedboards.boards import BoardSpec, Composition, max_rooks, weakly_increasing
+from chainedboards.boards import BoardSpec, Composition, max_rooks
 from chainedboards.errors import InputDomainError, UnsupportedDomainError
 from chainedboards.ice import (
     FPLConfiguration,
@@ -84,7 +84,7 @@ def maximum_compositions(board: BoardSpec) -> Iterator[Composition]:
         if k % 2 == 1:
             out.add(tuple(n if i % 2 == 0 else 0 for i in range(k)))
         else:
-            for js in weakly_increasing(n, k // 2):
+            for js in itertools.combinations_with_replacement(range(n + 1), k // 2):
                 out.add(tuple(part for j in js for part in (n - j, j)))
     elif k % 2 == 0:
         for j in range(n + 1):
@@ -103,7 +103,7 @@ def count_max_linear_multinomial(n: int, k: int) -> int:
     if n < 1 or k < 1 or k % 2 == 1:
         raise InputDomainError("defined for n >= 1 and even k >= 2")
     total = 0
-    for chain in weakly_increasing(n, k // 2):
+    for chain in itertools.combinations_with_replacement(range(n + 1), k // 2):
         gaps = [n - chain[-1]]
         gaps.extend(chain[i + 1] - chain[i] for i in reversed(range(len(chain) - 1)))
         gaps.append(chain[0])

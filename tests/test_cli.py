@@ -348,3 +348,24 @@ def test_print_problems_cap_boundary(capsys, count):
     _print_problems(problems)
     more = ["… and 1 more problems"] if count == 21 else []
     assert capsys.readouterr().err.splitlines() == problems[:20] + more
+
+
+def test_count_closed_on_a_long_linear_chain(capsys):
+    # the closed form walks k/2 = 1200 chain elements without recursing
+    argv = ("count", "--shape", "linear", "-n", "1", "-k", "2400")
+    assert run(capsys, *argv, "--method", "closed") == (0, "1201\n", "")
+    assert run(capsys, *argv, "--method", "formula") == (0, "1201\n", "")
+
+
+@pytest.mark.parametrize(
+    "family, n, k",
+    [("asm", "5", "40"), ("perms", "1", "1200")],
+    ids=["asm", "perms"],
+)
+def test_enumerate_too_deep_for_the_search_is_a_usage_error(capsys, family, n, k):
+    code, out, err = run(
+        capsys, "enumerate", "--family", family, "--shape", "linear", "-n", n, "-k", k,
+        "--limit", "1",
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: linear board n={n}, k={k} is too large for the search\n"

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from chainedboards.boards import Square, circular, linear, max_rooks
+from chainedboards.boards import Square, attacks, circular, linear, max_rooks
 from chainedboards.counting import count_placements_formula
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import (
@@ -36,6 +36,43 @@ def test_validate_placement_examples():
 
     diagonal = RookPlacement(circular(2, 1), (Square(1, 2, 2),))
     assert placement_problems(diagonal) == ["placement has attacking rooks"]
+
+
+def attack_by_definition(board, s, t) -> bool:
+    """The paper's attack relation on two distinct squares, written out."""
+    if s.board == t.board and (s.row == t.row or s.col == t.col):
+        return True
+    for a, b in ((s, t), (t, s)):
+        # row j of board i-1 attacks column j of board i; circularly board k precedes board 1
+        follows = b.board == a.board + 1 or (board.circular and a.board == board.k and b.board == 1)
+        if follows and a.row == b.col:
+            return True
+    return False
+
+
+def self_attack_by_definition(board, s) -> bool:
+    """Circular k = 1 chains the board to itself, so its diagonal self-attacks."""
+    return board.circular and board.k == 1 and s.row == s.col
+
+
+RULE_BOARDS = [
+    linear(2, 3), circular(2, 3), circular(3, 1), circular(2, 2), circular(2, 1), linear(3, 2),
+    circular(1, 1),
+]
+
+
+@pytest.mark.parametrize("board", RULE_BOARDS, ids=lambda b: f"{b.shape.value}({b.n},{b.k})")
+def test_placement_problems_matches_the_pairwise_definition(board):
+    squares = list(board.squares())
+    for s, t in itertools.combinations(squares, 2):
+        assert attacks(board, s, t) == attack_by_definition(board, s, t), (s, t)
+    for size in range(5):
+        for combo in itertools.combinations(squares, size):
+            attacking = any(self_attack_by_definition(board, s) for s in combo) or any(
+                attack_by_definition(board, s, t) for s, t in itertools.combinations(combo, 2)
+            )
+            want = ["placement has attacking rooks"] if attacking else []
+            assert placement_problems(RookPlacement(board, combo)) == want, combo
 
 
 def test_enumerate_placements_counts():

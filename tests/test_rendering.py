@@ -4,11 +4,11 @@ import re
 
 import pytest
 
-from chainedboards.asm import PlainASM
+from chainedboards.asm import PlainASM, enumerate_chained_asm
 from chainedboards.boards import circular, linear
 from chainedboards.errors import UnsupportedDomainError
-from chainedboards.ice import GridGraph, to_ice
-from chainedboards.matchings import ChainGraph, to_matching
+from chainedboards.ice import GridGraph, to_fpl, to_ice
+from chainedboards.matchings import ChainGraph, ChainMatching, to_matching
 from chainedboards.perms import from_one_line, parse_one_line
 from chainedboards.placements import canonical_placement
 from chainedboards.rendering import render
@@ -69,8 +69,6 @@ def test_dot_ice_has_two_in_per_interior_vertex():
 
 
 def test_dot_fpl_lists_chosen_edges_only():
-    from chainedboards.ice import to_fpl
-
     fpl = to_fpl(to_ice(WORKED_46))
     dot = render(fpl, "dot")
     assert len(re.findall(r" -- ", dot)) == len(fpl.chosen)
@@ -117,3 +115,51 @@ def test_ascii_plain_asm():
     assert render(PlainASM(3, ((0, 1, 0), (1, -1, 1), (0, 1, 0))), "ascii") == (
         " 0  1  0\n 1 -1  1\n 0  1  0\n"
     )
+
+
+def _smallest_ice():
+    return to_ice(next(enumerate_chained_asm(circular(1, 2))))
+
+
+# the exact bytes of every dot rendering, one small object each
+DOT_PINS = [
+    (
+        lambda: ChainGraph(linear(2, 1)),
+        'graph chain {\n  "0:1";\n  "0:2";\n  "1:1";\n  "1:2";\n'
+        '  "1:1" -- "0:1" [label="1,1,1"];\n  "1:1" -- "0:2" [label="1,1,2"];\n'
+        '  "1:2" -- "0:1" [label="1,2,1"];\n  "1:2" -- "0:2" [label="1,2,2"];\n}\n',
+    ),
+    (
+        lambda: ChainMatching(ChainGraph(circular(2, 1)), ((1, 1, 2),)),
+        'graph chain {\n  "1:1";\n  "1:2";\n'
+        '  "1:1" -- "1:1" [label="1,1,1"];\n  "1:1" -- "1:2" [label="1,1,2", style=bold];\n'
+        '  "1:2" -- "1:1" [label="1,2,1"];\n  "1:2" -- "1:2" [label="1,2,2"];\n}\n',
+    ),
+    (
+        lambda: GridGraph(1, 2),
+        'graph grid {\n  "1:1,1";\n  "2:1,1";\n  "1:1,0";\n  "1:0,1";\n  "2:1,0";\n  "2:0,1";\n'
+        '  "1:1,0" -- "1:1,1" [label="bl:1,1"];\n  "1:0,1" -- "1:1,1" [label="bt:1,1"];\n'
+        '  "1:1,1" -- "2:1,1" [label="c:1,1"];\n  "2:1,0" -- "2:1,1" [label="bl:2,1"];\n'
+        '  "2:0,1" -- "2:1,1" [label="bt:2,1"];\n  "2:1,1" -- "1:1,1" [label="c:2,1"];\n}\n',
+    ),
+    (
+        _smallest_ice,
+        'digraph ice {\n  "1:1,1";\n  "2:1,1";\n  "1:1,0";\n  "1:0,1";\n  "2:1,0";\n  "2:0,1";\n'
+        '  "1:1,0" -> "1:1,1" [label="bl:1,1"];\n  "1:1,1" -> "1:0,1" [label="bt:1,1"];\n'
+        '  "1:1,1" -> "2:1,1" [label="c:1,1"];\n  "2:1,1" -> "2:1,0" [label="bl:2,1"];\n'
+        '  "2:0,1" -> "2:1,1" [label="bt:2,1"];\n  "2:1,1" -> "1:1,1" [label="c:2,1"];\n}\n',
+    ),
+    (
+        lambda: to_fpl(_smallest_ice()),
+        'graph fpl {\n  "1:1,1";\n  "2:1,1";\n  "1:1,0";\n  "1:0,1";\n  "2:1,0";\n  "2:0,1";\n'
+        '  "1:1,0" -- "1:1,1" [label="bl:1,1"];\n  "2:1,0" -- "2:1,1" [label="bl:2,1"];\n'
+        '  "2:1,1" -- "1:1,1" [label="c:2,1"];\n}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, want", DOT_PINS, ids=["chain-graph", "matching", "grid-graph", "ice", "fpl"]
+)
+def test_dot_bytes_pinned(make, want):
+    assert render(make(), "dot") == want
