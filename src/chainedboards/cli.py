@@ -3,8 +3,8 @@
 Subcommands: count, enumerate, convert, validate, render, verify-tables.
 Exit codes: 0 success / all checks pass, 1 validation failure or count
 mismatch, 2 usage error (including operations undefined for the input's
-domain, and boards too large for the recursive searches).  Diagnostics go
-to stderr; data goes to stdout or --out.
+domain, and boards too large for the recursive chained-ASM search).
+Diagnostics go to stderr; data goes to stdout or --out.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # only the searches of count and enumerate recurse per row or cell
+    except RecursionError:  # only the chained-ASM search recurses, once per matrix cell
         print(
             f"error: {args.shape} board n={clip(args.n)}, k={clip(args.k)}"
             " is too large for the search",

@@ -29,31 +29,38 @@ def _count_walks(steps: Sequence[Sequence[tuple]], k: int, target: int, circular
     ``steps[r]`` lists the steps ``(s, weight, cost)`` out of state r, sorted
     by cost.  A linear walk starts from state 0 and may end anywhere; a
     circular one ends where it started, summed over every start (a trace).
-    The walk is a DP over (state, cost so far) with costs capped at
-    ``target``, so each circular start costs as much as one linear walk.
+
+    Each state holds one packed integer whose digit c, ``width`` bits wide,
+    counts the weighted walks reaching it at cost c; a step adds ``poly *
+    weight << width * cost`` and digits above ``target`` are masked off.  No
+    digit carries: after j steps from one start all digits of all states sum
+    to at most ``heaviest ** j`` (a step multiplies that sum by at most a row
+    sum of weights), so a digit, even of a sum over end states, is at most
+    ``max(1, heaviest ** k) < 2 ** width``.  Each start is read on its own.
     """
+    heaviest = max((sum(w for _, w, _ in row) for row in steps), default=0)
+    width = (heaviest**k).bit_length() + 1
+    mask = (1 << width * (target + 1)) - 1
+    back = [[] for _ in steps]  # back[s]: the steps (r, weight, cost) into s, to close a circle
+    for r, row in enumerate(steps if circular else ()):
+        for s, weight, cost in row:
+            back[s].append((r, weight, cost))
     total = 0
     for start in range(len(steps)) if circular else (0,):
-        walk = {(start, 0): 1}  # (state, cost so far) -> weighted walks
+        walk = [0] * len(steps)  # state -> packed weighted walks by cost so far
+        walk[start] = 1
         for _ in range(k - 1 if circular else k):
-            nxt: dict[tuple[int, int], int] = {}
-            for (r, done), ways in walk.items():
-                room = target - done
-                for s, weight, cost in steps[r]:
-                    if cost > room:
-                        break
-                    key = (s, done + cost)
-                    nxt[key] = nxt.get(key, 0) + ways * weight
-            walk = nxt
-        if circular:  # the last step returns to the start and meets the target exactly
-            total += sum(
-                ways * weight
-                for (r, done), ways in walk.items()
-                for s, weight, cost in steps[r]
-                if s == start and done + cost == target
-            )
-        else:
-            total += sum(ways for (_, done), ways in walk.items() if done == target)
+            nxt = [0] * len(steps)
+            for poly, row in zip(walk, steps):
+                if poly:
+                    for s, weight, cost in row:
+                        if cost > target:
+                            break
+                        nxt[s] += poly * weight << width * cost
+            walk = [poly & mask for poly in nxt]
+        if circular:  # the last step returns to the start
+            walk = [walk[r] * weight << width * cost for r, weight, cost in back[start]]
+        total += sum(walk) >> width * target & (1 << width) - 1
     return total
 
 
@@ -63,8 +70,9 @@ def count_placements_formula(board: BoardSpec, m: int) -> int:
     The paper's sum, over the admissible compositions (a_1,...,a_k) of m, of
     the product of C(n - a_{i-1}, a_i) * (n)_{a_i}, with a_0 = 0 (linear) or
     a_k (circular), evaluated as a walk over parts: step p -> a has that
-    weight and costs a rooks.  That is O(k * n^2 * m) work per walk, with one
-    walk per circular start a_k, instead of one term per composition.
+    weight and costs a rooks.  That is O(k * n^2) steps on integers of
+    O(m * k * log n!) bits per walk (see ``_count_walks``), with one walk per
+    circular start a_k, instead of one term per composition.
     """
     n = board.n
     if not (0 <= m <= n * board.k):

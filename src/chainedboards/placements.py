@@ -108,9 +108,14 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     held: set = set()  # the lines of the rooks placed so far
     counts = [0] * (k + 1)  # rooks per board, 1-based; board 0 stays empty
     chosen: list[Square] = []
+    taken: list[tuple] = []  # the cells of the rooks in chosen
+    # every row in order with its squares; row n + 1 of each board has none,
+    # so capacity is checked on either side of a board's end
+    rows = [(b, r, cells.get((b, r), ())) for b in range(1, k + 1) for r in range(1, n + 2)]
 
-    def capacity(b: int, r: int) -> int:
-        """Upper bound on rooks still placeable from board b, row r on."""
+    def capacity(idx: int) -> int:
+        """Upper bound on rooks still placeable from row ``idx`` on."""
+        b, r, _ = rows[idx]
         cur = counts[b]
         room = min(n - r + 1, n - counts[b - 1] - cur)
         if circ and b == k:
@@ -120,31 +125,37 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
         later = suffix_bound[b + 1][cur][counts[1] if circ else 0]
         return room + later
 
-    def walk(b: int, r: int, placed: int) -> Iterator[RookPlacement]:
-        if placed == m:
-            yield RookPlacement(board, tuple(chosen))
-            return
-        if b > k or placed + capacity(b, r) < m:
-            return
-        # advance row by row; each row holds at most one rook
-        if r > n:
-            yield from walk(b + 1, 1, placed)
-            return
-        for s, row_line, col_line in cells.get((b, r), ()):
+    if m == 0:
+        yield RookPlacement(board, ())
+    # frames [row index, rooks before it, iterator of the row's next options]:
+    # a row's options are its squares in column order, then leaving it empty
+    stack = [[0, 0, iter(rows[0][2])]] if 0 < m <= capacity(0) else []
+    while stack:
+        idx, placed, todo = stack[-1]
+        if len(chosen) > placed:  # take back the rook of the option tried last
+            _, row_line, col_line = taken.pop()
+            counts[chosen.pop().board] -= 1
+            held.discard(col_line)
+            held.discard(row_line)
+        for cell in todo:
+            s, row_line, col_line = cell
             if row_line in held or col_line in held:
                 continue
             held.add(row_line)
             held.add(col_line)
-            counts[b] += 1
+            counts[s.board] += 1
             chosen.append(s)
-            yield from walk(b, r + 1, placed + 1)
-            chosen.pop()
-            counts[b] -= 1
-            held.discard(col_line)
-            held.discard(row_line)
-        yield from walk(b, r + 1, placed)
-
-    yield from walk(1, 1, 0)
+            taken.append(cell)
+            if placed + 1 == m:
+                yield RookPlacement(board, tuple(chosen))
+            elif placed + 1 + capacity(idx + 1) >= m:
+                stack.append([idx + 1, placed + 1, iter(rows[idx + 1][2])])
+            break
+        else:  # the row is left empty: the frame moves on to the next row
+            if idx + 1 < len(rows) and placed + capacity(idx + 1) >= m:
+                stack[-1] = [idx + 1, placed, iter(rows[idx + 1][2])]
+            else:
+                stack.pop()
 
 
 def count_placements_brute(board: BoardSpec, m: int) -> int:

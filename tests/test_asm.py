@@ -279,7 +279,9 @@ def test_transfer_count_matches_closed_forms():
         assert count_chained_asm_tm(linear(n, 1)) == classical_asm_count(n), n
     for n in range(1, 7):
         assert count_chained_asm_tm(linear(n, 3)) == classical_asm_count(n) ** 2, n
-    for n in range(1, 6):
+    for n in range(1, 7):
+        assert count_chained_asm_tm(linear(n, 5)) == classical_asm_count(n) ** 3, n
+    for n in range(1, 7):
         assert count_chained_asm_tm(circular(n, 4)) == classical_asm_count(2 * n), n
     for m in range(1, 4):
         assert count_chained_asm_tm(circular(2 * m, 1)) == qtasm_count(m), m

@@ -357,11 +357,18 @@ def test_count_closed_on_a_long_linear_chain(capsys):
     assert run(capsys, *argv, "--method", "formula") == (0, "1201\n", "")
 
 
-@pytest.mark.parametrize(
-    "family, n, k",
-    [("asm", "5", "40"), ("perms", "1", "1200")],
-    ids=["asm", "perms"],
-)
+def test_placement_search_reaches_past_the_recursion_limit(capsys):
+    # the placement walk keeps its own stack, one frame per row of the chain
+    argv = ("--shape", "linear", "-n", "1", "-k", "1200")
+    code, out, err = run(capsys, "enumerate", "--family", "perms", *argv, "--limit", "1")
+    assert code == 0 and err == "" and out.count("\n") == 1
+    doc = deserialize(out)
+    assert doc.board.k == 1200 and len(doc.matrices) == 1200
+    assert run(capsys, "count", *argv, "--method", "brute") == (0, "601\n", "")
+
+
+# the chained-ASM search still recurses once per cell
+@pytest.mark.parametrize("family, n, k", [("asm", "5", "40")], ids=["asm"])
 def test_enumerate_too_deep_for_the_search_is_a_usage_error(capsys, family, n, k):
     code, out, err = run(
         capsys, "enumerate", "--family", family, "--shape", "linear", "-n", n, "-k", k,

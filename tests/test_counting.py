@@ -93,11 +93,13 @@ def test_transfer_dp_on_boards_the_walk_cannot_finish():
 
 @st.composite
 def step_tables(draw):
-    """Up to 4 states, each with up to 5 steps (s, weight, cost), parallel
-    steps allowed, sorted by cost as ``_count_walks`` requires."""
+    """Up to 4 states, each with up to 6 steps (s, weight, cost), parallel
+    steps allowed, sorted by cost as ``_count_walks`` requires.  Weights are
+    small or up to 2^70, so the packed walk's digits are filled to the top."""
     states = draw(st.integers(1, 4))
-    step = st.tuples(st.integers(0, states - 1), st.integers(0, 3), st.integers(0, 2))
-    return [sorted(draw(st.lists(step, max_size=5)), key=lambda t: t[2]) for _ in range(states)]
+    weight = st.integers(0, 3) | st.integers(0, 2**70)
+    step = st.tuples(st.integers(0, states - 1), weight, st.integers(0, 3))
+    return [sorted(draw(st.lists(step, max_size=6)), key=lambda t: t[2]) for _ in range(states)]
 
 
 def brute_walks(steps, k, target, circular):
