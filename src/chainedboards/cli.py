@@ -1,18 +1,23 @@
 """Command-line interface.
 
 Subcommands: count, enumerate, convert, validate, render, verify-tables.
-Exit codes: 0 success / all checks pass, 1 validation failure or count
-mismatch, 2 usage error (including operations undefined for the input's
-domain, and boards too large for the recursive chained-ASM search).
-Diagnostics go to stderr; data goes to stdout or --out.
+Exit codes: 0 success / all checks pass / stdout closed by its reader, 1
+validation failure or count mismatch, 2 usage error (including operations
+undefined for the input's domain, and boards too large for the recursive
+chained-ASM search). Diagnostics go to stderr; data goes to stdout or --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
+import itertools
+import os
 import sys
 from collections import deque
+from collections.abc import Iterable
+from contextlib import nullcontext, suppress
 
 from .asm import (
     asm_to_permutation,
@@ -86,12 +91,15 @@ def _read_input(path: str | None) -> str:
         return fh.read()
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_output(path: str | None, text: str, more: Iterable[str] = ()) -> None:
+    """Write ``text``, then each string of ``more``, to stdout or to ``path``."""
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.writelines(more)
+
+
+# documents per write, each a call into the stream; 512 of perms linear(5,2) hold 130 KB
+_BLOCK = 512
 
 
 def _cmd_count(args) -> int:
@@ -127,12 +135,11 @@ def _cmd_enumerate(args) -> int:
         )
     else:
         stream = enumerate_chained_asm(board)
-    lines = []
-    for idx, obj in enumerate(stream):
-        if args.limit is not None and idx >= args.limit:
-            break
-        lines.append(serialize(obj))
-    _write_output(args.out, "".join(lines))
+    docs = map(serialize, itertools.islice(stream, args.limit))
+    blocks = iter(lambda: "".join(itertools.islice(docs, _BLOCK)), "")
+    # the first block is ready before --out is opened, so a search that fails
+    # before its first document leaves no file behind
+    _write_output(args.out, next(blocks, ""), blocks)
     return 0
 
 
@@ -254,7 +261,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not when the interpreter exits
+        return code
+    except BrokenPipeError:  # the reader stopped reading, as `| head` does
+        # what is still buffered would fail again when stdout is flushed at exit
+        with open(os.devnull, "w") as devnull, suppress(io.UnsupportedOperation):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # an in-memory stdout has none
+        return 0
     except UnsupportedDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

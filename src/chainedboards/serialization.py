@@ -131,7 +131,7 @@ class Family(NamedTuple):
     shapes: tuple[str, ...]  # shapes a document may name; () for a plain ASM, which has only n
     board: Callable[[Any], BoardSpec | None]
     key: str  # the payload's key
-    encode: Callable[[Any], Any]  # object -> JSON payload
+    encode: Callable[[Any], Any]  # object -> JSON payload; its tuples are written as arrays
     decode: Callable[[Any, Any], Any]  # (board, or n for a plain ASM; payload) -> object
     problems: Callable[[Any], list[str]]  # diagnostics; empty = valid
 
@@ -142,43 +142,43 @@ _CIRCULAR = ("circular",)
 FAMILIES = (
     Family(
         "placement", "placement", RookPlacement, _BOTH, lambda p: p.board, "squares",
-        lambda p: [list(s) for s in p.squares],
+        lambda p: p.squares,
         lambda board, v: RookPlacement(board, _ints(v, 2)),
         placement_problems,
     ),
     Family(
         "chained-permutation", "matrix", ChainedPermutation, _BOTH, lambda cp: cp.board, "matrices",
-        lambda cp: [[list(r) for r in m] for m in cp.matrices],
+        lambda cp: cp.matrices,
         lambda board, v: ChainedPermutation(board, _ints(v, 3)),
         chained_asm_problems,  # a chained permutation is a 0/1 chained ASM
     ),
     Family(
         "one-line", "oneline", OneLine, _BOTH, lambda o: o.board, "blocks",
-        lambda o: [list(b) for b in o.blocks],
+        lambda o: o.blocks,
         lambda board, v: OneLine(board, _ints(v, 2)),
         one_line_problems,
     ),
     Family(
         "chain-matching", "matching", ChainMatching, _BOTH, lambda m: m.graph.board, "edges",
-        lambda m: [list(e) for e in m.edges],
+        lambda m: m.edges,
         lambda board, v: ChainMatching(ChainGraph(board), _ints(v, 2)),
         matching_problems,
     ),
     Family(
         "chained-asm", "asm", ChainedASM, _BOTH, lambda a: a.board, "matrices",
-        lambda a: [[list(r) for r in m] for m in a.matrices],
+        lambda a: a.matrices,
         lambda board, v: ChainedASM(board, _ints(v, 3)),
         chained_asm_problems,
     ),
     Family(
         "plain-asm", "plain-asm", PlainASM, (), lambda p: None, "matrix",
-        lambda p: [list(r) for r in p.rows],
+        lambda p: p.rows,
         lambda n, v: PlainASM(n, _ints(v, 2)),
         plain_asm_problems,
     ),
     Family(
         "monotone-triangle-chain", "mt", MonotoneTriangleChain, _CIRCULAR, _circular, "triangles",
-        lambda t: [[list(row) for row in tri] for tri in t.triangles],
+        lambda t: t.triangles,
         lambda board, v: MonotoneTriangleChain(board.n, board.k, _ints(v, 3)),
         mt_chain_problems,
     ),
@@ -218,7 +218,7 @@ def serialize(obj) -> str:
     else:
         doc.update(shape=board.shape.value, n=board.n, k=board.k)
     doc[family.key] = payload
-    return json.dumps(doc, separators=(", ", ": ")) + "\n"
+    return json.dumps(doc) + "\n"  # default separators ", " and ": ", and a reused encoder
 
 
 def _need(doc: dict, key: str):

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from chainedboards.cli import _CONVERSIONS, _print_problems, main
+from chainedboards.boards import linear, max_rooks
+from chainedboards.cli import _BLOCK, _CONVERSIONS, _print_problems, main
 from chainedboards.errors import ValidationError
+from chainedboards.perms import placement_to_matrices
+from chainedboards.placements import enumerate_placements
 from chainedboards.serialization import FAMILIES, deserialize, serialize
 from tests.worked_examples import (
     ALL_ONES_20,
@@ -16,6 +25,8 @@ from tests.worked_examples import (
     OVERSIZED,
     WORKED_46,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -84,6 +95,95 @@ def test_enumerate_limit_and_out(tmp_path, capsys):
         "--limit", "3",
     )
     assert code == 0 and len(out.splitlines()) == 3
+
+    empty = tmp_path / "none.jsonl"
+    code, out, _ = run(
+        capsys, "enumerate", "--family", "asm", "--shape", "circular", "-n", "2", "-k", "2",
+        "--limit", "0", "--out", str(empty),
+    )
+    assert code == 0 and out == "" and empty.read_text() == ""
+
+
+class Writes(io.TextIOBase):
+    """A stdout that keeps every string written to it, or with ``keep``
+    false only counts them."""
+
+    def __init__(self, keep: bool = True):
+        super().__init__()
+        self.keep = keep
+        self.parts: list[str] = []
+        self.count = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, s: str) -> int:
+        self.count += 1
+        if self.keep:
+            self.parts.append(s)
+        return len(s)
+
+
+def test_enumerate_streams_whole_documents_in_blocks(tmp_path, monkeypatch):
+    # 5292 documents (1.18 MB): more than ten blocks
+    argv = ["enumerate", "--family", "perms", "--shape", "linear", "-n", "3", "-k", "4"]
+    board = linear(3, 4)
+    want = "".join(
+        serialize(placement_to_matrices(p)) for p in enumerate_placements(board, max_rooks(board))
+    )
+    assert want.count("\n") == 5292 > 10 * _BLOCK
+    blocks = -(-5292 // _BLOCK)
+
+    sink = Writes()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 0
+    assert "".join(sink.parts) == want
+    assert len(sink.parts) == blocks
+    assert all(part.endswith("\n") and part.count("\n") <= _BLOCK for part in sink.parts)
+
+    out_file = tmp_path / "perms.jsonl"
+    writes = sink.count
+    assert main([*argv, "--out", str(out_file)]) == 0 and sink.count == writes
+    assert out_file.read_text() == want
+
+    # warm: what a second run allocates at once does not grow with its output
+    sink = Writes(keep=False)
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.count == blocks
+    assert peak < len(want) / 2
+
+
+def test_enumerate_into_a_closed_pipe_ends_quietly(monkeypatch, capsys):
+    class Closed(Writes):
+        def write(self, s: str) -> int:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    argv = ["enumerate", "--family", "perms", "--shape", "linear", "-n", "3", "-k", "4"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+    # and in a process of its own with a block-buffered stdout, which the
+    # interpreter flushes once more at exit: a reader that stops after one
+    # line of 7.8 MB, far more than a pipe holds, and one gone before the
+    # three short lines of `--limit 3` are written
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    cmd = [sys.executable, "-m", "chainedboards.cli", *argv[:5]]
+    for size, read in ((["-n", "5", "-k", "2"], 1), (["-n", "2", "-k", "2", "--limit", "3"], 0)):
+        with subprocess.Popen([*cmd, *size], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            for _ in range(read):
+                assert json.loads(proc.stdout.readline())["family"] == "chained-permutation"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert err == b""
 
 
 def test_enumerate_perms(capsys):
@@ -369,10 +469,17 @@ def test_placement_search_reaches_past_the_recursion_limit(capsys):
 
 # the chained-ASM search still recurses once per cell
 @pytest.mark.parametrize("family, n, k", [("asm", "5", "40")], ids=["asm"])
-def test_enumerate_too_deep_for_the_search_is_a_usage_error(capsys, family, n, k):
+def test_enumerate_too_deep_for_the_search_is_a_usage_error(tmp_path, capsys, family, n, k):
     code, out, err = run(
         capsys, "enumerate", "--family", family, "--shape", "linear", "-n", n, "-k", k,
         "--limit", "1",
     )
     assert code == 2 and out == "" and "Traceback" not in err
     assert err == f"error: linear board n={n}, k={k} is too large for the search\n"
+    out_file = tmp_path / "never.jsonl"
+    code, out, err = run(
+        capsys, "enumerate", "--family", family, "--shape", "linear", "-n", n, "-k", k,
+        "--limit", "1", "--out", str(out_file),
+    )
+    assert code == 2 and out == "" and "too large for the search" in err
+    assert not out_file.exists()

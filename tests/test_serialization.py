@@ -151,6 +151,56 @@ def test_canonical_placement_document_stable():
     )
 
 
+def pinned_objects():
+    """One small object of every family, by family name: circular(2,2)
+    where the family has a board, and an ASM holding a -1."""
+    board = circular(2, 2)
+    cp = placement_to_matrices(next(iter(enumerate_placements(board, 2))))
+    asm = next(a for a in enumerate_chained_asm(board) if any(-1 in r for m in a.matrices for r in m))
+    ice = to_ice(asm)
+    return {
+        "placement": next(iter(enumerate_placements(board, 2))),
+        "chained-permutation": cp,
+        "one-line": to_one_line(cp),
+        "chain-matching": to_matching(cp),
+        "chained-asm": asm,
+        "plain-asm": PlainASM(3, ((0, 1, 0), (1, -1, 1), (0, 1, 0))),
+        "monotone-triangle-chain": to_monotone_triangles(asm),
+        "ice": ice,
+        "fpl": to_fpl(ice),
+    }
+
+
+_HEAD = '{"family": "%s", "shape": "circular", "n": 2, "k": 2, '
+PINNED_DOCUMENTS = {
+    "placement": _HEAD % "placement" + '"squares": [[1, 1, 1], [1, 2, 2]]}\n',
+    "chained-permutation": _HEAD % "chained-permutation"
+    + '"matrices": [[[1, 0], [0, 1]], [[0, 0], [0, 0]]]}\n',
+    "one-line": _HEAD % "one-line" + '"blocks": [[1, 2], [0, 0]]}\n',
+    "chain-matching": _HEAD % "chain-matching" + '"edges": [[1, 1, 1], [1, 2, 2]]}\n',
+    "chained-asm": _HEAD % "chained-asm" + '"matrices": [[[0, 0], [0, 1]], [[0, 1], [1, -1]]]}\n',
+    "plain-asm": '{"family": "plain-asm", "n": 3, "matrix": [[0, 1, 0], [1, -1, 1], [0, 1, 0]]}\n',
+    "monotone-triangle-chain": _HEAD % "monotone-triangle-chain" + '"triangles": [[[3], [2, 4]]]}\n',
+    "ice": _HEAD % "ice"
+    + '"orientation": {"bl:1,1": "1:1,1", "bl:1,2": "1:2,1", "bt:1,1": "1:0,1", "bt:1,2": "1:0,2",'
+    ' "h:1,1,1": "1:1,2", "h:1,2,1": "1:2,2", "v:1,1,1": "1:1,1", "v:1,1,2": "1:1,2",'
+    ' "c:1,1": "2:2,1", "c:1,2": "1:2,2", "bl:2,1": "2:1,0", "bl:2,2": "2:2,0",'
+    ' "bt:2,1": "2:1,1", "bt:2,2": "2:1,2", "h:2,1,1": "2:1,1", "h:2,2,1": "2:2,2",'
+    ' "v:2,1,1": "2:2,1", "v:2,1,2": "2:1,2", "c:2,1": "1:2,1", "c:2,2": "2:2,2"}}\n',
+    "fpl": _HEAD % "fpl"
+    + '"edges": ["bl:1,1", "bt:1,2", "h:1,2,1", "v:1,1,1", "c:1,1", "c:1,2",'
+    ' "bl:2,1", "bt:2,2", "v:2,1,1", "v:2,1,2"]}\n',
+}
+
+
+def test_every_family_document_is_pinned_to_the_byte():
+    assert set(PINNED_DOCUMENTS) == {f.name for f in FAMILIES}
+    for name, obj in pinned_objects().items():
+        assert family_of(obj).name == name
+        assert serialize(obj) == PINNED_DOCUMENTS[name], name
+        assert deserialize(PINNED_DOCUMENTS[name]) == obj
+
+
 def test_permutation_asm_documents_distinct():
     cp = placement_to_matrices(next(iter(enumerate_placements(circular(2, 2), 2))))
     asm = permutation_to_asm(cp)
