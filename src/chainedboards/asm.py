@@ -10,7 +10,9 @@ the chained ASMs without -1 entries.
 Given the previous matrix's row sum r for a column, condition (2) is
 equivalent to: the column's nonzero entries alternate in sign and the
 bottommost nonzero is +1 when r = 0 and -1 when r = 1.  The enumerator
-leans on that form, which is checkable while filling top-down.
+leans on that form: it picks whole rows top-down, and a row may not repeat
+a column's last nonzero sign, so each column's bottommost sign is known
+once its matrix's last row is chosen.
 """
 
 from __future__ import annotations
@@ -97,100 +99,89 @@ def asm_to_permutation(a: ChainedASM) -> ChainedPermutation:
 
 def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     """All chained ASMs on ``board``, exactly once, in lexicographic order of
-    the flattened entry sequence (-1 < 0 < 1)."""
+    the flattened entry sequence (-1 < 0 < 1).
+
+    A depth-first walk over an explicit stack with one frame per row of the
+    chain, so its depth is not bounded by Python's recursion limit.  Each
+    frame tries the rows that meet condition (1) in lexicographic order of
+    their entries, which gives the order above.
+    """
     n, k = board.n, board.k
     circ = board.circular
     target = max_rooks(board)
-
     suffix_max = suffix_bound_table(board)  # indexed by board: matrix l is board l + 1
 
-    mats = [[[0] * n for _ in range(n)] for _ in range(k)]
-    row_sums = [[0] * n for _ in range(k)]
-    col_sign = [[0] * n for _ in range(k)]  # last nonzero sign seen, top-down
-    col_req = [None] * n  # circular: row sum matrix k-1 must have, per column of matrix 0
+    # every row whose prefix sums stay in {0, 1}, in lexicographic order, with
+    # the columns where it holds +1 and those where it holds -1
+    rows = [()]
+    for _ in range(n):
+        rows = [e + (x,) for e in rows for x in (-1, 0, 1) if 0 <= sum(e) + x <= 1]
+    rows = [(e, *(sum(1 << j for j, x in enumerate(e) if x == v) for v in (1, -1))) for e in rows]
+    # a column state is (columns whose last nonzero so far is +1, is -1); the
+    # rows it allows repeat no column's last sign, listed when the walk first
+    # meets the state as (entries, row sum, the state after the row)
+    allowed: dict[tuple[int, int], list] = {}
+
+    def after(last_plus: int, last_minus: int) -> Iterator:
+        key = last_plus, last_minus
+        if key not in allowed:
+            allowed[key] = [
+                (e, sum(e), (last_plus & ~minus) | plus, (last_minus & ~plus) | minus)
+                for e, plus, minus in rows
+                if not (plus & last_plus or minus & last_minus)
+            ]
+        return iter(allowed[key])
+
+    chosen = [()] * (n * k)  # the rows of the current path
+    mat_bits = [0] * k  # row-sum bits of each finished matrix on the path
     mat_sum = [0] * k
-
-    def required_sign(l: int, j: int) -> int | None:
-        """Sign the bottommost nonzero of column j of matrix l must carry."""
-        if l == 0:
-            return None if circ else 1
-        return 1 if row_sums[l - 1][j] == 0 else -1
-
-    def fill(l: int, i: int, j: int, prefix: int, s_done: int, done: int):
-        last_row = i == n - 1
-        for v in (-1, 0, 1):
-            np = prefix + v
-            if np not in (0, 1):
+    first_plus = first_minus = 0  # matrix 1's columns whose bottommost nonzero is +1, -1
+    # frames (rows left to try, the matrix's sum and row-sum bits so far,
+    # the sum of the matrices before it)
+    stack = [(after(0, 0), 0, 0, 0)]
+    while stack:
+        todo, s, bits, done = stack[-1]
+        depth = len(stack) - 1
+        l, i = divmod(depth, n)
+        a1 = mat_sum[0] if circ and l >= 1 else 0
+        cap = n - mat_sum[l - 1] if l >= 1 else n
+        # circular k >= 2: column i of matrix 1 fixes the sum of row i of matrix k
+        closing = circ and k >= 2 and l == k - 1
+        if closing:
+            cap = min(cap, n - a1)
+        # the row-sum bits this matrix's bottommost nonzeros answer to under
+        # condition (2): zero before a linear chain; matrix 1 of a circular
+        # chain answers to its own rows (k = 1) or is checked in matrix k
+        prev = mat_bits[l - 1] if l >= 1 else None if circ else 0
+        for row, rsum, now_plus, now_minus in todo:
+            s2 = s + rsum
+            if s2 > cap or done + s2 > target:
                 continue
-            if v != 0 and col_sign[l][j] == v:
-                continue  # column signs must alternate
-            if last_row:
-                final = v if v != 0 else col_sign[l][j]
-                if final != 0:
-                    req = required_sign(l, j)
-                    if req is not None and final != req:
-                        continue
-                    if req is None and k == 1 and j < n - 1:
-                        # circular k=1 chains the matrix to itself, and row j
-                        # is already complete here
-                        if row_sums[0][j] != (0 if final == 1 else 1):
-                            continue
-            mats[l][i][j] = v
-            old = col_sign[l][j]
-            if v != 0:
-                col_sign[l][j] = v
-            if j == n - 1:
-                yield from finish_row(l, i, np, s_done, done)
-            else:
-                yield from fill(l, i, j + 1, np, s_done, done)
-            col_sign[l][j] = old
-
-    def finish_row(l: int, i: int, rsum: int, s_done: int, done: int):
-        s2 = s_done + rsum
-        cap = n
-        if l >= 1:
-            cap = min(cap, n - mat_sum[l - 1])
-        if circ and l == k - 1 and k >= 2:
-            cap = min(cap, n - mat_sum[0])
-            req = col_req[i]
-            if req is not None and rsum != req:
-                return
-        if s2 > cap:
-            return
-        row_sums[l][i] = rsum
-        if i == n - 1:
-            yield from finish_matrix(l, s2, done)
-            return
-        a1 = mat_sum[0] if (circ and l >= 1) else 0
-        upper = done + s2 + min(n - 1 - i, cap - s2) + suffix_max[l + 2][s2][a1]
-        if upper < target or done + s2 > target:
-            return
-        yield from fill(l, i + 1, 0, 0, s2, done)
-
-    def finish_matrix(l: int, s: int, done: int):
-        mat_sum[l] = s
-        done += s
-        if done > target:
-            return
-        if circ and l == 0:
-            for j in range(n):
-                sign = col_sign[0][j]
-                col_req[j] = None if sign == 0 else (0 if sign == 1 else 1)
-        if l == k - 1:
-            if circ:
-                for i in range(n):
-                    req = col_req[i]
-                    if req is not None and row_sums[k - 1][i] != req:
-                        return
-            if done == target:
-                yield ChainedASM(board, mats)  # the constructor copies mats
-            return
-        a1 = mat_sum[0] if circ else 0
-        if done + suffix_max[l + 2][s][a1] < target:
-            return
-        yield from fill(l + 1, 0, 0, 0, 0, done)
-
-    yield from fill(0, 0, 0, 0, 0, 0)
+            if closing and (first_plus if rsum else first_minus) >> i & 1:
+                continue
+            bits2 = bits | rsum << i
+            chosen[depth] = row
+            if i < n - 1:
+                if done + s2 + min(n - 1 - i, cap - s2) + suffix_max[l + 2][s2][a1] < target:
+                    continue
+                stack.append((after(now_plus, now_minus), s2, bits2, done))
+                break
+            r = bits2 if circ and k == 1 else prev
+            if r is not None and (now_minus & ~r or now_plus & r):
+                continue
+            if l == k - 1:
+                if done + s2 == target:
+                    yield ChainedASM(board, [chosen[j : j + n] for j in range(0, n * k, n)])
+                continue
+            mat_bits[l], mat_sum[l] = bits2, s2
+            if circ and l == 0:
+                first_plus, first_minus = now_plus, now_minus
+            if done + s2 + suffix_max[l + 2][s2][mat_sum[0] if circ else 0] < target:
+                continue
+            stack.append((after(0, 0), 0, 0, done + s2))
+            break
+        else:
+            stack.pop()
 
 
 # --- counting by transfer matrix ------------------------------------------

@@ -105,12 +105,24 @@ def test_enumeration_small_table_cells():
 
 
 def test_enumeration_yields_valid_unique_elements():
-    for board in (linear(2, 2), circular(2, 3), circular(3, 2), linear(2, 4)):
-        seen = set()
+    # circular k = 1 chains a matrix to itself; circular(2, 2) closes on
+    # matrix 1's columns; linear(1, 1) is a single one-row matrix
+    boards = (
+        linear(2, 2), circular(2, 3), circular(3, 2), linear(2, 4),
+        circular(1, 1), circular(4, 1), circular(2, 2), linear(1, 1),
+    )
+    for board in boards:
+        last = None
+        count = 0
         for a in enumerate_chained_asm(board):
             assert not chained_asm_problems(a), chained_asm_problems(a)
-            assert a.matrices not in seen
-            seen.add(a.matrices)
+            # the promised order: flattened entries strictly increase
+            # (-1 < 0 < 1), so no element repeats
+            flat = tuple(x for mat in a.matrices for row in mat for x in row)
+            assert last is None or last < flat, board
+            last = flat
+            count += 1
+        assert count == count_chained_asm_tm(board), board
 
 
 def test_enumeration_contains_constructed_example():

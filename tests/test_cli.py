@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from chainedboards.asm import ChainedASM, chained_asm_problems
 from chainedboards.boards import linear, max_rooks
 from chainedboards.cli import _BLOCK, _CONVERSIONS, _print_problems, main
 from chainedboards.errors import ValidationError
-from chainedboards.perms import placement_to_matrices
+from chainedboards.perms import ChainedPermutation, placement_to_matrices
 from chainedboards.placements import enumerate_placements
 from chainedboards.serialization import FAMILIES, deserialize, serialize
 from tests.worked_examples import (
@@ -457,29 +458,33 @@ def test_count_closed_on_a_long_linear_chain(capsys):
     assert run(capsys, *argv, "--method", "formula") == (0, "1201\n", "")
 
 
-def test_placement_search_reaches_past_the_recursion_limit(capsys):
-    # the placement walk keeps its own stack, one frame per row of the chain
-    argv = ("--shape", "linear", "-n", "1", "-k", "1200")
-    code, out, err = run(capsys, "enumerate", "--family", "perms", *argv, "--limit", "1")
+@pytest.mark.parametrize(
+    "family, n, k, cls",
+    [("perms", "1", "1200", ChainedPermutation), ("asm", "5", "40", ChainedASM)],
+    ids=["perms", "asm"],
+)
+def test_search_reaches_past_the_recursion_limit(capsys, family, n, k, cls):
+    # both searches keep their own stack: the placement walk one frame per
+    # row of the chain, the chained-ASM walk one frame per matrix row
+    argv = ("--shape", "linear", "-n", n, "-k", k)
+    code, out, err = run(capsys, "enumerate", "--family", family, *argv, "--limit", "1")
     assert code == 0 and err == "" and out.count("\n") == 1
     doc = deserialize(out)
-    assert doc.board.k == 1200 and len(doc.matrices) == 1200
-    assert run(capsys, "count", *argv, "--method", "brute") == (0, "601\n", "")
+    assert type(doc) is cls and doc.board == linear(int(n), int(k))
+    assert len(doc.matrices) == int(k) and chained_asm_problems(doc) == []
+    if family == "perms":
+        assert run(capsys, "count", *argv, "--method", "brute") == (0, "601\n", "")
 
 
-# the chained-ASM search still recurses once per cell
-@pytest.mark.parametrize("family, n, k", [("asm", "5", "40")], ids=["asm"])
-def test_enumerate_too_deep_for_the_search_is_a_usage_error(tmp_path, capsys, family, n, k):
-    code, out, err = run(
-        capsys, "enumerate", "--family", family, "--shape", "linear", "-n", n, "-k", k,
-        "--limit", "1",
+def test_enumerate_failing_before_its_first_document_writes_no_file(tmp_path, capsys):
+    argv = (
+        "enumerate", "--family", "placements", "--shape", "linear", "-n", "2", "-k", "2",
+        "-m", "99", "--out",
     )
-    assert code == 2 and out == "" and "Traceback" not in err
-    assert err == f"error: linear board n={n}, k={k} is too large for the search\n"
     out_file = tmp_path / "never.jsonl"
-    code, out, err = run(
-        capsys, "enumerate", "--family", family, "--shape", "linear", "-n", n, "-k", k,
-        "--limit", "1", "--out", str(out_file),
-    )
-    assert code == 2 and out == "" and "too large for the search" in err
+    code, out, err = run(capsys, *argv, str(out_file))
+    assert code == 1 and out == "" and err == "error: m must be in 0..n*k, got 99\n"
     assert not out_file.exists()
+    out_file.write_text("kept\n", encoding="utf-8")
+    assert run(capsys, *argv, str(out_file))[0] == 1
+    assert out_file.read_text(encoding="utf-8") == "kept\n"
