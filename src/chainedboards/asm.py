@@ -171,7 +171,8 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
                 continue
             if l == k - 1:
                 if done + s2 == target:
-                    yield ChainedASM(board, [chosen[j : j + n] for j in range(0, n * k, n)])
+                    path = tuple(chosen)  # the listed row tuples themselves, shared
+                    yield ChainedASM(board, tuple(path[j : j + n] for j in range(0, n * k, n)))
                 continue
             mat_bits[l], mat_sum[l] = bits2, s2
             if circ and l == 0:

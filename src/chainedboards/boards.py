@@ -42,10 +42,11 @@ class BoardSpec:
     def __post_init__(self):
         if not isinstance(self.shape, Shape):
             raise InputDomainError(f"shape must be a Shape, got {self.shape!r}")
-        if self.n < 1:
-            raise InputDomainError(f"board side n must be >= 1, got {clip(self.n)}")
-        if self.k < 1:
-            raise InputDomainError(f"board count k must be >= 1, got {clip(self.k)}")
+        # exact ints: documents write n and k as their decimal text
+        if type(self.n) is not int or self.n < 1:
+            raise InputDomainError(f"board side n must be an int >= 1, got {clip(self.n)}")
+        if type(self.k) is not int or self.k < 1:
+            raise InputDomainError(f"board count k must be an int >= 1, got {clip(self.k)}")
 
     @property
     def circular(self) -> bool:

@@ -8,6 +8,10 @@ the total number of 1s is the board's maximum rook count.  These are the
 chained ASM conditions restricted to 0/1 entries, so
 ``asm.chained_asm_problems`` is their check.
 
+Matrices are tuples of row tuples.  ``placement_to_matrices`` and
+``from_one_line`` share rows from one table per n: the zero row and the n
+unit rows.  The constructor checks every entry and keeps tuple input as is.
+
 One-line notation records, per row of each matrix, the column of its 1 (0
 for an empty row).  Blocks are joined by dashes and written with a trailing
 dash in the circular case, e.g. ``12-00-``; for n >= 10 the entries within
@@ -16,6 +20,7 @@ a block are comma-separated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .boards import BoardSpec, Shape, Square, max_rooks
@@ -34,19 +39,23 @@ def _ascii_int(text: str) -> int:
 
 
 def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str) -> Matrix:
+    """One walk over every entry; ``matrices`` itself if it is tuples throughout."""
     if len(matrices) != board.k:
         raise InputDomainError(f"expected {clip(board.k)} matrices, got {len(matrices)}")
+    tuples = type(matrices) is tuple
     for mat in matrices:
         if len(mat) != board.n or any(len(row) != board.n for row in mat):
             raise InputDomainError(f"each matrix must be {clip(board.n)}x{clip(board.n)}")
+        tuples = tuples and type(mat) is tuple
         for row in mat:
+            tuples = tuples and type(row) is tuple
             for x in row:
                 # bool is an int subclass (True == 1) and 1.0 == 1: both must fail
                 if type(x) is not int or x not in allowed:
                     raise InputDomainError(
                         f"{what} entries must be in {sorted(allowed)}, got {clip(x)}"
                     )
-    return tuple(tuple(map(tuple, mat)) for mat in matrices)
+    return matrices if tuples else tuple(tuple(map(tuple, mat)) for mat in matrices)
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,13 @@ def _previous_matrix(board: BoardSpec, matrices, l: int):
     return matrices[board.k - 1] if board.shape is Shape.CIRCULAR else None
 
 
+@functools.lru_cache(maxsize=8)  # bounded: a table holds n^2 entries
+def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The zero row of length n, then the n unit rows: row c holds its 1 at column c."""
+    zero = (0,) * n
+    return (zero, *(zero[: c - 1] + (1,) + zero[c:] for c in range(1, n + 1)))
+
+
 def placement_to_matrices(p: RookPlacement) -> ChainedPermutation:
     """Matrix form of a maximum placement: a 1 per rook."""
     want = max_rooks(p.board)
@@ -79,11 +95,13 @@ def placement_to_matrices(p: RookPlacement) -> ChainedPermutation:
         )
     if placement_problems(p):
         raise ValidationError("placement has attacking rooks")
-    n = p.board.n
-    grids = [[[0] * n for _ in range(n)] for _ in range(p.board.k)]
-    for s in p.squares:
-        grids[s.board - 1][s.row - 1][s.col - 1] = 1
-    return ChainedPermutation(p.board, grids)
+    n, k = p.board.n, p.board.k
+    rows = _unit_rows(n)
+    grid = [rows[0]] * (n * k)  # the chain's rows in order, all shared
+    for b, row, col in p.squares:
+        grid[(b - 1) * n + row - 1] = rows[col]
+    flat = tuple(grid)
+    return ChainedPermutation(p.board, tuple(flat[j : j + n] for j in range(0, n * k, n)))
 
 
 def matrices_to_placement(cp: ChainedPermutation) -> RookPlacement:
@@ -157,15 +175,8 @@ def from_one_line(o: OneLine) -> ChainedPermutation:
     problems = one_line_problems(o)
     if problems:
         raise ValidationError("invalid one-line notation", problems)
-    n = o.board.n
-    matrices = []
-    for block in o.blocks:
-        mat = [[0] * n for _ in range(n)]
-        for i, v in enumerate(block):
-            if v:
-                mat[i][v - 1] = 1
-        matrices.append(mat)
-    return ChainedPermutation(o.board, matrices)
+    rows = _unit_rows(o.board.n).__getitem__
+    return ChainedPermutation(o.board, tuple(tuple(map(rows, block)) for block in o.blocks))
 
 
 def one_line_text(o: OneLine) -> str:

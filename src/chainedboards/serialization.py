@@ -9,6 +9,11 @@ configurations map each grid-graph edge id to the vertex id its arrow
 points at.  ``deserialize`` also accepts the bare one-line string format
 (``0200-3104-...``).  ``FAMILIES`` is the one registry of the families.
 
+``serialize`` writes the header itself (ASCII names and ints: the bytes of
+``json.dumps``), then the payload as its registry row says: matrices row by
+row from a bounded cache of row texts, sound as their constructors admit
+exact ints alone (``(True, 0)`` equals and hashes like ``(1, 0)``).
+
 Parsing is strict: numbers are JSON integers (no booleans or floats), ids
 use ASCII digits, and valid JSON that decodes to an object violating its
 family's invariants is a validation error.
@@ -16,6 +21,7 @@ family's invariants is a validation error.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Callable, NamedTuple
 
@@ -134,6 +140,15 @@ class Family(NamedTuple):
     encode: Callable[[Any], Any]  # object -> JSON payload; its tuples are written as arrays
     decode: Callable[[Any, Any], Any]  # (board, or n for a plain ASM; payload) -> object
     problems: Callable[[Any], list[str]]  # diagnostics; empty = valid
+    write: Callable[[Any], str] = json.dumps  # payload -> its JSON text
+
+
+# sound only as the matrix constructors admit exact ints: (True, 0) == (1, 0), same hash
+_row_text = functools.lru_cache(maxsize=1024)(json.dumps)  # every row of an ASM with n <= 10
+
+
+def _matrices_text(matrices) -> str:
+    return "[" + ", ".join(["[" + ", ".join(map(_row_text, mat)) + "]" for mat in matrices]) + "]"
 
 
 _BOTH = ("linear", "circular")
@@ -151,6 +166,7 @@ FAMILIES = (
         lambda cp: cp.matrices,
         lambda board, v: ChainedPermutation(board, _ints(v, 3)),
         chained_asm_problems,  # a chained permutation is a 0/1 chained ASM
+        _matrices_text,
     ),
     Family(
         "one-line", "oneline", OneLine, _BOTH, lambda o: o.board, "blocks",
@@ -169,6 +185,7 @@ FAMILIES = (
         lambda a: a.matrices,
         lambda board, v: ChainedASM(board, _ints(v, 3)),
         chained_asm_problems,
+        _matrices_text,
     ),
     Family(
         "plain-asm", "plain-asm", PlainASM, (), lambda p: None, "matrix",
@@ -212,13 +229,12 @@ def serialize(obj) -> str:
     family = family_of(obj)
     payload = family.encode(obj)
     board = family.board(obj)
-    doc: dict[str, Any] = {"family": family.name}
+    head = f'{{"family": "{family.name}", '
     if board is None:  # a plain ASM: its size is the whole header
-        doc["n"] = len(payload)
+        head += f'"n": {len(payload)}'
     else:
-        doc.update(shape=board.shape.value, n=board.n, k=board.k)
-    doc[family.key] = payload
-    return json.dumps(doc) + "\n"  # default separators ", " and ": ", and a reused encoder
+        head += f'"shape": "{board.shape.value}", "n": {board.n}, "k": {board.k}'
+    return f'{head}, "{family.key}": {family.write(payload)}}}\n'
 
 
 def _need(doc: dict, key: str):

@@ -81,6 +81,10 @@ def test_board_spec_rejects_bad_dimensions():
         linear(0, 1)
     with pytest.raises(InputDomainError):
         circular(1, 0)
+    # a bool or float equal to a valid size is no size
+    for n, k in ((True, 1), (2.0, 1), (1, True), (1, 2.0)):
+        with pytest.raises(InputDomainError, match="must be an int"):
+            linear(n, k)
 
 
 def test_max_rooks_values():

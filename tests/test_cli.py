@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from chainedboards.asm import ChainedASM, chained_asm_problems
-from chainedboards.boards import linear, max_rooks
+from chainedboards.asm import ChainedASM, chained_asm_problems, enumerate_chained_asm
+from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.cli import _BLOCK, _CONVERSIONS, _print_problems, main
 from chainedboards.errors import ValidationError
 from chainedboards.perms import ChainedPermutation, placement_to_matrices
@@ -158,6 +158,41 @@ def test_enumerate_streams_whole_documents_in_blocks(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert sink.count == blocks
     assert peak < len(want) / 2
+
+
+def _documents(family: str, board, key: str, objects) -> str:
+    """The stream of ``objects`` written by ``json.dumps``, not by ``serialize``."""
+    head = {"family": family, "shape": board.shape.value, "n": board.n, "k": board.k}
+    return "".join(json.dumps({**head, key: getattr(o, key)}) + "\n" for o in objects)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["--family", "perms", "--shape", "linear", "-n", "3", "-k", "4"],
+            lambda: _documents(
+                "chained-permutation", linear(3, 4), "matrices",
+                map(placement_to_matrices, enumerate_placements(linear(3, 4), 6)),  # 6 rooks: the maximum
+            ),
+        ),
+        (
+            ["--family", "asm", "--shape", "circular", "-n", "2", "-k", "4"],
+            lambda: _documents(
+                "chained-asm", circular(2, 4), "matrices", enumerate_chained_asm(circular(2, 4))
+            ),
+        ),
+        (
+            ["--family", "placements", "--shape", "linear", "-n", "3", "-k", "2", "-m", "2"],
+            lambda: _documents("placement", linear(3, 2), "squares", enumerate_placements(linear(3, 2), 2)),
+        ),
+    ],
+    ids=["perms", "asm", "placements"],
+)
+def test_enumerate_matches_an_independent_encoder(capsys, argv, want):
+    code, out, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    assert out == want() != ""
 
 
 def test_enumerate_into_a_closed_pipe_ends_quietly(monkeypatch, capsys):

@@ -64,6 +64,14 @@ def test_placement_to_matrices_rejects_non_maximum():
         placement_to_matrices(p)
 
 
+def test_placement_to_matrices_rejects_attacking_rooks():
+    # two rooks, the maximum on linear(2,1), in one column
+    p = RookPlacement(linear(2, 1), (Square(1, 1, 1), Square(1, 2, 1)))
+    assert p.m == max_rooks(p.board)
+    with pytest.raises(ValidationError, match="^placement has attacking rooks$"):
+        placement_to_matrices(p)
+
+
 def test_single_rook_matrix_example():
     p = RookPlacement(linear(1, 2), (Square(1, 1, 1),))
     cp = placement_to_matrices(p)
@@ -205,6 +213,12 @@ def test_cardinality_p_n4_circular_is_factorial_2n():
         assert count_max_circular(n, 4) == math.factorial(2 * n)
 
 
+def _deep_chain(x):
+    """Two 3x3 matrices, ``x`` at the last entry of the last one."""
+    zeros = ((0, 0, 0),) * 3
+    return (zeros, ((0, 0, 0), (0, 0, 0), (0, 0, x)))
+
+
 @pytest.mark.parametrize("bad", [True, 1.0, "1"])
 @pytest.mark.parametrize(
     "make",
@@ -214,10 +228,29 @@ def test_cardinality_p_n4_circular_is_factorial_2n():
         lambda x: OneLine(linear(1, 1), ((x,),)),
         lambda x: PlainASM(1, ((x,),)),
         lambda x: MonotoneTriangleChain(1, 2, (((x,),),)),
+        lambda x: ChainedPermutation(linear(3, 2), _deep_chain(x)),
+        lambda x: ChainedASM(linear(3, 2), _deep_chain(x)),
     ],
-    ids=["ChainedPermutation", "ChainedASM", "OneLine", "PlainASM", "MonotoneTriangleChain"],
+    ids=[
+        "ChainedPermutation", "ChainedASM", "OneLine", "PlainASM", "MonotoneTriangleChain",
+        "ChainedPermutation-last-entry", "ChainedASM-last-entry",
+    ],
 )
 def test_constructors_take_ints_only(make, bad):
     make(1)  # the same object with the int 1 is well-formed
     with pytest.raises(InputDomainError):
         make(bad)
+
+
+@pytest.mark.parametrize("cls", [ChainedPermutation, ChainedASM])
+def test_matrix_constructors_store_tuples(cls):
+    chain = _deep_chain(1)
+    as_lists = [[list(row) for row in mat] for mat in chain]
+    stored = cls(linear(3, 2), as_lists).matrices
+    assert stored == chain
+    assert type(stored) is tuple
+    assert all(type(mat) is tuple and all(type(row) is tuple for row in mat) for mat in stored)
+    # tuples throughout are kept as they are
+    assert cls(linear(3, 2), chain).matrices is chain
+    with pytest.raises(InputDomainError, match=r"entries must be in \[.*1\], got 1\.0$"):
+        cls(linear(3, 2), _deep_chain(1.0))

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainedboards.asm import (
+    ChainedASM,
     PlainASM,
     enumerate_chained_asm,
     fold_qt,
     permutation_to_asm,
     split_linear_odd,
 )
-from chainedboards.boards import circular, linear, max_rooks
+from chainedboards.boards import BoardSpec, Shape, circular, linear, max_rooks
 from chainedboards.errors import ChainedBoardsError, ParseError, ValidationError, clip
 from chainedboards.ice import to_fpl, to_ice
 from chainedboards.matchings import to_matching
-from chainedboards.perms import placement_to_matrices, to_one_line
+from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
 from chainedboards.placements import canonical_placement, enumerate_placements
 from chainedboards.serialization import (
     FAMILIES,
@@ -293,6 +294,31 @@ def test_round_trip_property(obj):
     back = deserialize(text)
     assert back == obj and type(back) is type(obj)
     assert serialize(back) == text
+
+
+@st.composite
+def matrix_objects(draw):
+    """A chained permutation or chained ASM of any entries in its family's
+    domain; the chained conditions need not hold."""
+    cls, domain = draw(st.sampled_from([(ChainedPermutation, (0, 1)), (ChainedASM, (-1, 0, 1))]))
+    board = BoardSpec(draw(st.sampled_from(Shape)), draw(st.integers(1, 11)), draw(st.integers(1, 3)))
+    entry = st.sampled_from(domain)
+    row = st.tuples(*[entry] * board.n)
+    matrix = st.lists(row, min_size=board.n, max_size=board.n).map(tuple)
+    return cls(board, tuple(draw(matrix) for _ in range(board.k)))
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(matrix_objects())
+def test_matrix_documents_match_an_independent_encoder(obj):
+    doc = {
+        "family": "chained-permutation" if type(obj) is ChainedPermutation else "chained-asm",
+        "shape": obj.board.shape.value,
+        "n": obj.board.n,
+        "k": obj.board.k,
+        "matrices": [[list(row) for row in mat] for mat in obj.matrices],
+    }
+    assert serialize(obj) == json.dumps(doc) + "\n"
 
 
 def _edit(data, doc: dict) -> None:
