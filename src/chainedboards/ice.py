@@ -9,12 +9,20 @@ orientations alternate with board parity (the chained domain wall
 boundary conditions) and every interior vertex gets two edges in and two
 out.  Keeping exactly the edges directed from an even vertex (parity of
 i+j+l) to an odd one gives the fully-packed loop form.
+
+For even k the graph is bipartite: every edge joins an odd vertex to an
+even one.  ``_grid`` builds once per (n, k), in a bounded cache, what every
+object on one graph shares: its edges by position with their ends, the
+interior vertices with the positions of their N, S, E, W edges, and the
+boundary edges with their forced heads and FPL membership.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import compress
+from typing import Iterator, NamedTuple
 
 from .asm import ChainedASM, chained_asm_problems
 from .boards import BoardSpec, Shape
@@ -30,8 +38,13 @@ class GridGraph:
     k: int
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 2 or self.k % 2 != 0:
-            raise UnsupportedDomainError("the chained grid graph needs even k >= 2")
+        # exact ints: the per-(n, k) tables would otherwise share 1 with True and 2 with 2.0
+        if type(self.n) is not int or self.n < 1:
+            raise InputDomainError(f"grid graph side n must be an int >= 1, got {clip(self.n)}")
+        if type(self.k) is not int or self.k < 2 or self.k % 2 != 0:
+            raise UnsupportedDomainError(
+                f"the chained grid graph needs an even int k >= 2, got {clip(self.k)}"
+            )
 
     def next_board(self, l: int) -> int:
         return l % self.k + 1
@@ -57,15 +70,7 @@ class GridGraph:
         yield from self.boundary_vertices()
 
     def edges(self) -> tuple[EdgeId, ...]:
-        n = self.n
-        out = []
-        for l in range(1, self.k + 1):
-            out.extend(("bl", l, i) for i in range(1, n + 1))
-            out.extend(("bt", l, j) for j in range(1, n + 1))
-            out.extend(("h", l, i, j) for i in range(1, n + 1) for j in range(1, n))
-            out.extend(("v", l, i, j) for i in range(1, n) for j in range(1, n + 1))
-            out.extend(("c", l, i) for i in range(1, n + 1))
-        return tuple(out)
+        return _grid(self.n, self.k).edges
 
     def endpoints(self, e: EdgeId) -> tuple[Vertex, Vertex]:
         kind = e[0]
@@ -101,6 +106,38 @@ def vertex_parity(v: Vertex) -> int:
     return (l + i + j) % 2
 
 
+class _Grid(NamedTuple):
+    """What every object on one grid graph shares; edges go by position."""
+
+    edges: tuple[EdgeId, ...]  # the canonical edge order
+    index: dict[EdgeId, int]  # edge -> position
+    ends: tuple[tuple[Vertex, Vertex], ...]  # each edge's endpoints
+    odd_even: tuple[tuple[Vertex, Vertex], ...]  # each edge's odd end, then its even end
+    interior: tuple[tuple[Vertex, tuple[int, ...]], ...]  # (v, positions of its N, S, E, W edges)
+    boundary: tuple[tuple[int, Vertex, bool], ...]  # (position, DWBC head, an FPL holds it)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(n: int, k: int) -> _Grid:
+    g = GridGraph(n, k)
+    edges = []
+    for l in range(1, k + 1):
+        edges.extend(("bl", l, i) for i in range(1, n + 1))
+        edges.extend(("bt", l, j) for j in range(1, n + 1))
+        edges.extend(("h", l, i, j) for i in range(1, n + 1) for j in range(1, n))
+        edges.extend(("v", l, i, j) for i in range(1, n) for j in range(1, n + 1))
+        edges.extend(("c", l, i) for i in range(1, n + 1))
+    index = {e: p for p, e in enumerate(edges)}
+    ends = tuple(map(g.endpoints, edges))
+    # even k makes the graph bipartite: u and v differ in parity on every edge
+    odd_even = tuple((u, v) if vertex_parity(u) else (v, u) for u, v in ends)
+    interior = tuple((v, tuple(index[e] for e in g.incident(v))) for v in g.interior_vertices())
+    boundary = tuple(
+        (p, _dwbc_head(e), _fpl_boundary(e)) for p, e in enumerate(edges) if e[0] in ("bl", "bt")
+    )
+    return _Grid(tuple(edges), index, ends, odd_even, interior, boundary)
+
+
 @dataclass(frozen=True)
 class IceConfiguration:
     """An orientation of the grid graph, stored as one head per edge in the
@@ -110,20 +147,20 @@ class IceConfiguration:
     heads: tuple[Vertex, ...]
 
     def __post_init__(self):
-        edges = self.graph.edges()
-        if len(self.heads) != len(edges):
+        grid = _grid(self.graph.n, self.graph.k)
+        if len(self.heads) != len(grid.edges):
             raise InputDomainError("need one head per edge")
         fixed = []
-        for e, h in zip(edges, self.heads):
+        for e, ends, h in zip(grid.edges, grid.ends, self.heads):
             h = tuple(h)
-            if h not in self.graph.endpoints(e):
+            if h not in ends:
                 raise InputDomainError(f"{clip(h)} is not an endpoint of edge {e}")
-            fixed.append(h)
+            fixed.append(ends[0] if h == ends[0] else ends[1])  # the table's own, exact ints
         object.__setattr__(self, "heads", tuple(fixed))
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(edges)})
+        object.__setattr__(self, "_grid", grid)
 
     def head(self, e: EdgeId) -> Vertex:
-        return self.heads[self._index[e]]
+        return self.heads[self._grid.index[e]]
 
     def tail(self, e: EdgeId) -> Vertex:
         u, v = self.graph.endpoints(e)
@@ -165,38 +202,31 @@ def to_ice(a: ChainedASM) -> IceConfiguration:
         return prefix[l - 1][i - 1][n]
 
     heads = []
-    for e in graph.edges():
+    for e, (u, v) in zip(graph.edges(), _grid(n, k).ends):
         kind, l = e[0], e[1]
-        odd = l % 2 == 1
-        if kind == "h":
-            _, _, i, j = e
-            s = prefix[l - 1][i - 1][j]
-            left, right = (l, i, j), (l, i, j + 1)
-            heads.append(left if (s == 1) == odd else right)
-        elif kind == "v":
-            _, _, i, j = e
-            s = row_sum(graph.prev_board(l), j) + bottom[l - 1][j - 1][n - i]
-            up, down = (l, i, j), (l, i + 1, j)
-            heads.append(up if (s == 1) == odd else down)
-        elif kind == "c":
-            _, _, i = e
-            s = row_sum(l, i)
-            here, there = (l, i, n), (graph.next_board(l), n, i)
-            heads.append(here if (s == 1) == odd else there)
+        if kind == "h":  # u left of v
+            s = prefix[l - 1][e[2] - 1][e[3]]
+        elif kind == "v":  # u above v
+            s = row_sum(graph.prev_board(l), e[3]) + bottom[l - 1][e[3] - 1][n - e[2]]
+        elif kind == "c":  # u on board l, v on the next
+            s = row_sum(l, e[2])
         else:
             heads.append(_dwbc_head(e))
+            continue
+        heads.append(u if (s == 1) == (l % 2 == 1) else v)
     return IceConfiguration(graph, tuple(heads))
 
 
 def ice_problems(c: IceConfiguration) -> list[str]:
     """Chained domain wall boundary conditions plus two-in two-out."""
-    problems = []
-    for e in c.graph.edges():
-        want = _dwbc_head(e)
-        if want is not None and c.head(e) != want:
-            problems.append(f"boundary edge {e} must point to {want}")
-    for v in c.graph.interior_vertices():
-        indeg = sum(1 for e in c.graph.incident(v) if c.head(e) == v)
+    grid, heads = c._grid, c.heads
+    problems = [
+        f"boundary edge {grid.edges[p]} must point to {want}"
+        for p, want, _ in grid.boundary
+        if heads[p] != want
+    ]
+    for v, around in grid.interior:
+        indeg = sum([heads[p] == v for p in around])
         if indeg != 2:
             problems.append(f"interior vertex {v} has {indeg} edges entering, not 2")
     return problems
@@ -208,15 +238,13 @@ def from_ice(c: IceConfiguration) -> ChainedASM:
     problems = ice_problems(c)
     if problems:
         raise ValidationError("not a chained ice configuration", problems)
-    graph = c.graph
-    n, k = graph.n, graph.k
+    n, k, heads = c.graph.n, c.graph.k, c.heads
     grids = [[[0] * n for _ in range(n)] for _ in range(k)]
-    for v in graph.interior_vertices():
-        l, i, j = v
-        north, south, east, west = graph.incident(v)
-        horiz_in = (c.head(east) == v) + (c.head(west) == v)
+    for v, (_, _, east, west) in c._grid.interior:
+        horiz_in = (heads[east] == v) + (heads[west] == v)
         if horiz_in == 1:
             continue  # flow-through vertex, entry 0
+        l, i, j = v
         sources_in = horiz_in == 2  # both horizontal in, both vertical out
         value = 1 if sources_in == (l % 2 == 1) else -1
         grids[l - 1][i - 1][j - 1] = value
@@ -229,20 +257,27 @@ def from_ice(c: IceConfiguration) -> ChainedASM:
 
 @dataclass(frozen=True)
 class FPLConfiguration:
+    """A subgraph of the grid graph: its edges in canonical order, and a flag per position."""
+
     graph: GridGraph
     chosen: tuple[EdgeId, ...]
 
     def __post_init__(self):
-        order = {e: i for i, e in enumerate(self.graph.edges())}
-        picked = set(tuple(e) for e in self.chosen)
-        for e in picked:
-            if e not in order:
+        grid = _grid(self.graph.n, self.graph.k)
+        member = [False] * len(grid.edges)
+        for e in self.chosen:
+            e = tuple(e)
+            p = grid.index.get(e)
+            if p is None:
                 raise InputDomainError(f"unknown edge {clip(repr(e))}")
-        object.__setattr__(self, "chosen", tuple(sorted(picked, key=order.__getitem__)))
-        object.__setattr__(self, "_set", frozenset(picked))
+            member[p] = True
+        object.__setattr__(self, "chosen", tuple(compress(grid.edges, member)))
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_member", member)
 
     def contains(self, e: EdgeId) -> bool:
-        return e in self._set
+        p = self._grid.index.get(e)
+        return p is not None and self._member[p]
 
 
 def to_fpl(c: IceConfiguration) -> FPLConfiguration:
@@ -250,7 +285,8 @@ def to_fpl(c: IceConfiguration) -> FPLConfiguration:
     problems = ice_problems(c)
     if problems:
         raise ValidationError("not a chained ice configuration", problems)
-    chosen = [e for e in c.graph.edges() if vertex_parity(c.tail(e)) == 0]
+    grid = c._grid
+    chosen = [e for e, h, (odd, _) in zip(grid.edges, c.heads, grid.odd_even) if h == odd]
     return FPLConfiguration(c.graph, tuple(chosen))
 
 
@@ -265,14 +301,14 @@ def _fpl_boundary(e: EdgeId) -> bool | None:
 
 def fpl_problems(f: FPLConfiguration) -> list[str]:
     """Fixed boundary pattern plus degree exactly 2 at interior vertices."""
+    grid, member = f._grid, f._member
     problems = []
-    for e in f.graph.edges():
-        want = _fpl_boundary(e)
-        if want is not None and f.contains(e) != want:
+    for p, _, want in grid.boundary:
+        if member[p] != want:
             state = "must contain" if want else "must not contain"
-            problems.append(f"fully-packed loop {state} boundary edge {e}")
-    for v in f.graph.interior_vertices():
-        deg = sum(1 for e in f.graph.incident(v) if f.contains(e))
+            problems.append(f"fully-packed loop {state} boundary edge {grid.edges[p]}")
+    for v, around in grid.interior:
+        deg = sum([member[p] for p in around])
         if deg != 2:
             problems.append(f"interior vertex {v} has degree {deg}, not 2")
     return problems
@@ -283,12 +319,7 @@ def from_fpl(f: FPLConfiguration) -> IceConfiguration:
     problems = fpl_problems(f)
     if problems:
         raise ValidationError("not a chained fully-packed loop configuration", problems)
-    heads = []
-    for e in f.graph.edges():
-        u, v = f.graph.endpoints(e)
-        odd_end = u if vertex_parity(u) == 1 else v
-        even_end = v if odd_end == u else u
-        heads.append(odd_end if f.contains(e) else even_end)
+    heads = [odd if m else even for m, (odd, even) in zip(f._member, f._grid.odd_even)]
     return IceConfiguration(f.graph, tuple(heads))
 
 

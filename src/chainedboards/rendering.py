@@ -7,6 +7,8 @@ orientation), and fully-packed loops.  Output is deterministic.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .asm import ChainedASM, PlainASM
 from .boards import BoardSpec
 from .errors import UnsupportedDomainError
@@ -14,7 +16,7 @@ from .ice import FPLConfiguration, GridGraph, IceConfiguration
 from .matchings import ChainGraph, ChainMatching
 from .perms import ChainedPermutation, OneLine, one_line_text
 from .placements import RookPlacement
-from .serialization import edge_to_str, vertex_to_str
+from .serialization import _oriented, _wire, vertex_to_str
 from .triangles import MonotoneTriangleChain
 
 
@@ -84,9 +86,9 @@ def _chain_graph_dot(g: ChainGraph, matched: frozenset) -> str:
     return _dot("graph", "chain", (f"{r}:{i}" for r, i in g.vertices()), map(edge, g.edges()))
 
 
-def _grid_dot(kind: str, name: str, g: GridGraph, edges, ends) -> str:
-    """Grid-graph vertices and ``edges`` (between ``ends(e)``), by their wire ids."""
-    labelled = ((*map(vertex_to_str, ends(e)), f'label="{edge_to_str(e)}"') for e in edges)
+def _grid_dot(kind: str, name: str, g: GridGraph, edges) -> str:
+    """Grid-graph vertices and ``edges``, as (edge id, tail id, head id) wire texts."""
+    labelled = ((u, v, f'label="{e}"') for e, u, v in edges)
     return _dot(kind, name, map(vertex_to_str, g.vertices()), labelled)
 
 
@@ -100,12 +102,10 @@ _RENDERERS = {
     (MonotoneTriangleChain, "ascii"): _triangles_ascii,
     (ChainGraph, "dot"): lambda g: _chain_graph_dot(g, matched=frozenset()),
     (ChainMatching, "dot"): lambda m: _chain_graph_dot(m.graph, matched=frozenset(m.edges)),
-    (GridGraph, "dot"): lambda g: _grid_dot("graph", "grid", g, g.edges(), g.endpoints),
-    (IceConfiguration, "dot"): lambda c: _grid_dot(
-        "digraph", "ice", c.graph, c.graph.edges(), lambda e: (c.tail(e), c.head(e))
-    ),
+    (GridGraph, "dot"): lambda g: _grid_dot("graph", "grid", g, _wire(g.n, g.k)),
+    (IceConfiguration, "dot"): lambda c: _grid_dot("digraph", "ice", c.graph, _oriented(c)),
     (FPLConfiguration, "dot"): lambda f: _grid_dot(
-        "graph", "fpl", f.graph, f.chosen, f.graph.endpoints
+        "graph", "fpl", f.graph, compress(_wire(f.graph.n, f.graph.k), f._member)
     ),
 }
 

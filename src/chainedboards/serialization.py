@@ -12,7 +12,10 @@ points at.  ``deserialize`` also accepts the bare one-line string format
 ``serialize`` writes the header itself (ASCII names and ints: the bytes of
 ``json.dumps``), then the payload as its registry row says: matrices row by
 row from a bounded cache of row texts, sound as their constructors admit
-exact ints alone (``(True, 0)`` equals and hashes like ``(1, 0)``).
+exact ints alone (``(True, 0)`` equals and hashes like ``(1, 0)``).  Ice
+and FPL ids come from a bounded per-(n, k) table of each edge's id and its
+endpoints' ids (``_wire``), built after the edge-count checks; an ice value
+other than those exact texts (``"1:01,1"``, a number) is parsed as any id.
 
 Parsing is strict: numbers are JSON integers (no booleans or floats), ids
 use ASCII digits, and valid JSON that decodes to an object violating its
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .asm import ChainedASM, PlainASM, chained_asm_problems, plain_asm_problems
 from .boards import BoardSpec, Shape
@@ -34,6 +37,7 @@ from .ice import (
     GridGraph,
     IceConfiguration,
     Vertex,
+    _grid,
     fpl_problems,
     ice_problems,
 )
@@ -77,6 +81,16 @@ def str_to_vertex(s: str) -> Vertex:
         raise ParseError(f"bad vertex id {clip(repr(s))}") from None
 
 
+@functools.lru_cache(maxsize=16)
+def _wire(n: int, k: int) -> tuple[tuple[str, str, str], ...]:
+    """Each grid-graph edge's id and its two endpoints' ids as text, in edge order."""
+    grid = _grid(n, k)
+    return tuple((edge_to_str(e), *map(vertex_to_str, uv)) for e, uv in zip(grid.edges, grid.ends))
+
+
+_edge_of_text = functools.lru_cache(maxsize=1024)(str_to_edge)  # all ids of k(2n^2 + n) <= 1024 edges
+
+
 def _array(value) -> list:
     if type(value) is not list:
         raise ParseError(f"expected an array, got {clip(json.dumps(value))}")
@@ -107,17 +121,26 @@ def _ice_from(board: BoardSpec, mapping: dict) -> IceConfiguration:
             f"orientation maps {len(mapping)} edge ids, not the grid graph's {clip(want)}"
         )
     heads = []
-    for e in graph.edges():
-        key = edge_to_str(e)
+    for (key, u_text, v_text), (u, v) in zip(_wire(board.n, board.k), _grid(board.n, board.k).ends):
         if key not in mapping:
             raise ParseError(f"orientation is missing edge {key}")
-        heads.append(str_to_vertex(mapping[key]))
+        s = mapping[key]
+        # any other value ("1:01,1", a number, a vertex off the edge) is parsed, then checked
+        heads.append(u if s == u_text else v if s == v_text else str_to_vertex(s))
     return IceConfiguration(graph, tuple(heads))
+
+
+def _oriented(c: IceConfiguration) -> Iterator[tuple[str, str, str]]:
+    """Each edge's id, its tail's id and its head's id as text, in edge order."""
+    wire, ends = _wire(c.graph.n, c.graph.k), _grid(c.graph.n, c.graph.k).ends
+    for (key, u_text, v_text), (u, _), h in zip(wire, ends, c.heads):
+        yield (key, v_text, u_text) if h == u else (key, u_text, v_text)
 
 
 def _fpl_from(board: BoardSpec, value) -> FPLConfiguration:
     graph = GridGraph(board.n, board.k)
-    edges = tuple(map(str_to_edge, _array(value)))
+    # a list is unhashable: only strings go through the cache
+    edges = tuple(_edge_of_text(s) if type(s) is str else str_to_edge(s) for s in _array(value))
     # a fully-packed loop holds n^2 k + nk/2 edges: fewer fail before the graph's are listed
     want = board.n * board.n * board.k + board.n * board.k // 2
     if len(edges) < want:
@@ -201,13 +224,13 @@ FAMILIES = (
     ),
     Family(
         "ice", "ice", IceConfiguration, _CIRCULAR, lambda c: _circular(c.graph), "orientation",
-        lambda c: {edge_to_str(e): vertex_to_str(h) for e, h in zip(c.graph.edges(), c.heads)},
+        lambda c: {key: head for key, _, head in _oriented(c)},
         _ice_from,
         ice_problems,
     ),
     Family(
         "fpl", "fpl", FPLConfiguration, _CIRCULAR, lambda f: _circular(f.graph), "edges",
-        lambda f: [edge_to_str(e) for e in f.chosen],
+        lambda f: [key for (key, _, _), m in zip(_wire(f.graph.n, f.graph.k), f._member) if m],
         _fpl_from,
         fpl_problems,
     ),

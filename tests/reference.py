@@ -7,7 +7,9 @@
 - ``enumerate_matchings``: a chain-graph search, for the chained-permutation counts;
 - ``enumerate_mt_chains``: Gelfand-Tsetlin pattern chains, for ``to_monotone_triangles``;
 - ``enumerate_ice``: a grid-graph orientation search, for ``to_ice``;
-- ``enumerate_fpl``: a grid-graph subgraph search, for ``to_fpl``.
+- ``enumerate_fpl``: a grid-graph subgraph search, for ``to_fpl``;
+- ``ice_problems``, ``fpl_problems``: the ice and FPL checks edge by edge, through
+  ``endpoints``/``incident`` and not the per-graph position tables.
 """
 
 from __future__ import annotations
@@ -243,3 +245,34 @@ def enumerate_fpl(n: int, k: int) -> Iterator[FPLConfiguration]:
 
     for picked in _two_marks_each(graph, takes):
         yield FPLConfiguration(graph, tuple(e for e in picked if e))
+
+
+def ice_problems(c: IceConfiguration) -> list[str]:
+    """Chained domain wall boundary conditions plus two-in two-out, by edge id."""
+    head = dict(zip(c.graph.edges(), c.heads))
+    problems = []
+    for e, h in head.items():
+        want = _dwbc_head(e)
+        if want is not None and h != want:
+            problems.append(f"boundary edge {e} must point to {want}")
+    for v in c.graph.interior_vertices():
+        indeg = sum(1 for e in c.graph.incident(v) if head[e] == v)
+        if indeg != 2:
+            problems.append(f"interior vertex {v} has {indeg} edges entering, not 2")
+    return problems
+
+
+def fpl_problems(f: FPLConfiguration) -> list[str]:
+    """Fixed boundary pattern plus degree exactly 2 at interior vertices, by edge id."""
+    chosen = set(f.chosen)
+    problems = []
+    for e in f.graph.edges():
+        want = _fpl_boundary(e)
+        if want is not None and (e in chosen) != want:
+            state = "must contain" if want else "must not contain"
+            problems.append(f"fully-packed loop {state} boundary edge {e}")
+    for v in f.graph.interior_vertices():
+        deg = sum(1 for e in f.graph.incident(v) if e in chosen)
+        if deg != 2:
+            problems.append(f"interior vertex {v} has degree {deg}, not 2")
+    return problems

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainedboards.asm import enumerate_chained_asm
 from chainedboards.boards import circular
-from chainedboards.errors import UnsupportedDomainError, ValidationError
+from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.ice import (
     FPLConfiguration,
     GridGraph,
     IceConfiguration,
+    _grid,
     fpl_problems,
     from_fpl,
     from_ice,
@@ -17,6 +22,7 @@ from chainedboards.ice import (
     to_ice,
     vertex_parity,
 )
+from tests import reference
 from tests.reference import enumerate_fpl, enumerate_ice
 from tests.worked_examples import WORKED_46
 
@@ -46,11 +52,51 @@ def test_grid_graph_needs_even_k():
         GridGraph(2, 3)
 
 
+@pytest.mark.parametrize(
+    "n, k, error, message",
+    [
+        (0, 2, InputDomainError, "grid graph side n must be an int >= 1, got 0"),
+        (-3, 2, InputDomainError, "grid graph side n must be an int >= 1, got -3"),
+        (2.0, 2, InputDomainError, "grid graph side n must be an int >= 1, got 2.0"),
+        (True, 2, InputDomainError, "grid graph side n must be an int >= 1, got True"),
+        ("2", 2, InputDomainError, "grid graph side n must be an int >= 1, got 2"),
+        (2, 3, UnsupportedDomainError, "the chained grid graph needs an even int k >= 2, got 3"),
+        (2, 0, UnsupportedDomainError, "the chained grid graph needs an even int k >= 2, got 0"),
+        (2, -2, UnsupportedDomainError, "the chained grid graph needs an even int k >= 2, got -2"),
+        (2, 2.0, UnsupportedDomainError, "the chained grid graph needs an even int k >= 2, got 2.0"),
+        (2, True, UnsupportedDomainError, "the chained grid graph needs an even int k >= 2, got True"),
+    ],
+)
+def test_grid_graph_takes_exact_int_sizes_and_names_a_bad_one(n, k, error, message):
+    # the per-(n, k) tables must never be shared between 2 and 2.0, or 1 and True
+    with pytest.raises(error) as info:
+        GridGraph(n, k)
+    assert str(info.value) == message
+
+
 def test_edges_are_parity_bipartite():
-    g = GridGraph(3, 2)
-    for e in g.edges():
-        u, v = g.endpoints(e)
-        assert vertex_parity(u) != vertex_parity(v)
+    # even k: vertex (l, i, j) has parity l + i + j, and the chaining edge
+    # (l, i, n) - (l + 1, n, i) changes l by one (or by k - 1, odd) and keeps i + n
+    for n, k in [(1, 2), (2, 2), (3, 2), (2, 4), (3, 6)]:
+        g = GridGraph(n, k)
+        for e in g.edges():
+            u, v = g.endpoints(e)
+            assert vertex_parity(u) != vertex_parity(v)
+        odd_even = _grid(n, k).odd_even
+        assert [(vertex_parity(u), vertex_parity(v)) for u, v in odd_even] == [(1, 0)] * len(odd_even)
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 4), (3, 2)])
+def test_grid_tables_agree_with_the_graph_methods(n, k):
+    g, grid = GridGraph(n, k), _grid(n, k)
+    assert grid.edges == g.edges() and list(grid.index) == list(g.edges())
+    assert [grid.index[e] for e in g.edges()] == list(range(len(g.edges())))
+    assert grid.ends == tuple(map(g.endpoints, g.edges()))
+    assert [set(pair) for pair in grid.odd_even] == [set(pair) for pair in grid.ends]
+    assert [v for v, _ in grid.interior] == list(g.interior_vertices())
+    for v, around in grid.interior:
+        assert tuple(grid.edges[p] for p in around) == g.incident(v)
+    assert [grid.edges[p] for p, _, _ in grid.boundary] == [e for e in g.edges() if e[0] in ("bl", "bt")]
 
 
 def test_boundary_orientation_rules():
@@ -153,3 +199,37 @@ def test_independent_fpl_enumeration_matches_images():
 def test_to_ice_domain():
     with pytest.raises(UnsupportedDomainError):
         to_ice(next(iter(enumerate_chained_asm(circular(2, 3)))))
+
+
+@functools.cache
+def _images(n: int, k: int) -> tuple:
+    return tuple(to_ice(a) for a in enumerate_chained_asm(circular(n, k)))
+
+
+_CELLS = [(1, 2), (2, 2), (2, 4), (3, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ice_problems_match_the_edge_by_edge_definition(data):
+    ice = data.draw(st.sampled_from(_images(*data.draw(st.sampled_from(_CELLS)))))
+    edges = ice.graph.edges()
+    flips = data.draw(st.sets(st.integers(0, len(edges) - 1)))
+    heads = list(ice.heads)
+    for p in flips:
+        u, v = ice.graph.endpoints(edges[p])
+        heads[p] = v if heads[p] == u else u
+    bad = IceConfiguration(ice.graph, tuple(heads))
+    assert ice_problems(bad) == reference.ice_problems(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fpl_problems_match_the_edge_by_edge_definition(data):
+    fpl = to_fpl(data.draw(st.sampled_from(_images(*data.draw(st.sampled_from(_CELLS))))))
+    edges = fpl.graph.edges()
+    drop = data.draw(st.sets(st.sampled_from(fpl.chosen)))
+    add = data.draw(st.sets(st.sampled_from([e for e in edges if not fpl.contains(e)])))
+    changed = FPLConfiguration(fpl.graph, tuple(e for e in fpl.chosen if e not in drop) + tuple(add))
+    assert fpl_problems(changed) == reference.fpl_problems(changed)
+    assert not reference.fpl_problems(fpl)

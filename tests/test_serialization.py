@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +19,18 @@ from chainedboards.asm import (
 )
 from chainedboards.boards import BoardSpec, Shape, circular, linear, max_rooks
 from chainedboards.errors import ChainedBoardsError, ParseError, ValidationError, clip
-from chainedboards.ice import to_fpl, to_ice
+from chainedboards.ice import _grid, to_fpl, to_ice
 from chainedboards.matchings import to_matching
 from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
 from chainedboards.placements import canonical_placement, enumerate_placements
 from chainedboards.serialization import (
     FAMILIES,
+    _wire,
     deserialize,
+    edge_to_str,
     family_of,
     serialize,
+    vertex_to_str,
 )
 from chainedboards.triangles import to_monotone_triangles
 from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, OVERSIZED, QT_6, WORKED_46
@@ -394,7 +399,7 @@ def test_fpl_with_too_few_edges_fails_with_one_problem():
 
 def test_ice_with_another_edge_count_is_a_parse_error():
     with pytest.raises(ParseError, match="^orientation maps 0 edge ids, not the grid graph's 640800$"):
-        deserialize('{"family": "ice", "shape": "circular", "n": 400, "k": 2, "orientation": {}}')
+        deserialize(OVERSIZED["ice with n = 400 and no edges"])
     doc = json.loads(serialize(to_ice(WORKED_46)))
     doc["orientation"]["bl:9,9"] = "9:9,0"
     with pytest.raises(ParseError, match="^orientation maps"):
@@ -402,6 +407,52 @@ def test_ice_with_another_edge_count_is_a_parse_error():
     del doc["orientation"]["bl:1,1"]  # the count is right again, with an unknown edge
     with pytest.raises(ParseError, match="^orientation is missing edge bl:1,1$"):
         deserialize(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [("ice with n = 400 and no edges", ParseError), ("fpl with n = 400 and no edges", ValidationError)],
+)
+def test_oversized_grid_documents_are_rejected_before_any_table_is_built(name, error):
+    # n = 400 has 640800 edges: their per-graph tables would take hundreds of MB
+    _grid.cache_clear()
+    _wire.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            deserialize(OVERSIZED[name])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert _grid.cache_info().currsize == _wire.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (2, 4), (3, 2), (3, 4), (2, 8)])
+def test_ice_and_fpl_documents_are_json_of_their_edge_and_vertex_ids(n, k):
+    for a in itertools.islice(enumerate_chained_asm(circular(n, k)), 0, 140, 7):
+        ice = to_ice(a)
+        fpl = to_fpl(ice)
+        edges, picked = ice.graph.edges(), set(fpl.chosen)
+        header = {"shape": "circular", "n": n, "k": k}
+        orientation = {edge_to_str(e): vertex_to_str(h) for e, h in zip(edges, ice.heads)}
+        assert serialize(ice) == json.dumps({"family": "ice", **header, "orientation": orientation}) + "\n"
+        chosen = [edge_to_str(e) for e in edges if e in picked]
+        assert serialize(fpl) == json.dumps({"family": "fpl", **header, "edges": chosen}) + "\n"
+        assert deserialize(serialize(ice)) == ice and deserialize(serialize(fpl)) == fpl
+
+
+def test_ice_heads_other_than_the_endpoint_texts_are_parsed_and_checked():
+    text = serialize(to_ice(WORKED_46))
+    assert '"bl:1,1": "1:1,1"' in text
+    padded = text.replace('"bl:1,1": "1:1,1"', '"bl:1,1": "1:01,1"')
+    assert deserialize(padded) == to_ice(WORKED_46)
+    assert serialize(deserialize(padded)) == text
+    with pytest.raises(ParseError, match="^bad vertex id 5$"):
+        deserialize(text.replace('"bl:1,1": "1:1,1"', '"bl:1,1": 5'))
+    with pytest.raises(ValidationError) as info:
+        deserialize(text.replace('"bl:1,1": "1:1,1"', '"bl:1,1": "1:2,2"'))
+    assert info.value.problems == ["(1, 2, 2) is not an endpoint of edge ('bl', 1, 1)"]
 
 
 LONG = "x" * 100000

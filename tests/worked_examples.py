@@ -126,6 +126,7 @@ OVERSIZED = {
         "chained-asm", shape="circular", n=1, k=1, matrices=[[[0]]]
     ).replace("[[[0]]]", "[[[" + "9" * 5000 + "]]]"),
     "fpl with n = 400 and no edges": _doc("fpl", shape="circular", n=400, k=2, edges=[]),
+    "ice with n = 400 and no edges": _doc("ice", shape="circular", n=400, k=2, orientation={}),
     "long non-JSON": "[" * 100_000 + "]" * 100_000,
 }
 
