@@ -277,8 +277,8 @@ class PlainASM:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.size < 1:
-            raise InputDomainError("size must be >= 1")
+        if type(self.size) is not int or self.size < 1:  # exact ints, as in BoardSpec
+            raise InputDomainError(f"plain ASM size must be an int >= 1, got {clip(self.size)}")
         if len(self.rows) != self.size or any(len(r) != self.size for r in self.rows):
             raise InputDomainError(f"matrix must be {clip(self.size)}x{clip(self.size)}")
         if any(type(x) is not int or x not in (-1, 0, 1) for r in self.rows for x in r):

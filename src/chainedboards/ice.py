@@ -11,10 +11,12 @@ out.  Keeping exactly the edges directed from an even vertex (parity of
 i+j+l) to an odd one gives the fully-packed loop form.
 
 For even k the graph is bipartite: every edge joins an odd vertex to an
-even one.  ``_grid`` builds once per (n, k), in a bounded cache, what every
-object on one graph shares: its edges by position with their ends, the
-interior vertices with the positions of their N, S, E, W edges, and the
-boundary edges with their forced heads and FPL membership.
+even one.  ``_grid`` states the graph once per (n, k), in a bounded cache:
+its edges by position with their ends, the interior vertices with the
+positions of their N, S, E, W edges, and the boundary edges with their
+forced heads and FPL membership.  Every object on one graph reads that
+table, and a lookup of anything that is not an edge (or an interior vertex,
+for ``incident``) of the graph raises ``InputDomainError``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .asm import ChainedASM, chained_asm_problems
 from .boards import BoardSpec, Shape
@@ -46,59 +48,23 @@ class GridGraph:
                 f"the chained grid graph needs an even int k >= 2, got {clip(self.k)}"
             )
 
-    def next_board(self, l: int) -> int:
-        return l % self.k + 1
+    def interior_vertices(self) -> tuple[Vertex, ...]:
+        return tuple(_grid(self.n, self.k).interior)
 
-    def prev_board(self, l: int) -> int:
-        return l - 1 if l > 1 else self.k
-
-    def interior_vertices(self) -> Iterator[Vertex]:
-        for l in range(1, self.k + 1):
-            for i in range(1, self.n + 1):
-                for j in range(1, self.n + 1):
-                    yield (l, i, j)
-
-    def boundary_vertices(self) -> Iterator[Vertex]:
-        for l in range(1, self.k + 1):
-            for i in range(1, self.n + 1):
-                yield (l, i, 0)
-            for j in range(1, self.n + 1):
-                yield (l, 0, j)
-
-    def vertices(self) -> Iterator[Vertex]:
-        yield from self.interior_vertices()
-        yield from self.boundary_vertices()
+    def vertices(self) -> tuple[Vertex, ...]:
+        return _grid(self.n, self.k).vertices
 
     def edges(self) -> tuple[EdgeId, ...]:
         return _grid(self.n, self.k).edges
 
     def endpoints(self, e: EdgeId) -> tuple[Vertex, Vertex]:
-        kind = e[0]
-        if kind == "h":
-            _, l, i, j = e
-            return ((l, i, j), (l, i, j + 1))
-        if kind == "v":
-            _, l, i, j = e
-            return ((l, i, j), (l, i + 1, j))
-        if kind == "c":
-            _, l, i = e
-            return ((l, i, self.n), (self.next_board(l), self.n, i))
-        if kind == "bl":
-            _, l, i = e
-            return ((l, i, 0), (l, i, 1))
-        if kind == "bt":
-            _, l, j = e
-            return ((l, 0, j), (l, 1, j))
-        raise InputDomainError(f"unknown edge {e!r}")
+        grid = _grid(self.n, self.k)
+        return grid.ends[_look_up(grid.index, e, "edge")]
 
     def incident(self, v: Vertex) -> tuple[EdgeId, ...]:
         """The N, S, E, W edges of an interior vertex."""
-        l, i, j = v
-        north = ("v", l, i - 1, j) if i > 1 else ("bt", l, j)
-        south = ("v", l, i, j) if i < self.n else ("c", self.prev_board(l), j)
-        west = ("h", l, i, j - 1) if j > 1 else ("bl", l, i)
-        east = ("h", l, i, j) if j < self.n else ("c", l, i)
-        return (north, south, east, west)
+        grid = _grid(self.n, self.k)
+        return tuple(grid.edges[p] for p in _look_up(grid.interior, v, "interior vertex"))
 
 
 def vertex_parity(v: Vertex) -> int:
@@ -113,29 +79,64 @@ class _Grid(NamedTuple):
     index: dict[EdgeId, int]  # edge -> position
     ends: tuple[tuple[Vertex, Vertex], ...]  # each edge's endpoints
     odd_even: tuple[tuple[Vertex, Vertex], ...]  # each edge's odd end, then its even end
-    interior: tuple[tuple[Vertex, tuple[int, ...]], ...]  # (v, positions of its N, S, E, W edges)
+    interior: dict[Vertex, tuple[int, ...]]  # interior vertex -> positions of its N, S, E, W edges
     boundary: tuple[tuple[int, Vertex, bool], ...]  # (position, DWBC head, an FPL holds it)
+    vertices: tuple[Vertex, ...]  # the interior vertices, then each board's left and top boundary
+
+
+_N, _S, _E, _W = range(4)
 
 
 @functools.lru_cache(maxsize=16)
 def _grid(n: int, k: int) -> _Grid:
-    g = GridGraph(n, k)
-    edges = []
+    """The chained grid graph, the one place its geometry is written down."""
+    side = range(1, n + 1)
+    interior = {(l, i, j): [0] * 4 for l in range(1, k + 1) for i in side for j in side}
+    edges, ends, boundary = [], [], []
+
+    def add(e: EdgeId, u: Vertex, v: Vertex, u_side: int | None, v_side: int) -> None:
+        """List edge e as the u_side edge of u (None: u is on the boundary) and the v_side of v."""
+        if u_side is not None:
+            interior[u][u_side] = len(edges)
+        interior[v][v_side] = len(edges)
+        edges.append(e)
+        ends.append((u, v))
+
     for l in range(1, k + 1):
-        edges.extend(("bl", l, i) for i in range(1, n + 1))
-        edges.extend(("bt", l, j) for j in range(1, n + 1))
-        edges.extend(("h", l, i, j) for i in range(1, n + 1) for j in range(1, n))
-        edges.extend(("v", l, i, j) for i in range(1, n) for j in range(1, n + 1))
-        edges.extend(("c", l, i) for i in range(1, n + 1))
-    index = {e: p for p, e in enumerate(edges)}
-    ends = tuple(map(g.endpoints, edges))
+        odd = l % 2  # odd boards: left boundary points in, top boundary points out
+        for i in range(1, n + 1):
+            boundary.append((len(edges), (l, i, odd), i % 2 == 1))
+            add(("bl", l, i), (l, i, 0), (l, i, 1), None, _W)
+        for j in range(1, n + 1):
+            boundary.append((len(edges), (l, 1 - odd, j), j % 2 == 0))
+            add(("bt", l, j), (l, 0, j), (l, 1, j), None, _N)
+        for i in range(1, n + 1):
+            for j in range(1, n):
+                add(("h", l, i, j), (l, i, j), (l, i, j + 1), _E, _W)
+        for i in range(1, n):
+            for j in range(1, n + 1):
+                add(("v", l, i, j), (l, i, j), (l, i + 1, j), _S, _N)
+        for i in range(1, n + 1):  # the right edge of board l chains to the bottom of board l + 1
+            add(("c", l, i), (l, i, n), (l % k + 1, n, i), _E, _S)
     # even k makes the graph bipartite: u and v differ in parity on every edge
     odd_even = tuple((u, v) if vertex_parity(u) else (v, u) for u, v in ends)
-    interior = tuple((v, tuple(index[e] for e in g.incident(v))) for v in g.interior_vertices())
-    boundary = tuple(
-        (p, _dwbc_head(e), _fpl_boundary(e)) for p, e in enumerate(edges) if e[0] in ("bl", "bt")
+    return _Grid(
+        tuple(edges),
+        {e: p for p, e in enumerate(edges)},
+        tuple(ends),
+        odd_even,
+        {v: tuple(around) for v, around in interior.items()},
+        tuple(boundary),
+        (*interior, *(ends[p][0] for p, _, _ in boundary)),  # then the boundary edges' outer ends
     )
-    return _Grid(tuple(edges), index, ends, odd_even, interior, boundary)
+
+
+def _look_up(table: dict, key, what: str):
+    """``table[key]``, or an InputDomainError naming ``key`` as an unknown ``what``."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable key, such as a list
+        raise InputDomainError(f"unknown {what} {clip(repr(key))}") from None
 
 
 @dataclass(frozen=True)
@@ -160,21 +161,12 @@ class IceConfiguration:
         object.__setattr__(self, "_grid", grid)
 
     def head(self, e: EdgeId) -> Vertex:
-        return self.heads[self._grid.index[e]]
+        return self.heads[_look_up(self._grid.index, e, "edge")]
 
     def tail(self, e: EdgeId) -> Vertex:
-        u, v = self.graph.endpoints(e)
-        return v if self.head(e) == u else u
-
-
-def _dwbc_head(e: EdgeId) -> Vertex | None:
-    """The head the chained domain wall boundary conditions force, if any."""
-    kind, l = e[0], e[1]
-    if kind == "bl":
-        return (l, e[2], 1) if l % 2 == 1 else (l, e[2], 0)
-    if kind == "bt":
-        return (l, 0, e[2]) if l % 2 == 1 else (l, 1, e[2])
-    return None
+        p = _look_up(self._grid.index, e, "edge")
+        u, v = self._grid.ends[p]
+        return v if self.heads[p] == u else u
 
 
 def to_ice(a: ChainedASM) -> IceConfiguration:
@@ -182,38 +174,21 @@ def to_ice(a: ChainedASM) -> IceConfiguration:
     if a.board.shape is not Shape.CIRCULAR or a.board.k % 2 != 0:
         raise UnsupportedDomainError("square ice is defined only for circular boards with even k")
     graph = GridGraph(a.board.n, a.board.k)
-    n, k = graph.n, graph.k
-    mats = a.matrices
-    prefix = [
-        [[0] * (n + 1) for _ in range(n)] for _ in range(k)
-    ]  # prefix[l][i][j] = sum of first j entries of row i+1
-    bottom = [
-        [[0] * (n + 1) for _ in range(n)] for _ in range(k)
-    ]  # bottom[l][j][t] = sum of the t lowest entries of column j+1
-    for l in range(k):
-        for i in range(n):
-            for j in range(n):
-                prefix[l][i][j + 1] = prefix[l][i][j] + mats[l][i][j]
-        for j in range(n):
-            for t in range(n):
-                bottom[l][j][t + 1] = bottom[l][j][t] + mats[l][n - 1 - t][j]
-
-    def row_sum(l: int, i: int) -> int:
-        return prefix[l - 1][i - 1][n]
-
-    heads = []
-    for e, (u, v) in zip(graph.edges(), _grid(n, k).ends):
+    grid, mats = _grid(graph.n, graph.k), a.matrices
+    heads = [None] * len(grid.edges)
+    for p, want, _ in grid.boundary:
+        heads[p] = want
+    for p, (e, (u, v)) in enumerate(zip(grid.edges, grid.ends)):
         kind, l = e[0], e[1]
-        if kind == "h":  # u left of v
-            s = prefix[l - 1][e[2] - 1][e[3]]
-        elif kind == "v":  # u above v
-            s = row_sum(graph.prev_board(l), e[3]) + bottom[l - 1][e[3] - 1][n - e[2]]
-        elif kind == "c":  # u on board l, v on the next
-            s = row_sum(l, e[2])
+        if kind == "h":  # u left of v: the row's first j entries
+            s = sum(mats[l - 1][e[2] - 1][: e[3]])
+        elif kind == "v":  # u above v: row j of the previous matrix (k for l = 1), column below
+            s = sum(mats[l - 2][e[3] - 1]) + sum(row[e[3] - 1] for row in mats[l - 1][e[2] :])
+        elif kind == "c":  # u on board l, v on the next: the whole row
+            s = sum(mats[l - 1][e[2] - 1])
         else:
-            heads.append(_dwbc_head(e))
             continue
-        heads.append(u if (s == 1) == (l % 2 == 1) else v)
+        heads[p] = u if (s == 1) == (l % 2 == 1) else v
     return IceConfiguration(graph, tuple(heads))
 
 
@@ -225,7 +200,7 @@ def ice_problems(c: IceConfiguration) -> list[str]:
         for p, want, _ in grid.boundary
         if heads[p] != want
     ]
-    for v, around in grid.interior:
+    for v, around in grid.interior.items():
         indeg = sum([heads[p] == v for p in around])
         if indeg != 2:
             problems.append(f"interior vertex {v} has {indeg} edges entering, not 2")
@@ -240,7 +215,7 @@ def from_ice(c: IceConfiguration) -> ChainedASM:
         raise ValidationError("not a chained ice configuration", problems)
     n, k, heads = c.graph.n, c.graph.k, c.heads
     grids = [[[0] * n for _ in range(n)] for _ in range(k)]
-    for v, (_, _, east, west) in c._grid.interior:
+    for v, (_, _, east, west) in c._grid.interior.items():
         horiz_in = (heads[east] == v) + (heads[west] == v)
         if horiz_in == 1:
             continue  # flow-through vertex, entry 0
@@ -266,18 +241,16 @@ class FPLConfiguration:
         grid = _grid(self.graph.n, self.graph.k)
         member = [False] * len(grid.edges)
         for e in self.chosen:
-            e = tuple(e)
-            p = grid.index.get(e)
-            if p is None:
-                raise InputDomainError(f"unknown edge {clip(repr(e))}")
-            member[p] = True
+            member[_look_up(grid.index, tuple(e), "edge")] = True
         object.__setattr__(self, "chosen", tuple(compress(grid.edges, member)))
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_member", member)
 
     def contains(self, e: EdgeId) -> bool:
-        p = self._grid.index.get(e)
-        return p is not None and self._member[p]
+        try:
+            return self._member[self._grid.index[e]]
+        except (KeyError, TypeError):  # not an edge of this graph; TypeError: unhashable
+            return False
 
 
 def to_fpl(c: IceConfiguration) -> FPLConfiguration:
@@ -290,15 +263,6 @@ def to_fpl(c: IceConfiguration) -> FPLConfiguration:
     return FPLConfiguration(c.graph, tuple(chosen))
 
 
-def _fpl_boundary(e: EdgeId) -> bool | None:
-    """Whether an FPL holds boundary edge ``e``; None for an inner edge."""
-    if e[0] == "bl":
-        return e[2] % 2 == 1
-    if e[0] == "bt":
-        return e[2] % 2 == 0
-    return None
-
-
 def fpl_problems(f: FPLConfiguration) -> list[str]:
     """Fixed boundary pattern plus degree exactly 2 at interior vertices."""
     grid, member = f._grid, f._member
@@ -307,7 +271,7 @@ def fpl_problems(f: FPLConfiguration) -> list[str]:
         if member[p] != want:
             state = "must contain" if want else "must not contain"
             problems.append(f"fully-packed loop {state} boundary edge {grid.edges[p]}")
-    for v, around in grid.interior:
+    for v, around in grid.interior.items():
         deg = sum([member[p] for p in around])
         if deg != 2:
             problems.append(f"interior vertex {v} has degree {deg}, not 2")

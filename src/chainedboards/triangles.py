@@ -36,8 +36,11 @@ class MonotoneTriangleChain:
     triangles: tuple[Triangle, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.k % 2 != 0:
-            raise InputDomainError("need n >= 1 and even k >= 2")
+        # exact ints, as in BoardSpec: a chain with n = True would fail later, on its board
+        if type(self.n) is not int or self.n < 1:
+            raise InputDomainError(f"triangle chain side n must be an int >= 1, got {clip(self.n)}")
+        if type(self.k) is not int or self.k < 2 or self.k % 2 != 0:
+            raise InputDomainError(f"triangle chain needs an even int k >= 2, got {clip(self.k)}")
         if len(self.triangles) != self.k // 2:
             half = clip(self.k // 2)
             raise InputDomainError(f"expected {half} triangles, got {len(self.triangles)}")

@@ -6,10 +6,14 @@
 - ``count_chained_asm``: enumeration, for the paper's table and ``count_chained_asm_tm``;
 - ``enumerate_matchings``: a chain-graph search, for the chained-permutation counts;
 - ``enumerate_mt_chains``: Gelfand-Tsetlin pattern chains, for ``to_monotone_triangles``;
+- ``grid_interior``, ``grid_incident``, ``grid_endpoints``, ``dwbc_head``, ``fpl_holds``:
+  the chained grid graph and its boundary rules as the paper draws them, for ``ice._grid``;
 - ``enumerate_ice``: a grid-graph orientation search, for ``to_ice``;
 - ``enumerate_fpl``: a grid-graph subgraph search, for ``to_fpl``;
-- ``ice_problems``, ``fpl_problems``: the ice and FPL checks edge by edge, through
-  ``endpoints``/``incident`` and not the per-graph position tables.
+- ``ice_problems``, ``fpl_problems``: the ice and FPL checks edge by edge.
+
+The grid-graph oracles use no geometry of ``chainedboards.ice``: only the
+edge order of ``GridGraph.edges()``, in which configurations store their edges.
 """
 
 from __future__ import annotations
@@ -21,13 +25,8 @@ from typing import Callable, Iterator
 from chainedboards.asm import enumerate_chained_asm
 from chainedboards.boards import BoardSpec, Composition, max_rooks
 from chainedboards.errors import InputDomainError, UnsupportedDomainError
-from chainedboards.ice import (
-    FPLConfiguration,
-    GridGraph,
-    IceConfiguration,
-    _dwbc_head,
-    _fpl_boundary,
-)
+from chainedboards.ice import EdgeId as GridEdge
+from chainedboards.ice import FPLConfiguration, GridGraph, IceConfiguration, Vertex
 from chainedboards.matchings import ChainGraph, ChainMatching, EdgeId
 from chainedboards.triangles import MonotoneTriangleChain, Triangle, mt_chain_problems
 
@@ -190,12 +189,66 @@ def enumerate_mt_chains(n: int, k: int) -> Iterator[MonotoneTriangleChain]:
             yield chain
 
 
+# The chained grid graph as the paper draws it: board l holds the interior
+# vertices (l, i, j), 1 <= i, j <= n, with boundary vertices (l, i, 0) on its
+# left and (l, 0, j) on its top, and the right end of row i of board l meets
+# the bottom of column i of board l + 1 (board 1 after board k).
+
+
+def grid_interior(n: int, k: int) -> list[Vertex]:
+    return [(l, i, j) for l in range(1, k + 1) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def grid_incident(n: int, k: int, v: Vertex) -> tuple[GridEdge, ...]:
+    """The N, S, E, W edges of interior vertex ``v``."""
+    l, i, j = v
+    north = ("v", l, i - 1, j) if i > 1 else ("bt", l, j)
+    south = ("v", l, i, j) if i < n else ("c", l - 1 if l > 1 else k, j)
+    east = ("h", l, i, j) if j < n else ("c", l, i)
+    west = ("h", l, i, j - 1) if j > 1 else ("bl", l, i)
+    return (north, south, east, west)
+
+
+def grid_endpoints(n: int, k: int, e: GridEdge) -> tuple[Vertex, Vertex]:
+    """Edge ``e``'s left or upper end, then the other; a chaining edge's end on board l first."""
+    kind, l, a = e[0], e[1], e[2]
+    if kind == "h":
+        return (l, a, e[3]), (l, a, e[3] + 1)
+    if kind == "v":
+        return (l, a, e[3]), (l, a + 1, e[3])
+    if kind == "c":
+        return (l, a, n), (l + 1 if l < k else 1, n, a)
+    return ((l, a, 0), (l, a, 1)) if kind == "bl" else ((l, 0, a), (l, 1, a))
+
+
+def dwbc_head(e: GridEdge) -> Vertex | None:
+    """The head the chained domain wall boundary conditions force on a boundary
+    edge: on odd boards the left edges point in and the top edges out, on even
+    boards the reverse.  None for an inner edge."""
+    kind, l, a = e[0], e[1], e[2]
+    if kind == "bl":
+        return (l, a, 1) if l % 2 == 1 else (l, a, 0)
+    if kind == "bt":
+        return (l, 0, a) if l % 2 == 1 else (l, 1, a)
+    return None
+
+
+def fpl_holds(e: GridEdge) -> bool | None:
+    """Whether a fully-packed loop holds a boundary edge: the left edges of odd
+    rows and the top edges of even columns.  None for an inner edge."""
+    if e[0] == "bl":
+        return e[2] % 2 == 1
+    if e[0] == "bt":
+        return e[2] % 2 == 0
+    return None
+
+
 def _two_marks_each(graph: GridGraph, options: Callable) -> Iterator[list]:
     """Every choice of one option per edge, in edge order, that marks each
     interior vertex exactly twice, as one reused list; ``options(e, u, v)``
     lists e's options in search order as (what e records, vertices it marks)."""
     edges = graph.edges()
-    marks = {v: 0 for v in graph.interior_vertices()}
+    marks = {v: 0 for v in grid_interior(graph.n, graph.k)}
     left = {v: 4 for v in marks}  # incident edges not yet decided
     picked: list = []
 
@@ -203,7 +256,7 @@ def _two_marks_each(graph: GridGraph, options: Callable) -> Iterator[list]:
         if idx == len(edges):
             yield picked
             return
-        u, v = graph.endpoints(edges[idx])
+        u, v = grid_endpoints(graph.n, graph.k, edges[idx])
         ends = [w for w in (u, v) if w in marks]
         for w in ends:
             left[w] -= 1
@@ -228,7 +281,7 @@ def enumerate_ice(n: int, k: int) -> Iterator[IceConfiguration]:
     graph = GridGraph(n, k)
 
     def heads(e, u, v):
-        return [(h, (h,)) for h in (u, v) if _dwbc_head(e) in (None, h)]
+        return [(h, (h,)) for h in (u, v) if dwbc_head(e) in (None, h)]
 
     for picked in _two_marks_each(graph, heads):
         yield IceConfiguration(graph, tuple(picked))
@@ -241,7 +294,7 @@ def enumerate_fpl(n: int, k: int) -> Iterator[FPLConfiguration]:
 
     def takes(e, u, v):
         skip, take = (None, ()), (e, (u, v))
-        return {None: [skip, take], False: [skip], True: [take]}[_fpl_boundary(e)]
+        return {None: [skip, take], False: [skip], True: [take]}[fpl_holds(e)]
 
     for picked in _two_marks_each(graph, takes):
         yield FPLConfiguration(graph, tuple(e for e in picked if e))
@@ -252,11 +305,11 @@ def ice_problems(c: IceConfiguration) -> list[str]:
     head = dict(zip(c.graph.edges(), c.heads))
     problems = []
     for e, h in head.items():
-        want = _dwbc_head(e)
+        want = dwbc_head(e)
         if want is not None and h != want:
             problems.append(f"boundary edge {e} must point to {want}")
-    for v in c.graph.interior_vertices():
-        indeg = sum(1 for e in c.graph.incident(v) if head[e] == v)
+    for v in grid_interior(c.graph.n, c.graph.k):
+        indeg = sum(1 for e in grid_incident(c.graph.n, c.graph.k, v) if head[e] == v)
         if indeg != 2:
             problems.append(f"interior vertex {v} has {indeg} edges entering, not 2")
     return problems
@@ -267,12 +320,12 @@ def fpl_problems(f: FPLConfiguration) -> list[str]:
     chosen = set(f.chosen)
     problems = []
     for e in f.graph.edges():
-        want = _fpl_boundary(e)
+        want = fpl_holds(e)
         if want is not None and (e in chosen) != want:
             state = "must contain" if want else "must not contain"
             problems.append(f"fully-packed loop {state} boundary edge {e}")
-    for v in f.graph.interior_vertices():
-        deg = sum(1 for e in f.graph.incident(v) if e in chosen)
+    for v in grid_interior(f.graph.n, f.graph.k):
+        deg = sum(1 for e in grid_incident(f.graph.n, f.graph.k, v) if e in chosen)
         if deg != 2:
             problems.append(f"interior vertex {v} has degree {deg}, not 2")
     return problems

@@ -152,6 +152,21 @@ def test_asm_equals_perms_for_n1():
             assert asms == perms, board
 
 
+@pytest.mark.parametrize(
+    "size, message",
+    [
+        (1.0, "plain ASM size must be an int >= 1, got 1.0"),
+        (True, "plain ASM size must be an int >= 1, got True"),
+        (0, "plain ASM size must be an int >= 1, got 0"),
+        ("1", "plain ASM size must be an int >= 1, got 1"),
+    ],
+)
+def test_plain_asm_takes_an_exact_int_size(size, message):
+    with pytest.raises(InputDomainError) as info:
+        PlainASM(size, ((1,),))
+    assert str(info.value) == message
+
+
 def test_linear_k1_is_classical_asm():
     for n in range(1, 5):
         got = list(enumerate_chained_asm(linear(n, 1)))

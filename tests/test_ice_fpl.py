@@ -88,15 +88,56 @@ def test_edges_are_parity_bipartite():
 
 @pytest.mark.parametrize("n, k", [(1, 2), (2, 4), (3, 2)])
 def test_grid_tables_agree_with_the_graph_methods(n, k):
+    # the table against the reference geometry, and every graph method against the table
     g, grid = GridGraph(n, k), _grid(n, k)
-    assert grid.edges == g.edges() and list(grid.index) == list(g.edges())
+    inner = reference.grid_interior(n, k)
+    assert list(grid.interior) == inner == list(g.interior_vertices())
+    assert set(grid.edges) == {e for v in inner for e in reference.grid_incident(n, k, v)}
+    assert grid.edges == g.edges() and list(grid.index) == list(grid.edges)
     assert [grid.index[e] for e in g.edges()] == list(range(len(g.edges())))
+    assert list(grid.ends) == [reference.grid_endpoints(n, k, e) for e in grid.edges]
     assert grid.ends == tuple(map(g.endpoints, g.edges()))
     assert [set(pair) for pair in grid.odd_even] == [set(pair) for pair in grid.ends]
-    assert [v for v, _ in grid.interior] == list(g.interior_vertices())
-    for v, around in grid.interior:
-        assert tuple(grid.edges[p] for p in around) == g.incident(v)
-    assert [grid.edges[p] for p, _, _ in grid.boundary] == [e for e in g.edges() if e[0] in ("bl", "bt")]
+    for v, around in grid.interior.items():
+        assert tuple(grid.edges[p] for p in around) == g.incident(v) == reference.grid_incident(n, k, v)
+    rules = [(reference.dwbc_head(e), reference.fpl_holds(e)) for e in grid.edges]
+    assert [(p, *rule) for p, rule in enumerate(rules) if rule != (None, None)] == list(grid.boundary)
+    ends = {w for e in grid.edges for w in reference.grid_endpoints(n, k, e)}
+    assert g.vertices()[: len(inner)] == tuple(inner)
+    assert len(g.vertices()) == len(ends) and set(g.vertices()) == ends
+
+
+_LONG = int("9" * 4000)
+
+
+@pytest.mark.parametrize("lookup", ["endpoints", "incident", "head", "tail"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        ("h", 9, 9, 9),  # out of range
+        ("h", 1),
+        ("x", 1, 1),  # an unknown kind
+        ["h", 1, 1, 1],  # a list
+        (1, 1, 0),  # a boundary vertex
+        ("h", 1, 1, _LONG),
+        (1, 1, _LONG),
+    ],
+)
+def test_lookups_reject_what_is_not_in_the_graph(lookup, key):
+    ice = to_ice(WORKED_46)
+    method = getattr(ice.graph if lookup in ("endpoints", "incident") else ice, lookup)
+    with pytest.raises(InputDomainError) as info:
+        method(key)
+    assert str(info.value).startswith("unknown ")
+    assert len(str(info.value).encode()) < 200
+
+
+def test_lookup_messages_name_the_key():
+    g = GridGraph(2, 2)
+    with pytest.raises(InputDomainError, match=r"^unknown edge \('h', 9, 9, 9\)$"):
+        g.endpoints(("h", 9, 9, 9))
+    with pytest.raises(InputDomainError, match=r"^unknown interior vertex \(1, 1, 0\)$"):
+        g.incident((1, 1, 0))
 
 
 def test_boundary_orientation_rules():
@@ -164,6 +205,14 @@ def test_fpl_boundary_pattern():
             assert fpl.contains(("bt", l, i)) == (i % 2 == 0)
 
 
+def test_fpl_contains_answers_false_for_what_is_not_an_edge():
+    fpl = to_fpl(to_ice(WORKED_46))
+    assert fpl.contains(("bl", 1, 1))
+    assert not fpl.contains(["bl", 1, 1])
+    assert not fpl.contains(("bl", 1, [1]))
+    assert not fpl.contains(("h", 9, 9, 9))
+
+
 def test_fpl_missing_edge_rejected():
     fpl = to_fpl(to_ice(WORKED_46))
     trimmed = FPLConfiguration(fpl.graph, tuple(e for e in fpl.chosen if e[0] != "c"))
@@ -183,14 +232,15 @@ def test_ice_and_fpl_counts_small():
 
 
 def test_independent_ice_enumeration_matches_images():
-    for n, k in [(1, 2), (2, 2)]:
+    # (1, 4), (2, 4): board 1's vertical edges read matrix k's rows
+    for n, k in [(1, 2), (2, 2), (1, 4), (2, 4), (3, 2)]:
         images = {to_ice(a).heads for a in enumerate_chained_asm(circular(n, k))}
         independent = {c.heads for c in enumerate_ice(n, k)}
         assert images == independent
 
 
 def test_independent_fpl_enumeration_matches_images():
-    for n, k in [(1, 2), (2, 2)]:
+    for n, k in [(1, 2), (2, 2), (1, 4), (2, 4), (3, 2)]:
         images = {to_fpl(to_ice(a)).chosen for a in enumerate_chained_asm(circular(n, k))}
         independent = {f.chosen for f in enumerate_fpl(n, k)}
         assert images == independent

@@ -1,0 +1,52 @@
+"""The oracle rule, read off the source: an oracle shares no logic with what it checks."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import chainedboards
+
+SRC = Path(chainedboards.__file__).parent
+REFERENCE = Path(__file__).parent / "reference.py"
+
+# what the transfer-matrix count runs; the enumerators it is checked against must not
+TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_count_walks"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute that ``node`` mentions."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_reference_imports_no_private_library_name():
+    tree = ast.parse(REFERENCE.read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "chainedboards"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    # nor reads one off a library object, as ``c._grid`` would
+    private += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+    assert private == []
+
+
+def test_enumerators_do_not_use_the_transfer_matrix_walk():
+    for module, function in [("asm.py", "enumerate_chained_asm"), ("placements.py", "enumerate_placements")]:
+        tree = ast.parse((SRC / module).read_text())
+        (found,) = [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
+        ]
+        assert not _names(found) & TRANSFER_NAMES, function

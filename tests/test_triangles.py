@@ -4,7 +4,7 @@ import pytest
 
 from chainedboards.asm import enumerate_chained_asm, permutation_to_asm
 from chainedboards.boards import circular, linear, max_rooks
-from chainedboards.errors import UnsupportedDomainError, ValidationError
+from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.perms import placement_to_matrices
 from chainedboards.placements import enumerate_placements
 from chainedboards.triangles import (
@@ -17,6 +17,24 @@ from chainedboards.triangles import (
 
 from tests.reference import enumerate_mt_chains
 from tests.worked_examples import WORKED_46, WORKED_TRIANGLES
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (True, 2, "triangle chain side n must be an int >= 1, got True"),
+        (1.0, 2, "triangle chain side n must be an int >= 1, got 1.0"),
+        (0, 2, "triangle chain side n must be an int >= 1, got 0"),
+        (1, 2.0, "triangle chain needs an even int k >= 2, got 2.0"),
+        (1, True, "triangle chain needs an even int k >= 2, got True"),
+        (1, 3, "triangle chain needs an even int k >= 2, got 3"),
+        (1, 0, "triangle chain needs an even int k >= 2, got 0"),
+    ],
+)
+def test_triangle_chain_takes_exact_int_sizes(n, k, message):
+    with pytest.raises(InputDomainError) as info:
+        MonotoneTriangleChain(n, k, (((1,),),))
+    assert str(info.value) == message
 
 
 def test_worked_example_pair_matrices():
