@@ -13,6 +13,14 @@ bottommost nonzero is +1 when r = 0 and -1 when r = 1.  The enumerator
 leans on that form: it picks whole rows top-down, and a row may not repeat
 a column's last nonzero sign, so each column's bottommost sign is known
 once its matrix's last row is chosen.
+
+It also spends a deficit budget.  Column i of matrix l has deficit
+1 - r - c, where c is its sum and r the previous matrix's row-i sum: by
+condition (2) it is 1 exactly when the column's topmost nonzero is -1 or
+the column is empty over r = 0, and 0 otherwise, and summed over the
+columns it is sum_l (n - s_(l-1) - s_l) for matrix sums s_l, which
+condition (3) fixes at nk - 2 max_rooks (0, or 1 when n and k are odd) on a
+circular chain and at 0 on a linear one with odd k.
 """
 
 from __future__ import annotations
@@ -104,12 +112,19 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     A depth-first walk over an explicit stack with one frame per row of the
     chain, so its depth is not bounded by Python's recursion limit.  Each
     frame tries the rows that meet condition (1) in lexicographic order of
-    their entries, which gives the order above.
+    their entries, which gives the order above.  Where the row sums a
+    matrix answers to are known, its last row is computed rather than
+    searched for, and every branch spends the chain's deficit budget.
     """
     n, k = board.n, board.k
     circ = board.circular
     target = max_rooks(board)
     suffix_max = suffix_bound_table(board)  # indexed by board: matrix l is board l + 1
+    # the deficit every chain spends in full (module docstring); a linear
+    # chain with even k spends its last matrix's sum, so it is not budgeted
+    budget = n * k - 2 * target if circ else None if k % 2 == 0 else 0
+    full = (1 << n) - 1
+    free = 1 << n - 1 if circ and k == 1 else 0  # a k = 1 last row answers to its own sum
 
     # every row whose prefix sums stay in {0, 1}, in lexicographic order, with
     # the columns where it holds +1 and those where it holds -1
@@ -117,28 +132,58 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     for _ in range(n):
         rows = [e + (x,) for e in rows for x in (-1, 0, 1) if 0 <= sum(e) + x <= 1]
     rows = [(e, *(sum(1 << j for j, x in enumerate(e) if x == v) for v in (1, -1))) for e in rows]
+    by_signs = {(plus, minus): e for e, plus, minus in rows}
     # a column state is (columns whose last nonzero so far is +1, is -1); the
-    # rows it allows repeat no column's last sign, listed when the walk first
-    # meets the state as (entries, row sum, the state after the row)
-    allowed: dict[tuple[int, int], list] = {}
+    # rows it allows repeat no column's last sign nor overspend the deficit
+    # left, listed when the walk first meets the state as (entries, row sum,
+    # the state after the row, the deficit left after it)
+    allowed: dict[tuple, list] = {}
+    last: dict[tuple, list] = {}  # the same for a last row over known row sums r
 
-    def after(last_plus: int, last_minus: int) -> Iterator:
-        key = last_plus, last_minus
+    def after(last_plus: int, last_minus: int, left: int | None) -> Iterator:
+        key = last_plus, last_minus, left
         if key not in allowed:
+            seen = last_plus | last_minus
             allowed[key] = [
-                (e, sum(e), (last_plus & ~minus) | plus, (last_minus & ~plus) | minus)
+                (e, sum(e), (last_plus & ~minus) | plus, (last_minus & ~plus) | minus, rest)
                 for e, plus, minus in rows
                 if not (plus & last_plus or minus & last_minus)
+                for rest in [left if left is None else left - (minus & ~seen).bit_count()]
+                if rest is None or rest >= 0
             ]
         return iter(allowed[key])
+
+    def last_row(last_plus: int, last_minus: int, r: int, left: int | None) -> Iterator:
+        # each column's last entry is forced by r, except that an empty column
+        # may stay empty over r = 0 or open with -1 over r = 1 at a deficit of 1
+        key = last_plus, last_minus, r, left
+        if key not in last:
+            empty = full & ~(last_plus | last_minus)
+            spends = [0]
+            for j in range(n):
+                if empty >> j & 1:
+                    spends += [x | 1 << j for x in spends if left is None or x.bit_count() < left]
+            found = []
+            for bit in (0, 1):
+                rb = r | free * bit
+                for x in spends:
+                    plus, minus = ~rb & (last_minus | empty & ~x), rb & (last_plus | x)
+                    e = by_signs.get((plus, minus))
+                    if e is not None and sum(e) == bit:
+                        # no state after a last row: the next matrix starts afresh
+                        found.append((e, bit, 0, 0, left if left is None else left - x.bit_count()))
+            last[key] = sorted(found)
+        return iter(last[key])
 
     chosen = [()] * (n * k)  # the rows of the current path
     mat_bits = [0] * k  # row-sum bits of each finished matrix on the path
     mat_sum = [0] * k
-    first_plus = first_minus = 0  # matrix 1's columns whose bottommost nonzero is +1, -1
+    # matrix 1's columns that need row sum 0 in matrix k (bottommost nonzero
+    # +1), and 1 (bottommost -1, or empty once no deficit is left)
+    first_plus = first_minus = 0
     # frames (rows left to try, the matrix's sum and row-sum bits so far,
     # the sum of the matrices before it)
-    stack = [(after(0, 0), 0, 0, 0)]
+    stack = [(after(0, 0, budget) if n > 1 or circ and k > 1 else last_row(0, 0, 0, budget), 0, 0, 0)]
     while stack:
         todo, s, bits, done = stack[-1]
         depth = len(stack) - 1
@@ -149,11 +194,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
         closing = circ and k >= 2 and l == k - 1
         if closing:
             cap = min(cap, n - a1)
-        # the row-sum bits this matrix's bottommost nonzeros answer to under
-        # condition (2): zero before a linear chain; matrix 1 of a circular
-        # chain answers to its own rows (k = 1) or is checked in matrix k
-        prev = mat_bits[l - 1] if l >= 1 else None if circ else 0
-        for row, rsum, now_plus, now_minus in todo:
+        for row, rsum, now_plus, now_minus, left in todo:
             s2 = s + rsum
             if s2 > cap or done + s2 > target:
                 continue
@@ -164,11 +205,14 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
             if i < n - 1:
                 if done + s2 + min(n - 1 - i, cap - s2) + suffix_max[l + 2][s2][a1] < target:
                     continue
-                stack.append((after(now_plus, now_minus), s2, bits2, done))
+                # the row sums matrix l answers to: zero before a linear chain,
+                # its own for k = 1, unknown for matrix 1 of a longer circular chain
+                if i < n - 2 or circ and l == 0 and k > 1:
+                    nxt = after(now_plus, now_minus, left)
+                else:
+                    nxt = last_row(now_plus, now_minus, mat_bits[l - 1] if l else bits2 if circ else 0, left)
+                stack.append((nxt, s2, bits2, done))
                 break
-            r = bits2 if circ and k == 1 else prev
-            if r is not None and (now_minus & ~r or now_plus & r):
-                continue
             if l == k - 1:
                 if done + s2 == target:
                     path = tuple(chosen)  # the listed row tuples themselves, shared
@@ -176,10 +220,10 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
                 continue
             mat_bits[l], mat_sum[l] = bits2, s2
             if circ and l == 0:
-                first_plus, first_minus = now_plus, now_minus
+                first_plus, first_minus = now_plus, now_minus | (0 if left else full & ~(now_plus | now_minus))
             if done + s2 + suffix_max[l + 2][s2][mat_sum[0] if circ else 0] < target:
                 continue
-            stack.append((after(0, 0), 0, 0, done + s2))
+            stack.append((after(0, 0, left) if n > 1 else last_row(0, 0, bits2, left), 0, 0, done + s2))
             break
         else:
             stack.pop()

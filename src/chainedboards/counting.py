@@ -7,7 +7,6 @@ rational and asserted integral.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -87,21 +86,19 @@ def count_max_linear(n: int, k: int) -> int:
 
     k odd: (n!)^((k+1)/2).  k even: (n!)^(k/2) times the sum over weakly
     increasing chains 0 <= j_1 <= ... <= j_{k/2} <= n of the product of
-    C(n - j_{l-1}, n - j_l) * C(n, j_l), with j_0 = 0.
+    C(n - j_{l-1}, n - j_l) * C(n, j_l), with j_0 = 0.  That sum is
+    e_0 M^(k/2) 1 with M[j'][j] = C(n - j', n - j) * C(n, j) for j >= j', so
+    it takes k/2 vector-matrix steps over j, not one term per chain.
     """
     if n < 1 or k < 1:
         raise InputDomainError("n and k must be >= 1")
     if k % 2 == 1:
         return math.factorial(n) ** ((k + 1) // 2)
-    total = 0
-    for chain in itertools.combinations_with_replacement(range(n + 1), k // 2):
-        prev = 0
-        term = 1
-        for j in chain:
-            term *= math.comb(n - prev, n - j) * math.comb(n, j)
-            prev = j
-        total += term
-    return math.factorial(n) ** (k // 2) * total
+    ends = [math.comb(n, j) ** 2 for j in range(n + 1)]  # one step from j_0 = 0, by where it ends
+    for _ in range(k // 2 - 1):
+        ends = [sum(ends[p] * math.comb(n - p, n - j) for p in range(j + 1)) * math.comb(n, j)
+                for j in range(n + 1)]
+    return math.factorial(n) ** (k // 2) * sum(ends)
 
 
 def count_max_circular(n: int, k: int) -> int:

@@ -136,7 +136,10 @@ def _look_up(table: dict, key, what: str):
     try:
         return table[key]
     except (KeyError, TypeError):  # TypeError: an unhashable key, such as a list
-        raise InputDomainError(f"unknown {what} {clip(repr(key))}") from None
+        # each component clipped first: repr fails on an int past the digit limit
+        parts = key if isinstance(key, (tuple, list)) else (key,)
+        shown = ", ".join(clip(x) if isinstance(x, int) else clip(repr(x)) for x in parts)
+        raise InputDomainError(f"unknown {what} {clip(f'({shown})')}") from None
 
 
 @dataclass(frozen=True)

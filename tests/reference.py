@@ -3,6 +3,7 @@
 - ``admissible_compositions``: every admissible composition, for ``count_placements_formula``;
 - ``maximum_compositions``: the paper's closed characterization of the maximum compositions;
 - ``count_max_linear_multinomial``: the paper's multinomial form of ``count_max_linear``;
+- ``count_max_linear_chains``: the paper's sum over chains, one term each, for ``count_max_linear``;
 - ``count_chained_asm``: enumeration, for the paper's table and ``count_chained_asm_tm``;
 - ``enumerate_matchings``: a chain-graph search, for the chained-permutation counts;
 - ``enumerate_mt_chains``: Gelfand-Tsetlin pattern chains, for ``to_monotone_triangles``;
@@ -111,6 +112,28 @@ def count_max_linear_multinomial(n: int, k: int) -> int:
         term = _multinomial(n, gaps)
         for j in chain:
             term *= math.comb(n, j)
+        total += term
+    return math.factorial(n) ** (k // 2) * total
+
+
+def count_max_linear_chains(n: int, k: int) -> int:
+    """Number of maximum rook placements on the linear board.
+
+    k odd: (n!)^((k+1)/2).  k even: (n!)^(k/2) times the sum over weakly
+    increasing chains 0 <= j_1 <= ... <= j_{k/2} <= n of the product of
+    C(n - j_{l-1}, n - j_l) * C(n, j_l), with j_0 = 0.
+    """
+    if n < 1 or k < 1:
+        raise InputDomainError("n and k must be >= 1")
+    if k % 2 == 1:
+        return math.factorial(n) ** ((k + 1) // 2)
+    total = 0
+    for chain in itertools.combinations_with_replacement(range(n + 1), k // 2):
+        prev = 0
+        term = 1
+        for j in chain:
+            term *= math.comb(n - prev, n - j) * math.comb(n, j)
+            prev = j
         total += term
     return math.factorial(n) ** (k // 2) * total
 

@@ -106,10 +106,13 @@ def test_enumeration_small_table_cells():
 
 def test_enumeration_yields_valid_unique_elements():
     # circular k = 1 chains a matrix to itself; circular(2, 2) closes on
-    # matrix 1's columns; linear(1, 1) is a single one-row matrix
+    # matrix 1's columns; linear(1, 1) is a single one-row matrix; the last
+    # four spend a deficit budget of 1, 1, 0 and 0.  With the count, a
+    # strictly increasing valid stream is exactly the sorted set.
     boards = (
         linear(2, 2), circular(2, 3), circular(3, 2), linear(2, 4),
         circular(1, 1), circular(4, 1), circular(2, 2), linear(1, 1),
+        circular(3, 3), circular(5, 1), circular(2, 8), linear(3, 3),
     )
     for board in boards:
         last = None
@@ -123,6 +126,39 @@ def test_enumeration_yields_valid_unique_elements():
             last = flat
             count += 1
         assert count == count_chained_asm_tm(board), board
+
+
+def _column_deficits(a):
+    """1 - r - c for every column of every matrix: c is the column's sum and
+    r the matching row's sum in the matrix before (matrix k before matrix 1
+    on a circular chain, nothing before a linear one)."""
+    n, mats = a.board.n, a.matrices
+    out = []
+    for l, mat in enumerate(mats):
+        before = mats[l - 1] if l or a.board.circular else None
+        for i in range(n):
+            r = sum(before[i]) if before is not None else 0
+            out.append(1 - r - sum(row[i] for row in mat))
+    return out
+
+
+def test_every_chain_spends_its_deficit_budget():
+    # summed over the columns, the deficit is sum_l (n - s_(l-1) - s_l):
+    # nk - 2 max_rooks on a circular chain, 0 on a linear one with odd k.
+    # Every circular cell with nk <= 10 but circular(5, 2) (622908 elements)
+    # and circular(n >= 7, 1) (millions).
+    cells = [circular(n, k) for n in range(1, 7) for k in range(1, 11) if n * k <= 10 and (n, k) != (5, 2)]
+    cells += [linear(n, k) for n, k in ((1, 1), (2, 1), (3, 1), (4, 1), (1, 3), (2, 3), (3, 3), (2, 5))]
+    for board in cells:
+        budget = board.n * board.k - 2 * max_rooks(board) if board.circular else 0
+        assert budget in (0, 1), board
+        for a in enumerate_chained_asm(board):
+            terms = _column_deficits(a)
+            assert set(terms) <= {0, 1} and sum(terms) == budget, (board, a.matrices)
+
+
+def test_first_element_of_a_wide_circular_k1_chain():
+    assert not chained_asm_problems(next(enumerate_chained_asm(circular(10, 1))))
 
 
 def test_enumeration_contains_constructed_example():
@@ -289,14 +325,14 @@ def test_transfer_count_matches_the_paper_table():
         assert count_chained_asm_tm(board) == expected, board
 
 
-# the three cells the enumerator needs longest for; CHAINED_BOARDS_STRETCH
-# enumerates two of them in tests/test_verify.py
-_SLOW_TO_ENUMERATE = {linear(4, 2), linear(3, 4), circular(3, 4)}
+# the two cells the enumerator needs longest for; CHAINED_BOARDS_STRETCH
+# enumerates them in tests/test_verify.py
+_SLOW_TO_ENUMERATE = {linear(4, 2), linear(3, 4)}
 
 
 def test_transfer_count_matches_enumeration():
     cells = [board for board, _ in TABLE_CELLS if board not in _SLOW_TO_ENUMERATE]
-    assert len(cells) == 47
+    assert len(cells) == 48
     for board in cells:
         assert count_chained_asm_tm(board) == count_chained_asm(board), board
 

@@ -493,6 +493,13 @@ def test_count_closed_on_a_long_linear_chain(capsys):
     assert run(capsys, *argv, "--method", "formula") == (0, "1201\n", "")
 
 
+def test_count_closed_on_a_wide_linear_chain(capsys):
+    # one term per chain would be C(38, 30) ~ 4.9e7 terms here
+    argv = ("count", "--shape", "linear", "-n", "8", "-k", "60")
+    code, out, err = run(capsys, *argv, "--method", "closed")
+    assert (code, err) == (0, "") and run(capsys, *argv, "--method", "formula") == (0, out, "")
+
+
 @pytest.mark.parametrize(
     "family, n, k, cls",
     [("perms", "1", "1200", ChainedPermutation), ("asm", "5", "40", ChainedASM)],

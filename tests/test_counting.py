@@ -20,7 +20,7 @@ from chainedboards.counting import (
 )
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import count_placements_brute
-from tests.reference import admissible_compositions, count_max_linear_multinomial
+from tests.reference import admissible_compositions, count_max_linear_chains, count_max_linear_multinomial
 
 
 def test_falling_factorial():
@@ -141,6 +141,12 @@ def test_count_max_linear_examples():
     assert count_max_linear(5, 3) == 14400
     assert count_max_linear(1, 2) == 2
     assert count_max_linear(2, 2) == 12
+
+
+def test_count_max_linear_matches_the_chain_sum():
+    for n in range(1, 7):
+        for k in range(1, 13):
+            assert count_max_linear(n, k) == count_max_linear_chains(n, k), (n, k)
 
 
 def test_count_max_circular_examples():

@@ -121,6 +121,7 @@ _LONG = int("9" * 4000)
         (1, 1, 0),  # a boundary vertex
         ("h", 1, 1, _LONG),
         (1, 1, _LONG),
+        ("h", 10**5000, 1, 1),  # past the interpreter's digit limit for str
     ],
 )
 def test_lookups_reject_what_is_not_in_the_graph(lookup, key):
@@ -130,6 +131,11 @@ def test_lookups_reject_what_is_not_in_the_graph(lookup, key):
         method(key)
     assert str(info.value).startswith("unknown ")
     assert len(str(info.value).encode()) < 200
+
+
+def test_fpl_rejects_an_edge_past_the_digit_limit():
+    with pytest.raises(InputDomainError, match=r"^unknown edge \('h', 1000"):
+        FPLConfiguration(GridGraph(2, 2), (("h", 10**5000, 1, 1),))
 
 
 def test_lookup_messages_name_the_key():
