@@ -23,7 +23,6 @@ from .counting import (
 )
 from .placements import (
     RookPlacement,
-    canonical_placement,
     count_placements_brute,
     enumerate_placements,
     placement_problems,
@@ -43,26 +42,21 @@ from .matchings import (
     ChainGraph,
     ChainMatching,
     from_matching,
-    matching_kind,
     matching_problems,
     to_matching,
 )
 from .asm import (
     ChainedASM,
     PlainASM,
-    asm_sum_composition,
     asm_to_permutation,
     chained_asm_problems,
     concat_circular_k4,
     count_chained_asm_tm,
     enumerate_chained_asm,
     fold_qt,
-    join_linear_odd,
     permutation_to_asm,
     plain_asm_problems,
-    split_circular_k4,
-    split_linear_odd,
-    unfold_qt,
+    to_plain_asm,
 )
 from .triangles import (
     MonotoneTriangleChain,

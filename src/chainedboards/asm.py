@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .boards import BoardSpec, Composition, Shape, max_rooks, suffix_bound_table
+from .boards import BoardSpec, max_rooks, suffix_bound_table
 from .counting import _count_walks
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
@@ -86,12 +86,6 @@ def chained_asm_problems(a: ChainedASM | ChainedPermutation) -> list[str]:
     if total != want:
         problems.append(f"condition (3): total entry sum is {total}, maximum is {want}")
     return problems
-
-
-def asm_sum_composition(a: ChainedASM) -> Composition:
-    """Per-matrix entry sums; for a valid chained ASM this is always the
-    composition of some maximum rook placement."""
-    return tuple(sum(sum(row) for row in mat) for mat in a.matrices)
 
 
 def permutation_to_asm(cp: ChainedPermutation) -> ChainedASM:
@@ -333,25 +327,16 @@ class PlainASM:
 def plain_asm_problems(p: PlainASM) -> list[str]:
     """Rows and columns sum to 1 with partial sums in {0,1} from either end."""
     problems = []
-    size = p.size
-    for i in range(size):
-        s = 0
-        for j in range(size):
-            s += p.rows[i][j]
-            if s not in (0, 1):
-                problems.append(f"row {i + 1} has partial sum {s}")
-                break
-        if s != 1:
-            problems.append(f"row {i + 1} sums to {s}, not 1")
-    for j in range(size):
-        s = 0
-        for i in range(size):
-            s += p.rows[i][j]
-            if s not in (0, 1):
-                problems.append(f"column {j + 1} has partial sum {s}")
-                break
-        if s != 1:
-            problems.append(f"column {j + 1} sums to {s}, not 1")
+    for what, lines in (("row", p.rows), ("column", zip(*p.rows))):
+        for i, line in enumerate(lines, start=1):
+            s = 0
+            for x in line:
+                s += x
+                if s not in (0, 1):
+                    problems.append(f"{what} {i} has partial sum {s}")
+                    break
+            if s != 1:
+                problems.append(f"{what} {i} sums to {s}, not 1")
     return problems
 
 
@@ -371,51 +356,11 @@ def rotate_half(rows: Matrix) -> Matrix:
     return tuple(tuple(rows[n - 1 - p][n - 1 - q] for q in range(n)) for p in range(n))
 
 
-def split_linear_odd(a: ChainedASM) -> tuple[PlainASM, ...]:
-    """For linear odd k, the odd-indexed matrices as plain ASMs.
-
-    The even-indexed matrices of any valid element are all zero, so the
-    chain carries exactly (k+1)/2 independent plain ASMs.
-    """
-    if a.board.circular or a.board.k % 2 == 0:
-        raise UnsupportedDomainError("defined for linear boards with odd k")
-    for l in range(2, a.board.k + 1, 2):
-        if any(x != 0 for row in a.matrices[l - 1] for x in row):
-            raise ValidationError(f"even-indexed matrix {l} is not zero; input is not valid")
-    out = []
-    for l in range(1, a.board.k + 1, 2):
-        p = PlainASM(a.board.n, a.matrices[l - 1])
-        if plain_asm_problems(p):
-            raise ValidationError(f"matrix {l} is not an alternating sign matrix")
-        out.append(p)
-    return tuple(out)
-
-
-def join_linear_odd(parts: tuple[PlainASM, ...], k: int) -> ChainedASM:
-    """Inverse of split_linear_odd: interleave zero matrices."""
-    if k % 2 == 0 or len(parts) != (k + 1) // 2:
-        raise InputDomainError(f"need (k+1)/2 matrices for odd k, got {len(parts)}")
-    n = parts[0].size
-    zero = tuple((0,) * n for _ in range(n))
-    matrices = []
-    for idx in range(k):
-        matrices.append(parts[idx // 2].rows if idx % 2 == 0 else zero)
-    return ChainedASM(BoardSpec(Shape.LINEAR, n, k), tuple(matrices))
-
-
 def _assemble_quadrants(q1: Matrix, q2: Matrix, q3: Matrix, q4: Matrix) -> PlainASM:
     """2n x 2n matrix: q1 as-is (top left), q2 rotated cw (top right), q3
     rotated a half turn (bottom right), q4 rotated ccw (bottom left)."""
-    n = len(q1)
-    tr = rotate_cw(q2)
-    br = rotate_half(q3)
-    bl = rotate_ccw(q4)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(q1[i]) + tuple(tr[i]))
-    for i in range(n):
-        rows.append(tuple(bl[i]) + tuple(br[i]))
-    out = PlainASM(2 * n, tuple(rows))
+    rows = (*map(add, q1, rotate_cw(q2)), *map(add, rotate_ccw(q4), rotate_half(q3)))
+    out = PlainASM(len(rows), rows)
     problems = plain_asm_problems(out)
     if problems:
         raise ValidationError("assembled matrix is not an ASM", problems)
@@ -429,56 +374,32 @@ def concat_circular_k4(a: ChainedASM) -> PlainASM:
     return _assemble_quadrants(*a.matrices)
 
 
-def split_circular_k4(p: PlainASM) -> ChainedASM:
-    """Inverse of concat_circular_k4."""
-    if p.size % 2 != 0:
-        raise InputDomainError("matrix size must be even")
-    n = p.size // 2
-    q1 = tuple(row[:n] for row in p.rows[:n])
-    tr = tuple(row[n:] for row in p.rows[:n])
-    br = tuple(row[n:] for row in p.rows[n:])
-    bl = tuple(row[:n] for row in p.rows[n:])
-    a = ChainedASM(
-        BoardSpec(Shape.CIRCULAR, n, 4),
-        (q1, rotate_ccw(tr), rotate_half(br), rotate_cw(bl)),
-    )
-    problems = chained_asm_problems(a)
-    if problems:
-        raise ValidationError("matrix does not split into a chained ASM", problems)
-    return a
-
-
 def fold_qt(a: ChainedASM) -> PlainASM:
     """Circular k=1, n even: four rotated copies make a quarter-turn
     symmetric ASM of size 2n."""
-    if not a.board.circular or a.board.k != 1:
-        raise UnsupportedDomainError("defined for circular boards with k = 1")
-    if a.board.n % 2 != 0:
-        raise UnsupportedDomainError("defined for even n")
+    if not a.board.circular or a.board.k != 1 or a.board.n % 2 != 0:
+        raise UnsupportedDomainError("defined for circular boards with k = 1 and even n")
     m = a.matrices[0]
     return _assemble_quadrants(m, m, m, m)
 
 
-def unfold_qt(p: PlainASM) -> ChainedASM:
-    """Inverse of fold_qt; the input must be quarter-turn symmetric."""
-    if p.size % 2 != 0 or (p.size // 2) % 2 != 0:
-        raise InputDomainError("size must be a multiple of 4")
-    n = p.size // 2
-    q1 = tuple(row[:n] for row in p.rows[:n])
-    a = ChainedASM(BoardSpec(Shape.CIRCULAR, n, 1), (q1,))
-    if fold_qt(a).rows != p.rows:
-        raise ValidationError("matrix is not quarter-turn symmetric")
-    problems = chained_asm_problems(a)
-    if problems:
-        raise ValidationError("quadrant is not a valid chained ASM", problems)
-    return a
+def to_plain_asm(a: ChainedASM) -> PlainASM:
+    """The 2n x 2n ASM that a circular chain with k = 4, or with k = 1 and even n, assembles into."""
+    board = a.board
+    if board.circular and board.k == 4:
+        return concat_circular_k4(a)
+    if board.circular and board.k == 1 and board.n % 2 == 0:
+        return fold_qt(a)
+    raise UnsupportedDomainError(
+        "a plain ASM comes from a circular chain with k = 4, or with k = 1 and even n;"
+        f" not from {board.shape.value}({board.n},{board.k})"
+    )
 
 
 __all__ = [
     "ChainedASM",
     "PlainASM",
     "chained_asm_problems",
-    "asm_sum_composition",
     "permutation_to_asm",
     "asm_to_permutation",
     "enumerate_chained_asm",
@@ -488,10 +409,7 @@ __all__ = [
     "rotate_cw",
     "rotate_ccw",
     "rotate_half",
-    "split_linear_odd",
-    "join_linear_odd",
     "concat_circular_k4",
-    "split_circular_k4",
     "fold_qt",
-    "unfold_qt",
+    "to_plain_asm",
 ]

@@ -19,49 +19,31 @@ from collections import deque
 from collections.abc import Iterable
 from contextlib import nullcontext, suppress
 
-from .asm import (
-    asm_to_permutation,
-    enumerate_chained_asm,
-    permutation_to_asm,
-)
+from .asm import enumerate_chained_asm
 from .boards import BoardSpec, Shape, max_rooks
 from .counting import count_max, count_placements_formula
 from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, ValidationError, clip
-from .ice import from_fpl, from_ice, to_fpl, to_ice
-from .matchings import from_matching, to_matching
-from .perms import from_one_line, placement_to_matrices, to_one_line
+from .perms import placement_to_matrices
 from .placements import count_placements_brute, enumerate_placements
 from .rendering import render
-from .serialization import deserialize, family_of, serialize
-from .triangles import from_monotone_triangles, to_monotone_triangles
+from .serialization import FAMILIES, deserialize, family_of, serialize
 from .verify import verify_tables
 
-_CONVERSIONS = {
-    ("matrix", "oneline"): to_one_line,
-    ("oneline", "matrix"): from_one_line,
-    ("matrix", "matching"): to_matching,
-    ("matching", "matrix"): from_matching,
-    ("matrix", "asm"): permutation_to_asm,
-    ("asm", "matrix"): asm_to_permutation,
-    ("asm", "mt"): to_monotone_triangles,
-    ("mt", "asm"): from_monotone_triangles,
-    ("asm", "ice"): to_ice,
-    ("ice", "asm"): from_ice,
-    ("ice", "fpl"): to_fpl,
-    ("fpl", "ice"): from_fpl,
-}
 
-
-def _conversion_path(src: str, dst: str) -> list:
-    """Shortest chain of direct conversions from src to dst."""
+@functools.cache  # one path per pair of the nine aliases
+def _conversion_path(src: str, dst: str) -> tuple:
+    """Shortest chain of the registry's direct conversions from alias src to alias dst."""
+    if src == dst:
+        raise UnsupportedDomainError(f"no conversion from {src} to itself")
+    to = {f.alias: f.to for f in FAMILIES}
     queue = deque([(src, [])])
     seen = {src}
     while queue:
         here, steps = queue.popleft()
         if here == dst:
-            return steps
-        for (a, b), fn in _CONVERSIONS.items():
-            if a == here and b not in seen:
+            return tuple(steps)
+        for b, fn in to[here].items():
+            if b not in seen:
                 seen.add(b)
                 queue.append((b, steps + [fn]))
     raise UnsupportedDomainError(f"no conversion from {src} to {dst}")
@@ -144,14 +126,13 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    if args.source == args.target:
-        raise UnsupportedDomainError("--from and --to must differ")
-    steps = _conversion_path(args.source, args.target)
+    if args.source is not None:  # only a check, and made before input is read
+        _conversion_path(args.source, args.target)
     obj = deserialize(_read_input(args.infile))
     family = family_of(obj).alias
-    if family != args.source:
+    if args.source not in (None, family):
         raise ValidationError(f"input document is a {family}, not a {args.source}")
-    for step in steps:
+    for step in _conversion_path(family, args.target):
         obj = step(obj)
     _write_output(args.out, serialize(obj))
     return 0
@@ -221,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_enumerate)
 
-    families = list(dict.fromkeys(name for pair in _CONVERSIONS for name in pair))
+    families = [f.alias for f in FAMILIES]
     p = sub.add_parser("convert", help="convert between object families")
-    p.add_argument("--from", dest="source", required=True, choices=families)
+    p.add_argument("--from", dest="source", choices=families, help="default: the document's family")
     p.add_argument("--to", dest="target", required=True, choices=families)
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--out", default=None)

@@ -131,15 +131,19 @@ def _grid(n: int, k: int) -> _Grid:
     )
 
 
+def _shown(key) -> str:
+    """``key`` as its repr, each int clipped first: repr fails on an int past the digit limit."""
+    if isinstance(key, (tuple, list)):
+        return f"({', '.join(map(_shown, key))})"
+    return clip(key) if isinstance(key, int) else clip(repr(key))
+
+
 def _look_up(table: dict, key, what: str):
     """``table[key]``, or an InputDomainError naming ``key`` as an unknown ``what``."""
     try:
         return table[key]
     except (KeyError, TypeError):  # TypeError: an unhashable key, such as a list
-        # each component clipped first: repr fails on an int past the digit limit
-        parts = key if isinstance(key, (tuple, list)) else (key,)
-        shown = ", ".join(clip(x) if isinstance(x, int) else clip(repr(x)) for x in parts)
-        raise InputDomainError(f"unknown {what} {clip(f'({shown})')}") from None
+        raise InputDomainError(f"unknown {what} {clip(_shown(key))}") from None
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ class FPLConfiguration:
         grid = _grid(self.graph.n, self.graph.k)
         member = [False] * len(grid.edges)
         for e in self.chosen:
-            member[_look_up(grid.index, tuple(e), "edge")] = True
+            member[_look_up(grid.index, tuple(e) if type(e) is list else e, "edge")] = True
         object.__setattr__(self, "chosen", tuple(compress(grid.edges, member)))
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_member", member)

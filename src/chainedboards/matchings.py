@@ -69,13 +69,6 @@ class ChainMatching:
         object.__setattr__(self, "edges", fixed)
 
 
-def matching_kind(board: BoardSpec) -> str:
-    """perfect / near-perfect / leaves-n-unmatched, by shape and parity."""
-    if board.circular:
-        return "near-perfect" if board.n % 2 == 1 and board.k % 2 == 1 else "perfect"
-    return "perfect" if board.k % 2 == 1 else "leaves-n-unmatched"
-
-
 def matching_problems(m: ChainMatching) -> list[str]:
     problems = []
     seen: set[Vertex] = set()
@@ -119,7 +112,6 @@ def from_matching(m: ChainMatching) -> ChainedPermutation:
 __all__ = [
     "ChainGraph",
     "ChainMatching",
-    "matching_kind",
     "matching_problems",
     "to_matching",
     "from_matching",

@@ -15,7 +15,6 @@ from .boards import (
     Composition,
     Square,
     check_square,
-    is_admissible_composition,
     rook_lines,
     suffix_bound_table,
 )
@@ -68,26 +67,6 @@ def placement_problems(p: RookPlacement) -> list[str]:
                 return ["placement has attacking rooks"]
             held.add(line)
     return []
-
-
-def canonical_placement(board: BoardSpec, comp: Composition) -> RookPlacement:
-    """A non-attacking placement witnessing an admissible composition.
-
-    Board i gets rooks at (row l, col a_{i-1} + l) for l = 1..a_i; on a
-    circular board the last board's rows are shifted by a_1 so they clear
-    the columns occupied on board 1 (for k = 1 the shift applies to the
-    single board, whose columns start at 1).
-    """
-    if not is_admissible_composition(board, tuple(comp)):
-        raise InputDomainError(f"composition {tuple(comp)} is not admissible on {board}")
-    squares = []
-    prev = 0
-    for i, a in enumerate(comp, start=1):
-        row_shift = comp[0] if board.circular and i == board.k else 0
-        for l in range(1, a + 1):
-            squares.append(Square(i, row_shift + l, prev + l))
-        prev = a
-    return RookPlacement(board, tuple(squares))
 
 
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
@@ -166,7 +145,6 @@ def count_placements_brute(board: BoardSpec, m: int) -> int:
 __all__ = [
     "RookPlacement",
     "placement_problems",
-    "canonical_placement",
     "enumerate_placements",
     "count_placements_brute",
 ]

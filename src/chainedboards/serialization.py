@@ -7,7 +7,8 @@ are row-major arrays of integers, placements are arrays of
 identities, fully-packed loops are arrays of grid-graph edge ids, and ice
 configurations map each grid-graph edge id to the vertex id its arrow
 points at.  ``deserialize`` also accepts the bare one-line string format
-(``0200-3104-...``).  ``FAMILIES`` is the one registry of the families.
+(``0200-3104-...``).  ``FAMILIES`` is the one registry of the families and
+of the conversions between them.
 
 ``serialize`` writes the header itself (ASCII names and ints: the bytes of
 ``json.dumps``), then the payload as its registry row says: matrices row by
@@ -28,7 +29,15 @@ import functools
 import json
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .asm import ChainedASM, PlainASM, chained_asm_problems, plain_asm_problems
+from .asm import (
+    ChainedASM,
+    PlainASM,
+    asm_to_permutation,
+    chained_asm_problems,
+    permutation_to_asm,
+    plain_asm_problems,
+    to_plain_asm,
+)
 from .boards import BoardSpec, Shape
 from .errors import InputDomainError, ParseError, UnsupportedDomainError, ValidationError, clip
 from .ice import (
@@ -39,18 +48,31 @@ from .ice import (
     Vertex,
     _grid,
     fpl_problems,
+    from_fpl,
+    from_ice,
     ice_problems,
+    to_fpl,
+    to_ice,
 )
-from .matchings import ChainGraph, ChainMatching, matching_problems
+from .matchings import ChainGraph, ChainMatching, from_matching, matching_problems, to_matching
 from .perms import (
     ChainedPermutation,
     OneLine,
     _ascii_int,
+    from_one_line,
+    matrices_to_placement,
     one_line_problems,
     parse_one_line,
+    placement_to_matrices,
+    to_one_line,
 )
 from .placements import RookPlacement, placement_problems
-from .triangles import MonotoneTriangleChain, mt_chain_problems
+from .triangles import (
+    MonotoneTriangleChain,
+    from_monotone_triangles,
+    mt_chain_problems,
+    to_monotone_triangles,
+)
 
 
 def edge_to_str(e: EdgeId) -> str:
@@ -163,6 +185,7 @@ class Family(NamedTuple):
     encode: Callable[[Any], Any]  # object -> JSON payload; its tuples are written as arrays
     decode: Callable[[Any, Any], Any]  # (board, or n for a plain ASM; payload) -> object
     problems: Callable[[Any], list[str]]  # diagnostics; empty = valid
+    to: dict[str, Callable[[Any], Any]]  # target alias -> direct conversion, the graph `convert` walks
     write: Callable[[Any], str] = json.dumps  # payload -> its JSON text
 
 
@@ -183,12 +206,15 @@ FAMILIES = (
         lambda p: p.squares,
         lambda board, v: RookPlacement(board, _ints(v, 2)),
         placement_problems,
+        {"matrix": placement_to_matrices},
     ),
     Family(
         "chained-permutation", "matrix", ChainedPermutation, _BOTH, lambda cp: cp.board, "matrices",
         lambda cp: cp.matrices,
         lambda board, v: ChainedPermutation(board, _ints(v, 3)),
         chained_asm_problems,  # a chained permutation is a 0/1 chained ASM
+        {"placement": matrices_to_placement, "oneline": to_one_line, "matching": to_matching,
+         "asm": permutation_to_asm},
         _matrices_text,
     ),
     Family(
@@ -196,18 +222,22 @@ FAMILIES = (
         lambda o: o.blocks,
         lambda board, v: OneLine(board, _ints(v, 2)),
         one_line_problems,
+        {"matrix": from_one_line},
     ),
     Family(
         "chain-matching", "matching", ChainMatching, _BOTH, lambda m: m.graph.board, "edges",
         lambda m: m.edges,
         lambda board, v: ChainMatching(ChainGraph(board), _ints(v, 2)),
         matching_problems,
+        {"matrix": from_matching},
     ),
     Family(
         "chained-asm", "asm", ChainedASM, _BOTH, lambda a: a.board, "matrices",
         lambda a: a.matrices,
         lambda board, v: ChainedASM(board, _ints(v, 3)),
         chained_asm_problems,
+        {"matrix": asm_to_permutation, "mt": to_monotone_triangles, "ice": to_ice,
+         "plain-asm": to_plain_asm},
         _matrices_text,
     ),
     Family(
@@ -215,24 +245,28 @@ FAMILIES = (
         lambda p: p.rows,
         lambda n, v: PlainASM(n, _ints(v, 2)),
         plain_asm_problems,
+        {},  # the 2n x 2n matrix does not fix the board it came from
     ),
     Family(
         "monotone-triangle-chain", "mt", MonotoneTriangleChain, _CIRCULAR, _circular, "triangles",
         lambda t: t.triangles,
         lambda board, v: MonotoneTriangleChain(board.n, board.k, _ints(v, 3)),
         mt_chain_problems,
+        {"asm": from_monotone_triangles},
     ),
     Family(
         "ice", "ice", IceConfiguration, _CIRCULAR, lambda c: _circular(c.graph), "orientation",
         lambda c: {key: head for key, _, head in _oriented(c)},
         _ice_from,
         ice_problems,
+        {"asm": from_ice, "fpl": to_fpl},
     ),
     Family(
         "fpl", "fpl", FPLConfiguration, _CIRCULAR, lambda f: _circular(f.graph), "edges",
         lambda f: [key for (key, _, _), m in zip(_wire(f.graph.n, f.graph.k), f._member) if m],
         _fpl_from,
         fpl_problems,
+        {"ice": from_fpl},
     ),
 )
 _BY_NAME = {f.name: f for f in FAMILIES}

@@ -13,6 +13,15 @@
 - ``enumerate_fpl``: a grid-graph subgraph search, for ``to_fpl``;
 - ``ice_problems``, ``fpl_problems``: the ice and FPL checks edge by edge.
 
+Library functions that only the tests call, moved here by the caller rule:
+
+- ``canonical_placement``: a placement witnessing an admissible composition;
+- ``matching_kind``: the kind of chain-graph matching a board's permutations are;
+- ``asm_sum_composition``: a chained ASM's per-matrix sums;
+- ``split_linear_odd``, ``join_linear_odd``: a linear odd-k chained ASM as (k+1)/2 plain ASMs;
+- ``split_circular_k4``: the inverse of ``concat_circular_k4``;
+- ``unfold_qt``: the inverse of ``fold_qt``.
+
 The grid-graph oracles use no geometry of ``chainedboards.ice``: only the
 edge order of ``GridGraph.edges()``, in which configurations store their edges.
 """
@@ -23,12 +32,30 @@ import itertools
 import math
 from typing import Callable, Iterator
 
-from chainedboards.asm import enumerate_chained_asm
-from chainedboards.boards import BoardSpec, Composition, max_rooks
-from chainedboards.errors import InputDomainError, UnsupportedDomainError
+from chainedboards.asm import (
+    ChainedASM,
+    PlainASM,
+    chained_asm_problems,
+    enumerate_chained_asm,
+    fold_qt,
+    plain_asm_problems,
+    rotate_ccw,
+    rotate_cw,
+    rotate_half,
+)
+from chainedboards.boards import (
+    BoardSpec,
+    Composition,
+    Shape,
+    Square,
+    is_admissible_composition,
+    max_rooks,
+)
+from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.ice import EdgeId as GridEdge
 from chainedboards.ice import FPLConfiguration, GridGraph, IceConfiguration, Vertex
 from chainedboards.matchings import ChainGraph, ChainMatching, EdgeId
+from chainedboards.placements import RookPlacement
 from chainedboards.triangles import MonotoneTriangleChain, Triangle, mt_chain_problems
 
 
@@ -352,3 +379,102 @@ def fpl_problems(f: FPLConfiguration) -> list[str]:
         if deg != 2:
             problems.append(f"interior vertex {v} has degree {deg}, not 2")
     return problems
+
+
+def canonical_placement(board: BoardSpec, comp: Composition) -> RookPlacement:
+    """A non-attacking placement witnessing an admissible composition.
+
+    Board i gets rooks at (row l, col a_{i-1} + l) for l = 1..a_i; on a
+    circular board the last board's rows are shifted by a_1 so they clear
+    the columns occupied on board 1 (for k = 1 the shift applies to the
+    single board, whose columns start at 1).
+    """
+    if not is_admissible_composition(board, tuple(comp)):
+        raise InputDomainError(f"composition {tuple(comp)} is not admissible on {board}")
+    squares = []
+    prev = 0
+    for i, a in enumerate(comp, start=1):
+        row_shift = comp[0] if board.circular and i == board.k else 0
+        for l in range(1, a + 1):
+            squares.append(Square(i, row_shift + l, prev + l))
+        prev = a
+    return RookPlacement(board, tuple(squares))
+
+
+def matching_kind(board: BoardSpec) -> str:
+    """perfect / near-perfect / leaves-n-unmatched, by shape and parity."""
+    if board.circular:
+        return "near-perfect" if board.n % 2 == 1 and board.k % 2 == 1 else "perfect"
+    return "perfect" if board.k % 2 == 1 else "leaves-n-unmatched"
+
+
+def asm_sum_composition(a: ChainedASM) -> Composition:
+    """Per-matrix entry sums; for a valid chained ASM this is always the
+    composition of some maximum rook placement."""
+    return tuple(sum(sum(row) for row in mat) for mat in a.matrices)
+
+
+def split_linear_odd(a: ChainedASM) -> tuple[PlainASM, ...]:
+    """For linear odd k, the odd-indexed matrices as plain ASMs.
+
+    The even-indexed matrices of any valid element are all zero, so the
+    chain carries exactly (k+1)/2 independent plain ASMs.
+    """
+    if a.board.circular or a.board.k % 2 == 0:
+        raise UnsupportedDomainError("defined for linear boards with odd k")
+    for l in range(2, a.board.k + 1, 2):
+        if any(x != 0 for row in a.matrices[l - 1] for x in row):
+            raise ValidationError(f"even-indexed matrix {l} is not zero; input is not valid")
+    out = []
+    for l in range(1, a.board.k + 1, 2):
+        p = PlainASM(a.board.n, a.matrices[l - 1])
+        if plain_asm_problems(p):
+            raise ValidationError(f"matrix {l} is not an alternating sign matrix")
+        out.append(p)
+    return tuple(out)
+
+
+def join_linear_odd(parts: tuple[PlainASM, ...], k: int) -> ChainedASM:
+    """Inverse of split_linear_odd: interleave zero matrices."""
+    if k % 2 == 0 or len(parts) != (k + 1) // 2:
+        raise InputDomainError(f"need (k+1)/2 matrices for odd k, got {len(parts)}")
+    n = parts[0].size
+    zero = tuple((0,) * n for _ in range(n))
+    matrices = []
+    for idx in range(k):
+        matrices.append(parts[idx // 2].rows if idx % 2 == 0 else zero)
+    return ChainedASM(BoardSpec(Shape.LINEAR, n, k), tuple(matrices))
+
+
+def split_circular_k4(p: PlainASM) -> ChainedASM:
+    """Inverse of concat_circular_k4."""
+    if p.size % 2 != 0:
+        raise InputDomainError("matrix size must be even")
+    n = p.size // 2
+    q1 = tuple(row[:n] for row in p.rows[:n])
+    tr = tuple(row[n:] for row in p.rows[:n])
+    br = tuple(row[n:] for row in p.rows[n:])
+    bl = tuple(row[:n] for row in p.rows[n:])
+    a = ChainedASM(
+        BoardSpec(Shape.CIRCULAR, n, 4),
+        (q1, rotate_ccw(tr), rotate_half(br), rotate_cw(bl)),
+    )
+    problems = chained_asm_problems(a)
+    if problems:
+        raise ValidationError("matrix does not split into a chained ASM", problems)
+    return a
+
+
+def unfold_qt(p: PlainASM) -> ChainedASM:
+    """Inverse of fold_qt; the input must be quarter-turn symmetric."""
+    if p.size % 2 != 0 or (p.size // 2) % 2 != 0:
+        raise InputDomainError("size must be a multiple of 4")
+    n = p.size // 2
+    q1 = tuple(row[:n] for row in p.rows[:n])
+    a = ChainedASM(BoardSpec(Shape.CIRCULAR, n, 1), (q1,))
+    if fold_qt(a).rows != p.rows:
+        raise ValidationError("matrix is not quarter-turn symmetric")
+    problems = chained_asm_problems(a)
+    if problems:
+        raise ValidationError("quadrant is not a valid chained ASM", problems)
+    return a

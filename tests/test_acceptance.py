@@ -14,12 +14,8 @@ from chainedboards.asm import (
     concat_circular_k4,
     enumerate_chained_asm,
     fold_qt,
-    join_linear_odd,
     permutation_to_asm,
     plain_asm_problems,
-    split_circular_k4,
-    split_linear_odd,
-    unfold_qt,
 )
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
@@ -54,7 +50,14 @@ from chainedboards.triangles import (
     mt_chain_problems,
     to_monotone_triangles,
 )
-from tests.reference import count_chained_asm, count_max_linear_multinomial
+from tests.reference import (
+    count_chained_asm,
+    count_max_linear_multinomial,
+    join_linear_odd,
+    split_circular_k4,
+    split_linear_odd,
+    unfold_qt,
+)
 from tests.worked_examples import (
     ONE_LINE_54,
     ONE_LINE_46,

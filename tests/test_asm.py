@@ -7,23 +7,19 @@ import pytest
 from chainedboards.asm import (
     ChainedASM,
     PlainASM,
-    asm_sum_composition,
     asm_to_permutation,
     chained_asm_problems,
     concat_circular_k4,
     count_chained_asm_tm,
     enumerate_chained_asm,
     fold_qt,
-    join_linear_odd,
     permutation_to_asm,
     plain_asm_problems,
     rotate_ccw,
     rotate_cw,
     rotate_half,
-    split_circular_k4,
-    split_linear_odd,
+    to_plain_asm,
     transfer_matrix,
-    unfold_qt,
 )
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import classical_asm_count, qtasm_count
@@ -32,7 +28,15 @@ from chainedboards.perms import placement_to_matrices
 from chainedboards.placements import enumerate_placements
 from chainedboards.verify import TABLE_CELLS
 
-from tests.reference import count_chained_asm, maximum_compositions
+from tests.reference import (
+    asm_sum_composition,
+    count_chained_asm,
+    join_linear_odd,
+    maximum_compositions,
+    split_circular_k4,
+    split_linear_odd,
+    unfold_qt,
+)
 from tests.worked_examples import LINEAR_32_WITH_TOP_MINUS, QT_6, QT_12
 
 
@@ -316,6 +320,21 @@ def test_fold_qt_domain():
         fold_qt(next(iter(enumerate_chained_asm(circular(3, 1)))))
     with pytest.raises(ValidationError):
         unfold_qt(PlainASM(4, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))))
+
+
+def test_to_plain_asm_is_concat_on_k4_and_fold_on_k1_even_n():
+    for board, same in ((circular(2, 4), concat_circular_k4), (circular(4, 1), fold_qt)):
+        for a in enumerate_chained_asm(board):
+            plain = to_plain_asm(a)
+            assert plain == same(a) and not plain_asm_problems(plain)
+    assert to_plain_asm(ChainedASM(circular(6, 1), (QT_6,))).rows == QT_12
+
+
+@pytest.mark.parametrize("board", [circular(3, 1), circular(2, 2), circular(1, 3), linear(2, 4), linear(2, 1)])
+def test_to_plain_asm_names_both_domains_elsewhere(board):
+    a = next(iter(enumerate_chained_asm(board)))
+    with pytest.raises(UnsupportedDomainError, match="k = 4, or with k = 1 and even n"):
+        to_plain_asm(a)
 
 
 # --- the transfer-matrix counter ------------------------------------------

@@ -13,8 +13,8 @@ from chainedboards.boards import (
     max_rooks,
 )
 from chainedboards.errors import InputDomainError
-from chainedboards.placements import canonical_placement, placement_problems
-from tests.reference import admissible_compositions, maximum_compositions
+from chainedboards.placements import placement_problems
+from tests.reference import admissible_compositions, canonical_placement, maximum_compositions
 
 ALL_SMALL = [
     ctor(n, k)

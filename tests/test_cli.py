@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -10,13 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from chainedboards.asm import ChainedASM, chained_asm_problems, enumerate_chained_asm
+from chainedboards.asm import ChainedASM, chained_asm_problems, enumerate_chained_asm, permutation_to_asm
 from chainedboards.boards import circular, linear, max_rooks
-from chainedboards.cli import _BLOCK, _CONVERSIONS, _print_problems, main
+from chainedboards.cli import _BLOCK, _print_problems, build_parser, main
 from chainedboards.errors import ValidationError
-from chainedboards.perms import ChainedPermutation, placement_to_matrices
+from chainedboards.ice import to_fpl, to_ice
+from chainedboards.matchings import to_matching
+from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
 from chainedboards.placements import enumerate_placements
-from chainedboards.serialization import FAMILIES, deserialize, serialize
+from chainedboards.serialization import FAMILIES, deserialize, family_of, serialize
+from chainedboards.triangles import to_monotone_triangles
 from tests.worked_examples import (
     ALL_ONES_20,
     LONG_NUMBERS,
@@ -287,6 +291,47 @@ def test_convert_wrong_family_rejected(tmp_path, capsys):
     assert code == 1
 
 
+def _one_of_each_family() -> dict:
+    """A document object of every family with a conversion, all from one
+    maximum placement of circular(2, 4), where every edge of the graph applies."""
+    board = circular(2, 4)
+    placement = next(iter(enumerate_placements(board, max_rooks(board))))
+    cp = placement_to_matrices(placement)
+    asm = permutation_to_asm(cp)
+    ice = to_ice(asm)
+    objs = (placement, cp, to_one_line(cp), to_matching(cp), asm, to_monotone_triangles(asm), ice, to_fpl(ice))
+    return {family_of(o).alias: o for o in objs}
+
+
+EDGES = [(f.alias, target, fn) for f in FAMILIES for target, fn in f.to.items()]
+
+
+@pytest.mark.parametrize("source, target, fn", EDGES, ids=[f"{a}->{b}" for a, b, _ in EDGES])
+def test_convert_reads_its_source_off_the_document(monkeypatch, capsys, source, target, fn):
+    obj = _one_of_each_family()[source]
+    for given in ([], ["--from", source]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(obj)))
+        assert run(capsys, "convert", *given, "--to", target) == (0, serialize(fn(obj)), "")
+
+
+def test_convert_without_from_rejects_the_documents_own_family(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(WORKED_46)))
+    code, out, err = run(capsys, "convert", "--to", "asm")
+    assert (code, out) == (2, "") and "no conversion from asm to itself" in err
+
+
+def test_convert_asm_to_plain_asm_only_where_the_board_fixes_the_map(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(WORKED_46)))  # circular(4, 6)
+    code, out, err = run(capsys, "convert", "--to", "plain-asm")
+    assert (code, out) == (2, "")
+    assert "k = 4, or with k = 1 and even n" in err and "circular(4,6)" in err
+
+
+def test_convert_reaches_every_family():
+    ends = {f.alias for f in FAMILIES if f.to} | {target for f in FAMILIES for target in f.to}
+    assert ends == {f.alias for f in FAMILIES}
+
+
 def test_validate_good_and_bad(tmp_path, capsys):
     good = tmp_path / "asm.json"
     good.write_text(serialize(WORKED_46))
@@ -379,10 +424,16 @@ def test_validate_rejects_malformed_documents_with_exit_1(tmp_path, capsys, text
 
 
 def test_convert_choices_are_the_registry_aliases(capsys):
-    aliases = {f.alias for f in FAMILIES}
-    assert {name for pair in _CONVERSIONS for name in pair} <= aliases
+    aliases = [f.alias for f in FAMILIES]
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    convert = sub.choices["convert"]
+    assert {a.dest: a.choices for a in convert._actions if a.dest in ("source", "target")} == {
+        "source": aliases,
+        "target": aliases,
+    }
+    # a registry alias with no path there: refused before stdin is read
     code, _, err = run(capsys, "convert", "--from", "plain-asm", "--to", "asm")
-    assert code == 2 and "invalid choice" in err
+    assert code == 2 and "no conversion from plain-asm to asm" in err
 
 
 def test_validate_family_accepts_name_or_alias(tmp_path, capsys):
@@ -530,3 +581,44 @@ def test_enumerate_failing_before_its_first_document_writes_no_file(tmp_path, ca
     out_file.write_text("kept\n", encoding="utf-8")
     assert run(capsys, *argv, str(out_file))[0] == 1
     assert out_file.read_text(encoding="utf-8") == "kept\n"
+
+
+def _readme_examples() -> list[str]:
+    """The `chained-boards` lines of the README's Command line block that read
+    no file, but for the full `verify-tables` run, which takes half a minute."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith(("chained-boards", "echo"))]
+    return [
+        line
+        for line in lines
+        if all(stage.split()[0] in ("echo", "chained-boards") for stage in line.split(" | "))
+        and "--in" not in line
+        and "--budget-seconds" not in line
+    ]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_examples_are_found():
+    commands = [line.split(" | ")[-1].split()[1] for line in README_EXAMPLES]
+    assert sorted(set(commands)) == ["convert", "count", "enumerate", "verify-tables"]
+    assert len(README_EXAMPLES) == 8
+
+
+@pytest.mark.parametrize("line", README_EXAMPLES)
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)  # for what --out writes
+    piped = ""
+    for stage in line.split(" | "):
+        argv = shlex.split(stage, comments=True)
+        if argv[0] == "echo":
+            piped = " ".join(argv[1:]) + "\n"
+            continue
+        monkeypatch.setattr(sys, "stdin", io.StringIO(piped))
+        code, piped, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), stage
+        said = stage.partition("#")[2].strip()
+        if said.isdigit():  # the count the line's comment gives
+            assert piped == f"{said}\n", stage

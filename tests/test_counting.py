@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,27 @@ def test_count_max_linear_matches_the_chain_sum():
     for n in range(1, 7):
         for k in range(1, 13):
             assert count_max_linear(n, k) == count_max_linear_chains(n, k), (n, k)
+
+
+# count_max_linear(n, 2K) = (n!)^K * sum_v (alpha_v + beta_v K) v^K, v running
+# over the distinct C(n, j): v -> (alpha_v, beta_v), the table in the README
+LINEAR_EVEN_K_TERMS = {
+    1: {1: (1, 1)},
+    2: {1: (-7, -3), 2: (8, 0)},
+    3: {1: (Fraction(29, 2), Fraction(11, 2)), 3: (Fraction(-27, 2), Fraction(27, 2))},
+    4: {1: (-23, Fraction(-25, 3)), 4: (-192, Fraction(-320, 3)), 6: (216, 0)},
+}
+
+
+@pytest.mark.parametrize("n", LINEAR_EVEN_K_TERMS)
+def test_count_max_linear_even_k_closed_form(n):
+    terms = LINEAR_EVEN_K_TERMS[n]
+    assert sorted(terms) == sorted({math.comb(n, j) for j in range(n + 1)})
+    for K in range(1, 13):
+        form = math.factorial(n) ** K * sum((a + b * K) * Fraction(v) ** K for v, (a, b) in terms.items())
+        assert form == count_max_linear(n, 2 * K), (n, K)
+    row = "; ".join(f"{v}: ({a}, {b})" for v, (a, b) in terms.items())
+    assert f"| {n} | {row} |" in (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 
 def test_count_max_circular_examples():

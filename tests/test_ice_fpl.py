@@ -122,6 +122,7 @@ _LONG = int("9" * 4000)
         ("h", 1, 1, _LONG),
         (1, 1, _LONG),
         ("h", 10**5000, 1, 1),  # past the interpreter's digit limit for str
+        (("h", 10**5000, 1, 1),),  # the same, one level deeper
     ],
 )
 def test_lookups_reject_what_is_not_in_the_graph(lookup, key):
@@ -136,6 +137,12 @@ def test_lookups_reject_what_is_not_in_the_graph(lookup, key):
 def test_fpl_rejects_an_edge_past_the_digit_limit():
     with pytest.raises(InputDomainError, match=r"^unknown edge \('h', 1000"):
         FPLConfiguration(GridGraph(2, 2), (("h", 10**5000, 1, 1),))
+
+
+@pytest.mark.parametrize("edge", [5, None, 1.5])
+def test_fpl_rejects_an_edge_that_is_not_a_sequence(edge):
+    with pytest.raises(InputDomainError, match=f"^unknown edge {edge}$"):
+        FPLConfiguration(GridGraph(2, 2), (edge,))
 
 
 def test_lookup_messages_name_the_key():

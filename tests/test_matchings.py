@@ -2,16 +2,10 @@ from __future__ import annotations
 
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import count_max
-from chainedboards.matchings import (
-    ChainGraph,
-    from_matching,
-    matching_kind,
-    matching_problems,
-    to_matching,
-)
+from chainedboards.matchings import ChainGraph, from_matching, matching_problems, to_matching
 from chainedboards.perms import from_one_line, parse_one_line, placement_to_matrices
 from chainedboards.placements import enumerate_placements
-from tests.reference import enumerate_matchings
+from tests.reference import enumerate_matchings, matching_kind
 
 
 def max_perms(board):

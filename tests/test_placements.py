@@ -9,11 +9,11 @@ from chainedboards.counting import count_placements_formula
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import (
     RookPlacement,
-    canonical_placement,
     count_placements_brute,
     enumerate_placements,
     placement_problems,
 )
+from tests.reference import canonical_placement
 
 
 def brute_enumerate(board, m):

@@ -10,10 +10,10 @@ from chainedboards.errors import UnsupportedDomainError
 from chainedboards.ice import GridGraph, to_fpl, to_ice
 from chainedboards.matchings import ChainGraph, ChainMatching, to_matching
 from chainedboards.perms import from_one_line, parse_one_line
-from chainedboards.placements import canonical_placement
 from chainedboards.rendering import render
 from chainedboards.serialization import FAMILIES, family_of, str_to_vertex, vertex_to_str
 from chainedboards.triangles import to_monotone_triangles
+from tests.reference import canonical_placement
 from tests.test_serialization import sample_objects
 from tests.worked_examples import ONE_LINE_46, WORKED_46
 

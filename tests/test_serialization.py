@@ -15,14 +15,13 @@ from chainedboards.asm import (
     enumerate_chained_asm,
     fold_qt,
     permutation_to_asm,
-    split_linear_odd,
 )
 from chainedboards.boards import BoardSpec, Shape, circular, linear, max_rooks
 from chainedboards.errors import ChainedBoardsError, ParseError, ValidationError, clip
 from chainedboards.ice import _grid, to_fpl, to_ice
 from chainedboards.matchings import to_matching
 from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
-from chainedboards.placements import canonical_placement, enumerate_placements
+from chainedboards.placements import enumerate_placements
 from chainedboards.serialization import (
     FAMILIES,
     _wire,
@@ -33,6 +32,7 @@ from chainedboards.serialization import (
     vertex_to_str,
 )
 from chainedboards.triangles import to_monotone_triangles
+from tests.reference import canonical_placement, split_linear_odd
 from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, OVERSIZED, QT_6, WORKED_46
 
 
@@ -234,6 +234,16 @@ def test_families_registry_is_one_row_per_class_and_name():
         family_of(linear(2, 2))
 
 
+def test_placement_to_matrix_and_back_through_the_registry_is_the_identity():
+    to = {f.alias: f.to for f in FAMILIES}
+    there, back = to["placement"]["matrix"], to["matrix"]["placement"]
+    for shape in (linear, circular):
+        for n, k in itertools.product(range(1, 4), repeat=2):
+            board = shape(n, k)
+            for p in enumerate_placements(board, max_rooks(board)):
+                assert back(there(p)) == p
+
+
 def test_every_family_is_checked_by_one_exported_problems_function():
     import sys
 
@@ -254,6 +264,9 @@ def test_every_family_is_checked_by_one_exported_problems_function():
         # test-only oracles, now in tests/reference.py
         "enumerate_ice", "enumerate_fpl", "enumerate_mt_chains", "enumerate_matchings",
         "count_max_linear_multinomial", "maximum_compositions", "count_chained_asm",
+        # names with no caller in the library, also now in tests/reference.py
+        "canonical_placement", "matching_kind", "asm_sum_composition", "split_linear_odd",
+        "join_linear_odd", "split_circular_k4", "unfold_qt",
     )
     assert not [name for name in gone if hasattr(chainedboards, name)]
 
