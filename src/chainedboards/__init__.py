@@ -8,7 +8,6 @@ from .boards import (
     Square,
     attacks,
     circular,
-    is_admissible_composition,
     linear,
     max_rooks,
 )

@@ -242,8 +242,8 @@ def transfer_matrix(n: int) -> list[list[int]]:
     bottommost nonzero, which fixes that column's bit of r (+1 needs 0, -1
     needs 1); a column left at zero takes either bit.
     """
-    if n < 1:
-        raise InputDomainError(f"n must be >= 1, got {clip(n)}")
+    if type(n) is not int or n < 1:
+        raise InputDomainError(f"n must be an int >= 1, got {clip(n)}")
     rows = []
     for cols in range(1 << n):
         plus = minus = 0

@@ -76,12 +76,40 @@ class Square(NamedTuple):
     col: int
 
 
-def check_square(board: BoardSpec, s: Square) -> None:
-    """Raise InputDomainError unless ``s`` is in range for ``board``."""
-    if not (1 <= s.board <= board.k and 1 <= s.row <= board.n and 1 <= s.col <= board.n):
+def _square(board: BoardSpec, s) -> tuple[int, int, int]:
+    """The items of ``s``, if they are a square of ``board``: three exact
+    ints (board, row, col) with 1 <= board <= k and 1 <= row, col <= n.
+    Anything else, a bool or float included, raises InputDomainError."""
+    try:
+        b, row, col = s
+    except (TypeError, ValueError):  # not iterable, or not three items: fails below
+        b = row = col = None
+    if not (
+        type(b) is type(row) is type(col) is int
+        and 1 <= b <= board.k and 1 <= row <= board.n and 1 <= col <= board.n
+    ):
         raise InputDomainError(
-            f"square {clip(tuple(s))} out of range for n={clip(board.n)}, k={clip(board.k)}"
+            f"square {clip(s)} is not three ints or is out of range"
+            f" for n={clip(board.n)}, k={clip(board.k)}"
         )
+    return b, row, col
+
+
+def checked_squares(board: BoardSpec, given) -> tuple[Square, ...]:
+    """The distinct squares of ``board`` that ``given`` lists, as a sorted tuple
+    of Squares, each checked by ``_square``; a non-iterable ``given`` raises
+    InputDomainError too.  Squares already strictly increasing, as the
+    enumerator gives them, are not sorted again."""
+    squares = []
+    try:
+        for s in given:
+            triple = _square(board, s)
+            squares.append(s if type(s) is Square else Square(*triple))
+    except TypeError:  # given is not iterable
+        raise InputDomainError(f"squares must be iterable, got {clip(given)}") from None
+    if all(s < t for s, t in zip(squares, squares[1:])):
+        return tuple(squares)
+    return tuple(sorted(set(squares)))
 
 
 Line = tuple[int, int]  # (board, row); board 0 is the empty board of a linear chain
@@ -96,10 +124,10 @@ def rook_lines(board: BoardSpec, s: tuple[int, int, int]) -> tuple[Line, Line]:
     ``k`` when the chain is circular and the empty board 0 when it is
     linear.  Two rooks attack exactly when they share a line, and a rook
     whose two lines coincide (circular k = 1, on the diagonal) attacks
-    itself.  No range check: callers check ``s`` first.
+    itself.  No range check: callers check ``s`` first (``_square``).
     """
     b, row, col = s
-    before = board.k if board.circular and b == 1 else b - 1
+    before = board.k if b == 1 and board.circular else b - 1
     return (b, row), (before, col)
 
 
@@ -108,9 +136,8 @@ def attacks(board: BoardSpec, s: Square, t: Square) -> bool:
 
     Symmetric, and attacks(board, s, s) is true.
     """
-    check_square(board, s)
-    check_square(board, t)
-    return not set(rook_lines(board, s)).isdisjoint(rook_lines(board, t))
+    lines = set(rook_lines(board, _square(board, s)))
+    return not lines.isdisjoint(rook_lines(board, _square(board, t)))
 
 
 def max_rooks(board: BoardSpec) -> int:
@@ -121,20 +148,6 @@ def max_rooks(board: BoardSpec) -> int:
 
 
 Composition = tuple[int, ...]
-
-
-def is_admissible_composition(board: BoardSpec, parts: Composition) -> bool:
-    """Whether ``parts`` arises as the per-board rook counts of some placement."""
-    if len(parts) != board.k:
-        return False
-    if any(not (0 <= a <= board.n) for a in parts):
-        return False
-    prev = parts[-1] if board.circular else 0
-    for a in parts:
-        if prev + a > board.n:
-            return False
-        prev = a
-    return True
 
 
 def suffix_bound_table(board: BoardSpec) -> list[list[list[int]]]:

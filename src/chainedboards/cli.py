@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("validate", help="validate a document")
-    p.add_argument("--family", default=None)
+    p.add_argument("--family", choices=sorted({x for f in FAMILIES for x in (f.name, f.alias)}))
     p.add_argument("--in", dest="infile", default=None)
     p.set_defaults(func=_cmd_validate)
 

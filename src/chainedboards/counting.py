@@ -17,8 +17,8 @@ from .errors import InputDomainError, clip
 
 def falling_factorial(n: int, m: int) -> int:
     """(n)_m = n (n-1) ... (n-m+1); 1 when m = 0, 0 when m > n."""
-    if n < 0 or m < 0:
-        raise InputDomainError("falling_factorial needs nonnegative arguments")
+    if type(n) is not int or type(m) is not int or n < 0 or m < 0:
+        raise InputDomainError("falling_factorial needs nonnegative int arguments")
     return math.perm(n, m)
 
 
@@ -74,7 +74,7 @@ def count_placements_formula(board: BoardSpec, m: int) -> int:
     circular start a_k, instead of one term per composition.
     """
     n = board.n
-    if not (0 <= m <= n * board.k):
+    if type(m) is not int or not 0 <= m <= n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     steps = [[(a, math.comb(n - p, a) * falling_factorial(n, a), a) for a in range(n - p + 1)]
              for p in range(n + 1)]
@@ -90,8 +90,8 @@ def count_max_linear(n: int, k: int) -> int:
     e_0 M^(k/2) 1 with M[j'][j] = C(n - j', n - j) * C(n, j) for j >= j', so
     it takes k/2 vector-matrix steps over j, not one term per chain.
     """
-    if n < 1 or k < 1:
-        raise InputDomainError("n and k must be >= 1")
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+        raise InputDomainError("n and k must be ints >= 1")
     if k % 2 == 1:
         return math.factorial(n) ** ((k + 1) // 2)
     ends = [math.comb(n, j) ** 2 for j in range(n + 1)]  # one step from j_0 = 0, by where it ends
@@ -108,8 +108,8 @@ def count_max_circular(n: int, k: int) -> int:
     k odd, n odd: k * ceil(n/2) * ((n)_{ceil(n/2)})^floor(k/2)
     * ((n)_{floor(n/2)})^ceil(k/2).
     """
-    if n < 1 or k < 1:
-        raise InputDomainError("n and k must be >= 1")
+    if type(n) is not int or type(k) is not int or n < 1 or k < 1:
+        raise InputDomainError("n and k must be ints >= 1")
     if k % 2 == 0:
         s = sum(math.comb(n, j) ** (k // 2) for j in range(n + 1))
         return math.factorial(n) ** (k // 2) * s
@@ -134,8 +134,8 @@ def count_max(board: BoardSpec) -> int:
 
 def classical_asm_count(n: int) -> int:
     """Number of n x n alternating sign matrices: prod (3k+1)!/(n+k)!."""
-    if n < 0:
-        raise InputDomainError("n must be >= 0")
+    if type(n) is not int or n < 0:
+        raise InputDomainError("n must be an int >= 0")
     num = 1
     den = 1
     for k in range(n):
@@ -149,8 +149,8 @@ def classical_asm_count(n: int) -> int:
 def qtasm_count(m: int) -> int:
     """Number of quarter-turn symmetric ASMs of size 4m (= |chained circular
     ASMs on a 2m board with k = 1|)."""
-    if m < 1:
-        raise InputDomainError("m must be >= 1")
+    if type(m) is not int or m < 1:
+        raise InputDomainError("m must be an int >= 1")
     total = Fraction(classical_asm_count(m) ** 3)
     for i in range(1, m + 1):
         factor = Fraction(3 * i - 1, 3 * i - 2)

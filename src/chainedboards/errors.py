@@ -35,13 +35,19 @@ def clip(value: object, limit: int = 40) -> str:
     so a message that quotes input (a string, or a number as long as a
     document's n or k) stays short whatever the input's size.  It never
     raises: an int beyond the interpreter's digit limit for ``str`` is
-    described the same way without converting it in full."""
+    described the same way without converting it in full, also inside
+    tuples and lists at any depth; any other value that ``str`` fails on
+    is named by its type and the error."""
     try:
         text = str(value)
-    except ValueError:
-        if not isinstance(value, int):
-            raise
-        return _clip_long_int(value, limit)
+    except ValueError as exc:  # an int past the digit limit, or something holding one
+        if isinstance(value, int):
+            return _clip_long_int(value, limit)
+        if isinstance(value, (tuple, list)):
+            items = ", ".join(repr(v) if isinstance(v, str) else clip(v, limit) for v in value)
+            text = f"[{items}]" if isinstance(value, list) else f"({items})"
+        else:
+            text = f"<{type(value).__name__}: {exc}>"
     if len(text) <= limit:
         return text
     return f"{text[:limit]}… ({len(text)} characters)"

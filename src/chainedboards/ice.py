@@ -131,19 +131,12 @@ def _grid(n: int, k: int) -> _Grid:
     )
 
 
-def _shown(key) -> str:
-    """``key`` as its repr, each int clipped first: repr fails on an int past the digit limit."""
-    if isinstance(key, (tuple, list)):
-        return f"({', '.join(map(_shown, key))})"
-    return clip(key) if isinstance(key, int) else clip(repr(key))
-
-
 def _look_up(table: dict, key, what: str):
     """``table[key]``, or an InputDomainError naming ``key`` as an unknown ``what``."""
     try:
         return table[key]
     except (KeyError, TypeError):  # TypeError: an unhashable key, such as a list
-        raise InputDomainError(f"unknown {what} {clip(_shown(key))}") from None
+        raise InputDomainError(f"unknown {what} {clip(key)}") from None
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import BoardSpec, max_rooks, rook_lines
-from .errors import InputDomainError, ValidationError, clip
-from .perms import ChainedPermutation
+from .boards import BoardSpec, _square, checked_squares, max_rooks, rook_lines
+from .errors import ValidationError, clip
+from .perms import ChainedPermutation, _with_ones, matrices_to_placement
 
 Vertex = tuple[int, int]  # (row, index); circular rows run 1..k, linear 0..k
 EdgeId = tuple[int, int, int]  # (l, i, j)
@@ -47,10 +47,8 @@ class ChainGraph:
                     yield (l, i, j)
 
     def endpoints(self, edge: EdgeId) -> tuple[Vertex, Vertex]:
-        l, i, j = edge
-        if not (1 <= l <= self.board.k and 1 <= i <= self.board.n and 1 <= j <= self.board.n):
-            raise InputDomainError(f"edge {clip(edge)} out of range")
-        return rook_lines(self.board, edge)  # the edge (l, i, j) is the square (l, i, j)
+        # the edge (l, i, j) is the square (l, i, j), checked by the same rule
+        return rook_lines(self.board, _square(self.board, edge))
 
     def is_loop(self, edge: EdgeId) -> bool:
         u, v = self.endpoints(edge)
@@ -59,14 +57,13 @@ class ChainGraph:
 
 @dataclass(frozen=True)
 class ChainMatching:
+    """Chain-graph edges (l, i, j), kept as ``boards.checked_squares`` gives squares (l, i, j)."""
+
     graph: ChainGraph
     edges: tuple[EdgeId, ...]
 
     def __post_init__(self):
-        fixed = tuple(sorted(set(tuple(e) for e in self.edges)))
-        for e in fixed:
-            self.graph.endpoints(e)  # range check
-        object.__setattr__(self, "edges", fixed)
+        object.__setattr__(self, "edges", checked_squares(self.graph.board, self.edges))
 
 
 def matching_problems(m: ChainMatching) -> list[str]:
@@ -74,7 +71,7 @@ def matching_problems(m: ChainMatching) -> list[str]:
     seen: set[Vertex] = set()
     for e in m.edges:
         if m.graph.is_loop(e):
-            problems.append(f"edge {clip(e)} is a loop")
+            problems.append(f"edge {clip(tuple(e))} is a loop")
             continue
         for v in m.graph.endpoints(e):
             if v in seen:
@@ -87,26 +84,14 @@ def matching_problems(m: ChainMatching) -> list[str]:
 
 
 def to_matching(cp: ChainedPermutation) -> ChainMatching:
-    edges = [
-        (l, i + 1, j + 1)
-        for l, mat in enumerate(cp.matrices, start=1)
-        for i, row in enumerate(mat)
-        for j, x in enumerate(row)
-        if x
-    ]
-    return ChainMatching(ChainGraph(cp.board), tuple(edges))
+    return ChainMatching(ChainGraph(cp.board), matrices_to_placement(cp).squares)
 
 
 def from_matching(m: ChainMatching) -> ChainedPermutation:
     problems = matching_problems(m)
     if problems:
         raise ValidationError("invalid chain matching", problems)
-    board = m.graph.board
-    n = board.n
-    grids = [[[0] * n for _ in range(n)] for _ in range(board.k)]
-    for l, i, j in m.edges:
-        grids[l - 1][i - 1][j - 1] = 1
-    return ChainedPermutation(board, grids)
+    return _with_ones(m.graph.board, m.edges)
 
 
 __all__ = [

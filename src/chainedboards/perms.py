@@ -8,7 +8,7 @@ the total number of 1s is the board's maximum rook count.  These are the
 chained ASM conditions restricted to 0/1 entries, so
 ``asm.chained_asm_problems`` is their check.
 
-Matrices are tuples of row tuples.  ``placement_to_matrices`` and
+Matrices are tuples of row tuples.  ``_with_ones`` (a 1 per square) and
 ``from_one_line`` share rows from one table per n: the zero row and the n
 unit rows.  The constructor checks every entry and keeps tuple input as is.
 
@@ -95,13 +95,18 @@ def placement_to_matrices(p: RookPlacement) -> ChainedPermutation:
         )
     if placement_problems(p):
         raise ValidationError("placement has attacking rooks")
-    n, k = p.board.n, p.board.k
+    return _with_ones(p.board, p.squares)
+
+
+def _with_ones(board: BoardSpec, squares) -> ChainedPermutation:
+    """The 0/1 matrices with a 1 on each of the checked ``squares`` (l, i, j), rows shared."""
+    n, k = board.n, board.k
     rows = _unit_rows(n)
     grid = [rows[0]] * (n * k)  # the chain's rows in order, all shared
-    for b, row, col in p.squares:
+    for b, row, col in squares:
         grid[(b - 1) * n + row - 1] = rows[col]
     flat = tuple(grid)
-    return ChainedPermutation(p.board, tuple(flat[j : j + n] for j in range(0, n * k, n)))
+    return ChainedPermutation(board, tuple(flat[j : j + n] for j in range(0, n * k, n)))
 
 
 def matrices_to_placement(cp: ChainedPermutation) -> RookPlacement:

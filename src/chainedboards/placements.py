@@ -14,7 +14,7 @@ from .boards import (
     BoardSpec,
     Composition,
     Square,
-    check_square,
+    checked_squares,
     rook_lines,
     suffix_bound_table,
 )
@@ -25,26 +25,15 @@ from .errors import InputDomainError, clip
 class RookPlacement:
     """A set of occupied squares on a chained board.
 
-    Squares are stored sorted; construction checks coordinate ranges only,
-    use :func:`placement_problems` for the non-attacking property.
+    Squares are kept as ``boards.checked_squares`` gives them (sorted, distinct,
+    exact ints in range); :func:`placement_problems` checks they do not attack.
     """
 
     board: BoardSpec
     squares: tuple[Square, ...]
 
     def __post_init__(self):
-        squares = self.squares
-        # the enumerator's squares are already a strictly increasing tuple
-        # of Squares; anything else is rebuilt, sorted and de-duplicated
-        if not (
-            type(squares) is tuple
-            and all(type(s) is Square for s in squares)
-            and all(s < t for s, t in zip(squares, squares[1:]))
-        ):
-            squares = tuple(sorted(set(Square(*s) for s in squares)))
-            object.__setattr__(self, "squares", squares)
-        for s in squares:
-            check_square(self.board, s)
+        object.__setattr__(self, "squares", checked_squares(self.board, self.squares))
 
     @property
     def m(self) -> int:
@@ -71,7 +60,7 @@ def placement_problems(p: RookPlacement) -> list[str]:
 
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     """All valid m-rook placements, each exactly once, in lexicographic order."""
-    if not (0 <= m <= board.n * board.k):
+    if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     n, k = board.n, board.k
     circ = board.circular

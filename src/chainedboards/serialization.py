@@ -129,6 +129,15 @@ def _ints(value, depth: int = 0):
     return value
 
 
+def _triples(value) -> tuple:
+    """``value`` as a tuple of squares or edges: arrays of three JSON integers."""
+    triples = _ints(value, 2)
+    for t in triples:
+        if len(t) != 3:
+            raise ParseError(f"expected three integers, got {clip(json.dumps(t))}")
+    return triples
+
+
 def _circular(obj: GridGraph | MonotoneTriangleChain) -> BoardSpec:
     return BoardSpec(Shape.CIRCULAR, obj.n, obj.k)
 
@@ -204,7 +213,7 @@ FAMILIES = (
     Family(
         "placement", "placement", RookPlacement, _BOTH, lambda p: p.board, "squares",
         lambda p: p.squares,
-        lambda board, v: RookPlacement(board, _ints(v, 2)),
+        lambda board, v: RookPlacement(board, _triples(v)),
         placement_problems,
         {"matrix": placement_to_matrices},
     ),
@@ -227,7 +236,7 @@ FAMILIES = (
     Family(
         "chain-matching", "matching", ChainMatching, _BOTH, lambda m: m.graph.board, "edges",
         lambda m: m.edges,
-        lambda board, v: ChainMatching(ChainGraph(board), _ints(v, 2)),
+        lambda board, v: ChainMatching(ChainGraph(board), _triples(v)),
         matching_problems,
         {"matrix": from_matching},
     ),
@@ -343,7 +352,7 @@ def deserialize(text: str):
         where = _board_from(doc, family.shapes) if family.shapes else _ints(_need(doc, "n"))
         return _checked(family, family.decode(where, _need(doc, family.key)))
     except (TypeError, ValueError, IndexError, RecursionError) as exc:
-        # e.g. a square or an edge of two numbers, or a message quoting a deeply nested value
+        # e.g. a message quoting a deeply nested value
         raise ParseError(f"malformed {name} payload: {exc}") from None
     except (InputDomainError, UnsupportedDomainError) as exc:
         raise ValidationError(str(exc)) from None

@@ -15,6 +15,7 @@
 
 Library functions that only the tests call, moved here by the caller rule:
 
+- ``is_admissible_composition``: whether a composition arises from some placement;
 - ``canonical_placement``: a placement witnessing an admissible composition;
 - ``matching_kind``: the kind of chain-graph matching a board's permutations are;
 - ``asm_sum_composition``: a chained ASM's per-matrix sums;
@@ -48,7 +49,6 @@ from chainedboards.boards import (
     Composition,
     Shape,
     Square,
-    is_admissible_composition,
     max_rooks,
 )
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
@@ -379,6 +379,20 @@ def fpl_problems(f: FPLConfiguration) -> list[str]:
         if deg != 2:
             problems.append(f"interior vertex {v} has degree {deg}, not 2")
     return problems
+
+
+def is_admissible_composition(board: BoardSpec, parts: Composition) -> bool:
+    """Whether ``parts`` arises as the per-board rook counts of some placement."""
+    if len(parts) != board.k:
+        return False
+    if any(not (0 <= a <= board.n) for a in parts):
+        return False
+    prev = parts[-1] if board.circular else 0
+    for a in parts:
+        if prev + a > board.n:
+            return False
+        prev = a
+    return True
 
 
 def canonical_placement(board: BoardSpec, comp: Composition) -> RookPlacement:

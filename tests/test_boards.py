@@ -8,13 +8,18 @@ from chainedboards.boards import (
     Square,
     attacks,
     circular,
-    is_admissible_composition,
     linear,
     max_rooks,
 )
 from chainedboards.errors import InputDomainError
-from chainedboards.placements import placement_problems
-from tests.reference import admissible_compositions, canonical_placement, maximum_compositions
+from chainedboards.matchings import ChainGraph, ChainMatching
+from chainedboards.placements import RookPlacement, placement_problems
+from tests.reference import (
+    admissible_compositions,
+    canonical_placement,
+    is_admissible_composition,
+    maximum_compositions,
+)
 
 ALL_SMALL = [
     ctor(n, k)
@@ -74,6 +79,30 @@ def test_attacks_rejects_out_of_range():
         attacks(b, Square(1, 1, 3), Square(1, 1, 1))
     with pytest.raises(InputDomainError):
         attacks(b, Square(3, 1, 1), Square(1, 1, 1))
+
+
+NOT_SQUARES = [
+    5, (1, 1), (1, 1, 1, 1), (1, 1.5, 1), (1, True, 1), (1, 10**5000, 1), (0, 1, 1), (1, 1, 3),
+    {1, 2, 10**5000},  # a set, and one that str() cannot write
+]
+
+
+@pytest.mark.parametrize("given", [(s,) for s in NOT_SQUARES] + [5, None])
+@pytest.mark.parametrize("cls", [RookPlacement, ChainMatching])
+def test_constructors_reject_what_is_not_a_set_of_squares(cls, given):
+    board = linear(2, 2)
+    with pytest.raises(InputDomainError) as info:
+        cls(board, given) if cls is RookPlacement else cls(ChainGraph(board), given)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("s", NOT_SQUARES)
+def test_attacks_and_chain_graph_share_the_rule(s):
+    board = linear(2, 2)
+    with pytest.raises(InputDomainError):
+        attacks(board, s, (1, 1, 1))
+    with pytest.raises(InputDomainError):
+        ChainGraph(board).endpoints(s)
 
 
 def test_board_spec_rejects_bad_dimensions():

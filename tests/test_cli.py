@@ -444,6 +444,17 @@ def test_validate_family_accepts_name_or_alias(tmp_path, capsys):
         assert code == 0 and out == "valid chained-asm\n"
 
 
+def test_validate_family_unknown_is_a_usage_error(monkeypatch, capsys):
+    # refused by the registry's choices before stdin is read, so a typo is not an invalid document
+    monkeypatch.setattr(sys, "stdin", io.StringIO(serialize(WORKED_46)))
+    code, out, err = run(capsys, "validate", "--family", "nonsense")
+    assert code == 2 and out == "" and "invalid choice: 'nonsense'" in err
+    assert sys.stdin.tell() == 0
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    (family,) = [a for a in sub.choices["validate"]._actions if a.dest == "family"]
+    assert set(family.choices) == {x for f in FAMILIES for x in (f.name, f.alias)}
+
+
 @pytest.mark.parametrize("text", OVERSIZED.values(), ids=OVERSIZED.keys())
 def test_validate_rejects_oversized_input_briefly(tmp_path, capsys, text):
     src = tmp_path / "doc.json"

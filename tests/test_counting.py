@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainedboards.asm import transfer_matrix
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
     _count_walks,
@@ -21,7 +22,7 @@ from chainedboards.counting import (
     qtasm_count,
 )
 from chainedboards.errors import InputDomainError
-from chainedboards.placements import count_placements_brute
+from chainedboards.placements import count_placements_brute, enumerate_placements
 from tests.reference import admissible_compositions, count_max_linear_chains, count_max_linear_multinomial
 
 
@@ -119,6 +120,34 @@ def brute_walks(steps, k, target, circular):
 @given(step_tables(), st.integers(1, 4), st.integers(0, 9), st.booleans())
 def test_count_walks_matches_every_step_sequence(steps, k, target, circular):
     assert _count_walks(steps, k, target, circular) == brute_walks(steps, k, target, circular)
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: count_max_circular(2, x),
+        lambda x: count_max_circular(x, 3),
+        lambda x: count_max_linear(2, x),
+        lambda x: count_max_linear(x, 2),
+        classical_asm_count,
+        qtasm_count,
+        lambda x: falling_factorial(x, 1),
+        lambda x: falling_factorial(3, x),
+        transfer_matrix,
+        lambda x: count_placements_formula(linear(2, 2), x),
+        lambda x: list(enumerate_placements(linear(2, 2), x)),
+    ],
+    ids=[
+        "count_max_circular k", "count_max_circular n", "count_max_linear k", "count_max_linear n",
+        "classical_asm_count", "qtasm_count", "falling_factorial n", "falling_factorial m",
+        "transfer_matrix", "count_placements_formula m", "enumerate_placements m",
+    ],
+)
+def test_counting_entry_points_take_exact_ints(call, bad):
+    # an exact-integer library answers no float or bool, even one equal to an int
+    with pytest.raises(InputDomainError):
+        call(bad)
 
 
 def test_formula_rejects_m_outside_range():

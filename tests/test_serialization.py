@@ -17,11 +17,11 @@ from chainedboards.asm import (
     permutation_to_asm,
 )
 from chainedboards.boards import BoardSpec, Shape, circular, linear, max_rooks
-from chainedboards.errors import ChainedBoardsError, ParseError, ValidationError, clip
+from chainedboards.errors import ChainedBoardsError, InputDomainError, ParseError, ValidationError, clip
 from chainedboards.ice import _grid, to_fpl, to_ice
-from chainedboards.matchings import to_matching
+from chainedboards.matchings import ChainGraph, ChainMatching, to_matching
 from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
-from chainedboards.placements import enumerate_placements
+from chainedboards.placements import RookPlacement, enumerate_placements
 from chainedboards.serialization import (
     FAMILIES,
     _wire,
@@ -266,7 +266,7 @@ def test_every_family_is_checked_by_one_exported_problems_function():
         "count_max_linear_multinomial", "maximum_compositions", "count_chained_asm",
         # names with no caller in the library, also now in tests/reference.py
         "canonical_placement", "matching_kind", "asm_sum_composition", "split_linear_odd",
-        "join_linear_odd", "split_circular_k4", "unfold_qt",
+        "join_linear_odd", "split_circular_k4", "unfold_qt", "is_admissible_composition",
     )
     assert not [name for name in gone if hasattr(chainedboards, name)]
 
@@ -312,6 +312,37 @@ def test_round_trip_property(obj):
     back = deserialize(text)
     assert back == obj and type(back) is type(obj)
     assert serialize(back) == text
+
+
+# ints past the interpreter's digit limit for str, built by map: hypothesis reprs its strategies
+_HUGE_INTS = st.tuples(st.sampled_from([1, -1, 7]), st.integers(4300, 5000)).map(lambda t: t[0] * 10 ** t[1])
+# a coordinate a caller might pass: in range or not, a bool, a float, past the digit limit
+_COORDINATE = st.one_of(st.integers(-1, 4), st.booleans(), st.sampled_from([1.0, 2.5]), _HUGE_INTS)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(
+    st.sampled_from([linear(2, 2), circular(3, 1), circular(2, 3)]),
+    st.sampled_from([RookPlacement, ChainMatching]),
+    st.lists(
+        st.one_of(st.tuples(_COORDINATE, _COORDINATE, _COORDINATE), st.lists(_COORDINATE, max_size=4)),
+        max_size=4,
+    ),
+)
+def test_what_the_constructors_admit_reads_back(board, cls, squares):
+    """A placement or matching that can be built is a document that parses
+    back to it: the constructors are as strict as the parser."""
+    try:
+        obj = cls(board, squares) if cls is RookPlacement else cls(ChainGraph(board), squares)
+    except InputDomainError:
+        return
+    problems = family_of(obj).problems(obj)
+    if problems:
+        with pytest.raises(ValidationError) as info:
+            deserialize(serialize(obj))
+        assert info.value.problems == problems
+    else:
+        assert deserialize(serialize(obj)) == obj
 
 
 @st.composite
@@ -518,3 +549,17 @@ def test_clip_describes_ints_beyond_the_str_digit_limit():
             str(value)
         assert clip(value) == f"{text[:40]}… ({len(text)} characters)"
     assert clip(10**limit, limit=5) == f"10000… ({limit + 1} characters)"
+
+
+_NESTED_HUGE_INTS = st.recursive(
+    st.one_of(st.integers(), _HUGE_INTS, st.text(max_size=3)),
+    lambda children: st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple)),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_NESTED_HUGE_INTS)
+def test_clip_never_raises_on_tuples_and_lists_of_huge_ints(value):
+    text = clip(value)
+    assert len(text) < 80
