@@ -303,7 +303,8 @@ def count_chained_asm_tm(board: BoardSpec) -> int:
     keep only the walks whose total row-sum weight is ``max_rooks(board)``,
     condition (3).
     """
-    return _count_walks(_transfer_steps(board.n), board.k, max_rooks(board), board.circular)
+    (count,) = _count_walks(_transfer_steps(board.n), [(board.k, max_rooks(board))], board.circular)
+    return count
 
 
 # --- plain ASMs and the special-case bijections ---------------------------

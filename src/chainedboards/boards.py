@@ -101,15 +101,16 @@ def checked_squares(board: BoardSpec, given) -> tuple[Square, ...]:
     InputDomainError too.  Squares already strictly increasing, as the
     enumerator gives them, are not sorted again."""
     squares = []
+    ordered, last = True, ()  # each square is compared with the one before it; () comes first
     try:
         for s in given:
             triple = _square(board, s)
+            ordered = ordered and last < triple
+            last = triple
             squares.append(s if type(s) is Square else Square(*triple))
     except TypeError:  # given is not iterable
         raise InputDomainError(f"squares must be iterable, got {clip(given)}") from None
-    if all(s < t for s, t in zip(squares, squares[1:])):
-        return tuple(squares)
-    return tuple(sorted(set(squares)))
+    return tuple(squares) if ordered else tuple(sorted(set(squares)))
 
 
 Line = tuple[int, int]  # (board, row); board 0 is the empty board of a linear chain

@@ -22,45 +22,68 @@ def falling_factorial(n: int, m: int) -> int:
     return math.perm(n, m)
 
 
-def _count_walks(steps: Sequence[Sequence[tuple]], k: int, target: int, circular: bool) -> int:
-    """Weighted k-step walks whose costs sum to ``target``.
+def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circular: bool) -> list[int]:
+    """For each read ``(k, target)``, the weighted k-step walks whose costs
+    sum to ``target``, all read off one walk of the longest k.
 
     ``steps[r]`` lists the steps ``(s, weight, cost)`` out of state r, sorted
     by cost.  A linear walk starts from state 0 and may end anywhere; a
-    circular one ends where it started, summed over every start (a trace).
+    circular one ends where it started, summed over every start (a trace),
+    and closes its circle from each start at every k read, at no other.
 
     Each state holds one packed integer whose digit c, ``width`` bits wide,
     counts the weighted walks reaching it at cost c; a step adds ``poly *
-    weight << width * cost`` and digits above ``target`` are masked off.  No
-    digit carries: after j steps from one start all digits of all states sum
-    to at most ``heaviest ** j`` (a step multiplies that sum by at most a row
-    sum of weights), so a digit, even of a sum over end states, is at most
-    ``max(1, heaviest ** k) < 2 ** width``.  Each start is read on its own.
+    weight << width * cost`` and digits above the largest target are masked
+    off.  No digit carries: after j steps from one start all digits of all
+    states sum to at most ``heaviest ** j`` (a step multiplies that sum by at
+    most a row sum of weights), so a digit, even of a sum over end states, is
+    at most ``max(1, heaviest ** longest) < 2 ** width`` for every j up to
+    the longest k.  Each start is read on its own.
     """
+    at: dict[int, list[tuple[int, int]]] = {}  # steps walked -> the (read, target) taken after them
+    top = 0
+    for i, (k, target) in enumerate(reads):
+        at.setdefault(k - 1 if circular else k, []).append((i, target))
+        top = max(top, target)
+    lengths = sorted(at)
+    longest = max(reads)[0]  # reads compare by k first
     heaviest = max((sum(w for _, w, _ in row) for row in steps), default=0)
-    width = (heaviest**k).bit_length() + 1
-    mask = (1 << width * (target + 1)) - 1
+    width = (heaviest**longest).bit_length() + 1
+    mask = (1 << width * (top + 1)) - 1
     back = [[] for _ in steps]  # back[s]: the steps (r, weight, cost) into s, to close a circle
     for r, row in enumerate(steps if circular else ()):
         for s, weight, cost in row:
             back[s].append((r, weight, cost))
-    total = 0
+    counts = [0] * len(reads)
     for start in range(len(steps)) if circular else (0,):
         walk = [0] * len(steps)  # state -> packed weighted walks by cost so far
         walk[start] = 1
-        for _ in range(k - 1 if circular else k):
-            nxt = [0] * len(steps)
-            for poly, row in zip(walk, steps):
-                if poly:
-                    for s, weight, cost in row:
-                        if cost > target:
-                            break
-                        nxt[s] += poly * weight << width * cost
-            walk = [poly & mask for poly in nxt]
-        if circular:  # the last step returns to the start
-            walk = [walk[r] * weight << width * cost for r, weight, cost in back[start]]
-        total += sum(walk) >> width * target & (1 << width) - 1
-    return total
+        walked = 0
+        for j in lengths:
+            for _ in range(j - walked):
+                nxt = [0] * len(steps)
+                for poly, row in zip(walk, steps):
+                    if poly:
+                        for s, weight, cost in row:
+                            if cost > top:
+                                break
+                            nxt[s] += poly * weight << width * cost
+                walk = [poly & mask for poly in nxt]
+            walked = j
+            ends = walk
+            if circular:  # the last step returns to the start
+                ends = [walk[r] * weight << width * cost for r, weight, cost in back[start]]
+            total = sum(ends)
+            for i, target in at[j]:
+                counts[i] += total >> width * target & (1 << width) - 1
+    return counts
+
+
+def _composition_steps(n: int) -> list[list[tuple[int, int, int]]]:
+    """The composition walk's steps on n x n boards: p -> a, for a board of
+    a rooks after one of p, has weight C(n - p, a) * (n)_a and costs a."""
+    return [[(a, math.comb(n - p, a) * falling_factorial(n, a), a) for a in range(n - p + 1)]
+            for p in range(n + 1)]
 
 
 def count_placements_formula(board: BoardSpec, m: int) -> int:
@@ -76,9 +99,8 @@ def count_placements_formula(board: BoardSpec, m: int) -> int:
     n = board.n
     if type(m) is not int or not 0 <= m <= n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
-    steps = [[(a, math.comb(n - p, a) * falling_factorial(n, a), a) for a in range(n - p + 1)]
-             for p in range(n + 1)]
-    return _count_walks(steps, board.k, m, board.circular)
+    (count,) = _count_walks(_composition_steps(n), [(board.k, m)], board.circular)
+    return count
 
 
 def count_max_linear(n: int, k: int) -> int:

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .boards import BoardSpec, _square, checked_squares, max_rooks, rook_lines
 from .errors import ValidationError, clip
-from .perms import ChainedPermutation, _with_ones, matrices_to_placement
+from .perms import ChainedPermutation, _ones, _with_ones
 
 Vertex = tuple[int, int]  # (row, index); circular rows run 1..k, linear 0..k
 EdgeId = tuple[int, int, int]  # (l, i, j)
@@ -70,10 +70,11 @@ def matching_problems(m: ChainMatching) -> list[str]:
     problems = []
     seen: set[Vertex] = set()
     for e in m.edges:
-        if m.graph.is_loop(e):
+        ends = m.graph.endpoints(e)
+        if ends[0] == ends[1]:
             problems.append(f"edge {clip(tuple(e))} is a loop")
             continue
-        for v in m.graph.endpoints(e):
+        for v in ends:
             if v in seen:
                 problems.append(f"vertex {clip(v)} is covered twice")
             seen.add(v)
@@ -84,7 +85,7 @@ def matching_problems(m: ChainMatching) -> list[str]:
 
 
 def to_matching(cp: ChainedPermutation) -> ChainMatching:
-    return ChainMatching(ChainGraph(cp.board), matrices_to_placement(cp).squares)
+    return ChainMatching(ChainGraph(cp.board), tuple(_ones(cp)))
 
 
 def from_matching(m: ChainMatching) -> ChainedPermutation:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .boards import BoardSpec, Shape, Square, max_rooks
 from .errors import InputDomainError, ParseError, ValidationError, clip
@@ -109,15 +110,14 @@ def _with_ones(board: BoardSpec, squares) -> ChainedPermutation:
     return ChainedPermutation(board, tuple(flat[j : j + n] for j in range(0, n * k, n)))
 
 
+def _ones(cp: ChainedPermutation) -> Iterator[Square]:
+    """The squares (l, i, j) of ``cp``'s ones, in increasing order."""
+    return (Square(l, i, j) for l, mat in enumerate(cp.matrices, start=1)
+            for i, row in enumerate(mat, start=1) for j, x in enumerate(row, start=1) if x)
+
+
 def matrices_to_placement(cp: ChainedPermutation) -> RookPlacement:
-    squares = [
-        Square(l, i + 1, j + 1)
-        for l, mat in enumerate(cp.matrices, start=1)
-        for i, row in enumerate(mat)
-        for j, x in enumerate(row)
-        if x
-    ]
-    return RookPlacement(cp.board, tuple(squares))
+    return RookPlacement(cp.board, tuple(_ones(cp)))
 
 
 @dataclass(frozen=True)

@@ -117,9 +117,12 @@ def brute_walks(steps, k, target, circular):
 
 
 @settings(derandomize=True, database=None, max_examples=300)
-@given(step_tables(), st.integers(1, 4), st.integers(0, 9), st.booleans())
-def test_count_walks_matches_every_step_sequence(steps, k, target, circular):
-    assert _count_walks(steps, k, target, circular) == brute_walks(steps, k, target, circular)
+@given(step_tables(), st.lists(st.tuples(st.integers(1, 4), st.integers(0, 9)), min_size=1, max_size=5), st.booleans())
+def test_count_walks_matches_every_step_sequence(steps, reads, circular):
+    # several reads off one walk, each of its own length and target
+    assert _count_walks(steps, reads, circular) == [
+        brute_walks(steps, k, target, circular) for k, target in reads
+    ]
 
 
 @pytest.mark.parametrize("bad", [2.0, 2.5, True])

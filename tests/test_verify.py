@@ -5,6 +5,8 @@ import os
 import pytest
 
 from chainedboards import asm
+from chainedboards.boards import BoardSpec, Shape, max_rooks
+from chainedboards.counting import count_placements_formula
 from chainedboards.verify import TABLE_CELLS, VerificationReport, verify_tables
 
 
@@ -123,6 +125,19 @@ def test_tsv_layout():
     assert [line.split("\t")[:-1] for line in lines[1:]] == [
         row.split() for row in SMALL_REPORT.strip().splitlines()
     ]
+
+
+def test_rook_rows_read_off_one_walk_equal_the_formula():
+    # each (shape, n) group's six k are read off one walk; every row must
+    # still be what its own single-read walk gives
+    records = [r for r in verify_tables(max_n=0).records if r.family in ("max-placements", "placements")]
+    assert len(records) == 60
+    for r in records:
+        board = BoardSpec(Shape(r.shape), r.n, r.k)
+        assert r.m == max_rooks(board)
+        assert r.actual == count_placements_formula(board, r.m), r
+    # the walk's time goes on its group's largest k, the row it was run for
+    assert all((r.seconds > 0) == (r.family == "max-placements" and r.k == 6) for r in records)
 
 
 def test_table_constant_is_complete():
