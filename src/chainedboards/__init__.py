@@ -49,10 +49,8 @@ from .asm import (
     PlainASM,
     asm_to_permutation,
     chained_asm_problems,
-    concat_circular_k4,
     count_chained_asm_tm,
     enumerate_chained_asm,
-    fold_qt,
     permutation_to_asm,
     plain_asm_problems,
     to_plain_asm,
@@ -61,7 +59,6 @@ from .triangles import (
     MonotoneTriangleChain,
     from_monotone_triangles,
     mt_chain_problems,
-    pair_matrices,
     to_monotone_triangles,
 )
 from .ice import (

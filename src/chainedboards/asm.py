@@ -307,7 +307,10 @@ def count_chained_asm_tm(board: BoardSpec) -> int:
     return count
 
 
-# --- plain ASMs and the special-case bijections ---------------------------
+# --- plain ASMs and the quarter-turn gluing -------------------------------
+#
+# ``to_plain_asm`` stacks two gluings; ``triangles.to_monotone_triangles``
+# reads a monotone triangle off each gluing of matrices 2l-1 and 2l.
 
 
 @dataclass(frozen=True)
@@ -318,10 +321,13 @@ class PlainASM:
     def __post_init__(self):
         if type(self.size) is not int or self.size < 1:  # exact ints, as in BoardSpec
             raise InputDomainError(f"plain ASM size must be an int >= 1, got {clip(self.size)}")
-        if len(self.rows) != self.size or any(len(r) != self.size for r in self.rows):
-            raise InputDomainError(f"matrix must be {clip(self.size)}x{clip(self.size)}")
-        if any(type(x) is not int or x not in (-1, 0, 1) for r in self.rows for x in r):
-            raise InputDomainError("entries must be in {-1, 0, 1}")
+        try:
+            if len(self.rows) != self.size or any(len(r) != self.size for r in self.rows):
+                raise InputDomainError(f"matrix must be {clip(self.size)}x{clip(self.size)}")
+            if any(type(x) is not int or x not in (-1, 0, 1) for r in self.rows for x in r):
+                raise InputDomainError("entries must be in {-1, 0, 1}")
+        except TypeError:  # rows, or a row, that is not a sequence
+            raise InputDomainError(f"matrix must be {clip(self.size)}x{clip(self.size)}, got {clip(self.rows)}") from None
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
 
 
@@ -353,48 +359,32 @@ def rotate_ccw(rows: Matrix) -> Matrix:
 
 
 def rotate_half(rows: Matrix) -> Matrix:
-    n = len(rows)
-    return tuple(tuple(rows[n - 1 - p][n - 1 - q] for q in range(n)) for p in range(n))
+    """Half turn of any rectangle: entry (i, j) moves to (h+1-i, w+1-j)."""
+    return tuple(tuple(row[::-1]) for row in rows[::-1])
 
 
-def _assemble_quadrants(q1: Matrix, q2: Matrix, q3: Matrix, q4: Matrix) -> PlainASM:
-    """2n x 2n matrix: q1 as-is (top left), q2 rotated cw (top right), q3
-    rotated a half turn (bottom right), q4 rotated ccw (bottom left)."""
-    rows = (*map(add, q1, rotate_cw(q2)), *map(add, rotate_ccw(q4), rotate_half(q3)))
+def _glue(left: Matrix, right: Matrix) -> Matrix:
+    """The n x 2n matrix of ``left`` beside ``right`` turned a quarter clockwise."""
+    return tuple(map(add, left, rotate_cw(right)))
+
+
+def to_plain_asm(a: ChainedASM) -> PlainASM:
+    """The 2n x 2n ASM of a circular chain with k = 4, or with k = 1 and even n:
+    matrices 1 and 2 glued over the half turn of matrices 3 and 4 glued, where
+    on k = 1 all four are the one matrix and the ASM is quarter-turn symmetric."""
+    board = a.board
+    if not (board.circular and (board.k == 4 or board.k == 1 and board.n % 2 == 0)):
+        raise UnsupportedDomainError(
+            "a plain ASM comes from a circular chain with k = 4, or with k = 1 and even n;"
+            f" not from {board.shape.value}({board.n},{board.k})"
+        )
+    m1, m2, m3, m4 = (a.matrices[i % board.k] for i in range(4))
+    rows = (*_glue(m1, m2), *rotate_half(_glue(m3, m4)))
     out = PlainASM(len(rows), rows)
     problems = plain_asm_problems(out)
     if problems:
         raise ValidationError("assembled matrix is not an ASM", problems)
     return out
-
-
-def concat_circular_k4(a: ChainedASM) -> PlainASM:
-    """Assemble a circular k=4 chained ASM into one 2n x 2n ASM."""
-    if not a.board.circular or a.board.k != 4:
-        raise UnsupportedDomainError("defined for circular boards with k = 4")
-    return _assemble_quadrants(*a.matrices)
-
-
-def fold_qt(a: ChainedASM) -> PlainASM:
-    """Circular k=1, n even: four rotated copies make a quarter-turn
-    symmetric ASM of size 2n."""
-    if not a.board.circular or a.board.k != 1 or a.board.n % 2 != 0:
-        raise UnsupportedDomainError("defined for circular boards with k = 1 and even n")
-    m = a.matrices[0]
-    return _assemble_quadrants(m, m, m, m)
-
-
-def to_plain_asm(a: ChainedASM) -> PlainASM:
-    """The 2n x 2n ASM that a circular chain with k = 4, or with k = 1 and even n, assembles into."""
-    board = a.board
-    if board.circular and board.k == 4:
-        return concat_circular_k4(a)
-    if board.circular and board.k == 1 and board.n % 2 == 0:
-        return fold_qt(a)
-    raise UnsupportedDomainError(
-        "a plain ASM comes from a circular chain with k = 4, or with k = 1 and even n;"
-        f" not from {board.shape.value}({board.n},{board.k})"
-    )
 
 
 __all__ = [
@@ -410,7 +400,5 @@ __all__ = [
     "rotate_cw",
     "rotate_ccw",
     "rotate_half",
-    "concat_circular_k4",
-    "fold_qt",
     "to_plain_asm",
 ]

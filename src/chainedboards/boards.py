@@ -41,7 +41,7 @@ class BoardSpec:
 
     def __post_init__(self):
         if not isinstance(self.shape, Shape):
-            raise InputDomainError(f"shape must be a Shape, got {self.shape!r}")
+            raise InputDomainError(f"shape must be a Shape, got {clip(self.shape)}")
         # exact ints: documents write n and k as their decimal text
         if type(self.n) is not int or self.n < 1:
             raise InputDomainError(f"board side n must be an int >= 1, got {clip(self.n)}")

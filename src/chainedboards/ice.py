@@ -149,14 +149,17 @@ class IceConfiguration:
 
     def __post_init__(self):
         grid = _grid(self.graph.n, self.graph.k)
-        if len(self.heads) != len(grid.edges):
-            raise InputDomainError("need one head per edge")
-        fixed = []
-        for e, ends, h in zip(grid.edges, grid.ends, self.heads):
-            h = tuple(h)
-            if h not in ends:
-                raise InputDomainError(f"{clip(h)} is not an endpoint of edge {e}")
-            fixed.append(ends[0] if h == ends[0] else ends[1])  # the table's own, exact ints
+        try:
+            if len(self.heads) != len(grid.edges):
+                raise InputDomainError("need one head per edge")
+            fixed = []
+            for e, ends, h in zip(grid.edges, grid.ends, self.heads):
+                h = tuple(h)
+                if h not in ends:
+                    raise InputDomainError(f"{clip(h)} is not an endpoint of edge {e}")
+                fixed.append(ends[0] if h == ends[0] else ends[1])  # the table's own, exact ints
+        except TypeError:  # heads, or a head, that is not a sequence
+            raise InputDomainError(f"need one vertex per edge as its head, got {clip(self.heads)}") from None
         object.__setattr__(self, "heads", tuple(fixed))
         object.__setattr__(self, "_grid", grid)
 
@@ -240,8 +243,11 @@ class FPLConfiguration:
     def __post_init__(self):
         grid = _grid(self.graph.n, self.graph.k)
         member = [False] * len(grid.edges)
-        for e in self.chosen:
-            member[_look_up(grid.index, tuple(e) if type(e) is list else e, "edge")] = True
+        try:
+            for e in self.chosen:
+                member[_look_up(grid.index, tuple(e) if type(e) is list else e, "edge")] = True
+        except TypeError:  # chosen is not iterable
+            raise InputDomainError(f"chosen must be a sequence of edges, got {clip(self.chosen)}") from None
         object.__setattr__(self, "chosen", tuple(compress(grid.edges, member)))
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_member", member)

@@ -41,21 +41,25 @@ def _ascii_int(text: str) -> int:
 
 def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str) -> Matrix:
     """One walk over every entry; ``matrices`` itself if it is tuples throughout."""
-    if len(matrices) != board.k:
-        raise InputDomainError(f"expected {clip(board.k)} matrices, got {len(matrices)}")
-    tuples = type(matrices) is tuple
-    for mat in matrices:
-        if len(mat) != board.n or any(len(row) != board.n for row in mat):
-            raise InputDomainError(f"each matrix must be {clip(board.n)}x{clip(board.n)}")
-        tuples = tuples and type(mat) is tuple
-        for row in mat:
-            tuples = tuples and type(row) is tuple
-            for x in row:
-                # bool is an int subclass (True == 1) and 1.0 == 1: both must fail
-                if type(x) is not int or x not in allowed:
-                    raise InputDomainError(
-                        f"{what} entries must be in {sorted(allowed)}, got {clip(x)}"
-                    )
+    try:
+        if len(matrices) != board.k:
+            raise InputDomainError(f"expected {clip(board.k)} matrices, got {len(matrices)}")
+        tuples = type(matrices) is tuple
+        for mat in matrices:
+            if len(mat) != board.n or any(len(row) != board.n for row in mat):
+                raise InputDomainError(f"each matrix must be {clip(board.n)}x{clip(board.n)}")
+            tuples = tuples and type(mat) is tuple
+            for row in mat:
+                tuples = tuples and type(row) is tuple
+                for x in row:
+                    # bool is an int subclass (True == 1) and 1.0 == 1: both must fail
+                    if type(x) is not int or x not in allowed:
+                        raise InputDomainError(
+                            f"{what} entries must be in {sorted(allowed)}, got {clip(x)}"
+                        )
+    except TypeError:  # matrices, a matrix or a row that is not a sequence
+        n = clip(board.n)
+        raise InputDomainError(f"expected {clip(board.k)} matrices of {n}x{n}, got {clip(matrices)}") from None
     return matrices if tuples else tuple(tuple(map(tuple, mat)) for mat in matrices)
 
 
@@ -128,11 +132,17 @@ class OneLine:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.blocks) != self.board.k:
-            raise InputDomainError(f"expected {clip(self.board.k)} blocks, got {len(self.blocks)}")
-        for block in self.blocks:
-            if len(block) != self.board.n or any(type(x) is not int for x in block):
-                raise InputDomainError(f"each block must have {clip(self.board.n)} integer entries")
+        k, n = self.board.k, self.board.n
+        try:
+            if len(self.blocks) != k:
+                raise InputDomainError(f"expected {clip(k)} blocks, got {len(self.blocks)}")
+            for block in self.blocks:
+                if len(block) != n or any(type(x) is not int for x in block):
+                    raise InputDomainError(f"each block must have {clip(n)} integer entries")
+        except TypeError:  # blocks, or a block, that is not a sequence
+            raise InputDomainError(
+                f"expected {clip(k)} blocks of {clip(n)} integers, got {clip(self.blocks)}"
+            ) from None
         object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
 
 

@@ -11,7 +11,7 @@ from itertools import compress
 
 from .asm import ChainedASM, PlainASM
 from .boards import BoardSpec
-from .errors import UnsupportedDomainError
+from .errors import UnsupportedDomainError, clip
 from .ice import FPLConfiguration, GridGraph, IceConfiguration
 from .matchings import ChainGraph, ChainMatching
 from .perms import ChainedPermutation, OneLine, one_line_text
@@ -23,7 +23,7 @@ from .triangles import MonotoneTriangleChain
 def render(obj, format: str = "ascii") -> str:
     """Render ``obj`` in the requested format ('ascii' or 'dot')."""
     if format not in ("ascii", "dot"):
-        raise UnsupportedDomainError(f"unknown format {format!r}")
+        raise UnsupportedDomainError(f"unknown format {clip(format)}")
     renderer = _RENDERERS.get((type(obj), format))
     if renderer is None:
         raise UnsupportedDomainError(f"no {format} rendering for {type(obj).__name__}")

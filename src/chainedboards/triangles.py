@@ -1,8 +1,9 @@
 """Monotone-triangle chains: the first avatar of circular even-k chained ASMs.
 
-Pairing matrix 2l-1 with the quarter-turn-clockwise rotation of matrix 2l
-gives an n x 2n matrix whose rows each sum to 1 and whose column partial
-sums from the top stay in {0,1}.  Row m of the l-th triangle records, in
+Gluing matrix 2l-1 to matrix 2l, the one rule ``to_plain_asm`` also
+stacks (2l-1 beside 2l turned a quarter clockwise), gives an n x 2n matrix
+whose rows each sum to 1 and whose column partial sums from the top stay
+in {0,1}.  Row m of the l-th triangle records, in
 increasing order, the columns whose partial sum after m rows is 1: a
 strict Gelfand-Tsetlin pattern of order n with entries in 1..2n.  A chain
 of such triangles comes from a chained ASM exactly when additionally no
@@ -14,17 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .asm import ChainedASM, rotate_ccw, rotate_cw
+from .asm import ChainedASM, _glue, rotate_ccw
 from .boards import BoardSpec, Shape
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
-from .perms import Matrix
 
 Triangle = tuple[tuple[int, ...], ...]
-
-
-def _require_circular_even(board: BoardSpec, what: str) -> None:
-    if board.shape is not Shape.CIRCULAR or board.k % 2 != 0:
-        raise UnsupportedDomainError(f"{what} is defined only for circular boards with even k")
 
 
 @dataclass(frozen=True)
@@ -41,30 +36,30 @@ class MonotoneTriangleChain:
             raise InputDomainError(f"triangle chain side n must be an int >= 1, got {clip(self.n)}")
         if type(self.k) is not int or self.k < 2 or self.k % 2 != 0:
             raise InputDomainError(f"triangle chain needs an even int k >= 2, got {clip(self.k)}")
-        if len(self.triangles) != self.k // 2:
-            half = clip(self.k // 2)
-            raise InputDomainError(f"expected {half} triangles, got {len(self.triangles)}")
-        for tri in self.triangles:
-            if len(tri) != self.n or any(type(x) is not int for row in tri for x in row):
-                raise InputDomainError(f"each triangle must have {clip(self.n)} rows of integers")
-        fixed = tuple(tuple(map(tuple, tri)) for tri in self.triangles)
+        try:
+            if len(self.triangles) != self.k // 2:
+                half = clip(self.k // 2)
+                raise InputDomainError(f"expected {half} triangles, got {len(self.triangles)}")
+            for tri in self.triangles:
+                if len(tri) != self.n or any(type(x) is not int for row in tri for x in row):
+                    raise InputDomainError(f"each triangle must have {clip(self.n)} rows of integers")
+            fixed = tuple(tuple(map(tuple, tri)) for tri in self.triangles)
+        except TypeError:  # triangles, a triangle or a row that is not a sequence
+            raise InputDomainError(
+                f"expected {clip(self.k // 2)} triangles of {clip(self.n)} rows of integers,"
+                f" got {clip(self.triangles)}"
+            ) from None
         object.__setattr__(self, "triangles", fixed)
 
 
-def pair_matrices(a: ChainedASM) -> tuple[Matrix, ...]:
-    """The n x 2n matrices gluing each odd matrix to its rotated successor."""
-    _require_circular_even(a.board, "the monotone triangle map")
-    out = []
-    for l in range(0, a.board.k, 2):
-        right = rotate_cw(a.matrices[l + 1])
-        out.append(tuple(tuple(a.matrices[l][i]) + tuple(right[i]) for i in range(a.board.n)))
-    return tuple(out)
-
-
 def to_monotone_triangles(a: ChainedASM) -> MonotoneTriangleChain:
+    """Triangle l from the column partial sums of matrix 2l-1 glued to matrix 2l."""
     n = a.board.n
+    if not a.board.circular or a.board.k % 2 != 0:
+        raise UnsupportedDomainError("the monotone triangle map is defined only for circular boards with even k")
     triangles = []
-    for b in pair_matrices(a):
+    for l in range(0, a.board.k, 2):
+        b = _glue(a.matrices[l], a.matrices[l + 1])
         rows = []
         partial = [0] * (2 * n)
         for m in range(n):
@@ -137,7 +132,6 @@ def from_monotone_triangles(t: MonotoneTriangleChain) -> ChainedASM:
 
 __all__ = [
     "MonotoneTriangleChain",
-    "pair_matrices",
     "to_monotone_triangles",
     "from_monotone_triangles",
     "mt_chain_problems",

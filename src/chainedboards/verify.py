@@ -18,7 +18,7 @@ walk, timed on the row of the largest k; the other rows of the group read
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .asm import count_chained_asm_tm
 from .boards import BoardSpec, Shape, circular, linear, max_rooks
@@ -88,28 +88,21 @@ class VerificationRecord:
     seconds: float
 
     def row(self) -> str:
-        actual = "-" if self.actual is None else str(self.actual)
-        return "\t".join(
-            [
-                self.family,
-                self.shape,
-                str(self.n),
-                str(self.k),
-                str(self.m),
-                str(self.expected),
-                actual,
-                self.source,
-                self.status,
-                f"{self.seconds:.3f}",
-            ]
-        )
+        cells = vars(self)  # the fields, in their order
+        if self.actual is None:  # a skipped cell
+            cells = {**cells, "actual": "-"}
+        return _ROW % tuple(cells.values())
+
+
+# one cell per field of VerificationRecord, seconds to the millisecond
+_ROW = "\t".join("%.3f" if f.name == "seconds" else "%s" for f in fields(VerificationRecord))
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     records: tuple[VerificationRecord, ...]
 
-    HEADER = "family\tshape\tn\tk\tm\texpected\tactual\tsource\tstatus\tseconds"
+    HEADER = "\t".join(f.name for f in fields(VerificationRecord))
 
     def to_tsv(self) -> str:
         return "\n".join([self.HEADER, *(r.row() for r in self.records)]) + "\n"
@@ -124,12 +117,13 @@ class VerificationReport:
 
 
 def _record(
-    family: str, board: BoardSpec, source: str, expected: int, actual: int, seconds: float
+    family: str, board: BoardSpec, source: str, expected: int, actual: int | None, seconds: float
 ) -> VerificationRecord:
-    """Compare ``actual`` with ``expected`` and record the outcome."""
+    """Compare ``actual`` with ``expected`` and record the outcome; ``None`` is a skip."""
+    status = "skip" if actual is None else "pass" if actual == expected else "fail"
     return VerificationRecord(
         family, board.shape.value, board.n, board.k, max_rooks(board),
-        expected, actual, source, "pass" if actual == expected else "fail", seconds,
+        expected, actual, source, status, seconds,
     )
 
 
@@ -145,12 +139,7 @@ def verify_tables(
             continue
         estimate = _estimate(board.n)
         if estimate > left:
-            records.append(
-                VerificationRecord(
-                    "chained-asm", board.shape.value, board.n, board.k, max_rooks(board),
-                    expected, None, "paper-table", "skip", 0.0,
-                )
-            )
+            records.append(_record("chained-asm", board, "paper-table", expected, None, 0.0))
             continue
         left -= estimate
         start = time.perf_counter()

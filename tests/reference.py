@@ -20,8 +20,8 @@ Library functions that only the tests call, moved here by the caller rule:
 - ``matching_kind``: the kind of chain-graph matching a board's permutations are;
 - ``asm_sum_composition``: a chained ASM's per-matrix sums;
 - ``split_linear_odd``, ``join_linear_odd``: a linear odd-k chained ASM as (k+1)/2 plain ASMs;
-- ``split_circular_k4``: the inverse of ``concat_circular_k4``;
-- ``unfold_qt``: the inverse of ``fold_qt``.
+- ``split_circular_k4``: the inverse of ``to_plain_asm`` on circular k = 4;
+- ``unfold_qt``: its inverse on circular k = 1 with even n.
 
 The grid-graph oracles use no geometry of ``chainedboards.ice``: only the
 edge order of ``GridGraph.edges()``, in which configurations store their edges.
@@ -38,11 +38,11 @@ from chainedboards.asm import (
     PlainASM,
     chained_asm_problems,
     enumerate_chained_asm,
-    fold_qt,
     plain_asm_problems,
     rotate_ccw,
     rotate_cw,
     rotate_half,
+    to_plain_asm,
 )
 from chainedboards.boards import (
     BoardSpec,
@@ -461,7 +461,7 @@ def join_linear_odd(parts: tuple[PlainASM, ...], k: int) -> ChainedASM:
 
 
 def split_circular_k4(p: PlainASM) -> ChainedASM:
-    """Inverse of concat_circular_k4."""
+    """Inverse of to_plain_asm on circular k = 4."""
     if p.size % 2 != 0:
         raise InputDomainError("matrix size must be even")
     n = p.size // 2
@@ -480,13 +480,13 @@ def split_circular_k4(p: PlainASM) -> ChainedASM:
 
 
 def unfold_qt(p: PlainASM) -> ChainedASM:
-    """Inverse of fold_qt; the input must be quarter-turn symmetric."""
+    """Inverse of to_plain_asm on circular k = 1; the input must be quarter-turn symmetric."""
     if p.size % 2 != 0 or (p.size // 2) % 2 != 0:
         raise InputDomainError("size must be a multiple of 4")
     n = p.size // 2
     q1 = tuple(row[:n] for row in p.rows[:n])
     a = ChainedASM(BoardSpec(Shape.CIRCULAR, n, 1), (q1,))
-    if fold_qt(a).rows != p.rows:
+    if to_plain_asm(a).rows != p.rows:
         raise ValidationError("matrix is not quarter-turn symmetric")
     problems = chained_asm_problems(a)
     if problems:

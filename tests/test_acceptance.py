@@ -11,11 +11,10 @@ import time
 from chainedboards.asm import (
     ChainedASM,
     chained_asm_problems,
-    concat_circular_k4,
     enumerate_chained_asm,
-    fold_qt,
     permutation_to_asm,
     plain_asm_problems,
+    to_plain_asm,
 )
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
@@ -157,7 +156,7 @@ def test_criterion_4_special_bijections():
             assert expected == classical_asm_count(2 * n)
             images = set()
             for a in enumerate_chained_asm(circular(n, 4)):
-                plain = concat_circular_k4(a)
+                plain = to_plain_asm(a)
                 assert not plain_asm_problems(plain)
                 assert split_circular_k4(plain) == a
                 images.add(plain.rows)
@@ -168,7 +167,7 @@ def test_criterion_4_special_bijections():
             assert qtasm_count(m_arg) == expected
             images = set()
             for a in enumerate_chained_asm(circular(n, 1)):
-                plain = fold_qt(a)
+                plain = to_plain_asm(a)
                 assert not plain_asm_problems(plain)
                 assert unfold_qt(plain) == a
                 images.add(plain.rows)
@@ -177,7 +176,7 @@ def test_criterion_4_special_bijections():
         # the printed 6x6 -> 12x12 example, byte-exact in canonical form
         source = ChainedASM(circular(6, 1), (QT_6,))
         assert not chained_asm_problems(source)
-        folded = fold_qt(source)
+        folded = to_plain_asm(source)
         assert folded.rows == QT_12
         expected_doc = serialize(
             type(folded)(12, QT_12)
@@ -218,9 +217,9 @@ def test_criterion_5_round_trips():
                 if not board.circular and board.k % 2 == 1:
                     assert join_linear_odd(split_linear_odd(a), board.k) == a
                 if board.circular and board.k == 1 and board.n % 2 == 0:
-                    assert unfold_qt(fold_qt(a)) == a
+                    assert unfold_qt(to_plain_asm(a)) == a
                 if board.circular and board.k == 4:
-                    assert split_circular_k4(concat_circular_k4(a)) == a
+                    assert split_circular_k4(to_plain_asm(a)) == a
 
     _criterion("criterion 5 (bijection round-trips)", 300, check)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 import pytest
 
@@ -9,10 +10,8 @@ from chainedboards.asm import (
     PlainASM,
     asm_to_permutation,
     chained_asm_problems,
-    concat_circular_k4,
     count_chained_asm_tm,
     enumerate_chained_asm,
-    fold_qt,
     permutation_to_asm,
     plain_asm_problems,
     rotate_ccw,
@@ -242,6 +241,8 @@ def test_rotations():
     assert rotate_ccw(rotate_cw(m)) == m
     assert rotate_half(rotate_half(m)) == m
     assert rotate_cw(rotate_cw(m)) == rotate_half(m)
+    # a half turn of any rectangle, not only of a square
+    assert rotate_half(((1, 2, 3, 4), (5, 6, 7, 8))) == ((8, 7, 6, 5), (4, 3, 2, 1))
 
 
 def test_split_linear_odd_counts():
@@ -277,7 +278,7 @@ def test_concat_circular_k4_counts():
     assert len(got) == classical_asm_count(4) == 42
     images = set()
     for a in got:
-        plain = concat_circular_k4(a)
+        plain = to_plain_asm(a)
         assert not plain_asm_problems(plain)
         assert split_circular_k4(plain) == a
         images.add(plain.rows)
@@ -286,7 +287,7 @@ def test_concat_circular_k4_counts():
 
 def test_concat_maps_permutations_to_permutation_matrices():
     for cp in max_perms(circular(2, 4)):
-        plain = concat_circular_k4(permutation_to_asm(cp))
+        plain = to_plain_asm(permutation_to_asm(cp))
         assert all(x in (0, 1) for row in plain.rows for x in row)
         assert not plain_asm_problems(plain)
 
@@ -294,7 +295,7 @@ def test_concat_maps_permutations_to_permutation_matrices():
 def test_fold_qt_matches_worked_12x12():
     a = ChainedASM(circular(6, 1), (QT_6,))
     assert not chained_asm_problems(a)
-    folded = fold_qt(a)
+    folded = to_plain_asm(a)
     assert folded.rows == QT_12
     assert not plain_asm_problems(folded)
     assert unfold_qt(folded) == a
@@ -307,7 +308,7 @@ def test_fold_qt_counts():
     assert len(got4) == qtasm_count(2) == 40
     images = set()
     for a in got4:
-        plain = fold_qt(a)
+        plain = to_plain_asm(a)
         assert not plain_asm_problems(plain)
         assert rotate_cw(plain.rows) == plain.rows  # quarter-turn symmetric
         assert unfold_qt(plain) == a
@@ -317,16 +318,24 @@ def test_fold_qt_counts():
 
 def test_fold_qt_domain():
     with pytest.raises(UnsupportedDomainError):
-        fold_qt(next(iter(enumerate_chained_asm(circular(3, 1)))))
+        to_plain_asm(next(iter(enumerate_chained_asm(circular(3, 1)))))
     with pytest.raises(ValidationError):
         unfold_qt(PlainASM(4, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))))
 
 
+def _quadrants(q1, q2, q3, q4):
+    """The 2n x 2n matrix as the paper draws it: q1 top left, q2 turned a
+    quarter clockwise top right, q3 turned a half turn bottom right, q4
+    turned a quarter counterclockwise bottom left."""
+    return (*map(add, q1, rotate_cw(q2)), *map(add, rotate_ccw(q4), rotate_half(q3)))
+
+
 def test_to_plain_asm_is_concat_on_k4_and_fold_on_k1_even_n():
-    for board, same in ((circular(2, 4), concat_circular_k4), (circular(4, 1), fold_qt)):
+    for board in (circular(2, 4), circular(4, 1)):
         for a in enumerate_chained_asm(board):
             plain = to_plain_asm(a)
-            assert plain == same(a) and not plain_asm_problems(plain)
+            assert plain.rows == _quadrants(*a.matrices * (4 // board.k))
+            assert not plain_asm_problems(plain)
     assert to_plain_asm(ChainedASM(circular(6, 1), (QT_6,))).rows == QT_12
 
 

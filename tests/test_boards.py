@@ -4,16 +4,22 @@ import itertools
 
 import pytest
 
+from chainedboards.asm import ChainedASM, PlainASM
 from chainedboards.boards import (
+    BoardSpec,
     Square,
     attacks,
     circular,
     linear,
     max_rooks,
 )
-from chainedboards.errors import InputDomainError
+from chainedboards.errors import InputDomainError, UnsupportedDomainError
+from chainedboards.ice import FPLConfiguration, GridGraph, IceConfiguration
 from chainedboards.matchings import ChainGraph, ChainMatching
+from chainedboards.perms import OneLine
 from chainedboards.placements import RookPlacement, placement_problems
+from chainedboards.rendering import render
+from chainedboards.triangles import MonotoneTriangleChain
 from tests.reference import (
     admissible_compositions,
     canonical_placement,
@@ -93,6 +99,29 @@ def test_constructors_reject_what_is_not_a_set_of_squares(cls, given):
     board = linear(2, 2)
     with pytest.raises(InputDomainError) as info:
         cls(board, given) if cls is RookPlacement else cls(ChainGraph(board), given)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: OneLine(linear(2, 1), 5), InputDomainError),
+        (lambda: PlainASM(2, 5), InputDomainError),
+        (lambda: PlainASM(2, (5, 6)), InputDomainError),
+        (lambda: ChainedASM(linear(2, 1), 5), InputDomainError),
+        (lambda: ChainedASM(linear(2, 1), (5,)), InputDomainError),
+        (lambda: MonotoneTriangleChain(2, 2, (5,)), InputDomainError),
+        (lambda: IceConfiguration(GridGraph(2, 2), (5,) * 20), InputDomainError),
+        (lambda: FPLConfiguration(GridGraph(2, 2), 5), InputDomainError),
+        (lambda: BoardSpec(10**5000, 1, 1), InputDomainError),  # a shape str() cannot write
+        (lambda: render(linear(1, 1), 10**5000), UnsupportedDomainError),
+    ],
+    ids=["one-line", "plain ASM", "plain ASM row", "chained ASM", "chained ASM matrix",
+         "triangle chain", "ice", "fpl", "board shape", "render format"],
+)
+def test_constructors_raise_only_library_errors(make, error):
+    with pytest.raises(error) as info:
+        make()
     assert len(str(info.value)) < 200
 
 

@@ -4,6 +4,7 @@ no logic with what it checks, and every exported name has a caller."""
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -54,7 +55,7 @@ def test_enumerators_do_not_use_the_transfer_matrix_walk():
         assert not _names(found) & TRANSFER_NAMES, function
 
 
-# exported names with no caller in the library, each kept for a reason
+# public names with no caller in the library, each kept for a reason
 CALLER_RULE_PINNED = {
     "attacks": "the paper's attack relation between two squares, stated for users",
     "qtasm_count": "a closed form waiting for its verify-tables row (ROADMAP item 7)",
@@ -62,16 +63,26 @@ CALLER_RULE_PINNED = {
 
 
 def test_every_exported_function_or_class_has_a_caller_in_the_library():
-    """The caller rule: a public name that no library module uses gains a use
-    or moves to tests/reference.py."""
-    used = set()
+    """The caller rule: a public function or class of a library module (the
+    names of its ``__all__``, or else those without a leading underscore) that
+    no library module uses gains a use or moves to tests/reference.py."""
+    used, public = set(), set()
     for path in SRC.glob("*.py"):
-        if path.name != "__init__.py":
-            used |= _names(ast.parse(path.read_text()))
-    exported = {
-        name
-        for name in chainedboards.__all__
+        if path.name == "__init__.py":
+            continue
+        used |= _names(ast.parse(path.read_text()))
+        module = importlib.import_module(f"chainedboards.{path.stem}")
+        names = getattr(module, "__all__", None) or [n for n in vars(module) if not n.startswith("_")]
+        public |= {
+            name
+            for name in names
+            if (inspect.isfunction(value := getattr(module, name)) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+    # the package's exports are among them
+    assert {name for name in chainedboards.__all__ if name in public} == {
+        name for name in chainedboards.__all__
         if inspect.isfunction(getattr(chainedboards, name)) or inspect.isclass(getattr(chainedboards, name))
     }
-    assert sorted(exported - used - set(CALLER_RULE_PINNED)) == []
-    assert set(CALLER_RULE_PINNED) <= exported - used  # a pinned name that gains a use leaves the set
+    assert sorted(public - used - set(CALLER_RULE_PINNED)) == []
+    assert set(CALLER_RULE_PINNED) <= public - used  # a pinned name that gains a use leaves the set

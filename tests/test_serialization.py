@@ -13,8 +13,8 @@ from chainedboards.asm import (
     ChainedASM,
     PlainASM,
     enumerate_chained_asm,
-    fold_qt,
     permutation_to_asm,
+    to_plain_asm,
 )
 from chainedboards.boards import BoardSpec, Shape, circular, linear, max_rooks
 from chainedboards.errors import ChainedBoardsError, InputDomainError, ParseError, ValidationError, clip
@@ -47,7 +47,7 @@ def sample_objects():
     yield to_one_line(cp)
     yield to_matching(cp)
     yield asm
-    yield fold_qt(next(iter(enumerate_chained_asm(circular(2, 1)))))
+    yield to_plain_asm(next(iter(enumerate_chained_asm(circular(2, 1)))))
     yield to_monotone_triangles(asm)
     yield ice
     yield to_fpl(ice)
@@ -267,6 +267,8 @@ def test_every_family_is_checked_by_one_exported_problems_function():
         # names with no caller in the library, also now in tests/reference.py
         "canonical_placement", "matching_kind", "asm_sum_composition", "split_linear_odd",
         "join_linear_odd", "split_circular_k4", "unfold_qt", "is_admissible_composition",
+        # one gluing rule in to_plain_asm and to_monotone_triangles replaced these
+        "concat_circular_k4", "fold_qt", "pair_matrices",
     )
     assert not [name for name in gone if hasattr(chainedboards, name)]
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import add
+
 import pytest
 
-from chainedboards.asm import enumerate_chained_asm, permutation_to_asm
+from chainedboards.asm import enumerate_chained_asm, permutation_to_asm, rotate_half, to_plain_asm
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.perms import placement_to_matrices
@@ -11,7 +14,6 @@ from chainedboards.triangles import (
     MonotoneTriangleChain,
     from_monotone_triangles,
     mt_chain_problems,
-    pair_matrices,
     to_monotone_triangles,
 )
 
@@ -37,8 +39,24 @@ def test_triangle_chain_takes_exact_int_sizes(n, k, message):
     assert str(info.value) == message
 
 
+def _glued(tri: tuple, n: int) -> tuple:
+    """The n x 2n matrix a triangle is read off: row m marks the columns of
+    the triangle's row m, less those of its row m - 1."""
+    return tuple(
+        tuple((j in row) - (j in prev) for j in range(1, 2 * n + 1)) for prev, row in zip(((),) + tri, tri)
+    )
+
+
+def _triangle(rows: tuple) -> tuple:
+    """Row m lists the columns whose partial sum after m rows is 1."""
+    return tuple(
+        tuple(j for j, s in enumerate(partial, start=1) if s == 1)
+        for partial in accumulate(rows, lambda sums, row: tuple(map(add, sums, row)))
+    )
+
+
 def test_worked_example_pair_matrices():
-    bs = pair_matrices(WORKED_46)
+    bs = [_glued(tri, 4) for tri in to_monotone_triangles(WORKED_46).triangles]
     assert len(bs) == 3
     assert bs[0][0] == (0, 1, 0, 0, 0, 0, 0, 0)
     assert bs[0][1] == (1, -1, 0, 0, 0, 1, 0, 0)
@@ -53,6 +71,16 @@ def test_worked_example_triangles():
     assert mt.triangles == WORKED_TRIANGLES
     assert not mt_chain_problems(mt)
     assert [tri[-1] for tri in mt.triangles] == [(1, 3, 5, 7), (1, 3, 5, 8), (2, 3, 5, 7)]
+
+
+def test_triangles_read_off_the_plain_asm():
+    # to_plain_asm stacks the gluing of matrices 1, 2 over the half turn of
+    # that of matrices 3, 4: the two gluings the triangles are read off
+    n = 2
+    for a in enumerate_chained_asm(circular(n, 4)):
+        rows = to_plain_asm(a).rows
+        expected = (_triangle(rows[:n]), _triangle(rotate_half(rows[n:])))
+        assert to_monotone_triangles(a).triangles == expected
 
 
 def test_worked_example_round_trip():
