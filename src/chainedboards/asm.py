@@ -33,7 +33,7 @@ from typing import Iterator
 from .boards import BoardSpec, max_rooks, suffix_bound_table
 from .counting import _count_walks
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
-from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
+from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix, _register_rows
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     rows = [()]
     for _ in range(n):
         rows = [e + (x,) for e in rows for x in (-1, 0, 1) if 0 <= sum(e) + x <= 1]
+    _register_rows("asm", n, rows)  # the chains below are built of these rows
     rows = [(e, *(sum(1 << j for j, x in enumerate(e) if x == v) for v in (1, -1))) for e in rows]
     by_signs = {(plus, minus): e for e, plus, minus in rows}
     # a column state is (columns whose last nonzero so far is +1, is -1); the

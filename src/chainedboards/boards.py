@@ -76,6 +76,43 @@ class Square(NamedTuple):
     col: int
 
 
+class _Built:
+    """Objects the library built and checked itself, found by identity:
+    ``tag(id(obj))`` is the tag of the group ``obj`` was registered in, and
+    None for every other object, which is never hashed.  At most ``cap``
+    groups are held: registering a group again replaces it, and past the cap
+    the oldest group goes.  Holding the objects keeps their ids from passing
+    to other objects while they are listed; they are immutable, so the tag
+    stays true of them."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.groups: dict = {}  # group -> its objects, oldest group first
+        self._tags: dict[int, object] = {}
+        self.tag = self._tags.get
+
+    def register(self, group, objects, tag) -> None:
+        """List ``objects`` under ``group``, all tagged ``tag``."""
+        self._drop(group)
+        while len(self.groups) >= self.cap:
+            self._drop(next(iter(self.groups)))
+        self.groups[group] = objects = tuple(objects)
+        self._tags.update(dict.fromkeys(map(id, objects), tag))
+
+    def _drop(self, group) -> None:
+        for obj in self.groups.pop(group, ()):
+            self._tags.pop(id(obj), None)  # one object may sit in two groups
+
+
+# squares of the placement search's table, tagged with their board object
+_BUILT_SQUARES = _Built(cap=8)
+
+
+def _check_board(board) -> None:
+    if type(board) is not BoardSpec:
+        raise InputDomainError(f"board must be a BoardSpec, got {clip(board)}")
+
+
 def _square(board: BoardSpec, s) -> tuple[int, int, int]:
     """The items of ``s``, if they are a square of ``board``: three exact
     ints (board, row, col) with 1 <= board <= k and 1 <= row, col <= n.
@@ -99,12 +136,15 @@ def checked_squares(board: BoardSpec, given) -> tuple[Square, ...]:
     """The distinct squares of ``board`` that ``given`` lists, as a sorted tuple
     of Squares, each checked by ``_square``; a non-iterable ``given`` raises
     InputDomainError too.  Squares already strictly increasing, as the
-    enumerator gives them, are not sorted again."""
+    enumerator gives them, are not sorted again; the enumerator's own
+    squares of this very board are not checked again."""
+    _check_board(board)
+    built = _BUILT_SQUARES.tag
     squares = []
     ordered, last = True, ()  # each square is compared with the one before it; () comes first
     try:
         for s in given:
-            triple = _square(board, s)
+            triple = s if built(id(s)) is board else _square(board, s)
             ordered = ordered and last < triple
             last = triple
             squares.append(s if type(s) is Square else Square(*triple))

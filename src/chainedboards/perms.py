@@ -20,11 +20,10 @@ a block are comma-separated.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import BoardSpec, Shape, Square, max_rooks
+from .boards import BoardSpec, Shape, Square, _Built, _check_board, max_rooks
 from .errors import InputDomainError, ParseError, ValidationError, clip
 from .placements import RookPlacement, placement_problems
 
@@ -39,16 +38,42 @@ def _ascii_int(text: str) -> int:
     raise ValueError(f"expected ASCII digits, got {clip(repr(text))}")
 
 
+# Rows the library built, tagged with their length and a set that holds
+# their entries, in two tables per size: the unit rows, and the rows of one
+# chained-ASM search
+_BUILT_ROWS = _Built(cap=16)
+
+
+def _register_rows(kind: str, n: int, rows) -> None:
+    """Check ``rows``, which the library built, once: if each is a tuple of n
+    exact ints, ``_check_matrix_tuple`` takes them as they are from now on."""
+    if all(type(row) is tuple and len(row) == n and all(type(x) is int for x in row) for row in rows):
+        _BUILT_ROWS.register((kind, n), rows, (n, frozenset().union(*rows)))
+
+
 def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str) -> Matrix:
-    """One walk over every entry; ``matrices`` itself if it is tuples throughout."""
+    """One walk over every entry, but for rows the library built (tuples of
+    exact ints) with entries in ``allowed``; ``matrices`` itself if it is
+    tuples throughout."""
+    _check_board(board)
+    n = board.n
+    built = _BUILT_ROWS.tag
     try:
         if len(matrices) != board.k:
             raise InputDomainError(f"expected {clip(board.k)} matrices, got {len(matrices)}")
         tuples = type(matrices) is tuple
         for mat in matrices:
-            if len(mat) != board.n or any(len(row) != board.n for row in mat):
-                raise InputDomainError(f"each matrix must be {clip(board.n)}x{clip(board.n)}")
+            if len(mat) != n:
+                raise InputDomainError(f"each matrix must be {clip(n)}x{clip(n)}")
             tuples = tuples and type(mat) is tuple
+            for row in mat:
+                tag = built(id(row))
+                if tag is None or tag[0] != n or not tag[1] <= allowed:
+                    break
+            else:
+                continue  # built rows of length n, so tuples, with entries in allowed
+            if any(len(row) != n for row in mat):
+                raise InputDomainError(f"each matrix must be {clip(n)}x{clip(n)}")
             for row in mat:
                 tuples = tuples and type(row) is tuple
                 for x in row:
@@ -58,7 +83,7 @@ def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str
                             f"{what} entries must be in {sorted(allowed)}, got {clip(x)}"
                         )
     except TypeError:  # matrices, a matrix or a row that is not a sequence
-        n = clip(board.n)
+        n = clip(n)
         raise InputDomainError(f"expected {clip(board.k)} matrices of {n}x{n}, got {clip(matrices)}") from None
     return matrices if tuples else tuple(tuple(map(tuple, mat)) for mat in matrices)
 
@@ -84,11 +109,15 @@ def _previous_matrix(board: BoardSpec, matrices, l: int):
     return matrices[board.k - 1] if board.shape is Shape.CIRCULAR else None
 
 
-@functools.lru_cache(maxsize=8)  # bounded: a table holds n^2 entries
 def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The zero row of length n, then the n unit rows: row c holds its 1 at column c."""
-    zero = (0,) * n
-    return (zero, *(zero[: c - 1] + (1,) + zero[c:] for c in range(1, n + 1)))
+    """The zero row of length n, then the n unit rows: row c holds its 1 at
+    column c.  Built again only once ``_BUILT_ROWS`` has dropped them."""
+    rows = _BUILT_ROWS.groups.get(("unit", n))
+    if rows is None:
+        zero = (0,) * n
+        rows = (zero, *(zero[: c - 1] + (1,) + zero[c:] for c in range(1, n + 1)))
+        _register_rows("unit", n, rows)
+    return rows
 
 
 def placement_to_matrices(p: RookPlacement) -> ChainedPermutation:

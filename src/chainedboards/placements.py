@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .boards import (
+    _BUILT_SQUARES,
     BoardSpec,
     Composition,
     Square,
@@ -49,13 +50,8 @@ class RookPlacement:
 def placement_problems(p: RookPlacement) -> list[str]:
     """``["placement has attacking rooks"]`` if two rooks share a line (or
     one rook's two lines coincide); empty = valid."""
-    held = set()
-    for s in p.squares:
-        for line in rook_lines(p.board, s):
-            if line in held:
-                return ["placement has attacking rooks"]
-            held.add(line)
-    return []
+    lines = [line for s in p.squares for line in rook_lines(p.board, s)]
+    return [] if len(set(lines)) == len(lines) else ["placement has attacking rooks"]
 
 
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
@@ -73,6 +69,9 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
         row_line, col_line = rook_lines(board, s)
         if row_line != col_line:
             cells.setdefault((s.board, s.row), []).append((s, row_line, col_line))
+    # the placements below are built of these squares: checked here, once
+    squares = checked_squares(board, [s for row in cells.values() for s, _, _ in row])
+    _BUILT_SQUARES.register(board, squares, board)
     held: set = set()  # the lines of the rooks placed so far
     counts = [0] * (k + 1)  # rooks per board, 1-based; board 0 stays empty
     chosen: list[Square] = []

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from .asm import count_chained_asm_tm
 from .boards import BoardSpec, Shape, circular, linear, max_rooks
 from .counting import _composition_steps, _count_walks, count_max
+from .errors import InputDomainError, clip
 from .placements import count_placements_brute
 
 # (shape, n, k) -> reference count of chained alternating sign matrices
@@ -132,6 +133,9 @@ def verify_tables(
     max_k: int | None = None,
     budget_seconds: float = 30.0,
 ) -> VerificationReport:
+    for name, limit in (("max_n", max_n), ("max_k", max_k)):
+        if limit is not None and type(limit) is not int:  # a bool or float is no limit
+            raise InputDomainError(f"{name} must be an int or None, got {clip(limit)}")
     records = []
     left = budget_seconds
     for board, expected in TABLE_CELLS:

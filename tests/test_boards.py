@@ -16,7 +16,7 @@ from chainedboards.boards import (
 from chainedboards.errors import InputDomainError, UnsupportedDomainError
 from chainedboards.ice import FPLConfiguration, GridGraph, IceConfiguration
 from chainedboards.matchings import ChainGraph, ChainMatching
-from chainedboards.perms import OneLine
+from chainedboards.perms import ChainedPermutation, OneLine
 from chainedboards.placements import RookPlacement, placement_problems
 from chainedboards.rendering import render
 from chainedboards.triangles import MonotoneTriangleChain
@@ -115,9 +115,14 @@ def test_constructors_reject_what_is_not_a_set_of_squares(cls, given):
         (lambda: FPLConfiguration(GridGraph(2, 2), 5), InputDomainError),
         (lambda: BoardSpec(10**5000, 1, 1), InputDomainError),  # a shape str() cannot write
         (lambda: render(linear(1, 1), 10**5000), UnsupportedDomainError),
+        (lambda: RookPlacement(5, ()), InputDomainError),
+        (lambda: RookPlacement(5, ((1, 1, 1),)), InputDomainError),
+        (lambda: ChainedPermutation(5, ()), InputDomainError),
+        (lambda: ChainedASM(5, ()), InputDomainError),
     ],
     ids=["one-line", "plain ASM", "plain ASM row", "chained ASM", "chained ASM matrix",
-         "triangle chain", "ice", "fpl", "board shape", "render format"],
+         "triangle chain", "ice", "fpl", "board shape", "render format",
+         "placement board", "placement board with a square", "permutation board", "chained ASM board"],
 )
 def test_constructors_raise_only_library_errors(make, error):
     with pytest.raises(error) as info:

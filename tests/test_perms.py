@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
-from chainedboards.boards import Square, circular, linear, max_rooks
+from chainedboards.boards import _BUILT_SQUARES, Square, circular, linear, max_rooks
 from chainedboards.counting import count_max, count_max_circular, count_max_linear
-from chainedboards.asm import ChainedASM, PlainASM, chained_asm_problems
+from chainedboards.asm import ChainedASM, PlainASM, chained_asm_problems, enumerate_chained_asm
 from chainedboards.errors import InputDomainError, ParseError, ValidationError
 from chainedboards.perms import (
+    _BUILT_ROWS,
+    _register_rows,
     ChainedPermutation,
     OneLine,
     from_one_line,
@@ -20,6 +22,7 @@ from chainedboards.perms import (
     to_one_line,
 )
 from chainedboards.placements import RookPlacement, enumerate_placements, placement_problems
+from chainedboards.serialization import deserialize, serialize
 from chainedboards.triangles import MonotoneTriangleChain
 
 from tests.worked_examples import ONE_LINE_54, ONE_LINE_46, P22_CIRCULAR
@@ -254,3 +257,92 @@ def test_matrix_constructors_store_tuples(cls):
     assert cls(linear(3, 2), chain).matrices is chain
     with pytest.raises(InputDomainError, match=r"entries must be in \[.*1\], got 1\.0$"):
         cls(linear(3, 2), _deep_chain(1.0))
+
+
+# --- rows the library built are checked once --------------------------------
+
+UNIT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "cls, rows, message",
+    [
+        (ChainedPermutation, ((True, 0, 0), *UNIT3[1:]), "permutation entries must be in [0, 1], got True"),
+        (ChainedPermutation, ((1.0, 0, 0), *UNIT3[1:]), "permutation entries must be in [0, 1], got 1.0"),
+        (ChainedASM, ((True, 0, 0), *UNIT3[1:]), "chained ASM entries must be in [-1, 0, 1], got True"),
+        (ChainedPermutation, ([True, 0, 0], *UNIT3[1:]), "permutation entries must be in [0, 1], got True"),
+        (ChainedPermutation, ((0, [], 0), *UNIT3[1:]), "permutation entries must be in [0, 1], got []"),
+        (ChainedASM, ((0, [], 0), *UNIT3[1:]), "chained ASM entries must be in [-1, 0, 1], got []"),
+        (ChainedPermutation, (*UNIT3[:2], (0, 1)), "each matrix must be 3x3"),
+        (ChainedPermutation, (*UNIT3[:2], 5), "expected 1 matrices of 3x3, got (((1, 0, 0), (0, 1, 0), 5),)"),
+    ],
+    ids=["True", "1.0", "asm True", "list row", "row holding a list", "asm row holding a list",
+         "short row", "row that is no sequence"],
+)
+def test_rows_equal_to_built_rows_are_walked(cls, rows, message):
+    # the built rows of n = 3 are registered; rows equal to them are not them
+    assert placement_to_matrices(next(max_placements(linear(3, 1)))).matrices == (UNIT3,)
+    with pytest.raises(InputDomainError) as info:
+        cls(linear(3, 1), (rows,))
+    assert str(info.value) == message
+
+
+def test_built_rows_are_taken_as_they_are_and_only_where_they_fit():
+    cp = placement_to_matrices(next(max_placements(linear(3, 1))))
+    assert all(_BUILT_ROWS.tag(id(row)) for row in cp.matrices[0])
+    assert ChainedPermutation(cp.board, cp.matrices).matrices is cp.matrices
+    # a list row is walked and copied into a tuple, as before
+    assert ChainedPermutation(cp.board, ((list(UNIT3[0]), *UNIT3[1:]),)).matrices == (UNIT3,)
+    # built rows of another size are walked, and fail on their length
+    two = placement_to_matrices(next(max_placements(linear(2, 1)))).matrices[0]
+    with pytest.raises(InputDomainError, match=r"^each matrix must be 3x3$"):
+        ChainedPermutation(cp.board, ((*two, cp.matrices[0][2]),))
+
+
+def test_a_built_row_with_minus_one_is_no_permutation_row():
+    a = next(x for x in enumerate_chained_asm(circular(3, 1)) if -1 in x.matrices[0][2])
+    assert a.matrices == (((0, 0, 0), (0, 0, 1), (1, -1, 0)),)
+    assert _BUILT_ROWS.tag(id(a.matrices[0][2])) == (3, {-1, 0, 1})
+    assert ChainedASM(a.board, a.matrices).matrices is a.matrices
+    with pytest.raises(InputDomainError) as info:
+        ChainedPermutation(a.board, a.matrices)
+    assert str(info.value) == "permutation entries must be in [0, 1], got -1"
+
+
+def test_the_row_registry_is_bounded_and_holds_only_built_rows():
+    for n in range(1, 12):
+        next(max_placements(linear(n, 1)))
+        placement_to_matrices(next(max_placements(linear(n, 1))))
+        next(enumerate_chained_asm(linear(n, 1)))
+    assert len(_BUILT_ROWS.groups) <= _BUILT_ROWS.cap
+    held = [row for rows in _BUILT_ROWS.groups.values() for row in rows]
+    assert all(_BUILT_ROWS.tag(id(row)) for row in held)
+    # every tag belongs to a held row: a dropped table leaves no id behind
+    assert len(_BUILT_ROWS._tags) == len(held)
+    # the newest tables are still the ones in use
+    assert ("unit", 11) in _BUILT_ROWS.groups and ("asm", 11) in _BUILT_ROWS.groups
+
+
+@pytest.mark.parametrize("rows", [[(True, 0)], [(1.0, 0)], [[1, 0]], [(1, 0, 0)], [(1, 0), (0, [])]])
+def test_rows_that_fail_their_check_are_not_registered(rows):
+    _register_rows("test", 2, rows)
+    assert ("test", 2) not in _BUILT_ROWS.groups
+
+
+def test_deserializing_registers_nothing():
+    docs = [serialize(placement_to_matrices(p)) for p in itertools.islice(max_placements(linear(4, 2)), 50)]
+    docs += [serialize(a) for a in itertools.islice(enumerate_chained_asm(circular(3, 2)), 50)]
+    docs += [serialize(p) for p in itertools.islice(max_placements(circular(3, 2)), 50)]
+    before = (dict(_BUILT_ROWS._tags), dict(_BUILT_SQUARES._tags))
+    for doc in docs:
+        deserialize(doc)
+    assert (dict(_BUILT_ROWS._tags), dict(_BUILT_SQUARES._tags)) == before
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ChainedPermutation(5, ()), lambda: ChainedASM(5, ()), lambda: ChainedPermutation(None, ((),))],
+)
+def test_matrix_constructors_check_their_board(make):
+    with pytest.raises(InputDomainError, match="^board must be a BoardSpec, got "):
+        make()

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from chainedboards.boards import Square, attacks, circular, linear, max_rooks
+from chainedboards.boards import _BUILT_SQUARES, Square, attacks, circular, linear, max_rooks
 from chainedboards.counting import count_placements_formula
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import (
@@ -172,3 +172,61 @@ def test_construction_rejects_out_of_range_squares(square):
     ):
         with pytest.raises(InputDomainError, match="out of range"):
             RookPlacement(board, given)
+
+
+# --- squares the search built are checked once ------------------------------
+
+
+def _last_maximum(board):
+    *_, last = enumerate_placements(board, max_rooks(board))
+    return last
+
+
+@pytest.mark.parametrize(
+    "squares, message",
+    [
+        (((True, 1, 1),), "square (True, 1, 1) is not three ints or is out of range for n=3, k=2"),
+        ((Square(True, 1, 1),),
+         "square Square(board=True, row=1, col=1) is not three ints or is out of range for n=3, k=2"),
+        (((1, 1, 1.0),), "square (1, 1, 1.0) is not three ints or is out of range for n=3, k=2"),
+    ],
+)
+def test_squares_equal_to_built_squares_are_checked(squares, message):
+    board = linear(3, 2)
+    assert Square(1, 1, 1) in next(enumerate_placements(board, 3)).squares
+    with pytest.raises(InputDomainError) as info:
+        RookPlacement(board, squares)
+    assert str(info.value) == message
+
+
+def test_built_squares_are_taken_only_on_their_own_board():
+    board = linear(3, 2)
+    last = _last_maximum(board)
+    assert last.squares == (Square(2, 1, 3), Square(2, 2, 2), Square(2, 3, 1))
+    assert all(_BUILT_SQUARES.tag(id(s)) is board for s in last.squares)
+    assert RookPlacement(board, last.squares).squares == last.squares
+    # an equal board is another object: its squares go through the full check
+    assert RookPlacement(linear(3, 2), last.squares).squares == last.squares
+    for smaller, where in ((linear(2, 2), "n=2, k=2"), (linear(3, 1), "n=3, k=1")):
+        with pytest.raises(InputDomainError) as info:
+            RookPlacement(smaller, last.squares)
+        assert str(info.value) == f"square Square(board=2, row=1, col=3) is not three ints or is out of range for {where}"
+
+
+def test_the_square_registry_is_bounded():
+    boards = [shape(n, k) for shape in (linear, circular) for n in range(1, 4) for k in range(1, 4)]
+    for board in boards:
+        next(enumerate_placements(board, 0))  # the table is built before the first placement
+    assert len(_BUILT_SQUARES.groups) == _BUILT_SQUARES.cap < len(boards)
+    assert list(_BUILT_SQUARES.groups) == boards[-_BUILT_SQUARES.cap:]
+    held = [s for squares in _BUILT_SQUARES.groups.values() for s in squares]
+    assert len(_BUILT_SQUARES._tags) == len(held)
+    # enumerating a board again replaces its table instead of adding one
+    next(enumerate_placements(circular(3, 3), 0))
+    assert len(_BUILT_SQUARES._tags) == len(held)
+
+
+@pytest.mark.parametrize("squares", [(), ((1, 1, 1),)])
+def test_placements_check_their_board(squares):
+    with pytest.raises(InputDomainError, match=r"^board must be a BoardSpec, got 5$"):
+        RookPlacement(5, squares)

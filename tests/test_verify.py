@@ -7,6 +7,7 @@ import pytest
 from chainedboards import asm
 from chainedboards.boards import BoardSpec, Shape, max_rooks
 from chainedboards.counting import count_placements_formula
+from chainedboards.errors import InputDomainError
 from chainedboards.verify import TABLE_CELLS, VerificationReport, verify_tables
 
 
@@ -161,3 +162,9 @@ def test_stretch_cells():
     assert count_chained_asm(circular(4, 2)) == 5544
     assert count_chained_asm(circular(5, 1)) == 3430
     assert count_chained_asm(circular(6, 1)) == 6860
+
+
+@pytest.mark.parametrize("limits", [{"max_n": "a"}, {"max_k": 2.5}, {"max_n": True}])
+def test_limits_must_be_ints_or_none(limits):
+    with pytest.raises(InputDomainError, match=r"^max_[nk] must be an int or None, got "):
+        verify_tables(**limits)
