@@ -104,8 +104,9 @@ class _Built:
             self._tags.pop(id(obj), None)  # one object may sit in two groups
 
 
-# squares of the placement search's table, tagged with their board object
-_BUILT_SQUARES = _Built(cap=8)
+# the squares of the boards the placement search ran on, tagged with the
+# board's (n, k): all that a square's check reads of its board
+_BUILT_SQUARES = _Built(cap=16)
 
 
 def _check_board(board) -> None:
@@ -137,14 +138,14 @@ def checked_squares(board: BoardSpec, given) -> tuple[Square, ...]:
     of Squares, each checked by ``_square``; a non-iterable ``given`` raises
     InputDomainError too.  Squares already strictly increasing, as the
     enumerator gives them, are not sorted again; the enumerator's own
-    squares of this very board are not checked again."""
+    squares of a board with this n and k are not checked again."""
     _check_board(board)
-    built = _BUILT_SQUARES.tag
+    built, size = _BUILT_SQUARES.tag, (board.n, board.k)
     squares = []
     ordered, last = True, ()  # each square is compared with the one before it; () comes first
     try:
         for s in given:
-            triple = s if built(id(s)) is board else _square(board, s)
+            triple = s if built(id(s)) == size else _square(board, s)
             ordered = ordered and last < triple
             last = triple
             squares.append(s if type(s) is Square else Square(*triple))

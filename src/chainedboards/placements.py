@@ -54,6 +54,17 @@ def placement_problems(p: RookPlacement) -> list[str]:
     return [] if len(set(lines)) == len(lines) else ["placement has attacking rooks"]
 
 
+def _board_squares(board: BoardSpec) -> tuple[Square, ...]:
+    """The squares of ``board`` in (board, row, col) order, of which the
+    placements below are built.  Checked once, and built again only once
+    ``_BUILT_SQUARES`` has dropped them."""
+    squares = _BUILT_SQUARES.groups.get(board)
+    if squares is None:
+        squares = checked_squares(board, board.squares())
+        _BUILT_SQUARES.register(board, squares, (board.n, board.k))
+    return squares
+
+
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     """All valid m-rook placements, each exactly once, in lexicographic order."""
     if type(m) is not int or not 0 <= m <= board.n * board.k:
@@ -65,13 +76,10 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     # each row's squares with their two lines, worked out once; a square
     # whose two lines coincide attacks itself and is left out
     cells: dict[tuple[int, int], list] = {}
-    for s in board.squares():
+    for s in _board_squares(board):
         row_line, col_line = rook_lines(board, s)
         if row_line != col_line:
             cells.setdefault((s.board, s.row), []).append((s, row_line, col_line))
-    # the placements below are built of these squares: checked here, once
-    squares = checked_squares(board, [s for row in cells.values() for s, _, _ in row])
-    _BUILT_SQUARES.register(board, squares, board)
     held: set = set()  # the lines of the rooks placed so far
     counts = [0] * (k + 1)  # rooks per board, 1-based; board 0 stays empty
     chosen: list[Square] = []

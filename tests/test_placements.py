@@ -199,14 +199,16 @@ def test_squares_equal_to_built_squares_are_checked(squares, message):
     assert str(info.value) == message
 
 
-def test_built_squares_are_taken_only_on_their_own_board():
+def test_built_squares_are_taken_only_where_they_are_in_range():
     board = linear(3, 2)
     last = _last_maximum(board)
     assert last.squares == (Square(2, 1, 3), Square(2, 2, 2), Square(2, 3, 1))
-    assert all(_BUILT_SQUARES.tag(id(s)) is board for s in last.squares)
-    assert RookPlacement(board, last.squares).squares == last.squares
-    # an equal board is another object: its squares go through the full check
-    assert RookPlacement(linear(3, 2), last.squares).squares == last.squares
+    # a square's check reads only the board's n and k
+    assert all(_BUILT_SQUARES.tag(id(s)) == (3, 2) for s in last.squares)
+    for same in (board, linear(3, 2), circular(3, 2)):
+        assert RookPlacement(same, last.squares).squares == last.squares
+    # another search on an equal board builds its placements of the same squares
+    assert _last_maximum(linear(3, 2)).squares[0] is last.squares[0]
     for smaller, where in ((linear(2, 2), "n=2, k=2"), (linear(3, 1), "n=3, k=1")):
         with pytest.raises(InputDomainError) as info:
             RookPlacement(smaller, last.squares)
@@ -214,16 +216,17 @@ def test_built_squares_are_taken_only_on_their_own_board():
 
 
 def test_the_square_registry_is_bounded():
-    boards = [shape(n, k) for shape in (linear, circular) for n in range(1, 4) for k in range(1, 4)]
+    boards = [shape(n, k) for shape in (linear, circular) for n in range(1, 5) for k in range(1, 5)]
     for board in boards:
-        next(enumerate_placements(board, 0))  # the table is built before the first placement
+        next(enumerate_placements(board, 0))  # the squares are listed before the first placement
     assert len(_BUILT_SQUARES.groups) == _BUILT_SQUARES.cap < len(boards)
-    assert list(_BUILT_SQUARES.groups) == boards[-_BUILT_SQUARES.cap:]
+    assert boards[-1] in _BUILT_SQUARES.groups and boards[0] not in _BUILT_SQUARES.groups
     held = [s for squares in _BUILT_SQUARES.groups.values() for s in squares]
     assert len(_BUILT_SQUARES._tags) == len(held)
-    # enumerating a board again replaces its table instead of adding one
-    next(enumerate_placements(circular(3, 3), 0))
-    assert len(_BUILT_SQUARES._tags) == len(held)
+    # enumerating a board again reads its squares instead of building them
+    before = dict(_BUILT_SQUARES._tags)
+    next(enumerate_placements(circular(4, 4), 0))
+    assert _BUILT_SQUARES._tags == before
 
 
 @pytest.mark.parametrize("squares", [(), ((1, 1, 1),)])
