@@ -10,7 +10,9 @@ chained ASM conditions restricted to 0/1 entries, so
 
 Matrices are tuples of row tuples.  ``_with_ones`` (a 1 per square) and
 ``from_one_line`` share rows from one table per n: the zero row and the n
-unit rows.  The constructor checks every entry and keeps tuple input as is.
+unit rows.  Those rows, like the rows of a chained-ASM search, are checked
+once, when they are built; the constructor walks every entry of any other
+row, and keeps tuple input as is.
 
 One-line notation records, per row of each matrix, the column of its 1 (0
 for an empty row).  Blocks are joined by dashes and written with a trailing
