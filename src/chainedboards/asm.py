@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .boards import BoardSpec, max_rooks, suffix_bound_table
+from .boards import BoardSpec, _built, max_rooks, suffix_bound_table
 from .counting import _count_walks
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
-from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix, _register_rows
+from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,6 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     rows = [()]
     for _ in range(n):
         rows = [e + (x,) for e in rows for x in (-1, 0, 1) if 0 <= sum(e) + x <= 1]
-    _register_rows("asm", n, rows)  # the chains below are built of these rows
     rows = [(e, *(sum(1 << j for j, x in enumerate(e) if x == v) for v in (1, -1))) for e in rows]
     by_signs = {(plus, minus): e for e, plus, minus in rows}
     # a column state is (columns whose last nonzero so far is +1, is -1); the
@@ -211,7 +210,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
             if l == k - 1:
                 if done + s2 == target:
                     path = tuple(chosen)  # the listed row tuples themselves, shared
-                    yield ChainedASM(board, tuple(path[j : j + n] for j in range(0, n * k, n)))
+                    yield _built(ChainedASM, board=board, matrices=tuple(path[j : j + n] for j in range(0, n * k, n)))
                 continue
             mat_bits[l], mat_sum[l] = bits2, s2
             if circ and l == 0:

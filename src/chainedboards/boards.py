@@ -76,37 +76,15 @@ class Square(NamedTuple):
     col: int
 
 
-class _Built:
-    """Objects the library built and checked itself, found by identity:
-    ``tag(id(obj))`` is the tag of the group ``obj`` was registered in, and
-    None for every other object, which is never hashed.  At most ``cap``
-    groups are held: registering a group again replaces it, and past the cap
-    the oldest group goes.  Holding the objects keeps their ids from passing
-    to other objects while they are listed; they are immutable, so the tag
-    stays true of them."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.groups: dict = {}  # group -> its objects, oldest group first
-        self._tags: dict[int, object] = {}
-        self.tag = self._tags.get
-
-    def register(self, group, objects, tag) -> None:
-        """List ``objects`` under ``group``, all tagged ``tag``."""
-        self._drop(group)
-        while len(self.groups) >= self.cap:
-            self._drop(next(iter(self.groups)))
-        self.groups[group] = objects = tuple(objects)
-        self._tags.update(dict.fromkeys(map(id, objects), tag))
-
-    def _drop(self, group) -> None:
-        for obj in self.groups.pop(group, ()):
-            self._tags.pop(id(obj), None)  # one object may sit in two groups
-
-
-# the squares of the boards the placement search ran on, tagged with the
-# board's (n, k): all that a square's check reads of its board
-_BUILT_SQUARES = _Built(cap=16)
+def _built(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as they
+    are, its ``__post_init__`` checks skipped.  Only for objects the library
+    assembled valid by construction from parts it made itself; everything
+    else goes through the public constructor."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _check_board(board) -> None:
@@ -137,15 +115,13 @@ def checked_squares(board: BoardSpec, given) -> tuple[Square, ...]:
     """The distinct squares of ``board`` that ``given`` lists, as a sorted tuple
     of Squares, each checked by ``_square``; a non-iterable ``given`` raises
     InputDomainError too.  Squares already strictly increasing, as the
-    enumerator gives them, are not sorted again; the enumerator's own
-    squares of a board with this n and k are not checked again."""
+    enumerator gives them, are not sorted again."""
     _check_board(board)
-    built, size = _BUILT_SQUARES.tag, (board.n, board.k)
     squares = []
     ordered, last = True, ()  # each square is compared with the one before it; () comes first
     try:
         for s in given:
-            triple = s if built(id(s)) == size else _square(board, s)
+            triple = _square(board, s)
             ordered = ordered and last < triple
             last = triple
             squares.append(s if type(s) is Square else Square(*triple))

@@ -10,9 +10,10 @@ chained ASM conditions restricted to 0/1 entries, so
 
 Matrices are tuples of row tuples.  ``_with_ones`` (a 1 per square) and
 ``from_one_line`` share rows from one table per n: the zero row and the n
-unit rows.  Those rows, like the rows of a chained-ASM search, are checked
-once, when they are built; the constructor walks every entry of any other
-row, and keeps tuple input as is.
+unit rows.  Both place those rows by squares or blocks they have checked,
+so they build their result without the constructor's walk
+(``boards._built``); the constructor walks every entry it is given, and
+keeps tuple input as is.
 
 One-line notation records, per row of each matrix, the column of its 1 (0
 for an empty row).  Blocks are joined by dashes and written with a trailing
@@ -22,10 +23,11 @@ a block are comma-separated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import BoardSpec, Shape, Square, _Built, _check_board, max_rooks
+from .boards import BoardSpec, Shape, Square, _built, _check_board, max_rooks
 from .errors import InputDomainError, ParseError, ValidationError, clip
 from .placements import RookPlacement, placement_problems
 
@@ -40,42 +42,17 @@ def _ascii_int(text: str) -> int:
     raise ValueError(f"expected ASCII digits, got {clip(repr(text))}")
 
 
-# Rows the library built, tagged with their length and a set that holds
-# their entries, in two tables per size: the unit rows, and the rows of one
-# chained-ASM search
-_BUILT_ROWS = _Built(cap=16)
-
-
-def _register_rows(kind: str, n: int, rows) -> None:
-    """Check ``rows``, which the library built, once: if each is a tuple of n
-    exact ints, ``_check_matrix_tuple`` takes them as they are from now on."""
-    if all(type(row) is tuple and len(row) == n and all(type(x) is int for x in row) for row in rows):
-        _BUILT_ROWS.register((kind, n), rows, (n, frozenset().union(*rows)))
-
-
 def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str) -> Matrix:
-    """One walk over every entry, but for rows the library built (tuples of
-    exact ints) with entries in ``allowed``; ``matrices`` itself if it is
-    tuples throughout."""
+    """One walk over every entry; ``matrices`` itself if it is tuples throughout."""
     _check_board(board)
-    n = board.n
-    built = _BUILT_ROWS.tag
     try:
         if len(matrices) != board.k:
             raise InputDomainError(f"expected {clip(board.k)} matrices, got {len(matrices)}")
         tuples = type(matrices) is tuple
         for mat in matrices:
-            if len(mat) != n:
-                raise InputDomainError(f"each matrix must be {clip(n)}x{clip(n)}")
+            if len(mat) != board.n or any(len(row) != board.n for row in mat):
+                raise InputDomainError(f"each matrix must be {clip(board.n)}x{clip(board.n)}")
             tuples = tuples and type(mat) is tuple
-            for row in mat:
-                tag = built(id(row))
-                if tag is None or tag[0] != n or not tag[1] <= allowed:
-                    break
-            else:
-                continue  # built rows of length n, so tuples, with entries in allowed
-            if any(len(row) != n for row in mat):
-                raise InputDomainError(f"each matrix must be {clip(n)}x{clip(n)}")
             for row in mat:
                 tuples = tuples and type(row) is tuple
                 for x in row:
@@ -85,7 +62,7 @@ def _check_matrix_tuple(board: BoardSpec, matrices, allowed: set[int], what: str
                             f"{what} entries must be in {sorted(allowed)}, got {clip(x)}"
                         )
     except TypeError:  # matrices, a matrix or a row that is not a sequence
-        n = clip(n)
+        n = clip(board.n)
         raise InputDomainError(f"expected {clip(board.k)} matrices of {n}x{n}, got {clip(matrices)}") from None
     return matrices if tuples else tuple(tuple(map(tuple, mat)) for mat in matrices)
 
@@ -111,15 +88,11 @@ def _previous_matrix(board: BoardSpec, matrices, l: int):
     return matrices[board.k - 1] if board.shape is Shape.CIRCULAR else None
 
 
+@functools.lru_cache(maxsize=16)  # bounded: a table holds n^2 entries
 def _unit_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """The zero row of length n, then the n unit rows: row c holds its 1 at
-    column c.  Built again only once ``_BUILT_ROWS`` has dropped them."""
-    rows = _BUILT_ROWS.groups.get(("unit", n))
-    if rows is None:
-        zero = (0,) * n
-        rows = (zero, *(zero[: c - 1] + (1,) + zero[c:] for c in range(1, n + 1)))
-        _register_rows("unit", n, rows)
-    return rows
+    """The zero row of length n, then the n unit rows: row c holds its 1 at column c."""
+    zero = (0,) * n
+    return (zero, *(zero[: c - 1] + (1,) + zero[c:] for c in range(1, n + 1)))
 
 
 def placement_to_matrices(p: RookPlacement) -> ChainedPermutation:
@@ -142,7 +115,7 @@ def _with_ones(board: BoardSpec, squares) -> ChainedPermutation:
     for b, row, col in squares:
         grid[(b - 1) * n + row - 1] = rows[col]
     flat = tuple(grid)
-    return ChainedPermutation(board, tuple(flat[j : j + n] for j in range(0, n * k, n)))
+    return _built(ChainedPermutation, board=board, matrices=tuple(flat[j : j + n] for j in range(0, n * k, n)))
 
 
 def _ones(cp: ChainedPermutation) -> Iterator[Square]:
@@ -222,7 +195,7 @@ def from_one_line(o: OneLine) -> ChainedPermutation:
     if problems:
         raise ValidationError("invalid one-line notation", problems)
     rows = _unit_rows(o.board.n).__getitem__
-    return ChainedPermutation(o.board, tuple(tuple(map(rows, block)) for block in o.blocks))
+    return _built(ChainedPermutation, board=o.board, matrices=tuple(tuple(map(rows, block)) for block in o.blocks))
 
 
 def one_line_text(o: OneLine) -> str:

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .boards import (
-    _BUILT_SQUARES,
     BoardSpec,
     Composition,
     Square,
+    _built,
     checked_squares,
     rook_lines,
     suffix_bound_table,
@@ -54,19 +54,11 @@ def placement_problems(p: RookPlacement) -> list[str]:
     return [] if len(set(lines)) == len(lines) else ["placement has attacking rooks"]
 
 
-def _board_squares(board: BoardSpec) -> tuple[Square, ...]:
-    """The squares of ``board`` in (board, row, col) order, of which the
-    placements below are built.  Checked once, and built again only once
-    ``_BUILT_SQUARES`` has dropped them."""
-    squares = _BUILT_SQUARES.groups.get(board)
-    if squares is None:
-        squares = checked_squares(board, board.squares())
-        _BUILT_SQUARES.register(board, squares, (board.n, board.k))
-    return squares
-
-
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
-    """All valid m-rook placements, each exactly once, in lexicographic order."""
+    """All valid m-rook placements, each exactly once, in lexicographic order.
+
+    Each is built of ``board.squares()``, in increasing order and without
+    two attacking rooks, so it skips ``RookPlacement``'s checks."""
     if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     n, k = board.n, board.k
@@ -76,7 +68,7 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     # each row's squares with their two lines, worked out once; a square
     # whose two lines coincide attacks itself and is left out
     cells: dict[tuple[int, int], list] = {}
-    for s in _board_squares(board):
+    for s in board.squares():
         row_line, col_line = rook_lines(board, s)
         if row_line != col_line:
             cells.setdefault((s.board, s.row), []).append((s, row_line, col_line))
@@ -101,7 +93,7 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
         return room + later
 
     if m == 0:
-        yield RookPlacement(board, ())
+        yield _built(RookPlacement, board=board, squares=())
     # frames [row index, rooks before it, iterator of the row's next options]:
     # a row's options are its squares in column order, then leaving it empty
     stack = [[0, 0, iter(rows[0][2])]] if 0 < m <= capacity(0) else []
@@ -122,7 +114,7 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
             chosen.append(s)
             taken.append(cell)
             if placed + 1 == m:
-                yield RookPlacement(board, tuple(chosen))
+                yield _built(RookPlacement, board=board, squares=tuple(chosen))
             elif placed + 1 + capacity(idx + 1) >= m:
                 stack.append([idx + 1, placed + 1, iter(rows[idx + 1][2])])
             break

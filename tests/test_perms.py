@@ -4,13 +4,11 @@ import itertools
 
 import pytest
 
-from chainedboards.boards import _BUILT_SQUARES, Square, circular, linear, max_rooks
+from chainedboards.boards import Square, circular, linear, max_rooks
 from chainedboards.counting import count_max, count_max_circular, count_max_linear
 from chainedboards.asm import ChainedASM, PlainASM, chained_asm_problems, enumerate_chained_asm
 from chainedboards.errors import InputDomainError, ParseError, ValidationError
 from chainedboards.perms import (
-    _BUILT_ROWS,
-    _register_rows,
     ChainedPermutation,
     OneLine,
     from_one_line,
@@ -22,7 +20,6 @@ from chainedboards.perms import (
     to_one_line,
 )
 from chainedboards.placements import RookPlacement, enumerate_placements, placement_problems
-from chainedboards.serialization import deserialize, serialize
 from chainedboards.triangles import MonotoneTriangleChain
 
 from tests.worked_examples import ONE_LINE_54, ONE_LINE_46, P22_CIRCULAR
@@ -259,7 +256,7 @@ def test_matrix_constructors_store_tuples(cls):
         cls(linear(3, 2), _deep_chain(1.0))
 
 
-# --- rows the library built are checked once --------------------------------
+# --- rows equal to the library's own rows are walked ------------------------
 
 UNIT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -280,7 +277,7 @@ UNIT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
          "short row", "row that is no sequence"],
 )
 def test_rows_equal_to_built_rows_are_walked(cls, rows, message):
-    # the built rows of n = 3 are registered; rows equal to them are not them
+    # the library builds these rows for n = 3; input equal to them is still walked
     assert placement_to_matrices(next(max_placements(linear(3, 1)))).matrices == (UNIT3,)
     with pytest.raises(InputDomainError) as info:
         cls(linear(3, 1), (rows,))
@@ -289,7 +286,6 @@ def test_rows_equal_to_built_rows_are_walked(cls, rows, message):
 
 def test_built_rows_are_taken_as_they_are_and_only_where_they_fit():
     cp = placement_to_matrices(next(max_placements(linear(3, 1))))
-    assert all(_BUILT_ROWS.tag(id(row)) for row in cp.matrices[0])
     assert ChainedPermutation(cp.board, cp.matrices).matrices is cp.matrices
     # a list row is walked and copied into a tuple, as before
     assert ChainedPermutation(cp.board, ((list(UNIT3[0]), *UNIT3[1:]),)).matrices == (UNIT3,)
@@ -302,41 +298,10 @@ def test_built_rows_are_taken_as_they_are_and_only_where_they_fit():
 def test_a_built_row_with_minus_one_is_no_permutation_row():
     a = next(x for x in enumerate_chained_asm(circular(3, 1)) if -1 in x.matrices[0][2])
     assert a.matrices == (((0, 0, 0), (0, 0, 1), (1, -1, 0)),)
-    assert _BUILT_ROWS.tag(id(a.matrices[0][2])) == (3, {-1, 0, 1})
     assert ChainedASM(a.board, a.matrices).matrices is a.matrices
     with pytest.raises(InputDomainError) as info:
         ChainedPermutation(a.board, a.matrices)
     assert str(info.value) == "permutation entries must be in [0, 1], got -1"
-
-
-def test_the_row_registry_is_bounded_and_holds_only_built_rows():
-    for n in range(1, 12):
-        next(max_placements(linear(n, 1)))
-        placement_to_matrices(next(max_placements(linear(n, 1))))
-        next(enumerate_chained_asm(linear(n, 1)))
-    assert len(_BUILT_ROWS.groups) <= _BUILT_ROWS.cap
-    held = [row for rows in _BUILT_ROWS.groups.values() for row in rows]
-    assert all(_BUILT_ROWS.tag(id(row)) for row in held)
-    # every tag belongs to a held row: a dropped table leaves no id behind
-    assert len(_BUILT_ROWS._tags) == len(held)
-    # the newest tables are still the ones in use
-    assert ("unit", 11) in _BUILT_ROWS.groups and ("asm", 11) in _BUILT_ROWS.groups
-
-
-@pytest.mark.parametrize("rows", [[(True, 0)], [(1.0, 0)], [[1, 0]], [(1, 0, 0)], [(1, 0), (0, [])]])
-def test_rows_that_fail_their_check_are_not_registered(rows):
-    _register_rows("test", 2, rows)
-    assert ("test", 2) not in _BUILT_ROWS.groups
-
-
-def test_deserializing_registers_nothing():
-    docs = [serialize(placement_to_matrices(p)) for p in itertools.islice(max_placements(linear(4, 2)), 50)]
-    docs += [serialize(a) for a in itertools.islice(enumerate_chained_asm(circular(3, 2)), 50)]
-    docs += [serialize(p) for p in itertools.islice(max_placements(circular(3, 2)), 50)]
-    before = (dict(_BUILT_ROWS._tags), dict(_BUILT_SQUARES._tags))
-    for doc in docs:
-        deserialize(doc)
-    assert (dict(_BUILT_ROWS._tags), dict(_BUILT_SQUARES._tags)) == before
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from chainedboards.boards import _BUILT_SQUARES, Square, attacks, circular, linear, max_rooks
+from chainedboards.boards import Square, attacks, circular, linear, max_rooks
 from chainedboards.counting import count_placements_formula
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import (
@@ -204,29 +204,12 @@ def test_built_squares_are_taken_only_where_they_are_in_range():
     last = _last_maximum(board)
     assert last.squares == (Square(2, 1, 3), Square(2, 2, 2), Square(2, 3, 1))
     # a square's check reads only the board's n and k
-    assert all(_BUILT_SQUARES.tag(id(s)) == (3, 2) for s in last.squares)
     for same in (board, linear(3, 2), circular(3, 2)):
         assert RookPlacement(same, last.squares).squares == last.squares
-    # another search on an equal board builds its placements of the same squares
-    assert _last_maximum(linear(3, 2)).squares[0] is last.squares[0]
     for smaller, where in ((linear(2, 2), "n=2, k=2"), (linear(3, 1), "n=3, k=1")):
         with pytest.raises(InputDomainError) as info:
             RookPlacement(smaller, last.squares)
         assert str(info.value) == f"square Square(board=2, row=1, col=3) is not three ints or is out of range for {where}"
-
-
-def test_the_square_registry_is_bounded():
-    boards = [shape(n, k) for shape in (linear, circular) for n in range(1, 5) for k in range(1, 5)]
-    for board in boards:
-        next(enumerate_placements(board, 0))  # the squares are listed before the first placement
-    assert len(_BUILT_SQUARES.groups) == _BUILT_SQUARES.cap < len(boards)
-    assert boards[-1] in _BUILT_SQUARES.groups and boards[0] not in _BUILT_SQUARES.groups
-    held = [s for squares in _BUILT_SQUARES.groups.values() for s in squares]
-    assert len(_BUILT_SQUARES._tags) == len(held)
-    # enumerating a board again reads its squares instead of building them
-    before = dict(_BUILT_SQUARES._tags)
-    next(enumerate_placements(circular(4, 4), 0))
-    assert _BUILT_SQUARES._tags == before
 
 
 @pytest.mark.parametrize("squares", [(), ((1, 1, 1),)])
