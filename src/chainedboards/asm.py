@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .boards import BoardSpec, _built, max_rooks, suffix_bound_table
+from .boards import BoardSpec, _built, _check_board, max_rooks, suffix_bound_table
 from .counting import _count_walks
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
@@ -110,6 +110,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     matrix answers to are known, its last row is computed rather than
     searched for, and every branch spends the chain's deficit budget.
     """
+    _check_board(board)
     n, k = board.n, board.k
     circ = board.circular
     target = max_rooks(board)
@@ -303,6 +304,7 @@ def count_chained_asm_tm(board: BoardSpec) -> int:
     keep only the walks whose total row-sum weight is ``max_rooks(board)``,
     condition (3).
     """
+    _check_board(board)
     (count,) = _count_walks(_transfer_steps(board.n), [(board.k, max_rooks(board))], board.circular)
     return count
 

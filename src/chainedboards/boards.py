@@ -87,9 +87,11 @@ def _built(cls, **fields):
     return obj
 
 
-def _check_board(board) -> None:
-    if type(board) is not BoardSpec:
-        raise InputDomainError(f"board must be a BoardSpec, got {clip(board)}")
+def _check_board(board, cls: type = BoardSpec, what: str = "board") -> None:
+    """InputDomainError unless ``board`` is exactly a ``cls``: a BoardSpec,
+    or the graph that a graph-taking class is built on."""
+    if type(board) is not cls:
+        raise InputDomainError(f"{what} must be a {cls.__name__}, got {clip(board)}")
 
 
 def _square(board: BoardSpec, s) -> tuple[int, int, int]:
@@ -160,6 +162,7 @@ def attacks(board: BoardSpec, s: Square, t: Square) -> bool:
 
 def max_rooks(board: BoardSpec) -> int:
     """Maximum number of non-attacking rooks the board admits."""
+    _check_board(board)
     if board.circular:
         return board.n * board.k // 2
     return board.n * ((board.k + 1) // 2)

@@ -27,7 +27,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .asm import ChainedASM, chained_asm_problems
-from .boards import BoardSpec, Shape
+from .boards import BoardSpec, Shape, _check_board
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 
 Vertex = tuple[int, int, int]  # (board l, i, j); i or j == 0 on the boundary
@@ -148,6 +148,7 @@ class IceConfiguration:
     heads: tuple[Vertex, ...]
 
     def __post_init__(self):
+        _check_board(self.graph, GridGraph, "graph")
         grid = _grid(self.graph.n, self.graph.k)
         try:
             if len(self.heads) != len(grid.edges):
@@ -241,6 +242,7 @@ class FPLConfiguration:
     chosen: tuple[EdgeId, ...]
 
     def __post_init__(self):
+        _check_board(self.graph, GridGraph, "graph")
         grid = _grid(self.graph.n, self.graph.k)
         member = [False] * len(grid.edges)
         try:

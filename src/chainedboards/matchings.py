@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import BoardSpec, _square, checked_squares, max_rooks, rook_lines
+from .boards import BoardSpec, _check_board, _square, checked_squares, max_rooks, rook_lines
 from .errors import ValidationError, clip
 from .perms import ChainedPermutation, _ones, _with_ones
 
@@ -30,6 +30,9 @@ EdgeId = tuple[int, int, int]  # (l, i, j)
 @dataclass(frozen=True)
 class ChainGraph:
     board: BoardSpec
+
+    def __post_init__(self):
+        _check_board(self.board)
 
     @property
     def vertex_rows(self) -> range:
@@ -63,6 +66,7 @@ class ChainMatching:
     edges: tuple[EdgeId, ...]
 
     def __post_init__(self):
+        _check_board(self.graph, ChainGraph, "graph")
         object.__setattr__(self, "edges", checked_squares(self.graph.board, self.edges))
 
 

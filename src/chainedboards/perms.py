@@ -136,6 +136,7 @@ class OneLine:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_board(self.board)
         k, n = self.board.k, self.board.n
         try:
             if len(self.blocks) != k:

@@ -15,6 +15,7 @@ from .boards import (
     Composition,
     Square,
     _built,
+    _check_board,
     checked_squares,
     rook_lines,
     suffix_bound_table,
@@ -59,6 +60,7 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
 
     Each is built of ``board.squares()``, in increasing order and without
     two attacking rooks, so it skips ``RookPlacement``'s checks."""
+    _check_board(board)
     if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     n, k = board.n, board.k

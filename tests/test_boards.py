@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from chainedboards.asm import ChainedASM, PlainASM
+from chainedboards.asm import ChainedASM, PlainASM, count_chained_asm_tm, enumerate_chained_asm
 from chainedboards.boards import (
     BoardSpec,
     Square,
@@ -13,11 +13,12 @@ from chainedboards.boards import (
     linear,
     max_rooks,
 )
+from chainedboards.counting import count_max, count_placements_formula
 from chainedboards.errors import InputDomainError, UnsupportedDomainError
 from chainedboards.ice import FPLConfiguration, GridGraph, IceConfiguration
 from chainedboards.matchings import ChainGraph, ChainMatching
 from chainedboards.perms import ChainedPermutation, OneLine
-from chainedboards.placements import RookPlacement, placement_problems
+from chainedboards.placements import RookPlacement, enumerate_placements, placement_problems
 from chainedboards.rendering import render
 from chainedboards.triangles import MonotoneTriangleChain
 from tests.reference import (
@@ -119,10 +120,25 @@ def test_constructors_reject_what_is_not_a_set_of_squares(cls, given):
         (lambda: RookPlacement(5, ((1, 1, 1),)), InputDomainError),
         (lambda: ChainedPermutation(5, ()), InputDomainError),
         (lambda: ChainedASM(5, ()), InputDomainError),
+        (lambda: OneLine(5, ()), InputDomainError),
+        (lambda: ChainGraph(5), InputDomainError),
+        (lambda: ChainMatching(5, ()), InputDomainError),
+        (lambda: ChainMatching(linear(2, 2), ()), InputDomainError),
+        (lambda: IceConfiguration(5, ()), InputDomainError),
+        (lambda: FPLConfiguration(5, ()), InputDomainError),
+        (lambda: count_max(5), InputDomainError),
+        (lambda: count_placements_formula(5, 1), InputDomainError),
+        (lambda: count_chained_asm_tm(5), InputDomainError),
+        (lambda: max_rooks(5), InputDomainError),
+        (lambda: next(enumerate_placements(5, 1)), InputDomainError),
+        (lambda: next(enumerate_chained_asm(5)), InputDomainError),
     ],
     ids=["one-line", "plain ASM", "plain ASM row", "chained ASM", "chained ASM matrix",
          "triangle chain", "ice", "fpl", "board shape", "render format",
-         "placement board", "placement board with a square", "permutation board", "chained ASM board"],
+         "placement board", "placement board with a square", "permutation board", "chained ASM board",
+         "one-line board", "chain graph board", "matching graph", "matching board as graph", "ice graph",
+         "fpl graph", "count_max board", "formula board", "transfer board", "max_rooks board",
+         "placement search board", "chained ASM search board"],
 )
 def test_constructors_raise_only_library_errors(make, error):
     with pytest.raises(error) as info:

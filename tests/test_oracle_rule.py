@@ -1,5 +1,6 @@
-"""The oracle rule and the caller rule, read off the source: an oracle shares
-no logic with what it checks, and every exported name has a caller."""
+"""The oracle rule, the caller rule and the built rule, read off the source:
+an oracle shares no logic with what it checks, every exported name has a
+caller, and only a pinned set of sites builds objects without their checks."""
 
 from __future__ import annotations
 
@@ -86,3 +87,39 @@ def test_every_exported_function_or_class_has_a_caller_in_the_library():
     }
     assert sorted(public - used - set(CALLER_RULE_PINNED)) == []
     assert set(CALLER_RULE_PINNED) <= public - used  # a pinned name that gains a use leaves the set
+
+
+# (module, function, class) of each call of ``boards._built``, which skips a
+# constructor's checks: each site assembles its object from parts it made
+# and checked itself, and tests/test_built.py checks what each one emits
+BUILT_SITES = [
+    ("asm", "enumerate_chained_asm", "ChainedASM"),
+    ("perms", "_with_ones", "ChainedPermutation"),
+    ("perms", "from_one_line", "ChainedPermutation"),
+    ("placements", "enumerate_placements", "RookPlacement"),
+    ("placements", "enumerate_placements", "RookPlacement"),
+]
+
+
+def _is_built(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "_built" or isinstance(node, ast.Attribute) and node.attr == "_built"
+
+
+def test_only_the_pinned_sites_build_objects_unchecked():
+    """The built rule: a new call of ``_built`` is a site that could take
+    outside input unchecked, so it joins the pinned sites with a reason."""
+    sites, other_uses = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            calls = [node for node in ast.walk(top) if isinstance(node, ast.Call) and _is_built(node.func)]
+            sites += [(path.stem, where, ast.unparse(call.args[0]) if call.args else "") for call in calls]
+            # passed on, stored or imported under another name, it could be called unseen
+            other_uses += [(path.stem, where)] * (sum(map(_is_built, ast.walk(top))) - len(calls))
+            other_uses += [
+                (path.stem, alias.asname) for node in ast.walk(top) if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name == "_built" and alias.asname
+            ]
+    assert sorted(sites) == BUILT_SITES
+    assert other_uses == []
