@@ -102,7 +102,9 @@ BUILT_SITES = [
 
 
 def _is_built(node: ast.AST) -> bool:
-    return isinstance(node, ast.Name) and node.id == "_built" or isinstance(node, ast.Attribute) and node.attr == "_built"
+    """Whether ``node`` is the name ``_built`` or an attribute of that name."""
+    return (isinstance(node, ast.Name) and node.id == "_built"
+            or isinstance(node, ast.Attribute) and node.attr == "_built")
 
 
 def test_only_the_pinned_sites_build_objects_unchecked():
