@@ -29,6 +29,7 @@ from .placements import (
 from .perms import (
     ChainedPermutation,
     OneLine,
+    enumerate_chained_permutations,
     from_one_line,
     matrices_to_placement,
     one_line_problems,

@@ -144,8 +144,10 @@ def rook_lines(board: BoardSpec, s: tuple[int, int, int]) -> tuple[Line, Line]:
     ``k`` when the chain is circular and the empty board 0 when it is
     linear.  Two rooks attack exactly when they share a line, and a rook
     whose two lines coincide (circular k = 1, on the diagonal) attacks
-    itself.  No range check: callers check ``s`` first (``_square``).
+    itself.  The board is checked, but ``s`` is not: callers check it
+    first (``_square``).
     """
+    _check_board(board)
     b, row, col = s
     before = board.k if b == 1 and board.circular else b - 1
     return (b, row), (before, col)
@@ -156,6 +158,7 @@ def attacks(board: BoardSpec, s: Square, t: Square) -> bool:
 
     Symmetric, and attacks(board, s, s) is true.
     """
+    _check_board(board)
     lines = set(rook_lines(board, _square(board, s)))
     return not lines.isdisjoint(rook_lines(board, _square(board, t)))
 
@@ -179,6 +182,7 @@ def suffix_bound_table(board: BoardSpec) -> list[list[list[int]]]:
     chain, a_k + a_1 <= n are used, so for partial placements it is an upper
     bound.  Index b runs over 1..k+1; prev and a1 over 0..n.
     """
+    _check_board(board)
     n, k = board.n, board.k
     bound = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(k + 2)]
     for b in range(k, 0, -1):

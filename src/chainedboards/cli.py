@@ -23,7 +23,7 @@ from .asm import enumerate_chained_asm
 from .boards import BoardSpec, Shape, max_rooks
 from .counting import count_max, count_placements_formula
 from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, ValidationError, clip
-from .perms import placement_to_matrices
+from .perms import enumerate_chained_permutations
 from .placements import count_placements_brute, enumerate_placements
 from .rendering import render
 from .serialization import FAMILIES, deserialize, family_of, serialize
@@ -112,9 +112,7 @@ def _cmd_enumerate(args) -> int:
         m = max_rooks(board) if args.m is None else args.m
         stream = enumerate_placements(board, m)
     elif args.family == "perms":
-        stream = (
-            placement_to_matrices(p) for p in enumerate_placements(board, max_rooks(board))
-        )
+        stream = enumerate_chained_permutations(board)
     else:
         stream = enumerate_chained_asm(board)
     docs = map(serialize, itertools.islice(stream, args.limit))

@@ -10,10 +10,10 @@ chained ASM conditions restricted to 0/1 entries, so
 
 Matrices are tuples of row tuples.  ``_with_ones`` (a 1 per square) and
 ``from_one_line`` share rows from one table per n: the zero row and the n
-unit rows.  Both place those rows by squares or blocks they have checked,
-so they build their result without the constructor's walk
-(``boards._built``); the constructor walks every entry it is given, and
-keeps tuple input as is.
+unit rows.  Both place those rows by squares or blocks that are checked,
+by the placement search or by themselves, so they build their result
+without the constructor's walk (``boards._built``); the constructor walks
+every entry it is given, and keeps tuple input as is.
 
 One-line notation records, per row of each matrix, the column of its 1 (0
 for an empty row).  Blocks are joined by dashes and written with a trailing
@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .boards import BoardSpec, Shape, Square, _built, _check_board, max_rooks
 from .errors import InputDomainError, ParseError, ValidationError, clip
-from .placements import RookPlacement, placement_problems
+from .placements import RookPlacement, _search, placement_problems
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -116,6 +116,14 @@ def _with_ones(board: BoardSpec, squares) -> ChainedPermutation:
         grid[(b - 1) * n + row - 1] = rows[col]
     flat = tuple(grid)
     return _built(ChainedPermutation, board=board, matrices=tuple(flat[j : j + n] for j in range(0, n * k, n)))
+
+
+def enumerate_chained_permutations(board: BoardSpec) -> Iterator[ChainedPermutation]:
+    """Every chained permutation of ``board``, each exactly once, in the
+    lexicographic order of its maximum placement: the placement search's
+    squares, with a 1 on each, and no ``RookPlacement`` made between."""
+    for chosen in _search(board, max_rooks(board)):
+        yield _with_ones(board, chosen)
 
 
 def _ones(cp: ChainedPermutation) -> Iterator[Square]:
@@ -240,6 +248,7 @@ __all__ = [
     "ChainedPermutation",
     "OneLine",
     "placement_to_matrices",
+    "enumerate_chained_permutations",
     "matrices_to_placement",
     "to_one_line",
     "from_one_line",

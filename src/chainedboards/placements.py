@@ -55,11 +55,13 @@ def placement_problems(p: RookPlacement) -> list[str]:
     return [] if len(set(lines)) == len(lines) else ["placement has attacking rooks"]
 
 
-def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
-    """All valid m-rook placements, each exactly once, in lexicographic order.
+def _search(board: BoardSpec, m: int) -> Iterator[list[Square]]:
+    """The squares of every valid m-rook placement, each exactly once, in
+    lexicographic order: once, empty, for m = 0.
 
-    Each is built of ``board.squares()``, in increasing order and without
-    two attacking rooks, so it skips ``RookPlacement``'s checks."""
+    Each leaf is the search's own list of squares of ``board.squares()``,
+    in increasing order and without two attacking rooks; the search changes
+    it after the yield, so a caller copies what it keeps."""
     _check_board(board)
     if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
@@ -95,7 +97,7 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
         return room + later
 
     if m == 0:
-        yield _built(RookPlacement, board=board, squares=())
+        yield chosen
     # frames [row index, rooks before it, iterator of the row's next options]:
     # a row's options are its squares in column order, then leaving it empty
     stack = [[0, 0, iter(rows[0][2])]] if 0 < m <= capacity(0) else []
@@ -116,7 +118,7 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
             chosen.append(s)
             taken.append(cell)
             if placed + 1 == m:
-                yield _built(RookPlacement, board=board, squares=tuple(chosen))
+                yield chosen
             elif placed + 1 + capacity(idx + 1) >= m:
                 stack.append([idx + 1, placed + 1, iter(rows[idx + 1][2])])
             break
@@ -127,9 +129,17 @@ def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
                 stack.pop()
 
 
+def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
+    """All valid m-rook placements, each exactly once, in lexicographic order.
+
+    The search makes their squares valid, so they skip ``RookPlacement``'s checks."""
+    for chosen in _search(board, m):
+        yield _built(RookPlacement, board=board, squares=tuple(chosen))
+
+
 def count_placements_brute(board: BoardSpec, m: int) -> int:
-    """Length of the enumerate_placements stream."""
-    return sum(1 for _ in enumerate_placements(board, m))
+    """Length of the enumerate_placements stream, counted without building it."""
+    return sum(1 for _ in _search(board, m))
 
 
 __all__ = [

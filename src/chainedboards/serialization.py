@@ -329,6 +329,8 @@ def deserialize(text: str):
     Raises ParseError for text that is not a document of a known family and
     ValidationError for one that decodes to an invalid object, nothing else.
     """
+    if type(text) is not str:
+        raise ParseError(f"document must be a str, got {clip(text)}")
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty document")

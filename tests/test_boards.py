@@ -12,6 +12,8 @@ from chainedboards.boards import (
     circular,
     linear,
     max_rooks,
+    rook_lines,
+    suffix_bound_table,
 )
 from chainedboards.counting import count_max, count_placements_formula
 from chainedboards.errors import InputDomainError, UnsupportedDomainError
@@ -132,13 +134,17 @@ def test_constructors_reject_what_is_not_a_set_of_squares(cls, given):
         (lambda: max_rooks(5), InputDomainError),
         (lambda: next(enumerate_placements(5, 1)), InputDomainError),
         (lambda: next(enumerate_chained_asm(5)), InputDomainError),
+        (lambda: attacks(5, (1, 1, 1), (1, 1, 1)), InputDomainError),
+        (lambda: rook_lines(5, Square(2, 1, 1)), InputDomainError),  # past board 1 no field is read
+        (lambda: suffix_bound_table(5), InputDomainError),
     ],
     ids=["one-line", "plain ASM", "plain ASM row", "chained ASM", "chained ASM matrix",
          "triangle chain", "ice", "fpl", "board shape", "render format",
          "placement board", "placement board with a square", "permutation board", "chained ASM board",
          "one-line board", "chain graph board", "matching graph", "matching board as graph", "ice graph",
          "fpl graph", "count_max board", "formula board", "transfer board", "max_rooks board",
-         "placement search board", "chained ASM search board"],
+         "placement search board", "chained ASM search board", "attacks board", "rook_lines board",
+         "suffix bound board"],
 )
 def test_constructors_raise_only_library_errors(make, error):
     with pytest.raises(error) as info:

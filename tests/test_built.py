@@ -6,7 +6,8 @@ finds no problem.
 Every cell with n * k <= 8 of both shapes is searched.  A stream of more
 than ``LIMIT`` objects is checked on its first ``LIMIT`` only: the chained
 ASMs of linear(8,1) number 10850216.  Every square is still reached, by
-the one-rook placements.
+the one-rook placements.  The chained permutations streamed straight from
+the placement search are compared whole with the checked conversion.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.matchings import from_matching, to_matching
 from chainedboards.perms import (
     ChainedPermutation,
+    enumerate_chained_permutations,
     from_one_line,
     placement_to_matrices,
     to_one_line,
@@ -51,3 +53,16 @@ def test_built_objects_equal_what_the_constructors_make_and_are_valid(board):
         for built in (cp, from_one_line(to_one_line(cp)), from_matching(to_matching(cp))):
             _same_as_public(built, ChainedPermutation, cp.board, built.matrices)
             assert built == cp and chained_asm_problems(built) == []
+
+
+@pytest.mark.parametrize("board", CELLS, ids=lambda b: f"{b.shape.value}({b.n},{b.k})")
+def test_streamed_permutations_are_the_checked_conversions_of_the_maximum_placements(board):
+    # circular(1,1) admits no rook: its one chained permutation is the zero matrix
+    converted = map(placement_to_matrices, enumerate_placements(board, max_rooks(board)))
+    streamed = enumerate_chained_permutations(board)
+    count = 0
+    for count, (cp, want) in enumerate(itertools.zip_longest(streamed, converted), start=1):
+        assert cp == want and repr(cp) == repr(want)
+        if count <= LIMIT:
+            _same_as_public(cp, ChainedPermutation, cp.board, cp.matrices)
+    assert count >= 1

@@ -109,6 +109,14 @@ def test_enumerate_limit_and_out(tmp_path, capsys):
     assert code == 0 and out == "" and empty.read_text() == ""
 
 
+def test_enumerate_perms_of_a_board_without_rooks_is_one_zero_matrix(capsys):
+    board = ["--family", "perms", "--shape", "circular", "-n", "1", "-k", "1"]
+    code, out, _ = run(capsys, "enumerate", *board)
+    assert code == 0 and out == serialize(ChainedPermutation(circular(1, 1), (((0,),),)))
+    code, out, _ = run(capsys, "enumerate", *board, "--limit", "0")
+    assert code == 0 and out == ""
+
+
 class Writes(io.TextIOBase):
     """A stdout that keeps every string written to it, or with ``keep``
     false only counts them."""

@@ -48,7 +48,12 @@ def test_reference_imports_no_private_library_name():
 
 
 def test_enumerators_do_not_use_the_transfer_matrix_walk():
-    for module, function in [("asm.py", "enumerate_chained_asm"), ("placements.py", "enumerate_placements")]:
+    for module, function in [
+        ("asm.py", "enumerate_chained_asm"),
+        ("placements.py", "enumerate_placements"),
+        ("placements.py", "_search"),
+        ("perms.py", "enumerate_chained_permutations"),
+    ]:
         tree = ast.parse((SRC / module).read_text())
         (found,) = [
             node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
@@ -96,7 +101,6 @@ BUILT_SITES = [
     ("asm", "enumerate_chained_asm", "ChainedASM"),
     ("perms", "_with_ones", "ChainedPermutation"),
     ("perms", "from_one_line", "ChainedPermutation"),
-    ("placements", "enumerate_placements", "RookPlacement"),
     ("placements", "enumerate_placements", "RookPlacement"),
 ]
 

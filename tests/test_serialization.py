@@ -98,6 +98,12 @@ def test_parse_errors():
         deserialize('[1, 2, 3]')
 
 
+@pytest.mark.parametrize("given", [None, 5, [], b"{}"], ids=repr)
+def test_what_is_not_a_str_is_a_parse_error(given):
+    with pytest.raises(ParseError, match="^document must be a str, got "):
+        deserialize(given)
+
+
 def test_validation_errors():
     # well-formed JSON, attacking placement
     bad = json.dumps(
