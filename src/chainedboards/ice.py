@@ -167,11 +167,6 @@ class IceConfiguration:
     def head(self, e: EdgeId) -> Vertex:
         return self.heads[_look_up(self._grid.index, e, "edge")]
 
-    def tail(self, e: EdgeId) -> Vertex:
-        p = _look_up(self._grid.index, e, "edge")
-        u, v = self._grid.ends[p]
-        return v if self.heads[p] == u else u
-
 
 def to_ice(a: ChainedASM) -> IceConfiguration:
     """Orient every edge of the grid graph by the partial-sum rules."""

@@ -5,14 +5,14 @@ against closed forms and brute force, under a time budget.
 Each check becomes one record; the report serializes as TSV with columns
 family, shape, n, k, m, expected, actual, source, status, seconds.  A cell
 whose estimated cost exceeds the remaining budget is skipped loudly rather
-than run.  The chained-ASM cells are counted by transfer matrix, built
-once per n in a process.  A cell's estimate is a fixed function of its n
-that bounds the work of that build, at a nominal rate times a safety
-factor, and every cell that runs is charged its estimate, so the run/skip
-decisions depend only on the arguments, never on the machine's speed or
-load.  The rook rows of one (shape, n) read their six k off one composition
-walk, timed on the row of the largest k; the other rows of the group read
-0 seconds.
+than run.  The chained-ASM cells are counted by transfer matrix, whose
+steps are built column by column once per n in a process.  A cell's
+estimate is a fixed function of its n: the 2 * 6^n additions that bound
+that build, at one measured rate.  Every cell that runs is charged its
+estimate, so the run/skip decisions depend only on the arguments, never
+on the machine's speed or load.  The rook rows of one (shape, n) read
+their six k off one composition walk, timed on the row of the largest k;
+the other rows of the group read 0 seconds.
 """
 
 from __future__ import annotations
@@ -62,17 +62,17 @@ TABLE_CELLS: tuple[tuple[BoardSpec, int], ...] = tuple(
     for n, expected in enumerate(counts, start=1)
 )
 
-# The transfer matrix's row DP makes n passes, each adding at most 2^n rows
-# to at most 3^n sign-mask states of at most 2^n row-sum weights, so n * 12^n
-# bounds its weight additions.  Builds ran at 1.3e8 (n = 5) to 3.7e8 (n = 7)
-# of these units per second on a 2-vCPU machine under Python 3.11.
-_NOMINAL_RATE = 1e8
-_SAFETY = 5.0
+# The transfer steps' build walks 2^(n+1) nodes, each making at most 3^n
+# additions, one per state p and row set S allowed after it, so 2 * 6^n
+# bounds its work.  The best of several builds for each n = 5..10 ran at
+# 1.7e7 to 3.7e7 of these units per second on a 2-vCPU machine under
+# Python 3.11; the rate charged is below all of them.
+_RATE = 1e7
 
 
 def _estimate(n: int) -> float:
     """Seconds charged against the budget for one chained-ASM cell."""
-    return n * 12**n / _NOMINAL_RATE * _SAFETY
+    return 2 * 6**n / _RATE
 
 
 @dataclass(frozen=True)

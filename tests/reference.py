@@ -5,6 +5,7 @@
 - ``count_max_linear_multinomial``: the paper's multinomial form of ``count_max_linear``;
 - ``count_max_linear_chains``: the paper's sum over chains, one term each, for ``count_max_linear``;
 - ``count_chained_asm``: enumeration, for the paper's table and ``count_chained_asm_tm``;
+- ``transfer_matrix``: a DP over rows, for the column-built steps of ``count_chained_asm_tm``;
 - ``enumerate_matchings``: a chain-graph search, for the chained-permutation counts;
 - ``enumerate_mt_chains``: Gelfand-Tsetlin pattern chains, for ``to_monotone_triangles``;
 - ``grid_interior``, ``grid_incident``, ``grid_endpoints``, ``dwbc_head``, ``fpl_holds``:
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from operator import add
 from typing import Callable, Iterator
 
 from chainedboards.asm import (
@@ -175,6 +177,60 @@ def _multinomial(n: int, parts: list[int]) -> int:
 
 def count_chained_asm(board: BoardSpec) -> int:
     return sum(1 for _ in enumerate_chained_asm(board))
+
+
+def transfer_matrix(n: int) -> list[list[int]]:
+    """``T[r][s]``: how many n x n matrices meet condition (1), have row-sum
+    vector s, and may follow a matrix with row-sum vector r under
+    condition (2); bit i of a row-sum vector is the 0/1 sum of row i.
+
+    Rows are built top-down.  The state is (columns whose last nonzero so
+    far is +1, columns whose last nonzero is -1), mapped to weights indexed
+    by the row-sum bits of the rows so far.  A row is a set of columns
+    signed +1, -1, +1, ... from the left, so there are 2^n of them; it may
+    not repeat a column's last sign.  A column's final last sign is its
+    bottommost nonzero, which fixes that column's bit of r (+1 needs 0, -1
+    needs 1); a column left at zero takes either bit.
+    """
+    rows = []
+    for cols in range(1 << n):
+        plus = minus = 0
+        for j in range(n):
+            if cols >> j & 1:
+                if (plus | minus).bit_count() % 2 == 0:
+                    plus |= 1 << j
+                else:
+                    minus |= 1 << j
+        rows.append((plus, minus, cols.bit_count() % 2))
+
+    states = {(0, 0): [1]}
+    for i in range(n):
+        half = 1 << i
+        nxt: dict[tuple[int, int], list[int]] = {}
+        for (last_plus, last_minus), weights in states.items():
+            for plus, minus, bit in rows:
+                if plus & last_plus or minus & last_minus:
+                    continue
+                key = ((last_plus & ~minus) | plus, (last_minus & ~plus) | minus)
+                acc = nxt.get(key)
+                if acc is None:
+                    acc = nxt[key] = [0] * (2 * half)
+                lo = bit * half
+                acc[lo : lo + half] = map(add, acc[lo : lo + half], weights)
+        states = nxt
+
+    full = (1 << n) - 1
+    table = [[0] * (full + 1) for _ in range(full + 1)]
+    for (last_plus, last_minus), weights in states.items():
+        free = full & ~(last_plus | last_minus)
+        sub = free
+        while True:  # every r with last_minus set, last_plus clear
+            row = table[last_minus | sub]
+            row[:] = map(add, row, weights)
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return table
 
 
 def enumerate_matchings(board: BoardSpec) -> Iterator[ChainMatching]:

@@ -5,6 +5,7 @@ from operator import add
 
 import pytest
 
+from chainedboards import asm
 from chainedboards.asm import (
     ChainedASM,
     PlainASM,
@@ -18,7 +19,6 @@ from chainedboards.asm import (
     rotate_cw,
     rotate_half,
     to_plain_asm,
-    transfer_matrix,
 )
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import classical_asm_count, qtasm_count
@@ -34,6 +34,7 @@ from tests.reference import (
     maximum_compositions,
     split_circular_k4,
     split_linear_odd,
+    transfer_matrix,
     unfold_qt,
 )
 from tests.worked_examples import LINEAR_32_WITH_TOP_MINUS, QT_6, QT_12
@@ -353,16 +354,11 @@ def test_transfer_count_matches_the_paper_table():
         assert count_chained_asm_tm(board) == expected, board
 
 
-# the two cells the enumerator needs longest for; CHAINED_BOARDS_STRETCH
-# enumerates them in tests/test_verify.py
-_SLOW_TO_ENUMERATE = {linear(4, 2), linear(3, 4)}
-
-
 def test_transfer_count_matches_enumeration():
-    cells = [board for board, _ in TABLE_CELLS if board not in _SLOW_TO_ENUMERATE]
-    assert len(cells) == 48
-    for board in cells:
-        assert count_chained_asm_tm(board) == count_chained_asm(board), board
+    # every table cell two ways: the enumerator's count, the paper's and the walk's
+    assert len(TABLE_CELLS) == 50
+    for board, expected in TABLE_CELLS:
+        assert count_chained_asm(board) == expected == count_chained_asm_tm(board), board
 
 
 def test_transfer_count_matches_closed_forms():
@@ -395,10 +391,32 @@ def test_transfer_matrix_matches_the_conditions_read_literally():
                     for c in itertools.accumulate([r >> j & 1] + [row[j] for row in rows[::-1]])
                 ):
                     want[r][s] += 1
-        assert transfer_matrix(n) == want, n
+        built = [[0] * (1 << n) for _ in range(1 << n)]
+        for r, out in enumerate(asm._transfer_steps(n)):
+            for s, w, _ in out:
+                built[r][s] = w
+        assert transfer_matrix(n) == want == built, n
 
 
-def test_transfer_count_builds_its_own_matrix_and_checks_the_one_given():
-    assert count_chained_asm_tm(circular(3, 2)) == 140
-    with pytest.raises(InputDomainError):
-        transfer_matrix(0)
+def test_column_steps_equal_the_steps_of_the_row_dp():
+    # tuple for tuple, in the walk's order: by |s|, then by s
+    for n in range(1, 8):
+        want = tuple(
+            tuple(sorted(((s, w, s.bit_count()) for s, w in enumerate(row) if w), key=lambda t: t[2]))
+            for row in transfer_matrix(n)
+        )
+        assert asm._transfer_steps(n) == want, n
+
+
+def test_transfer_count_refuses_n_past_its_cap(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(n):  # stands in for a build that would take seconds or minutes
+        raise Built(n)
+
+    monkeypatch.setattr(asm, "_transfer_steps", build)
+    with pytest.raises(UnsupportedDomainError, match=r"n <= 10, not n = 11$"):
+        count_chained_asm_tm(linear(11, 1))
+    with pytest.raises(Built):  # n = 10 is built
+        count_chained_asm_tm(linear(10, 1))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainedboards.asm import transfer_matrix
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
     _count_walks,
@@ -137,14 +136,13 @@ def test_count_walks_matches_every_step_sequence(steps, reads, circular):
         qtasm_count,
         lambda x: falling_factorial(x, 1),
         lambda x: falling_factorial(3, x),
-        transfer_matrix,
         lambda x: count_placements_formula(linear(2, 2), x),
         lambda x: list(enumerate_placements(linear(2, 2), x)),
     ],
     ids=[
         "count_max_circular k", "count_max_circular n", "count_max_linear k", "count_max_linear n",
         "classical_asm_count", "qtasm_count", "falling_factorial n", "falling_factorial m",
-        "transfer_matrix", "count_placements_formula m", "enumerate_placements m",
+        "count_placements_formula m", "enumerate_placements m",
     ],
 )
 def test_counting_entry_points_take_exact_ints(call, bad):

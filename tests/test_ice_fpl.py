@@ -110,7 +110,7 @@ def test_grid_tables_agree_with_the_graph_methods(n, k):
 _LONG = int("9" * 4000)
 
 
-@pytest.mark.parametrize("lookup", ["endpoints", "incident", "head", "tail"])
+@pytest.mark.parametrize("lookup", ["endpoints", "incident", "head"])
 @pytest.mark.parametrize(
     "key",
     [

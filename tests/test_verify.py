@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from chainedboards import asm
@@ -147,21 +145,6 @@ def test_table_constant_is_complete():
     circular_cells = [c for c in TABLE_CELLS if c[0].shape.value == "circular"]
     assert len(linear_cells) == 24
     assert len(circular_cells) == 26
-
-
-@pytest.mark.skipif(
-    not os.environ.get("CHAINED_BOARDS_STRETCH"),
-    reason="stretch cells run only with CHAINED_BOARDS_STRETCH=1",
-)
-def test_stretch_cells():
-    from tests.reference import count_chained_asm
-    from chainedboards.boards import circular, linear
-
-    assert count_chained_asm(linear(4, 2)) == 53932
-    assert count_chained_asm(linear(3, 4)) == 98028
-    assert count_chained_asm(circular(4, 2)) == 5544
-    assert count_chained_asm(circular(5, 1)) == 3430
-    assert count_chained_asm(circular(6, 1)) == 6860
 
 
 @pytest.mark.parametrize("limits", [{"max_n": "a"}, {"max_k": 2.5}, {"max_n": True}])
