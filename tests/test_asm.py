@@ -398,25 +398,49 @@ def test_transfer_matrix_matches_the_conditions_read_literally():
         assert transfer_matrix(n) == want == built, n
 
 
-def test_column_steps_equal_the_steps_of_the_row_dp():
+@pytest.mark.parametrize("n", range(1, 8))
+def test_column_steps_equal_the_steps_of_the_row_dp(n):
     # tuple for tuple, in the walk's order: by |s|, then by s
-    for n in range(1, 8):
-        want = tuple(
-            tuple(sorted(((s, w, s.bit_count()) for s, w in enumerate(row) if w), key=lambda t: t[2]))
-            for row in transfer_matrix(n)
-        )
-        assert asm._transfer_steps(n) == want, n
+    want = tuple(
+        tuple(sorted(((s, w, s.bit_count()) for s, w in enumerate(row) if w), key=lambda t: t[2]))
+        for row in transfer_matrix(n)
+    )
+    assert asm._transfer_steps(n) == want
 
 
-def test_transfer_count_refuses_n_past_its_cap(monkeypatch):
-    class Built(Exception):
-        pass
+class _Built(Exception):
+    pass
 
-    def build(n):  # stands in for a build that would take seconds or minutes
-        raise Built(n)
 
-    monkeypatch.setattr(asm, "_transfer_steps", build)
-    with pytest.raises(UnsupportedDomainError, match=r"n <= 10, not n = 11$"):
-        count_chained_asm_tm(linear(11, 1))
-    with pytest.raises(Built):  # n = 10 is built
-        count_chained_asm_tm(linear(10, 1))
+def _build(n):  # stands in for a build that would take seconds or minutes
+    raise _Built(n)
+
+
+@pytest.mark.parametrize(
+    "board, shown",
+    [
+        (linear(11, 1), "11"),
+        (circular(11, 1), "11"),
+        (linear(200, 1), "200"),
+        (linear(11, 10**6), "11"),
+        (linear(10**5000, 1), r"1000000000000000000000000000000000000000… \(5001 characters\)"),
+    ],
+    ids=["linear n = 11", "circular n = 11", "linear n = 200", "large k", "n past the digit limit"],
+)
+def test_transfer_count_refuses_n_past_its_cap(monkeypatch, board, shown):
+    monkeypatch.setattr(asm, "_transfer_steps", _build)
+    with pytest.raises(UnsupportedDomainError, match=rf"^the transfer count builds steps for n <= 10, not n = {shown}$") as info:
+        count_chained_asm_tm(board)
+    assert len(str(info.value).encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "board",
+    [linear(10, 1), circular(10, 1), linear(10, 10**6)],
+    ids=["linear n = 10", "circular n = 10", "large k"],
+)
+def test_transfer_count_builds_up_to_its_cap(monkeypatch, board):
+    # the cap bounds n only; k sets the walk's length, not the build
+    monkeypatch.setattr(asm, "_transfer_steps", _build)
+    with pytest.raises(_Built, match="^10$"):
+        count_chained_asm_tm(board)
