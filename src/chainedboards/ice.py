@@ -15,8 +15,9 @@ even one.  ``_grid`` states the graph once per (n, k), in a bounded cache:
 its edges by position with their ends, the interior vertices with the
 positions of their N, S, E, W edges, and the boundary edges with their
 forced heads and FPL membership.  Every object on one graph reads that
-table, and a lookup of anything that is not an edge (or an interior vertex,
-for ``incident``) of the graph raises ``InputDomainError``.
+table.  ``GridGraph.edges`` gives the canonical edge order, which an ice
+configuration's heads follow, and an FPL edge that is not an edge of the
+graph raises ``InputDomainError``.
 """
 
 from __future__ import annotations
@@ -48,23 +49,12 @@ class GridGraph:
                 f"the chained grid graph needs an even int k >= 2, got {clip(self.k)}"
             )
 
-    def interior_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(_grid(self.n, self.k).interior)
-
     def vertices(self) -> tuple[Vertex, ...]:
         return _grid(self.n, self.k).vertices
 
     def edges(self) -> tuple[EdgeId, ...]:
+        """The canonical edge order, which ``IceConfiguration.heads`` follows."""
         return _grid(self.n, self.k).edges
-
-    def endpoints(self, e: EdgeId) -> tuple[Vertex, Vertex]:
-        grid = _grid(self.n, self.k)
-        return grid.ends[_look_up(grid.index, e, "edge")]
-
-    def incident(self, v: Vertex) -> tuple[EdgeId, ...]:
-        """The N, S, E, W edges of an interior vertex."""
-        grid = _grid(self.n, self.k)
-        return tuple(grid.edges[p] for p in _look_up(grid.interior, v, "interior vertex"))
 
 
 def vertex_parity(v: Vertex) -> int:
@@ -131,12 +121,12 @@ def _grid(n: int, k: int) -> _Grid:
     )
 
 
-def _look_up(table: dict, key, what: str):
-    """``table[key]``, or an InputDomainError naming ``key`` as an unknown ``what``."""
+def _position(grid: _Grid, e) -> int:
+    """Edge ``e``'s position in ``grid``, or an InputDomainError naming ``e`` as an unknown edge."""
     try:
-        return table[key]
+        return grid.index[e]
     except (KeyError, TypeError):  # TypeError: an unhashable key, such as a list
-        raise InputDomainError(f"unknown {what} {clip(key)}") from None
+        raise InputDomainError(f"unknown edge {clip(e)}") from None
 
 
 @dataclass(frozen=True)
@@ -163,9 +153,6 @@ class IceConfiguration:
             raise InputDomainError(f"need one vertex per edge as its head, got {clip(self.heads)}") from None
         object.__setattr__(self, "heads", tuple(fixed))
         object.__setattr__(self, "_grid", grid)
-
-    def head(self, e: EdgeId) -> Vertex:
-        return self.heads[_look_up(self._grid.index, e, "edge")]
 
 
 def to_ice(a: ChainedASM) -> IceConfiguration:
@@ -242,18 +229,12 @@ class FPLConfiguration:
         member = [False] * len(grid.edges)
         try:
             for e in self.chosen:
-                member[_look_up(grid.index, tuple(e) if type(e) is list else e, "edge")] = True
+                member[_position(grid, tuple(e) if type(e) is list else e)] = True
         except TypeError:  # chosen is not iterable
             raise InputDomainError(f"chosen must be a sequence of edges, got {clip(self.chosen)}") from None
         object.__setattr__(self, "chosen", tuple(compress(grid.edges, member)))
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_member", member)
-
-    def contains(self, e: EdgeId) -> bool:
-        try:
-            return self._member[self._grid.index[e]]
-        except (KeyError, TypeError):  # not an edge of this graph; TypeError: unhashable
-            return False
 
 
 def to_fpl(c: IceConfiguration) -> FPLConfiguration:

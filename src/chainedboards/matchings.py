@@ -53,10 +53,6 @@ class ChainGraph:
         # the edge (l, i, j) is the square (l, i, j), checked by the same rule
         return rook_lines(self.board, _square(self.board, edge))
 
-    def is_loop(self, edge: EdgeId) -> bool:
-        u, v = self.endpoints(edge)
-        return u == v
-
 
 @dataclass(frozen=True)
 class ChainMatching:

@@ -8,10 +8,12 @@ the total number of 1s is the board's maximum rook count.  These are the
 chained ASM conditions restricted to 0/1 entries, so
 ``asm.chained_asm_problems`` is their check.
 
-Matrices are tuples of row tuples.  ``_with_ones`` (a 1 per square) and
-``from_one_line`` share rows from one table per n: the zero row and the n
-unit rows.  Both place those rows by squares or blocks that are checked,
-by the placement search or by themselves, so they build their result
+Matrices are tuples of row tuples.  ``_with_ones`` builds every chained
+permutation the library makes, with a 1 on each of a set of squares and
+rows shared from one table per n: the zero row and the n unit rows.  Its
+squares are checked before it sees them, by the placement search or by the
+check of the placement, matching or one-line notation they come from (the
+squares (l, i, v) of a block's nonzero entries), so it builds its result
 without the constructor's walk (``boards._built``); the constructor walks
 every entry it is given, and keeps tuple input as is.
 
@@ -203,8 +205,8 @@ def from_one_line(o: OneLine) -> ChainedPermutation:
     problems = one_line_problems(o)
     if problems:
         raise ValidationError("invalid one-line notation", problems)
-    rows = _unit_rows(o.board.n).__getitem__
-    return _built(ChainedPermutation, board=o.board, matrices=tuple(tuple(map(rows, block)) for block in o.blocks))
+    return _with_ones(o.board, ((l, i, v) for l, block in enumerate(o.blocks, start=1)
+                                for i, v in enumerate(block, start=1) if v))
 
 
 def one_line_text(o: OneLine) -> str:

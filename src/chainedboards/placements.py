@@ -12,7 +12,6 @@ from typing import Iterator
 
 from .boards import (
     BoardSpec,
-    Composition,
     Square,
     _built,
     _check_board,
@@ -40,12 +39,6 @@ class RookPlacement:
     @property
     def m(self) -> int:
         return len(self.squares)
-
-    def composition(self) -> Composition:
-        counts = [0] * self.board.k
-        for s in self.squares:
-            counts[s.board - 1] += 1
-        return tuple(counts)
 
 
 def placement_problems(p: RookPlacement) -> list[str]:

@@ -344,8 +344,6 @@ def deserialize(text: str):
         raise ParseError(f"bad JSON: {exc}") from None
     except RecursionError:
         raise ParseError("document nests too deeply") from None
-    if not isinstance(doc, dict):
-        raise ParseError("document must be a JSON object")
     name = _need(doc, "family")
     family = _BY_NAME.get(name) if type(name) is str else None
     if family is None:

@@ -18,6 +18,7 @@ Library functions that only the tests call, moved here by the caller rule:
 
 - ``is_admissible_composition``: whether a composition arises from some placement;
 - ``canonical_placement``: a placement witnessing an admissible composition;
+- ``composition``: a placement's rooks per board, the paper's composition of it;
 - ``matching_kind``: the kind of chain-graph matching a board's permutations are;
 - ``asm_sum_composition``: a chained ASM's per-matrix sums;
 - ``split_linear_odd``, ``join_linear_odd``: a linear odd-k chained ASM as (k+1)/2 plain ASMs;
@@ -236,7 +237,7 @@ def transfer_matrix(n: int) -> list[list[int]]:
 def enumerate_matchings(board: BoardSpec) -> Iterator[ChainMatching]:
     """All matchings of the chained-permutation size, by direct search."""
     graph = ChainGraph(board)
-    all_edges = [e for e in graph.edges() if not graph.is_loop(e)]
+    all_edges = [e for e in graph.edges() if len(set(graph.endpoints(e))) == 2]  # no loops
     want = max_rooks(board)
     used: set[tuple[int, int]] = set()
     chosen: list[EdgeId] = []
@@ -469,6 +470,14 @@ def canonical_placement(board: BoardSpec, comp: Composition) -> RookPlacement:
             squares.append(Square(i, row_shift + l, prev + l))
         prev = a
     return RookPlacement(board, tuple(squares))
+
+
+def composition(p: RookPlacement) -> Composition:
+    """The number of rooks ``p`` places on each board, board 1 first."""
+    counts = [0] * p.board.k
+    for s in p.squares:
+        counts[s.board - 1] += 1
+    return tuple(counts)
 
 
 def matching_kind(board: BoardSpec) -> str:

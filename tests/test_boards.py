@@ -26,6 +26,7 @@ from chainedboards.triangles import MonotoneTriangleChain
 from tests.reference import (
     admissible_compositions,
     canonical_placement,
+    composition,
     is_admissible_composition,
     maximum_compositions,
 )
@@ -257,7 +258,7 @@ def test_canonical_placement_every_admissible_composition():
             for comp in admissible_compositions(board, m):
                 p = canonical_placement(board, comp)
                 assert not placement_problems(p), (board, comp)
-                assert p.composition() == comp
+                assert composition(p) == comp
 
 
 def test_canonical_placement_rejects_inadmissible():

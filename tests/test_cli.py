@@ -532,6 +532,34 @@ def test_verify_tables_runs_every_cell_on_an_infinite_budget(capsys):
     assert code == 0 and err == "" and "\tskip\t" not in out
 
 
+def test_verify_tables_on_a_zero_budget_skips_every_table_cell_loudly(capsys):
+    code, out, err = run(capsys, "verify-tables", "--max-n", "2", "--max-k", "2", "--budget-seconds", "0")
+    assert code == 0
+    asm_rows = [line.split("\t") for line in out.splitlines() if line.startswith("chained-asm\t")]
+    assert len(asm_rows) == 8  # linear and circular, n and k in 1..2
+    assert all(row[6] == "-" and row[8] == "skip" for row in asm_rows)
+    assert err.splitlines() == [f"skipped chained-asm {row[1]} n={row[2]} k={row[3]}" for row in asm_rows]
+
+
+def test_verify_tables_exits_1_on_a_wrong_table_count(capsys, monkeypatch):
+    from chainedboards import verify
+
+    (board, expected), *rest = verify.TABLE_CELLS
+    monkeypatch.setattr(verify, "TABLE_CELLS", ((board, expected + 1), *rest))
+    code, out, err = run(capsys, "verify-tables", "--max-n", "1", "--max-k", "1")
+    assert code == 1
+    assert f"chained-asm\tlinear\t1\t1\t1\t{expected + 1}\t{expected}\tpaper-table\tfail\t" in out
+    assert err == f"FAIL chained-asm linear n=1 k=1: expected {expected + 1}, got {expected}\n"
+
+
+def test_validate_reports_a_malformed_ice_payload_without_a_traceback(tmp_path, capsys):
+    src = tmp_path / "doc.json"
+    src.write_text(json.dumps({"family": "ice", "shape": "circular", "n": 1, "k": 2, "orientation": 5}))
+    code, out, err = run(capsys, "validate", "--in", str(src))
+    assert code == 1 and out == "invalid\n"
+    assert err.startswith("error: malformed ice payload: ") and "Traceback" not in err
+
+
 def test_validate_prints_the_first_20_problems_and_counts_the_rest(tmp_path, capsys):
     with pytest.raises(ValidationError) as info:
         deserialize(ALL_ONES_20)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import count_max
-from chainedboards.matchings import ChainGraph, from_matching, matching_problems, to_matching
+from chainedboards.errors import ValidationError
+from chainedboards.matchings import ChainGraph, ChainMatching, from_matching, matching_problems, to_matching
 from chainedboards.perms import from_one_line, parse_one_line, placement_to_matrices
 from chainedboards.placements import enumerate_placements
 from tests.reference import enumerate_matchings, matching_kind
@@ -17,10 +20,10 @@ def test_chain_graph_shape():
     g = ChainGraph(circular(2, 2))
     assert len(list(g.vertices())) == 4
     assert len(list(g.edges())) == 8  # parallel edges kept distinct
-    assert not any(g.is_loop(e) for e in g.edges())
+    assert not any(u == v for u, v in map(g.endpoints, g.edges()))
 
     loops = ChainGraph(circular(2, 1))
-    assert [e for e in loops.edges() if loops.is_loop(e)] == [(1, 1, 1), (1, 2, 2)]
+    assert [e for e in loops.edges() if len(set(loops.endpoints(e))) == 1] == [(1, 1, 1), (1, 2, 2)]
 
     lin = ChainGraph(linear(3, 2))
     assert len(list(lin.vertices())) == 9
@@ -33,6 +36,13 @@ def test_matching_round_trip_exhaustive():
             m = to_matching(cp)
             assert not matching_problems(m), matching_problems(m)
             assert from_matching(m) == cp
+
+
+def test_from_matching_refuses_an_invalid_matching():
+    bad = ChainMatching(ChainGraph(linear(2, 2)), ((1, 1, 1), (2, 1, 1)))
+    with pytest.raises(ValidationError, match="^invalid chain matching$") as info:
+        from_matching(bad)
+    assert info.value.problems == ["vertex (1, 1) is covered twice"]
 
 
 def test_matching_kinds():

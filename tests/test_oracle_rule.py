@@ -1,6 +1,7 @@
 """The oracle rule, the caller rule and the built rule, read off the source:
-an oracle shares no logic with what it checks, every exported name has a
-caller, and only a pinned set of sites builds objects without their checks."""
+an oracle shares no logic with what it checks, every exported name and
+every public method has a caller, and only a pinned set of sites builds
+objects without their checks."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 import chainedboards
 
@@ -94,13 +97,69 @@ def test_every_exported_function_or_class_has_a_caller_in_the_library():
     assert set(CALLER_RULE_PINNED) <= public - used  # a pinned name that gains a use leaves the set
 
 
+# every public method and property of a library class, keyed by class:
+# (module, function) of a library function that reads ``.name``, or the
+# reason the method stays without one
+METHOD_CALLERS = {
+    "BoardSpec.circular": ("placements", "_search"),
+    "BoardSpec.squares": ("placements", "_search"),
+    "GridGraph.vertices": ("rendering", "_grid_dot"),
+    "GridGraph.edges": "the canonical edge order, which IceConfiguration.heads follows;"
+    " tests/reference.py reads it there, since it may read no private name",
+    "ChainGraph.vertex_rows": ("matchings", "ChainGraph.vertices"),
+    "ChainGraph.vertices": ("rendering", "_chain_graph_dot"),
+    "ChainGraph.edges": ("rendering", "_chain_graph_dot"),
+    "ChainGraph.endpoints": ("matchings", "matching_problems"),
+    "RookPlacement.m": ("perms", "placement_to_matrices"),
+    "VerificationRecord.row": ("verify", "VerificationReport.to_tsv"),
+    "VerificationReport.to_tsv": ("cli", "_cmd_verify_tables"),
+    "VerificationReport.failures": ("cli", "_cmd_verify_tables"),
+    "VerificationReport.skipped": ("cli", "_cmd_verify_tables"),
+}
+
+
+def _definition(module: str, qualname: str) -> ast.AST:
+    """The function (or method, as ``Class.name``) ``qualname`` of a library module."""
+    node = ast.parse((SRC / f"{module}.py").read_text())
+    for part in qualname.split("."):
+        (node,) = [
+            sub for sub in node.body
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub.name == part
+        ]
+    return node
+
+
+def test_every_public_method_has_a_caller_or_a_pin():
+    """The caller rule for methods, by class: a name that another class's
+    method or a local variable shares cannot stand in for a caller."""
+    methods = {
+        f"{top.name}.{node.name}"
+        for path in SRC.glob("*.py")
+        for top in ast.parse(path.read_text()).body if isinstance(top, ast.ClassDef)
+        for node in top.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    unlisted = sorted(methods - set(METHOD_CALLERS))
+    assert not unlisted, f"public methods with neither a library caller nor a pin: {unlisted}"
+    assert sorted(set(METHOD_CALLERS) - methods) == []  # a deleted method leaves the table
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_CALLERS))
+def test_the_named_caller_reads_the_method(method):
+    caller = METHOD_CALLERS[method]
+    if isinstance(caller, str):
+        assert caller.strip(), f"{method} is pinned without a reason"
+        return
+    name = method.split(".")[1]
+    reads = {sub.attr for sub in ast.walk(_definition(*caller)) if isinstance(sub, ast.Attribute)}
+    assert name in reads, f"{'.'.join(caller)} does not read .{name}"
+
+
 # (module, function, class) of each call of ``boards._built``, which skips a
 # constructor's checks: each site assembles its object from parts it made
 # and checked itself, and tests/test_built.py checks what each one emits
 BUILT_SITES = [
     ("asm", "enumerate_chained_asm", "ChainedASM"),
     ("perms", "_with_ones", "ChainedPermutation"),
-    ("perms", "from_one_line", "ChainedPermutation"),
     ("placements", "enumerate_placements", "RookPlacement"),
 ]
 

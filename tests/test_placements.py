@@ -109,14 +109,14 @@ def test_count_matches_enumeration_length():
 
 
 def test_enumeration_composition_set_matches_admissible():
-    from tests.reference import admissible_compositions
+    from tests.reference import admissible_compositions, composition
 
     for ctor in (linear, circular):
         for n in range(1, 4):
             for k in range(1, 5):
                 board = ctor(n, k)
                 for m in range(max_rooks(board) + 1):
-                    seen = {p.composition() for p in enumerate_placements(board, m)}
+                    seen = {composition(p) for p in enumerate_placements(board, m)}
                     assert seen == set(admissible_compositions(board, m)), (board, m)
 
 

@@ -7,7 +7,7 @@ import pytest
 from chainedboards.asm import PlainASM, enumerate_chained_asm
 from chainedboards.boards import circular, linear
 from chainedboards.errors import UnsupportedDomainError
-from chainedboards.ice import GridGraph, to_fpl, to_ice
+from chainedboards.ice import GridGraph, _grid, to_fpl, to_ice
 from chainedboards.matchings import ChainGraph, ChainMatching, to_matching
 from chainedboards.perms import from_one_line, parse_one_line
 from chainedboards.rendering import render
@@ -61,7 +61,7 @@ def test_dot_ice_has_two_in_per_interior_vertex():
     indeg: dict[str, int] = {}
     for h in heads:
         indeg[h] = indeg.get(h, 0) + 1
-    for v in ice.graph.interior_vertices():
+    for v in _grid(ice.graph.n, ice.graph.k).interior:
         assert indeg[vertex_to_str(v)] == 2
     # identifiers survive the string form
     for h in heads:

@@ -29,6 +29,7 @@ from chainedboards.serialization import (
     edge_to_str,
     family_of,
     serialize,
+    str_to_edge,
     vertex_to_str,
 )
 from chainedboards.triangles import to_monotone_triangles
@@ -224,6 +225,12 @@ def test_permutation_asm_documents_distinct():
 def test_malformed_documents_raise_parse_errors(text):
     with pytest.raises(ParseError):
         deserialize(text)
+
+
+@pytest.mark.parametrize("text", ["h:1,2", "bl:1,1,1", "x:1,1"])
+def test_edge_ids_of_another_length_or_kind_are_parse_errors(text):
+    with pytest.raises(ParseError, match=f"^bad edge id '{text}'$"):
+        str_to_edge(text)
 
 
 def test_grid_graph_document_with_odd_k_is_invalid():

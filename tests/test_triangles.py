@@ -5,7 +5,7 @@ from operator import add
 
 import pytest
 
-from chainedboards.asm import enumerate_chained_asm, permutation_to_asm, rotate_half, to_plain_asm
+from chainedboards.asm import ChainedASM, enumerate_chained_asm, permutation_to_asm, rotate_half, to_plain_asm
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.perms import placement_to_matrices
@@ -145,6 +145,25 @@ def test_validator_rejects_non_strict_rows():
 def test_validator_rejects_broken_interlacing():
     bad = MonotoneTriangleChain(2, 2, (((4,), (1, 3)),))
     assert any("interlace" in p for p in mt_chain_problems(bad))
+
+
+def test_validator_names_a_row_of_the_wrong_length():
+    bad = MonotoneTriangleChain(2, 2, (((1,), (1, 2, 3)),))
+    assert "triangle 1 row 2 has 3 entries" in mt_chain_problems(bad)
+
+
+def test_validator_names_entries_outside_the_range():
+    bad = MonotoneTriangleChain(2, 2, (((5,), (0, 4)),))
+    problems = mt_chain_problems(bad)
+    assert "triangle 1 row 1 has entries outside 1..4" in problems
+    assert "triangle 1 row 2 has entries outside 1..4" in problems
+
+
+def test_to_monotone_triangles_refuses_an_invalid_chained_asm():
+    # both 1s of circular(1, 2) glue into one row, which then marks two columns
+    bad = ChainedASM(circular(1, 2), (((1,),), ((1,),)))
+    with pytest.raises(ValidationError, match="^row 1 marks 2 columns; input is not a valid chained ASM$"):
+        to_monotone_triangles(bad)
 
 
 def test_domain_restrictions():
