@@ -20,8 +20,9 @@ All coordinates are 1-based.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InputDomainError, clip
 
@@ -51,13 +52,6 @@ class BoardSpec:
     @property
     def circular(self) -> bool:
         return self.shape is Shape.CIRCULAR
-
-    def squares(self) -> Iterator[Square]:
-        """All squares in (board, row, col) order."""
-        for b in range(1, self.k + 1):
-            for r in range(1, self.n + 1):
-                for c in range(1, self.n + 1):
-                    yield Square(b, r, c)
 
 
 def linear(n: int, k: int) -> BoardSpec:
@@ -174,15 +168,21 @@ def max_rooks(board: BoardSpec) -> int:
 Composition = tuple[int, ...]
 
 
-def suffix_bound_table(board: BoardSpec) -> list[list[list[int]]]:
+def suffix_bound_table(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """``bound[b][prev][a1]``: the most rooks boards b..k can hold when board
     b-1 holds ``prev`` and, circularly, board 1 holds ``a1`` (0 for b > k).
 
     Only the caps a_{i-1} + a_i <= n and, on the last board of a circular
     chain, a_k + a_1 <= n are used, so for partial placements it is an upper
-    bound.  Index b runs over 1..k+1; prev and a1 over 0..n.
+    bound.  Index b runs over 1..k+1; prev and a1 over 0..n.  The tables of
+    the boards used last are kept, so callers read them and never write.
     """
-    _check_board(board)
+    _check_board(board)  # before the cache, which cannot hash every non-board
+    return _suffix_bound(board)
+
+
+@functools.lru_cache(maxsize=32)  # bounded: a table holds (k + 2)(n + 1)^2 ints
+def _suffix_bound(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
     n, k = board.n, board.k
     bound = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(k + 2)]
     for b in range(k, 0, -1):
@@ -192,4 +192,4 @@ def suffix_bound_table(board: BoardSpec) -> list[list[list[int]]]:
                 if board.circular and b == k:
                     hi = min(hi, n - a1)
                 bound[b][prev][a1] = max(a + bound[b + 1][a][a1] for a in range(hi + 1))
-    return bound
+    return tuple(tuple(map(tuple, table)) for table in bound)

@@ -8,14 +8,16 @@ the total number of 1s is the board's maximum rook count.  These are the
 chained ASM conditions restricted to 0/1 entries, so
 ``asm.chained_asm_problems`` is their check.
 
-Matrices are tuples of row tuples.  ``_with_ones`` builds every chained
-permutation the library makes, with a 1 on each of a set of squares and
-rows shared from one table per n: the zero row and the n unit rows.  Its
-squares are checked before it sees them, by the placement search or by the
-check of the placement, matching or one-line notation they come from (the
-squares (l, i, v) of a block's nonzero entries), so it builds its result
-without the constructor's walk (``boards._built``); the constructor walks
-every entry it is given, and keeps tuple input as is.
+Matrices are tuples of row tuples.  The library's chained permutations
+share their rows from one table per n: the zero row and the n unit rows.
+``enumerate_chained_permutations`` takes each board's matrix as the
+placement search's option for that board carries it, built once per
+option.  ``_with_ones`` builds the others, with a 1 on each of a set of
+squares checked before it sees them, by the check of the placement,
+matching or one-line notation they come from (the squares (l, i, v) of a
+block's nonzero entries).  Both build their result without the
+constructor's walk (``boards._built``); the constructor walks every entry
+it is given, and keeps tuple input as is.
 
 One-line notation records, per row of each matrix, the column of its 1 (0
 for an empty row).  Blocks are joined by dashes and written with a trailing
@@ -122,10 +124,13 @@ def _with_ones(board: BoardSpec, squares) -> ChainedPermutation:
 
 def enumerate_chained_permutations(board: BoardSpec) -> Iterator[ChainedPermutation]:
     """Every chained permutation of ``board``, each exactly once, in the
-    lexicographic order of its maximum placement: the placement search's
-    squares, with a 1 on each, and no ``RookPlacement`` made between."""
-    for chosen in _search(board, max_rooks(board)):
-        yield _with_ones(board, chosen)
+    lexicographic order of its maximum placement: the k matrices of the
+    placement search's per-board options, with no ``RookPlacement`` made
+    between."""
+    m = max_rooks(board)
+    rows = _unit_rows(board.n)
+    for path in _search(board, m, lambda b, cols: tuple(map(rows.__getitem__, cols))):
+        yield _built(ChainedPermutation, board=board, matrices=tuple(path))
 
 
 def _ones(cp: ChainedPermutation) -> Iterator[Square]:

@@ -1,13 +1,15 @@
 """Rook placements on chained boards: validation and brute-force enumeration.
 
-The enumerator is an independent oracle for the counting formulas: it walks
-cells in (board, row, col) order and backtracks, so placements stream out in
-lexicographic order of their sorted square lists.
+The enumerator is an independent oracle for the counting formulas.  Boards
+interact only through line sets, so it searches board by board: each board's
+options are its partial permutations, row by row, and placements stream out
+in lexicographic order of their sorted square lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .boards import (
@@ -48,91 +50,144 @@ def placement_problems(p: RookPlacement) -> list[str]:
     return [] if len(set(lines)) == len(lines) else ["placement has attacking rooks"]
 
 
-def _search(board: BoardSpec, m: int) -> Iterator[list[Square]]:
-    """The squares of every valid m-rook placement, each exactly once, in
-    lexicographic order: once, empty, for m = 0.
+def _options(n: int, b: int, banned: int, counts: int, payload, self_chained: bool = False) -> Iterator[tuple]:
+    """The partial permutations of board ``b`` whose columns avoid the bits
+    of ``banned`` (bit c is column c) and whose rook count c is a bit of
+    ``counts``, in search order: row r's squares by column, then row r left
+    empty, for r = 1..n.  With ``self_chained`` (circular k = 1) the
+    board's columns also avoid its own rows.
 
-    Each leaf is the search's own list of squares of ``board.squares()``,
-    in increasing order and without two attacking rooks; the search changes
-    it after the yield, so a caller copies what it keeps."""
+    Each is ``(payload(b, cols), rows, columns, count)``, with ``cols`` the
+    column of each row's rook (0 for none) and rows and columns as bit sets.
+    An explicit stack holds one frame per row that holds a rook, so n is not
+    bounded by Python's recursion limit."""
+    # columns open at the start; a rook closes its own and, self-chained, its row's too
+    per = 2 if self_chained else 1
+    lines = n - banned.bit_count()
+    cols = [0] * n
+    rows = used = count = 0
+
+    def fits(r: int, c: int) -> bool:  # c rooks before row r can still reach a count of counts
+        room = min(n - r + 1, (lines - per * c) // per)
+        return room >= 0 and counts >> c & (2 << room) - 1 != 0
+
+    def frame(r: int) -> list:  # row r and the columns its rook may take
+        if not fits(r + 1, count + 1) or self_chained and used >> r & 1:
+            return [r, iter(())]
+        closed = banned | used | (rows | 1 << r if self_chained else 0)
+        return [r, iter([c for c in range(1, n + 1) if not closed >> c & 1])]
+
+    stack = [frame(1)] if fits(1, 0) else []
+    while stack:
+        top = stack[-1]
+        r, todo = top
+        c = cols[r - 1]
+        if c:  # take back the rook of the column tried last
+            cols[r - 1] = 0
+            rows ^= 1 << r
+            used ^= 1 << c
+            count -= 1
+        for c in todo:
+            cols[r - 1] = c
+            rows |= 1 << r
+            used |= 1 << c
+            count += 1
+            if r == n:
+                yield payload(b, tuple(cols)), rows, used, count
+            else:
+                stack.append(frame(r + 1))
+            break
+        else:  # row r is left empty
+            if not fits(r + 1, count):
+                stack.pop()
+            elif r == n:
+                yield payload(b, tuple(cols)), rows, used, count
+                stack.pop()
+            else:
+                top[:] = frame(r + 1)
+
+
+def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
+    """Every valid m-rook placement, each exactly once, in lexicographic
+    order of its squares: once, with every board empty, for m = 0.
+
+    Boards interact only through line sets: board b's columns avoid the rows
+    of board b - 1 and, on a circular chain, board k's rows avoid board 1's
+    columns.  So a placement is one partial permutation per board, and the
+    order is a nested product of each board's options (``_options``).
+    Board 1's options are streamed.  A later board's are listed on first
+    use, by the rows of the board before it, and the last board's also by
+    the rook count it must hold; board 1's columns filter the last board's
+    on a circular chain.  ``suffix_bound_table`` prunes the counts.
+
+    Each leaf is the search's own list of every board b's ``payload(b,
+    cols)``; the search changes it after the yield, so a caller copies what
+    it keeps.  An explicit stack holds one frame per board, so k is not
+    bounded by Python's recursion limit."""
     _check_board(board)
     if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     n, k = board.n, board.k
     circ = board.circular
-    suffix_bound = suffix_bound_table(board)
-
-    # each row's squares with their two lines, worked out once; a square
-    # whose two lines coincide attacks itself and is left out
-    cells: dict[tuple[int, int], list] = {}
-    for s in board.squares():
-        row_line, col_line = rook_lines(board, s)
-        if row_line != col_line:
-            cells.setdefault((s.board, s.row), []).append((s, row_line, col_line))
-    held: set = set()  # the lines of the rooks placed so far
-    counts = [0] * (k + 1)  # rooks per board, 1-based; board 0 stays empty
-    chosen: list[Square] = []
-    taken: list[tuple] = []  # the cells of the rooks in chosen
-    # every row in order with its squares; row n + 1 of each board has none,
-    # so capacity is checked on either side of a board's end
-    rows = [(b, r, cells.get((b, r), ())) for b in range(1, k + 1) for r in range(1, n + 2)]
-
-    def capacity(idx: int) -> int:
-        """Upper bound on rooks still placeable from row ``idx`` on."""
-        b, r, _ = rows[idx]
-        cur = counts[b]
-        room = min(n - r + 1, n - counts[b - 1] - cur)
-        if circ and b == k:
-            room = min(room, n - counts[1] - cur)
-        room = max(room, 0)
-        # bounding room and the suffix independently keeps this an over-estimate
-        later = suffix_bound[b + 1][cur][counts[1] if circ else 0]
-        return room + later
-
-    if m == 0:
-        yield chosen
-    # frames [row index, rooks before it, iterator of the row's next options]:
-    # a row's options are its squares in column order, then leaving it empty
-    stack = [[0, 0, iter(rows[0][2])]] if 0 < m <= capacity(0) else []
+    if k == 1:
+        for part, *_ in _options(n, 1, 0, 1 << m, payload, circ):
+            yield [part]
+        return
+    bound = suffix_bound_table(board)
+    first = sum(1 << a for a in range(min(m, n) + 1) if a + bound[2][a][a if circ else 0] >= m)
+    middle: dict[tuple[int, int], list] = {}  # (b, rows of board b - 1) -> board b's options
+    last: dict[tuple[int, int], list] = {}  # (rows of board k - 1, count) -> board k's options
+    path = [None] * k
+    done = [0] * k  # done[b]: the rooks on boards 1..b of the path
+    counts = [-1] * k  # the counts each board's frame may take; board 1's stream takes no other
+    a1 = cols1 = 0  # board 1's count and columns
+    stack = [_options(n, 1, 0, first, payload)]  # board b's options, b = len(stack)
     while stack:
-        idx, placed, todo = stack[-1]
-        if len(chosen) > placed:  # take back the rook of the option tried last
-            _, row_line, col_line = taken.pop()
-            counts[chosen.pop().board] -= 1
-            held.discard(col_line)
-            held.discard(row_line)
-        for cell in todo:
-            s, row_line, col_line = cell
-            if row_line in held or col_line in held:
+        b = len(stack)
+        for part, rows, cols, a in stack[-1]:
+            if not counts[b - 1] >> a & 1:
                 continue
-            held.add(row_line)
-            held.add(col_line)
-            counts[s.board] += 1
-            chosen.append(s)
-            taken.append(cell)
-            if placed + 1 == m:
-                yield chosen
-            elif placed + 1 + capacity(idx + 1) >= m:
-                stack.append([idx + 1, placed + 1, iter(rows[idx + 1][2])])
+            path[b - 1] = part
+            if b == 1:
+                a1, cols1 = a, cols
+            total = done[b - 1] + a
+            if b == k - 1:
+                key = rows, m - total
+                if key not in last:
+                    last[key] = list(_options(n, k, rows, 1 << m - total, payload))
+                for part_k, rows_k, _, _ in last[key]:
+                    if not (circ and rows_k & cols1):
+                        path[k - 1] = part_k
+                        yield path
+                continue
+            done[b] = total
+            key = b + 1, rows
+            if key not in middle:
+                middle[key] = list(_options(n, b + 1, rows, -1, payload))
+            counts[b] = sum(1 << c for c in range(min(m - total, n) + 1)
+                            if total + c + bound[b + 2][c][a1 if circ else 0] >= m)
+            stack.append(iter(middle[key]))
             break
-        else:  # the row is left empty: the frame moves on to the next row
-            if idx + 1 < len(rows) and placed + capacity(idx + 1) >= m:
-                stack[-1] = [idx + 1, placed, iter(rows[idx + 1][2])]
-            else:
-                stack.pop()
+        else:
+            stack.pop()
+
+
+def _squares(b: int, cols: tuple[int, ...]) -> tuple[Square, ...]:
+    """The squares of board b's rooks, one in each row r with a column cols[r - 1]."""
+    return tuple([Square(b, r, c) for r, c in enumerate(cols, start=1) if c])
 
 
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     """All valid m-rook placements, each exactly once, in lexicographic order.
 
     The search makes their squares valid, so they skip ``RookPlacement``'s checks."""
-    for chosen in _search(board, m):
-        yield _built(RookPlacement, board=board, squares=tuple(chosen))
+    for path in _search(board, m, _squares):
+        yield _built(RookPlacement, board=board, squares=tuple(chain.from_iterable(path)))
 
 
 def count_placements_brute(board: BoardSpec, m: int) -> int:
     """Length of the enumerate_placements stream, counted without building it."""
-    return sum(1 for _ in _search(board, m))
+    return sum(1 for _ in _search(board, m, lambda b, cols: None))
 
 
 __all__ = [

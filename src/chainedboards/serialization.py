@@ -202,8 +202,13 @@ class Family(NamedTuple):
 _row_text = functools.lru_cache(maxsize=1024)(json.dumps)  # every row of an ASM with n <= 10
 
 
+@functools.lru_cache(maxsize=256)  # bounded: the chained permutations' options share their matrices
+def _matrix_text(mat) -> str:
+    return "[" + ", ".join(map(_row_text, mat)) + "]"
+
+
 def _matrices_text(matrices) -> str:
-    return "[" + ", ".join(["[" + ", ".join(map(_row_text, mat)) + "]" for mat in matrices]) + "]"
+    return "[" + ", ".join(map(_matrix_text, matrices)) + "]"
 
 
 _BOTH = ("linear", "circular")

@@ -12,13 +12,16 @@
   the chained grid graph and its boundary rules as the paper draws them, for ``ice._grid``;
 - ``enumerate_ice``: a grid-graph orientation search, for ``to_ice``;
 - ``enumerate_fpl``: a grid-graph subgraph search, for ``to_fpl``;
-- ``ice_problems``, ``fpl_problems``: the ice and FPL checks edge by edge.
+- ``ice_problems``, ``fpl_problems``: the ice and FPL checks edge by edge;
+- ``row_search``: the placement search row by row across the whole chain, for
+  the order of the board-by-board search in ``enumerate_placements``.
 
 Library functions that only the tests call, moved here by the caller rule:
 
 - ``is_admissible_composition``: whether a composition arises from some placement;
 - ``canonical_placement``: a placement witnessing an admissible composition;
 - ``composition``: a placement's rooks per board, the paper's composition of it;
+- ``board_squares``: every square of a board, in (board, row, col) order;
 - ``matching_kind``: the kind of chain-graph matching a board's permutations are;
 - ``asm_sum_composition``: a chained ASM's per-matrix sums;
 - ``split_linear_odd``, ``join_linear_odd``: a linear odd-k chained ASM as (k+1)/2 plain ASMs;
@@ -53,6 +56,8 @@ from chainedboards.boards import (
     Shape,
     Square,
     max_rooks,
+    rook_lines,
+    suffix_bound_table,
 )
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.ice import EdgeId as GridEdge
@@ -436,6 +441,77 @@ def fpl_problems(f: FPLConfiguration) -> list[str]:
         if deg != 2:
             problems.append(f"interior vertex {v} has degree {deg}, not 2")
     return problems
+
+
+def row_search(board: BoardSpec, m: int) -> Iterator[tuple[Square, ...]]:
+    """The squares of every valid m-rook placement, in lexicographic order:
+    a walk over the rows of the whole chain in order, each trying its
+    squares by column and then being left empty, with one frame per row
+    that holds a rook on its own stack.  It counts rooks per board only to
+    prune by ``suffix_bound_table``, and shares nothing else with the
+    board-by-board search."""
+    n, k = board.n, board.k
+    circ = board.circular
+    suffix_bound = suffix_bound_table(board)
+    # each row's squares with their two lines; a square whose lines coincide attacks itself
+    cells: dict[tuple[int, int], list] = {}
+    for s in board_squares(board):
+        row_line, col_line = rook_lines(board, s)
+        if row_line != col_line:
+            cells.setdefault((s.board, s.row), []).append((s, row_line, col_line))
+    held: set = set()
+    counts = [0] * (k + 1)  # rooks per board, 1-based; board 0 stays empty
+    chosen: list[Square] = []
+    taken: list[tuple] = []
+    # row n + 1 of each board has no squares, so capacity is checked at each board's end
+    rows = [(b, r, cells.get((b, r), ())) for b in range(1, k + 1) for r in range(1, n + 2)]
+
+    def capacity(idx: int) -> int:
+        """Upper bound on rooks still placeable from row ``idx`` on."""
+        b, r, _ = rows[idx]
+        cur = counts[b]
+        room = min(n - r + 1, n - counts[b - 1] - cur)
+        if circ and b == k:
+            room = min(room, n - counts[1] - cur)
+        return max(room, 0) + suffix_bound[b + 1][cur][counts[1] if circ else 0]
+
+    if m == 0:
+        yield ()
+    stack = [[0, 0, iter(rows[0][2])]] if 0 < m <= capacity(0) else []
+    while stack:
+        idx, placed, todo = stack[-1]
+        if len(chosen) > placed:  # take back the rook of the option tried last
+            _, row_line, col_line = taken.pop()
+            counts[chosen.pop().board] -= 1
+            held.discard(col_line)
+            held.discard(row_line)
+        for cell in todo:
+            s, row_line, col_line = cell
+            if row_line in held or col_line in held:
+                continue
+            held.add(row_line)
+            held.add(col_line)
+            counts[s.board] += 1
+            chosen.append(s)
+            taken.append(cell)
+            if placed + 1 == m:
+                yield tuple(chosen)
+            elif placed + 1 + capacity(idx + 1) >= m:
+                stack.append([idx + 1, placed + 1, iter(rows[idx + 1][2])])
+            break
+        else:  # the row is left empty
+            if idx + 1 < len(rows) and placed + capacity(idx + 1) >= m:
+                stack[-1] = [idx + 1, placed, iter(rows[idx + 1][2])]
+            else:
+                stack.pop()
+
+
+def board_squares(board: BoardSpec) -> Iterator[Square]:
+    """All squares of ``board`` in (board, row, col) order."""
+    for b in range(1, board.k + 1):
+        for r in range(1, board.n + 1):
+            for c in range(1, board.n + 1):
+                yield Square(b, r, c)
 
 
 def is_admissible_composition(board: BoardSpec, parts: Composition) -> bool:

@@ -25,6 +25,7 @@ from chainedboards.rendering import render
 from chainedboards.triangles import MonotoneTriangleChain
 from tests.reference import (
     admissible_compositions,
+    board_squares,
     canonical_placement,
     composition,
     is_admissible_composition,
@@ -78,7 +79,7 @@ def test_attacks_circular_wrap_and_self():
 
 def test_attacks_symmetry_exhaustive():
     for board in [linear(3, 3), circular(3, 3), circular(2, 1), circular(2, 2)]:
-        squares = list(board.squares())
+        squares = list(board_squares(board))
         for s, t in itertools.combinations(squares, 2):
             assert attacks(board, s, t) == attacks(board, t, s)
 

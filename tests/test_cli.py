@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 from chainedboards.asm import ChainedASM, chained_asm_problems, enumerate_chained_asm, permutation_to_asm
-from chainedboards.boards import circular, linear, max_rooks
+from chainedboards.boards import Square, circular, linear, max_rooks
 from chainedboards.cli import _BLOCK, _print_problems, build_parser, main
 from chainedboards.errors import ValidationError
 from chainedboards.ice import to_fpl, to_ice
 from chainedboards.matchings import to_matching
 from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
-from chainedboards.placements import enumerate_placements
+from chainedboards.placements import enumerate_placements, placement_problems
 from chainedboards.serialization import FAMILIES, deserialize, family_of, serialize
 from chainedboards.triangles import to_monotone_triangles
 from tests.worked_examples import (
@@ -614,6 +614,19 @@ def test_search_reaches_past_the_recursion_limit(capsys, family, n, k, cls):
     assert len(doc.matrices) == int(k) and chained_asm_problems(doc) == []
     if family == "perms":
         assert run(capsys, "count", *argv, "--method", "brute") == (0, "601\n", "")
+
+
+def test_search_reaches_past_the_recursion_limit_in_n(capsys):
+    # board 1's options are streamed from a stack of one frame per row, and
+    # its n * n squares are never listed
+    argv = ("enumerate", "--family", "perms", "--shape", "linear", "-n", "1100", "-k", "1", "--limit", "1")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.count("\n") == 1
+    doc = deserialize(out)
+    assert type(doc) is ChainedPermutation and doc.board == linear(1100, 1)
+    assert all(row[i] == 1 and sum(row) == 1 for i, row in enumerate(doc.matrices[0]))
+    first = next(enumerate_placements(linear(1100, 1), 1))
+    assert first.squares == (Square(1, 1, 1),) and placement_problems(first) == []
 
 
 def test_enumerate_failing_before_its_first_document_writes_no_file(tmp_path, capsys):

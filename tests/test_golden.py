@@ -15,6 +15,8 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from chainedboards.asm import enumerate_chained_asm
 from chainedboards.boards import circular, linear
 from chainedboards.cli import main
@@ -88,6 +90,40 @@ def test_enumerate_streams_are_pinned():
     ]
     assert len(runs) == 21
     assert _digest(runs) == "aaba3610dc6c59821c37544bad16e0186f867c1f433afe71b6460aefad105c55"
+
+
+def _enumerate(family: str, shape: str, n: int, k: int, *more: str) -> list[str]:
+    return ["enumerate", "--family", family, "--shape", shape, "-n", str(n), "-k", str(k), *more]
+
+
+# streams where a board-by-board search departs most from a row-by-row one,
+# pinned from the row search: a circular board chained to itself (k = 1),
+# the circular chain's closing constraint, every m of one cell, and
+# 500-document prefixes of streams whose board 1 has 8! and 1546 options
+BOARD_WISE_RUNS = {
+    "circular k = 1": (
+        [_enumerate("perms", "circular", n, 1) for n in (4, 5)],
+        "fa89090418f927abd52f06bee4309ca3f9103b9d13233d98935ffd236e6da6a4",
+    ),
+    "closing": (
+        [_enumerate("perms", "circular", 5, 2)],
+        "dc26894197eeefa48ecd1f8d3713be77c9ba86da953ad352e55003a726777e0d",
+    ),
+    "every m": (
+        [_enumerate("placements", "linear", 2, 3, "-m", str(m)) for m in range(7)],
+        "cca6c79048ecd77b7b63e49964ad5546c7f955a66bb9dd48ccc5423729640d9a",
+    ),
+    "prefixes": (
+        [_enumerate("perms", "linear", n, k, "--limit", "500") for n, k in ((8, 1), (6, 2))],
+        "fdc15ecc992c8868aa2f487772351573b4feab12c0755e5bd94dabd2f0a5dcae",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BOARD_WISE_RUNS)
+def test_board_wise_streams_are_pinned(name):
+    runs, digest = BOARD_WISE_RUNS[name]
+    assert _digest(runs) == digest
 
 
 def test_verify_tables_reports_are_pinned():

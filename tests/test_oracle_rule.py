@@ -19,6 +19,8 @@ REFERENCE = Path(__file__).parent / "reference.py"
 
 # what the transfer-matrix count runs; the enumerators it is checked against must not
 TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_count_walks"}
+# what the composition walk of count_placements_formula runs; the placement searches must not
+WALK_NAMES = {"_composition_steps", "_count_walks", "falling_factorial"}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -51,17 +53,21 @@ def test_reference_imports_no_private_library_name():
 
 
 def test_enumerators_do_not_use_the_transfer_matrix_walk():
-    for module, function in [
-        ("asm.py", "enumerate_chained_asm"),
-        ("placements.py", "enumerate_placements"),
-        ("placements.py", "_search"),
-        ("perms.py", "enumerate_chained_permutations"),
+    for path, function in [
+        (SRC / "asm.py", "enumerate_chained_asm"),
+        (SRC / "placements.py", "enumerate_placements"),
+        (SRC / "placements.py", "count_placements_brute"),
+        (SRC / "placements.py", "_search"),
+        (SRC / "placements.py", "_options"),
+        (SRC / "placements.py", "_squares"),
+        (SRC / "perms.py", "enumerate_chained_permutations"),
+        (REFERENCE, "row_search"),
     ]:
-        tree = ast.parse((SRC / module).read_text())
+        tree = ast.parse(path.read_text())
         (found,) = [
             node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
         ]
-        assert not _names(found) & TRANSFER_NAMES, function
+        assert not _names(found) & (TRANSFER_NAMES | WALK_NAMES), function
 
 
 # public names with no caller in the library, each kept for a reason
@@ -102,7 +108,6 @@ def test_every_exported_function_or_class_has_a_caller_in_the_library():
 # reason the method stays without one
 METHOD_CALLERS = {
     "BoardSpec.circular": ("placements", "_search"),
-    "BoardSpec.squares": ("placements", "_search"),
     "GridGraph.vertices": ("rendering", "_grid_dot"),
     "GridGraph.edges": "the canonical edge order, which IceConfiguration.heads follows;"
     " tests/reference.py reads it there, since it may read no private name",
@@ -160,6 +165,7 @@ def test_the_named_caller_reads_the_method(method):
 BUILT_SITES = [
     ("asm", "enumerate_chained_asm", "ChainedASM"),
     ("perms", "_with_ones", "ChainedPermutation"),
+    ("perms", "enumerate_chained_permutations", "ChainedPermutation"),
     ("placements", "enumerate_placements", "RookPlacement"),
 ]
 

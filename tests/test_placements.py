@@ -13,13 +13,13 @@ from chainedboards.placements import (
     enumerate_placements,
     placement_problems,
 )
-from tests.reference import canonical_placement
+from tests.reference import board_squares, canonical_placement, row_search
 
 
 def brute_enumerate(board, m):
     """Oracle: filter all m-subsets of squares through placement_problems."""
     out = []
-    for combo in itertools.combinations(board.squares(), m):
+    for combo in itertools.combinations(board_squares(board), m):
         p = RookPlacement(board, combo)
         if not placement_problems(p):
             out.append(p.squares)
@@ -63,7 +63,7 @@ RULE_BOARDS = [
 
 @pytest.mark.parametrize("board", RULE_BOARDS, ids=lambda b: f"{b.shape.value}({b.n},{b.k})")
 def test_placement_problems_matches_the_pairwise_definition(board):
-    squares = list(board.squares())
+    squares = list(board_squares(board))
     for s, t in itertools.combinations(squares, 2):
         assert attacks(board, s, t) == attack_by_definition(board, s, t), (s, t)
     for size in range(5):
@@ -216,3 +216,18 @@ def test_built_squares_are_taken_only_where_they_are_in_range():
 def test_placements_check_their_board(squares):
     with pytest.raises(InputDomainError, match=r"^board must be a BoardSpec, got 5$"):
         RookPlacement(5, squares)
+
+
+# --- the board-by-board search keeps the row search's order ------------------
+
+SMALL = [shape(n, k) for shape in (linear, circular) for n in range(1, 5) for k in range(1, 12 // n + 1)]
+WIDE = [shape(n, k) for shape in (linear, circular) for n in range(5, 9) for k in range(1, 8 // n + 1)]
+
+
+@pytest.mark.parametrize("board", SMALL + WIDE, ids=lambda b: f"{b.shape.value}({b.n},{b.k})")
+def test_board_wise_search_matches_the_row_search(board):
+    # whole streams where n <= 4 and n * k <= 12, the first 2000 objects where n >= 5
+    limit = None if board in SMALL else 2000
+    for m in range(board.n * board.k + 1):
+        got = [p.squares for p in itertools.islice(enumerate_placements(board, m), limit)]
+        assert got == list(itertools.islice(row_search(board, m), limit)), m
