@@ -115,10 +115,11 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
     of board b - 1 and, on a circular chain, board k's rows avoid board 1's
     columns.  So a placement is one partial permutation per board, and the
     order is a nested product of each board's options (``_options``).
-    Board 1's options are streamed.  A later board's are listed on first
-    use, by the rows of the board before it, and the last board's also by
-    the rook count it must hold; board 1's columns filter the last board's
-    on a circular chain.  ``suffix_bound_table`` prunes the counts.
+    Board 1's options are streamed.  A later board's are streamed on first
+    use and kept once they run out (``_recorded``), by the rows of the board
+    before it and the rook counts it may hold; board 1's columns filter the
+    last board's on a circular chain.  ``suffix_bound_table`` prunes the
+    counts each board may hold before its options are built.
 
     Each leaf is the search's own list of every board b's ``payload(b,
     cols)``; the search changes it after the yield, so a caller copies what
@@ -135,41 +136,51 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
         return
     bound = suffix_bound_table(board)
     first = sum(1 << a for a in range(min(m, n) + 1) if a + bound[2][a][a if circ else 0] >= m)
-    middle: dict[tuple[int, int], list] = {}  # (b, rows of board b - 1) -> board b's options
-    last: dict[tuple[int, int], list] = {}  # (rows of board k - 1, count) -> board k's options
+    middle: dict[tuple, list] = {}  # (b, rows of board b - 1, counts) -> board b's options
+    last: dict[tuple, list] = {}  # (rows of board k - 1, count) -> board k's options
     path = [None] * k
     done = [0] * k  # done[b]: the rooks on boards 1..b of the path
-    counts = [-1] * k  # the counts each board's frame may take; board 1's stream takes no other
     a1 = cols1 = 0  # board 1's count and columns
     stack = [_options(n, 1, 0, first, payload)]  # board b's options, b = len(stack)
     while stack:
         b = len(stack)
         for part, rows, cols, a in stack[-1]:
-            if not counts[b - 1] >> a & 1:
-                continue
             path[b - 1] = part
             if b == 1:
                 a1, cols1 = a, cols
             total = done[b - 1] + a
             if b == k - 1:
                 key = rows, m - total
-                if key not in last:
-                    last[key] = list(_options(n, k, rows, 1 << m - total, payload))
-                for part_k, rows_k, _, _ in last[key]:
+                todo = last.get(key)
+                if todo is None:
+                    todo = _recorded(last, key, _options(n, k, rows, 1 << m - total, payload))
+                for part_k, rows_k, _, _ in todo:
                     if not (circ and rows_k & cols1):
                         path[k - 1] = part_k
                         yield path
                 continue
             done[b] = total
-            key = b + 1, rows
-            if key not in middle:
-                middle[key] = list(_options(n, b + 1, rows, -1, payload))
-            counts[b] = sum(1 << c for c in range(min(m - total, n) + 1)
-                            if total + c + bound[b + 2][c][a1 if circ else 0] >= m)
-            stack.append(iter(middle[key]))
+            counts = sum(1 << c for c in range(min(m - total, n) + 1)
+                         if total + c + bound[b + 2][c][a1 if circ else 0] >= m)
+            key = b + 1, rows, counts
+            todo = middle.get(key)
+            if todo is None:
+                todo = _recorded(middle, key, _options(n, b + 1, rows, counts, payload))
+            stack.append(iter(todo))
             break
         else:
             stack.pop()
+
+
+def _recorded(lists: dict, key, options: Iterator[tuple]) -> Iterator[tuple]:
+    """``options``, kept as ``lists[key]`` once they run out, so a search
+    that stops early builds only the options it reads.  Each board's
+    options are read through before the same key comes round again."""
+    got = []
+    for option in options:
+        got.append(option)
+        yield option
+    lists[key] = got
 
 
 def _squares(b: int, cols: tuple[int, ...]) -> tuple[Square, ...]:

@@ -99,7 +99,7 @@ def _enumerate(family: str, shape: str, n: int, k: int, *more: str) -> list[str]
 # streams where a board-by-board search departs most from a row-by-row one,
 # pinned from the row search: a circular board chained to itself (k = 1),
 # the circular chain's closing constraint, every m of one cell, and
-# 500-document prefixes of streams whose board 1 has 8! and 1546 options
+# 500-document prefixes of streams whose board 1 has 8! and 13,327 options
 BOARD_WISE_RUNS = {
     "circular k = 1": (
         [_enumerate("perms", "circular", n, 1) for n in (4, 5)],

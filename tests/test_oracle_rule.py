@@ -59,6 +59,7 @@ def test_enumerators_do_not_use_the_transfer_matrix_walk():
         (SRC / "placements.py", "count_placements_brute"),
         (SRC / "placements.py", "_search"),
         (SRC / "placements.py", "_options"),
+        (SRC / "placements.py", "_recorded"),
         (SRC / "placements.py", "_squares"),
         (SRC / "perms.py", "enumerate_chained_permutations"),
         (REFERENCE, "row_search"),

@@ -9,6 +9,7 @@ from chainedboards.counting import count_placements_formula
 from chainedboards.errors import InputDomainError
 from chainedboards.placements import (
     RookPlacement,
+    _search,
     count_placements_brute,
     enumerate_placements,
     placement_problems,
@@ -231,3 +232,33 @@ def test_board_wise_search_matches_the_row_search(board):
     for m in range(board.n * board.k + 1):
         got = [p.squares for p in itertools.islice(enumerate_placements(board, m), limit)]
         assert got == list(itertools.islice(row_search(board, m), limit)), m
+
+
+# --- a board's options are built only as the search reads them ----------------
+
+
+def counted_search(board, m, limit=None):
+    """The first ``limit`` leaves of the search, and how many options it built
+    for them: each option calls the payload once."""
+    built = 0
+
+    def payload(b, cols):
+        nonlocal built
+        built += 1
+
+    leaves = sum(1 for _ in itertools.islice(_search(board, m, payload), limit))
+    return leaves, built
+
+
+def test_a_search_stopped_early_builds_few_options():
+    # the first placement leaves board 2 empty, so board 3 has 10! options
+    # it may hold; only the first is built
+    assert counted_search(linear(10, 3), max_rooks(linear(10, 3)), 1) == (1, 3)
+
+
+@pytest.mark.parametrize("m, placements", [(0, 1), (1, 3 * 64)])
+def test_few_rooks_build_only_the_options_they_use(m, placements):
+    # a board's options are pruned to the counts it may hold: with one rook,
+    # no board lists its partial permutations of two or more rooks
+    leaves, built = counted_search(linear(8, 3), m)
+    assert leaves == placements and built <= 2 * placements + 3
