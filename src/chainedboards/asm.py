@@ -109,6 +109,11 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     their entries, which gives the order above.  Where the row sums a
     matrix answers to are known, its last row is computed rather than
     searched for, and every branch spends the chain's deficit budget.
+
+    Each finished matrix is one tuple of the listed row tuples, built where
+    it finishes and held by every chain below, so consecutive objects share
+    the matrices they agree on; ``serialization.serialize_stream`` reuses
+    their text.
     """
     _check_board(board)
     n, k = board.n, board.k
@@ -171,6 +176,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
         return iter(last[key])
 
     chosen = [()] * (n * k)  # the rows of the current path
+    mats = [()] * k  # the row tuple of each finished matrix on the path
     mat_bits = [0] * k  # row-sum bits of each finished matrix on the path
     mat_sum = [0] * k
     # matrix 1's columns that need row sum 0 in matrix k (bottommost nonzero
@@ -210,14 +216,15 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
                 break
             if l == k - 1:
                 if done + s2 == target:
-                    path = tuple(chosen)  # the listed row tuples themselves, shared
-                    yield _built(ChainedASM, board=board, matrices=tuple(path[j : j + n] for j in range(0, n * k, n)))
+                    mats[l] = tuple(chosen[depth - n + 1 :])  # the listed row tuples themselves, shared
+                    yield _built(ChainedASM, board=board, matrices=tuple(mats))
                 continue
             mat_bits[l], mat_sum[l] = bits2, s2
             if circ and l == 0:
                 first_plus, first_minus = now_plus, now_minus | (0 if left else full & ~(now_plus | now_minus))
             if done + s2 + suffix_max[l + 2][s2][mat_sum[0] if circ else 0] < target:
                 continue
+            mats[l] = tuple(chosen[depth - n + 1 : depth + 1])
             stack.append((after(0, 0, left) if n > 1 else last_row(0, 0, bits2, left), 0, 0, done + s2))
             break
         else:

@@ -76,8 +76,7 @@ def _built(cls, **fields):
     assembled valid by construction from parts it made itself; everything
     else goes through the public constructor."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)  # what the frozen __setattr__ would refuse
     return obj
 
 
@@ -183,13 +182,18 @@ def suffix_bound_table(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], .
 
 @functools.lru_cache(maxsize=32)  # bounded: a table holds (k + 2)(n + 1)^2 ints
 def _suffix_bound(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    # bound[b][prev][a1] is the most of a + bound[b + 1][a][a1] over a <= hi.
+    # That term does not fall as a grows: bound[b + 1] drops by at most one
+    # per step of prev, as one more rook before board b + 1 costs it at most
+    # one (by induction from b = k + 1).  So the max is at a = hi, and each
+    # entry is O(1).
     n, k = board.n, board.k
-    bound = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(k + 2)]
+    bound = [((0,) * (n + 1),) * (n + 1)] * (k + 2)  # b = 0 is never read; b = k + 1 has no board
     for b in range(k, 0, -1):
-        for prev in range(n + 1):
-            for a1 in range(n + 1):
-                hi = n - prev
-                if board.circular and b == k:
-                    hi = min(hi, n - a1)
-                bound[b][prev][a1] = max(a + bound[b + 1][a][a1] for a in range(hi + 1))
-    return tuple(tuple(map(tuple, table)) for table in bound)
+        after = bound[b + 1]
+        closing = board.circular and b == k
+        bound[b] = tuple(
+            tuple(hi + after[hi][a1] for a1 in range(n + 1) for hi in [min(n - prev, n - a1) if closing else n - prev])
+            for prev in range(n + 1)
+        )
+    return tuple(bound)

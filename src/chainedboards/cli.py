@@ -26,7 +26,7 @@ from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, Vali
 from .perms import enumerate_chained_permutations
 from .placements import count_placements_brute, enumerate_placements
 from .rendering import render
-from .serialization import FAMILIES, deserialize, family_of, serialize
+from .serialization import FAMILIES, deserialize, family_of, serialize, serialize_stream
 from .verify import verify_tables
 
 
@@ -115,7 +115,7 @@ def _cmd_enumerate(args) -> int:
         stream = enumerate_chained_permutations(board)
     else:
         stream = enumerate_chained_asm(board)
-    docs = map(serialize, itertools.islice(stream, args.limit))
+    docs = serialize_stream(itertools.islice(stream, args.limit))
     blocks = iter(lambda: "".join(itertools.islice(docs, _BLOCK)), "")
     # the first block is ready before --out is opened, so a search that fails
     # before its first document leaves no file behind

@@ -18,6 +18,12 @@ and FPL ids come from a bounded per-(n, k) table of each edge's id and its
 endpoints' ids (``_wire``), built after the edge-count checks; an ice value
 other than those exact texts (``"1:01,1"``, a number) is parsed as any id.
 
+``serialize_stream`` writes a stream of objects, as ``enumerate`` does, with
+the bytes of ``serialize`` on each: one header for the stream, and for the
+matrix families the text before each matrix kept until a matrix that is not
+the very tuple the document before held there.  The enumerators share those
+tuples, so most of a document's text is reused.
+
 Parsing is strict: numbers are JSON integers (no booleans or floats), ids
 use ASCII digits, and valid JSON that decodes to an object violating its
 family's invariants is a validation error.
@@ -26,8 +32,9 @@ family's invariants is a validation error.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .asm import (
     ChainedASM,
@@ -202,7 +209,7 @@ class Family(NamedTuple):
 _row_text = functools.lru_cache(maxsize=1024)(json.dumps)  # every row of an ASM with n <= 10
 
 
-@functools.lru_cache(maxsize=256)  # bounded: the chained permutations' options share their matrices
+@functools.lru_cache(maxsize=256)  # bounded; more entries gained nothing on `enumerate` and cost memory
 def _matrix_text(mat) -> str:
     return "[" + ", ".join(map(_row_text, mat)) + "]"
 
@@ -295,17 +302,66 @@ def family_of(obj) -> Family:
         raise ValidationError(f"no canonical document for {type(obj).__name__}") from None
 
 
-def serialize(obj) -> str:
-    """The canonical one-line document for any domain object."""
-    family = family_of(obj)
-    payload = family.encode(obj)
-    board = family.board(obj)
+def _head(family: Family, board: BoardSpec | None, payload) -> str:
+    """A document's text before its payload: the header and the payload's key."""
     head = f'{{"family": "{family.name}", '
     if board is None:  # a plain ASM: its size is the whole header
         head += f'"n": {len(payload)}'
     else:
         head += f'"shape": "{board.shape.value}", "n": {board.n}, "k": {board.k}'
-    return f'{head}, "{family.key}": {family.write(payload)}}}\n'
+    return f'{head}, "{family.key}": '
+
+
+def serialize(obj) -> str:
+    """The canonical one-line document for any domain object."""
+    family = family_of(obj)
+    payload = family.encode(obj)
+    return f"{_head(family, family.board(obj), payload)}{family.write(payload)}}}\n"
+
+
+def serialize_stream(objs: Iterable) -> Iterator[str]:
+    """``serialize`` of each object of ``objs``, in order, as it is read.
+
+    The first object's family and board fix the header, built once.  An
+    object of another class, or on another board object, is written by
+    ``serialize``.  A matrix family keeps the text of the document before
+    each of its k matrices and rebuilds it from the first matrix that is
+    not the very object the document before held there: a search's
+    consecutive objects share their leading matrices.
+    """
+    objs = iter(objs)
+    for first in objs:
+        break
+    else:
+        return
+    family = family_of(first)
+    board, encode, write = family.board(first), family.encode, family.write
+    head = _head(family, board, encode(first))
+    # a plain ASM's header holds its size, not a board: each is written by serialize
+    cls = type(first) if board is not None else None
+    objs = itertools.chain((first,), objs)
+    if write is not _matrices_text:
+        for obj in objs:
+            if type(obj) is not cls or family.board(obj) is not board:
+                yield serialize(obj)
+            else:
+                yield f"{head}{write(encode(obj))}}}\n"
+        return
+    k = board.k
+    held = (None,) * k  # no matrix is None: the first document builds every prefix
+    texts = [head + "["] * k  # texts[i]: the document before matrix i + 1, its ", " included
+    for obj in objs:
+        if type(obj) is not cls or family.board(obj) is not board:
+            yield serialize(obj)
+            continue
+        mats = encode(obj)
+        i = 0
+        while i < k - 1 and mats[i] is held[i]:
+            i += 1
+        for j in range(i, k - 1):
+            texts[j + 1] = texts[j] + _matrix_text(mats[j]) + ", "
+        held = mats
+        yield f"{texts[k - 1]}{_matrix_text(mats[k - 1])}]}}\n"
 
 
 def _need(doc: dict, key: str):
@@ -368,6 +424,7 @@ __all__ = [
     "Family",
     "family_of",
     "serialize",
+    "serialize_stream",
     "deserialize",
     "edge_to_str",
     "str_to_edge",

@@ -14,7 +14,9 @@
 - ``enumerate_fpl``: a grid-graph subgraph search, for ``to_fpl``;
 - ``ice_problems``, ``fpl_problems``: the ice and FPL checks edge by edge;
 - ``row_search``: the placement search row by row across the whole chain, for
-  the order of the board-by-board search in ``enumerate_placements``.
+  the order of the board-by-board search in ``enumerate_placements``;
+- ``suffix_bound_by_max``: the suffix bound as a max over each board's count,
+  for the closed step of ``suffix_bound_table``.
 
 Library functions that only the tests call, moved here by the caller rule:
 
@@ -504,6 +506,22 @@ def row_search(board: BoardSpec, m: int) -> Iterator[tuple[Square, ...]]:
                 stack[-1] = [idx + 1, placed, iter(rows[idx + 1][2])]
             else:
                 stack.pop()
+
+
+def suffix_bound_by_max(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``bound[b][prev][a1]``: the most rooks boards b..k can hold when board
+    b-1 holds ``prev`` and, circularly, board 1 holds ``a1``, as the max over
+    board b's count a of a plus the bound of the boards after it."""
+    n, k = board.n, board.k
+    bound = [[[0] * (n + 1) for _ in range(n + 1)] for _ in range(k + 2)]
+    for b in range(k, 0, -1):
+        for prev in range(n + 1):
+            for a1 in range(n + 1):
+                hi = n - prev
+                if board.circular and b == k:
+                    hi = min(hi, n - a1)
+                bound[b][prev][a1] = max(a + bound[b + 1][a][a1] for a in range(hi + 1))
+    return tuple(tuple(map(tuple, table)) for table in bound)
 
 
 def board_squares(board: BoardSpec) -> Iterator[Square]:

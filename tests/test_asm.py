@@ -132,6 +132,24 @@ def test_enumeration_yields_valid_unique_elements():
         assert count == count_chained_asm_tm(board), board
 
 
+@pytest.mark.parametrize("board", [circular(3, 3), linear(2, 6)], ids=lambda b: f"{b.shape.value}({b.n},{b.k})")
+def test_consecutive_chained_asms_share_the_matrices_they_agree_on(board):
+    # each finished matrix is one tuple, shared by every chain below it, so
+    # the stream writer can reuse its text; the objects stay whole once the
+    # search has moved on
+    objs = list(enumerate_chained_asm(board))
+    shared = 0
+    for a, b in itertools.pairwise(objs):
+        l = 0
+        while a.matrices[l] == b.matrices[l]:
+            assert a.matrices[l] is b.matrices[l], (a.matrices, b.matrices)
+            l += 1
+        shared += l
+    assert shared > 0
+    assert all(chained_asm_problems(a) == [] for a in objs)
+    assert len(set(objs)) == len(objs) == count_chained_asm_tm(board)
+
+
 def _column_deficits(a):
     """1 - r - c for every column of every matrix: c is the column's sum and
     r the matching row's sum in the matrix before (matrix k before matrix 1

@@ -30,6 +30,7 @@ from tests.reference import (
     composition,
     is_admissible_composition,
     maximum_compositions,
+    suffix_bound_by_max,
 )
 
 ALL_SMALL = [
@@ -180,6 +181,13 @@ def test_max_rooks_values():
     assert max_rooks(circular(5, 3)) == 7
     assert max_rooks(linear(4, 4)) == 8
     assert max_rooks(circular(3, 1)) == 1
+
+
+def test_suffix_bound_table_is_the_max_over_each_boards_count():
+    # suffix_bound_table takes each entry's max at the top count; the
+    # reference takes it over every count
+    for board in (shape(n, k) for shape in (linear, circular) for n in range(1, 9) for k in range(1, 9)):
+        assert suffix_bound_table(board) == suffix_bound_by_max(board), board
 
 
 def test_admissible_compositions_examples():

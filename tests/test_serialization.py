@@ -20,7 +20,12 @@ from chainedboards.boards import BoardSpec, Shape, circular, linear, max_rooks
 from chainedboards.errors import ChainedBoardsError, InputDomainError, ParseError, ValidationError, clip
 from chainedboards.ice import _grid, to_fpl, to_ice
 from chainedboards.matchings import ChainGraph, ChainMatching, to_matching
-from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
+from chainedboards.perms import (
+    ChainedPermutation,
+    enumerate_chained_permutations,
+    placement_to_matrices,
+    to_one_line,
+)
 from chainedboards.placements import RookPlacement, enumerate_placements
 from chainedboards.serialization import (
     FAMILIES,
@@ -29,6 +34,7 @@ from chainedboards.serialization import (
     edge_to_str,
     family_of,
     serialize,
+    serialize_stream,
     str_to_edge,
     vertex_to_str,
 )
@@ -219,6 +225,47 @@ def test_permutation_asm_documents_distinct():
     asm = permutation_to_asm(cp)
     assert serialize(cp) != serialize(asm)
     assert deserialize(serialize(asm)) == asm
+
+
+WRITER_CELLS = [shape(n, k) for shape in (linear, circular) for n, k in [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]]
+
+
+@pytest.mark.parametrize("board", WRITER_CELLS, ids=lambda b: f"{b.shape.value}({b.n},{b.k})")
+def test_stream_writer_writes_each_enumerated_object_as_serialize_does(board):
+    streams = [enumerate_chained_asm(board), enumerate_chained_permutations(board)]
+    streams += [enumerate_placements(board, m) for m in range(board.n * board.k + 1)]
+    for stream in streams:
+        objs = list(stream)
+        assert list(serialize_stream(iter(objs))) == list(map(serialize, objs))
+
+
+def test_stream_writer_rebuilds_from_the_first_changed_matrix_and_falls_back_to_serialize():
+    board = linear(2, 3)
+    zero, eye, swap, minus = ((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (1, -1))
+    zero_again = tuple(list(zero))  # equal to zero, not the same object
+    assert zero_again == zero and zero_again is not zero
+    objs = [
+        ChainedASM(board, (eye, zero, swap)),
+        ChainedASM(board, (swap, zero, swap)),  # matrices 2 and 3 held again, matrix 1 changed
+        ChainedASM(board, (swap, zero_again, swap)),
+        ChainedASM(board, (swap, zero_again, swap)),  # every matrix held again
+        ChainedASM(board, (swap, minus, swap)),
+        ChainedPermutation(board, (swap, zero, swap)),  # a second family
+        ChainedASM(linear(2, 3), (eye, zero, swap)),  # an equal board, another object
+        ChainedASM(circular(2, 3), (eye, zero, swap)),  # a second board
+        RookPlacement(board, [(1, 1, 1)]),
+        to_plain_asm(next(iter(enumerate_chained_asm(circular(2, 1))))),
+        WORKED_46,
+        ChainedASM(board, (eye, minus, swap)),  # back to the first header, matrix 1 changed
+    ]
+    for start in range(len(objs)):  # each kind of object first, so each fixes the header once
+        assert list(serialize_stream(objs[start:])) == list(map(serialize, objs[start:])), start
+    plain = [to_plain_asm(a) for a in itertools.islice(enumerate_chained_asm(circular(2, 4)), 3)] + [PlainASM(6, QT_6)]
+    assert list(serialize_stream(plain)) == list(map(serialize, plain))
+    assert list(serialize_stream([])) == []
+    for stream in ([object()], [objs[0], object()]):  # no family, first or later
+        with pytest.raises(ValidationError):
+            list(serialize_stream(stream))
 
 
 @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
