@@ -115,7 +115,9 @@ def _cmd_enumerate(args) -> int:
         stream = enumerate_chained_permutations(board)
     else:
         stream = enumerate_chained_asm(board)
-    docs = serialize_stream(itertools.islice(stream, args.limit))
+    # islice refuses a stop above sys.maxsize; no stream is that long, so such a limit never binds
+    limit = None if args.limit is None else min(args.limit, sys.maxsize)
+    docs = serialize_stream(itertools.islice(stream, limit))
     blocks = iter(lambda: "".join(itertools.islice(docs, _BLOCK)), "")
     # the first block is ready before --out is opened, so a search that fails
     # before its first document leaves no file behind

@@ -10,19 +10,19 @@ points at.  ``deserialize`` also accepts the bare one-line string format
 (``0200-3104-...``).  ``FAMILIES`` is the one registry of the families and
 of the conversions between them.
 
-``serialize`` writes the header itself (ASCII names and ints: the bytes of
-``json.dumps``), then the payload as its registry row says: matrices row by
-row from a bounded cache of row texts, sound as their constructors admit
-exact ints alone (``(True, 0)`` equals and hashes like ``(1, 0)``).  Ice
-and FPL ids come from a bounded per-(n, k) table of each edge's id and its
-endpoints' ids (``_wire``), built after the edge-count checks; an ice value
-other than those exact texts (``"1:01,1"``, a number) is parsed as any id.
-
-``serialize_stream`` writes a stream of objects, as ``enumerate`` does, with
-the bytes of ``serialize`` on each: one header for the stream, and for the
-matrix families the text before each matrix kept until a matrix that is not
-the very tuple the document before held there.  The enumerators share those
-tuples, so most of a document's text is reused.
+``serialize_stream`` is the one writer, and ``serialize`` is its
+one-object case.  It writes the header itself (ASCII names and ints: the
+bytes of ``json.dumps``) once per run of objects of one class on one board
+object, then each payload with ``json.dumps``.  The two matrix families
+(payload key ``"matrices"``) are written row by row from a bounded cache of
+row texts, sound as their constructors admit exact ints alone (``(True, 0)``
+equals and hashes like ``(1, 0)``).  They keep the text before each matrix
+until a matrix that is not the very tuple the document before held there;
+the enumerators share those tuples, so most of a streamed document's text
+is reused.  Ice and FPL ids come from a bounded per-(n, k) table of each
+edge's id and its endpoints' ids (``_wire``), built after the edge-count
+checks; an ice value other than those exact texts (``"1:01,1"``, a number)
+is parsed as any id.
 
 Parsing is strict: numbers are JSON integers (no booleans or floats), ids
 use ASCII digits, and valid JSON that decodes to an object violating its
@@ -32,7 +32,6 @@ family's invariants is a validation error.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -202,7 +201,6 @@ class Family(NamedTuple):
     decode: Callable[[Any, Any], Any]  # (board, or n for a plain ASM; payload) -> object
     problems: Callable[[Any], list[str]]  # diagnostics; empty = valid
     to: dict[str, Callable[[Any], Any]]  # target alias -> direct conversion, the graph `convert` walks
-    write: Callable[[Any], str] = json.dumps  # payload -> its JSON text
 
 
 # sound only as the matrix constructors admit exact ints: (True, 0) == (1, 0), same hash
@@ -212,10 +210,6 @@ _row_text = functools.lru_cache(maxsize=1024)(json.dumps)  # every row of an ASM
 @functools.lru_cache(maxsize=256)  # bounded; more entries gained nothing on `enumerate` and cost memory
 def _matrix_text(mat) -> str:
     return "[" + ", ".join(map(_row_text, mat)) + "]"
-
-
-def _matrices_text(matrices) -> str:
-    return "[" + ", ".join(map(_matrix_text, matrices)) + "]"
 
 
 _BOTH = ("linear", "circular")
@@ -236,7 +230,6 @@ FAMILIES = (
         chained_asm_problems,  # a chained permutation is a 0/1 chained ASM
         {"placement": matrices_to_placement, "oneline": to_one_line, "matching": to_matching,
          "asm": permutation_to_asm},
-        _matrices_text,
     ),
     Family(
         "one-line", "oneline", OneLine, _BOTH, lambda o: o.board, "blocks",
@@ -259,7 +252,6 @@ FAMILIES = (
         chained_asm_problems,
         {"matrix": asm_to_permutation, "mt": to_monotone_triangles, "ice": to_ice,
          "plain-asm": to_plain_asm},
-        _matrices_text,
     ),
     Family(
         "plain-asm", "plain-asm", PlainASM, (), lambda p: None, "matrix",
@@ -314,54 +306,41 @@ def _head(family: Family, board: BoardSpec | None, payload) -> str:
 
 def serialize(obj) -> str:
     """The canonical one-line document for any domain object."""
-    family = family_of(obj)
-    payload = family.encode(obj)
-    return f"{_head(family, family.board(obj), payload)}{family.write(payload)}}}\n"
+    return next(serialize_stream((obj,)))
 
 
 def serialize_stream(objs: Iterable) -> Iterator[str]:
-    """``serialize`` of each object of ``objs``, in order, as it is read.
+    """The canonical document of each object of ``objs``, in order, as it is read.
 
-    The first object's family and board fix the header, built once.  An
-    object of another class, or on another board object, is written by
-    ``serialize``.  A matrix family keeps the text of the document before
-    each of its k matrices and rebuilds it from the first matrix that is
-    not the very object the document before held there: a search's
-    consecutive objects share their leading matrices.
+    The header is built again whenever an object's class or board object is
+    not the one before it; a plain ASM's header holds its size, so each plain
+    ASM builds its own.  A matrix family keeps the text of the document before
+    each of its k matrices and rebuilds it from the first matrix that is not
+    the very object the document before held there: a search's consecutive
+    objects share their leading matrices.
     """
-    objs = iter(objs)
-    for first in objs:
-        break
-    else:
-        return
-    family = family_of(first)
-    board, encode, write = family.board(first), family.encode, family.write
-    head = _head(family, board, encode(first))
-    # a plain ASM's header holds its size, not a board: each is written by serialize
-    cls = type(first) if board is not None else None
-    objs = itertools.chain((first,), objs)
-    if write is not _matrices_text:
-        for obj in objs:
-            if type(obj) is not cls or family.board(obj) is not board:
-                yield serialize(obj)
-            else:
-                yield f"{head}{write(encode(obj))}}}\n"
-        return
-    k = board.k
-    held = (None,) * k  # no matrix is None: the first document builds every prefix
-    texts = [head + "["] * k  # texts[i]: the document before matrix i + 1, its ", " included
+    cls = board = None
     for obj in objs:
-        if type(obj) is not cls or family.board(obj) is not board:
-            yield serialize(obj)
+        if type(obj) is not cls or board is None or family.board(obj) is not board:
+            family = family_of(obj)
+            cls, board, payload = type(obj), family.board(obj), family.encode(obj)
+            head = _head(family, board, payload)
+            if matrices := family.key == "matrices":
+                k = board.k
+                held = (None,) * k  # no matrix is None: a new header's first document builds every prefix
+                texts = [head + "["] * k  # texts[i]: the document before matrix i + 1, its ", " included
+        else:
+            payload = family.encode(obj)
+        if not matrices:
+            yield f"{head}{json.dumps(payload)}}}\n"
             continue
-        mats = encode(obj)
         i = 0
-        while i < k - 1 and mats[i] is held[i]:
+        while i < k - 1 and payload[i] is held[i]:
             i += 1
         for j in range(i, k - 1):
-            texts[j + 1] = texts[j] + _matrix_text(mats[j]) + ", "
-        held = mats
-        yield f"{texts[k - 1]}{_matrix_text(mats[k - 1])}]}}\n"
+            texts[j + 1] = texts[j] + _matrix_text(payload[j]) + ", "
+        held = payload
+        yield f"{texts[k - 1]}{_matrix_text(payload[k - 1])}]}}\n"
 
 
 def _need(doc: dict, key: str):

@@ -16,7 +16,9 @@
 - ``row_search``: the placement search row by row across the whole chain, for
   the order of the board-by-board search in ``enumerate_placements``;
 - ``suffix_bound_by_max``: the suffix bound as a max over each board's count,
-  for the closed step of ``suffix_bound_table``.
+  for the closed step of ``suffix_bound_table``;
+- ``reference_document``: each object's document as one ``json.dumps`` of a
+  dict read off its public fields, for ``serialize_stream``.
 
 Library functions that only the tests call, moved here by the caller rule:
 
@@ -37,6 +39,7 @@ edge order of ``GridGraph.edges()``, in which configurations store their edges.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from operator import add
 from typing import Callable, Iterator
@@ -65,7 +68,9 @@ from chainedboards.errors import InputDomainError, UnsupportedDomainError, Valid
 from chainedboards.ice import EdgeId as GridEdge
 from chainedboards.ice import FPLConfiguration, GridGraph, IceConfiguration, Vertex
 from chainedboards.matchings import ChainGraph, ChainMatching, EdgeId
+from chainedboards.perms import ChainedPermutation, OneLine
 from chainedboards.placements import RookPlacement
+from chainedboards.serialization import edge_to_str, vertex_to_str
 from chainedboards.triangles import MonotoneTriangleChain, Triangle, mt_chain_problems
 
 
@@ -522,6 +527,38 @@ def suffix_bound_by_max(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], 
                     hi = min(hi, n - a1)
                 bound[b][prev][a1] = max(a + bound[b + 1][a][a1] for a in range(hi + 1))
     return tuple(tuple(map(tuple, table)) for table in bound)
+
+
+def reference_document(obj) -> str:
+    """The canonical document of ``obj``: its header and payload, read off its
+    public fields into a dict in document key order, as one ``json.dumps``."""
+    t = type(obj)
+    if t is PlainASM:  # its size is the whole header
+        return json.dumps({"family": "plain-asm", "n": obj.size, "matrix": obj.rows}) + "\n"
+    if t is RookPlacement:
+        name, board, key, payload = "placement", obj.board, "squares", obj.squares
+    elif t is ChainedPermutation:
+        name, board, key, payload = "chained-permutation", obj.board, "matrices", obj.matrices
+    elif t is OneLine:
+        name, board, key, payload = "one-line", obj.board, "blocks", obj.blocks
+    elif t is ChainMatching:
+        name, board, key, payload = "chain-matching", obj.graph.board, "edges", obj.edges
+    elif t is ChainedASM:
+        name, board, key, payload = "chained-asm", obj.board, "matrices", obj.matrices
+    elif t is MonotoneTriangleChain:
+        name, key, payload = "monotone-triangle-chain", "triangles", obj.triangles
+        board = BoardSpec(Shape.CIRCULAR, obj.n, obj.k)
+    elif t is IceConfiguration:
+        name, key = "ice", "orientation"
+        payload = {edge_to_str(e): vertex_to_str(h) for e, h in zip(obj.graph.edges(), obj.heads)}
+        board = BoardSpec(Shape.CIRCULAR, obj.graph.n, obj.graph.k)
+    elif t is FPLConfiguration:
+        name, key, payload = "fpl", "edges", [edge_to_str(e) for e in obj.chosen]
+        board = BoardSpec(Shape.CIRCULAR, obj.graph.n, obj.graph.k)
+    else:
+        raise ValidationError(f"no canonical document for {t.__name__}")
+    doc = {"family": name, "shape": board.shape.value, "n": board.n, "k": board.k, key: payload}
+    return json.dumps(doc) + "\n"
 
 
 def board_squares(board: BoardSpec) -> Iterator[Square]:

@@ -512,6 +512,13 @@ def test_cli_clips_long_numbers_it_echoes(capsys, argv, want):
     assert "Traceback" not in err and "characters)" in err and len(err.encode()) < 300
 
 
+def test_enumerate_limit_beyond_sys_maxsize_writes_the_whole_stream(capsys):
+    argv = ["enumerate", "--family", "asm", "--shape", "linear", "-n", "1", "-k", "1"]
+    whole = run(capsys, *argv)
+    assert whole[0] == 0 and whole[1] != ""
+    assert run(capsys, *argv, "--limit", "9" * 23) == whole
+
+
 @pytest.mark.parametrize("family", ["asm", "perms"])
 def test_enumerate_m_is_a_usage_error_outside_placements(capsys, family):
     code, out, err = run(

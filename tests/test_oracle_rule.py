@@ -1,7 +1,8 @@
-"""The oracle rule, the caller rule and the built rule, read off the source:
-an oracle shares no logic with what it checks, every exported name and
-every public method has a caller, and only a pinned set of sites builds
-objects without their checks."""
+"""The oracle rule, the caller rule, the built rule and the import rule,
+read off the source: an oracle shares no logic with what it checks, every
+exported name and every public method has a caller, only a pinned set of
+sites builds objects without their checks, and every module-level import is
+read."""
 
 from __future__ import annotations
 
@@ -195,3 +196,23 @@ def test_only_the_pinned_sites_build_objects_unchecked():
             ]
     assert sorted(sites) == BUILT_SITES
     assert other_uses == []
+
+
+def test_every_module_level_import_is_read():
+    """The import rule: a name that a library module other than ``__init__.py``
+    imports at module level is read somewhere in that module."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # it imports to re-export
+            continue
+        tree = ast.parse(path.read_text())
+        reads = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for top in tree.body:
+            if isinstance(top, ast.ImportFrom) and top.module == "__future__":
+                continue
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in top.names]
+                unread += [f"{path.stem}: {name}" for name in bound if name not in reads]
+    assert unread == []

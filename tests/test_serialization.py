@@ -39,7 +39,7 @@ from chainedboards.serialization import (
     vertex_to_str,
 )
 from chainedboards.triangles import to_monotone_triangles
-from tests.reference import canonical_placement, split_linear_odd
+from tests.reference import canonical_placement, reference_document, split_linear_odd
 from tests.worked_examples import MALFORMED, ODD_K_ICE, ONE_LINE_46, OVERSIZED, QT_6, WORKED_46
 
 
@@ -217,6 +217,7 @@ def test_every_family_document_is_pinned_to_the_byte():
     for name, obj in pinned_objects().items():
         assert family_of(obj).name == name
         assert serialize(obj) == PINNED_DOCUMENTS[name], name
+        assert reference_document(obj) == PINNED_DOCUMENTS[name], name
         assert deserialize(PINNED_DOCUMENTS[name]) == obj
 
 
@@ -236,10 +237,12 @@ def test_stream_writer_writes_each_enumerated_object_as_serialize_does(board):
     streams += [enumerate_placements(board, m) for m in range(board.n * board.k + 1)]
     for stream in streams:
         objs = list(stream)
-        assert list(serialize_stream(iter(objs))) == list(map(serialize, objs))
+        want = list(map(reference_document, objs))
+        assert list(serialize_stream(iter(objs))) == want
+        assert list(map(serialize, objs)) == want
 
 
-def test_stream_writer_rebuilds_from_the_first_changed_matrix_and_falls_back_to_serialize():
+def test_stream_writer_rebuilds_from_the_first_changed_matrix_and_on_a_new_header():
     board = linear(2, 3)
     zero, eye, swap, minus = ((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, 1), (1, -1))
     zero_again = tuple(list(zero))  # equal to zero, not the same object
@@ -258,10 +261,12 @@ def test_stream_writer_rebuilds_from_the_first_changed_matrix_and_falls_back_to_
         WORKED_46,
         ChainedASM(board, (eye, minus, swap)),  # back to the first header, matrix 1 changed
     ]
-    for start in range(len(objs)):  # each kind of object first, so each fixes the header once
-        assert list(serialize_stream(objs[start:])) == list(map(serialize, objs[start:])), start
+    for start in range(len(objs)):  # each kind of object first, so each builds the first header
+        assert list(serialize_stream(objs[start:])) == list(map(reference_document, objs[start:])), start
     plain = [to_plain_asm(a) for a in itertools.islice(enumerate_chained_asm(circular(2, 4)), 3)] + [PlainASM(6, QT_6)]
-    assert list(serialize_stream(plain)) == list(map(serialize, plain))
+    assert list(serialize_stream(plain)) == list(map(reference_document, plain))
+    every_family = list(sample_objects())  # each family in turn, each on its own header
+    assert list(serialize_stream(every_family)) == list(map(reference_document, every_family))
     assert list(serialize_stream([])) == []
     for stream in ([object()], [objs[0], object()]):  # no family, first or later
         with pytest.raises(ValidationError):
