@@ -16,10 +16,10 @@ bytes of ``json.dumps``) once per run of objects of one class on one board
 object, then each payload with ``json.dumps``.  The two matrix families
 (payload key ``"matrices"``) are written row by row from a bounded cache of
 row texts, sound as their constructors admit exact ints alone (``(True, 0)``
-equals and hashes like ``(1, 0)``).  They keep the text before each matrix
-until a matrix that is not the very tuple the document before held there;
-the enumerators share those tuples, so most of a streamed document's text
-is reused.  Ice and FPL ids come from a bounded per-(n, k) table of each
+equals and hashes like ``(1, 0)``).  They keep each matrix's text until a
+matrix before it is not the very tuple the document before held there; the
+enumerators share those tuples, so most of a streamed document's text is
+reused, and what is kept stays linear in the document's length.  Ice and FPL ids come from a bounded per-(n, k) table of each
 edge's id and its endpoints' ids (``_wire``), built after the edge-count
 checks; an ice value other than those exact texts (``"1:01,1"``, a number)
 is parsed as any id.
@@ -314,10 +314,11 @@ def serialize_stream(objs: Iterable) -> Iterator[str]:
 
     The header is built again whenever an object's class or board object is
     not the one before it; a plain ASM's header holds its size, so each plain
-    ASM builds its own.  A matrix family keeps the text of the document before
-    each of its k matrices and rebuilds it from the first matrix that is not
-    the very object the document before held there: a search's consecutive
-    objects share their leading matrices.
+    ASM builds its own.  A matrix family keeps the text of each of its first
+    k - 1 matrices and the document's text before its last matrix, and
+    rebuilds them from the first matrix that is not the very object the
+    document before held there: a search's consecutive objects share their
+    leading matrices.  What it keeps is linear in the document's length.
     """
     cls = board = None
     for obj in objs:
@@ -326,21 +327,22 @@ def serialize_stream(objs: Iterable) -> Iterator[str]:
             cls, board, payload = type(obj), family.board(obj), family.encode(obj)
             head = _head(family, board, payload)
             if matrices := family.key == "matrices":
-                k = board.k
-                held = (None,) * k  # no matrix is None: a new header's first document builds every prefix
-                texts = [head + "["] * k  # texts[i]: the document before matrix i + 1, its ", " included
+                last = board.k - 1
+                parts, before = [None] * last, head + "["  # each matrix's text, the text before the last
+                held = (None,) * board.k  # no matrix is None: the header's first document writes each
         else:
             payload = family.encode(obj)
         if not matrices:
             yield f"{head}{json.dumps(payload)}}}\n"
             continue
         i = 0
-        while i < k - 1 and payload[i] is held[i]:
+        while i < last and payload[i] is held[i]:
             i += 1
-        for j in range(i, k - 1):
-            texts[j + 1] = texts[j] + _matrix_text(payload[j]) + ", "
+        if i < last:
+            parts[i:] = map(_matrix_text, payload[i:last])
+            before = f"{head}[{', '.join(parts)}, "
         held = payload
-        yield f"{texts[k - 1]}{_matrix_text(payload[k - 1])}]}}\n"
+        yield f"{before}{_matrix_text(payload[last])}]}}\n"
 
 
 def _need(doc: dict, key: str):

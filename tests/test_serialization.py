@@ -252,7 +252,8 @@ def test_stream_writer_rebuilds_from_the_first_changed_matrix_and_on_a_new_heade
         ChainedASM(board, (swap, zero, swap)),  # matrices 2 and 3 held again, matrix 1 changed
         ChainedASM(board, (swap, zero_again, swap)),
         ChainedASM(board, (swap, zero_again, swap)),  # every matrix held again
-        ChainedASM(board, (swap, minus, swap)),
+        ChainedASM(board, (swap, minus, swap)),  # matrix 2 changed, matrices 1 and 3 held again
+        ChainedASM(board, (swap, minus, eye)),  # matrix 3 changed alone
         ChainedPermutation(board, (swap, zero, swap)),  # a second family
         ChainedASM(linear(2, 3), (eye, zero, swap)),  # an equal board, another object
         ChainedASM(circular(2, 3), (eye, zero, swap)),  # a second board
@@ -271,6 +272,21 @@ def test_stream_writer_rebuilds_from_the_first_changed_matrix_and_on_a_new_heade
     for stream in ([object()], [objs[0], object()]):  # no family, first or later
         with pytest.raises(ValidationError):
             list(serialize_stream(stream))
+
+
+@pytest.mark.parametrize("family", [ChainedPermutation, ChainedASM])
+def test_a_matrix_document_takes_memory_linear_in_its_length(family):
+    # k = 4000: the text before each matrix, kept together, would take about 7k^2/2 = 56 MB
+    k = 4000
+    obj = family(linear(1, k), tuple(((m % 2,),) for m in range(k)))
+    tracemalloc.start()
+    try:
+        text = serialize(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == reference_document(obj)
+    assert peak < 8 * len(text)
 
 
 @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
