@@ -30,10 +30,11 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .boards import BoardSpec, _built, _check_board, max_rooks, suffix_bound_table
+from .boards import BoardSpec, _built, _check_board, _check_size, max_rooks, suffix_bound_table
 from .counting import _count_walks
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
+from .placements import _recorded
 
 
 @dataclass(frozen=True)
@@ -99,23 +100,68 @@ def asm_to_permutation(a: ChainedASM) -> ChainedPermutation:
     return ChainedPermutation(a.board, a.matrices)
 
 
+_BATCH = 16  # prefixes a state's row stream extends at once
+
+
+def _rows(n: int, last_plus: int, last_minus: int, r: int | None, left: int | None,
+          free: bool, columns: dict, interned: dict) -> Iterator[tuple]:
+    """The rows that a column state allows, in lexicographic order, each as
+    (entries, row sum, the state after it, the deficit left after it).
+
+    The state is the columns whose last nonzero so far is +1 and -1, the row
+    sums ``r`` a matrix's last row answers to (``None`` above it; with
+    ``free``, circular k = 1, the last column's r_j is the row's own sum)
+    and the deficit ``left`` (``None``: not budgeted).  Per column, an entry
+    x under a last nonzero ``was`` keeps the prefix sum in {0, 1}, does not
+    repeat a nonzero ``was`` and, in a last row, ends the column neither on
+    +1 over r_j = 1 nor on -1 over r_j = 0: the module docstring's form of
+    conditions (1) and (2).  A -1 on an empty column costs 1 of the deficit,
+    as does a column that a last row leaves empty over r_j = 0.  Prefixes
+    grow a batch at a time, so the first rows come before the later ones.
+    """
+    cap = n if left is None else left
+    pending = [(0, [(0, 0, 0, 0)])]  # (columns done, prefixes (sum, spent, +1 and -1 columns)), next last
+    while pending:
+        j, batch = pending.pop()
+        while batch and j < n and len(batch) <= _BATCH:
+            was = (last_plus >> j & 1) - (last_minus >> j & 1)
+            rj = None if r is None else -1 if free and j == n - 1 else r >> j & 1  # -1: the row's own sum
+            step = columns.get((was, rj))  # [p]: (p + x, cost, x > 0, x < 0) per entry x after sum p
+            if step is None:
+                step = columns[was, rj] = ([], [])
+                for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):  # x = q - p, in the order -1, 0, 1 for each p
+                    x, a = q - p, q if rj == -1 else rj  # a: the row sum the column answers to
+                    if not (x and x == was or rj is not None and (x or was) == (1 if a else -1)):
+                        step[p].append((q, (x < 0 and not was) + (rj is not None and not (x or was or a)), x > 0, x < 0))
+            batch = [(q, spent + cost, plus | pb << j, minus | mb << j) for p, spent, plus, minus in batch
+                     for q, cost, pb, mb in step[p] if spent + cost <= cap]
+            j += 1
+        if j < n:
+            pending += [(j, batch[i : i + _BATCH]) for i in reversed(range(0, len(batch), _BATCH))]
+            continue
+        for p, spent, plus, minus in batch:
+            e = interned.get((plus, minus)) or interned.setdefault(
+                (plus, minus), tuple((plus >> c & 1) - (minus >> c & 1) for c in range(n)))
+            yield (e, p, (last_plus & ~minus) | plus, (last_minus & ~plus) | minus,
+                   None if left is None else left - spent)
+
+
 def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     """All chained ASMs on ``board``, exactly once, in lexicographic order of
     the flattened entry sequence (-1 < 0 < 1).
 
     A depth-first walk over an explicit stack with one frame per row of the
     chain, so its depth is not bounded by Python's recursion limit.  Each
-    frame tries the rows that meet condition (1) in lexicographic order of
-    their entries, which gives the order above.  Where the row sums a
-    matrix answers to are known, its last row is computed rather than
-    searched for, and every branch spends the chain's deficit budget.
+    frame tries the rows its column state allows (``_rows``) in that order,
+    and every branch spends the chain's deficit budget.  A state's rows
+    stream on first use and are kept once read (``placements._recorded``).
 
-    Each finished matrix is one tuple of the listed row tuples, built where
-    it finishes and held by every chain below, so consecutive objects share
+    Each finished matrix is one tuple of the row tuples, built where it
+    finishes and held by every chain below, so consecutive objects share
     the matrices they agree on; ``serialization.serialize_stream`` reuses
     their text.
     """
-    _check_board(board)
+    _check_size(board)
     n, k = board.n, board.k
     circ = board.circular
     target = max_rooks(board)
@@ -123,57 +169,12 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     # the deficit every chain spends in full (module docstring); a linear
     # chain with even k spends its last matrix's sum, so it is not budgeted
     budget = n * k - 2 * target if circ else None if k % 2 == 0 else 0
-    full = (1 << n) - 1
-    free = 1 << n - 1 if circ and k == 1 else 0  # a k = 1 last row answers to its own sum
+    lists, columns, interned = {}, {}, {}  # a state's rows once read through, and _rows' tables
 
-    # every row whose prefix sums stay in {0, 1}, in lexicographic order, with
-    # the columns where it holds +1 and those where it holds -1
-    rows = [()]
-    for _ in range(n):
-        rows = [e + (x,) for e in rows for x in (-1, 0, 1) if 0 <= sum(e) + x <= 1]
-    rows = [(e, *(sum(1 << j for j, x in enumerate(e) if x == v) for v in (1, -1))) for e in rows]
-    by_signs = {(plus, minus): e for e, plus, minus in rows}
-    # a column state is (columns whose last nonzero so far is +1, is -1); the
-    # rows it allows repeat no column's last sign nor overspend the deficit
-    # left, listed when the walk first meets the state as (entries, row sum,
-    # the state after the row, the deficit left after it)
-    allowed: dict[tuple, list] = {}
-    last: dict[tuple, list] = {}  # the same for a last row over known row sums r
-
-    def after(last_plus: int, last_minus: int, left: int | None) -> Iterator:
-        key = last_plus, last_minus, left
-        if key not in allowed:
-            seen = last_plus | last_minus
-            allowed[key] = [
-                (e, sum(e), (last_plus & ~minus) | plus, (last_minus & ~plus) | minus, rest)
-                for e, plus, minus in rows
-                if not (plus & last_plus or minus & last_minus)
-                for rest in [left if left is None else left - (minus & ~seen).bit_count()]
-                if rest is None or rest >= 0
-            ]
-        return iter(allowed[key])
-
-    def last_row(last_plus: int, last_minus: int, r: int, left: int | None) -> Iterator:
-        # each column's last entry is forced by r, except that an empty column
-        # may stay empty over r = 0 or open with -1 over r = 1 at a deficit of 1
-        key = last_plus, last_minus, r, left
-        if key not in last:
-            empty = full & ~(last_plus | last_minus)
-            spends = [0]
-            for j in range(n):
-                if empty >> j & 1:
-                    spends += [x | 1 << j for x in spends if left is None or x.bit_count() < left]
-            found = []
-            for bit in (0, 1):
-                rb = r | free * bit
-                for x in spends:
-                    plus, minus = ~rb & (last_minus | empty & ~x), rb & (last_plus | x)
-                    e = by_signs.get((plus, minus))
-                    if e is not None and sum(e) == bit:
-                        # no state after a last row: the next matrix starts afresh
-                        found.append((e, bit, 0, 0, left if left is None else left - x.bit_count()))
-            last[key] = sorted(found)
-        return iter(last[key])
+    def rows(*state) -> Iterator:  # (last_plus, last_minus, r, left)
+        if state in lists:
+            return iter(lists[state])
+        return _recorded(lists, state, _rows(n, *state, circ and k == 1, columns, interned))
 
     chosen = [()] * (n * k)  # the rows of the current path
     mats = [()] * k  # the row tuple of each finished matrix on the path
@@ -184,7 +185,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     first_plus = first_minus = 0
     # frames (rows left to try, the matrix's sum and row-sum bits so far,
     # the sum of the matrices before it)
-    stack = [(after(0, 0, budget) if n > 1 or circ and k > 1 else last_row(0, 0, 0, budget), 0, 0, 0)]
+    stack = [(rows(0, 0, None if n > 1 or circ and k > 1 else 0, budget), 0, 0, 0)]
     while stack:
         todo, s, bits, done = stack[-1]
         depth = len(stack) - 1
@@ -208,11 +209,8 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
                     continue
                 # the row sums matrix l answers to: zero before a linear chain,
                 # its own for k = 1, unknown for matrix 1 of a longer circular chain
-                if i < n - 2 or circ and l == 0 and k > 1:
-                    nxt = after(now_plus, now_minus, left)
-                else:
-                    nxt = last_row(now_plus, now_minus, mat_bits[l - 1] if l else bits2 if circ else 0, left)
-                stack.append((nxt, s2, bits2, done))
+                r = None if i < n - 2 or circ and l == 0 and k > 1 else mat_bits[l - 1] if l else bits2 if circ else 0
+                stack.append((rows(now_plus, now_minus, r, left), s2, bits2, done))
                 break
             if l == k - 1:
                 if done + s2 == target:
@@ -221,11 +219,11 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
                 continue
             mat_bits[l], mat_sum[l] = bits2, s2
             if circ and l == 0:
-                first_plus, first_minus = now_plus, now_minus | (0 if left else full & ~(now_plus | now_minus))
+                first_plus, first_minus = now_plus, now_minus | (0 if left else (1 << n) - 1 & ~(now_plus | now_minus))
             if done + s2 + suffix_max[l + 2][s2][mat_sum[0] if circ else 0] < target:
                 continue
             mats[l] = tuple(chosen[depth - n + 1 : depth + 1])
-            stack.append((after(0, 0, left) if n > 1 else last_row(0, 0, bits2, left), 0, 0, done + s2))
+            stack.append((rows(0, 0, None if n > 1 else bits2, left), 0, 0, done + s2))
             break
         else:
             stack.pop()

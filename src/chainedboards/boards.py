@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InputDomainError, clip
+from .errors import InputDomainError, UnsupportedDomainError, clip
 
 
 class Shape(enum.Enum):
@@ -85,6 +86,17 @@ def _check_board(board, cls: type = BoardSpec, what: str = "board") -> None:
     or the graph that a graph-taking class is built on."""
     if type(board) is not cls:
         raise InputDomainError(f"{what} must be a {cls.__name__}, got {clip(board)}")
+
+
+def _check_size(board) -> None:
+    """``_check_board``, then UnsupportedDomainError for a board whose n * k
+    exceeds ``sys.maxsize``: no list or shift the counts and searches size
+    by n or k can be made, so they refuse such a board before any work."""
+    _check_board(board)
+    if board.n * board.k > sys.maxsize:
+        raise UnsupportedDomainError(
+            f"n * k must be at most {sys.maxsize}, got n = {clip(board.n)}, k = {clip(board.k)}"
+        )
 
 
 def _square(board: BoardSpec, s) -> tuple[int, int, int]:

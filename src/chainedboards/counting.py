@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .boards import BoardSpec, _check_board
+from .boards import BoardSpec, _check_size
 from .errors import InputDomainError, clip
 
 
@@ -96,7 +96,7 @@ def count_placements_formula(board: BoardSpec, m: int) -> int:
     O(m * k * log n!) bits per walk (see ``_count_walks``), with one walk per
     circular start a_k, instead of one term per composition.
     """
-    _check_board(board)
+    _check_size(board)
     n = board.n
     if type(m) is not int or not 0 <= m <= n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
@@ -150,7 +150,7 @@ def count_max_circular(n: int, k: int) -> int:
 
 def count_max(board: BoardSpec) -> int:
     """Closed-form count of maximum placements for either shape."""
-    _check_board(board)
+    _check_size(board)
     if board.circular:
         return count_max_circular(board.n, board.k)
     return count_max_linear(board.n, board.k)

@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import BoardSpec, Shape, Square, _built, _check_board, max_rooks
+from .boards import BoardSpec, Shape, Square, _built, _check_board, _check_size, max_rooks
 from .errors import InputDomainError, ParseError, ValidationError, clip
 from .placements import RookPlacement, _search, placement_problems
 
@@ -127,6 +127,7 @@ def enumerate_chained_permutations(board: BoardSpec) -> Iterator[ChainedPermutat
     lexicographic order of its maximum placement: the k matrices of the
     placement search's per-board options, with no ``RookPlacement`` made
     between."""
+    _check_size(board)  # before the unit rows, which hold n entries each
     m = max_rooks(board)
     rows = _unit_rows(board.n)
     for path in _search(board, m, lambda b, cols: tuple(map(rows.__getitem__, cols))):

@@ -16,7 +16,7 @@ from .boards import (
     BoardSpec,
     Square,
     _built,
-    _check_board,
+    _check_size,
     checked_squares,
     rook_lines,
     suffix_bound_table,
@@ -125,7 +125,7 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
     cols)``; the search changes it after the yield, so a caller copies what
     it keeps.  An explicit stack holds one frame per board, so k is not
     bounded by Python's recursion limit."""
-    _check_board(board)
+    _check_size(board)
     if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     n, k = board.n, board.k
@@ -174,8 +174,9 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
 
 def _recorded(lists: dict, key, options: Iterator[tuple]) -> Iterator[tuple]:
     """``options``, kept as ``lists[key]`` once they run out, so a search
-    that stops early builds only the options it reads.  Each board's
-    options are read through before the same key comes round again."""
+    that stops early builds only the options it reads.  A key may come round
+    again before they run out, as each chained-ASM matrix starts from one
+    state; a second stream of it is correct and records an equal list."""
     got = []
     for option in options:
         got.append(option)

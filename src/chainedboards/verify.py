@@ -136,6 +136,8 @@ def verify_tables(
     for name, limit in (("max_n", max_n), ("max_k", max_k)):
         if limit is not None and type(limit) is not int:  # a bool or float is no limit
             raise InputDomainError(f"{name} must be an int or None, got {clip(limit)}")
+    if type(budget_seconds) not in (int, float) or not budget_seconds >= 0:  # a bool or NaN is no budget
+        raise InputDomainError(f"budget_seconds must be an int or float >= 0, got {clip(budget_seconds)}")
     records = []
     left = budget_seconds
     for board, expected in TABLE_CELLS:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from operator import add
 
 import pytest
@@ -181,6 +182,18 @@ def test_every_chain_spends_its_deficit_budget():
 
 def test_first_element_of_a_wide_circular_k1_chain():
     assert not chained_asm_problems(next(enumerate_chained_asm(circular(10, 1))))
+
+
+@pytest.mark.parametrize("board", [linear(16, 2), linear(18, 1)], ids=str)
+def test_the_first_chained_asm_of_a_wide_board_builds_no_row_table(board):
+    # a table of the 2^n rows that meet condition (1) held 54 MB at linear(16,2)
+    tracemalloc.start()
+    try:
+        next(enumerate_chained_asm(board))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_enumeration_contains_constructed_example():

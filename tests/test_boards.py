@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from chainedboards.asm import ChainedASM, PlainASM, count_chained_asm_tm, enumer
 from chainedboards.boards import (
     BoardSpec,
     Square,
+    _check_size,
     attacks,
     circular,
     linear,
@@ -19,8 +21,8 @@ from chainedboards.counting import count_max, count_placements_formula
 from chainedboards.errors import InputDomainError, UnsupportedDomainError
 from chainedboards.ice import FPLConfiguration, GridGraph, IceConfiguration
 from chainedboards.matchings import ChainGraph, ChainMatching
-from chainedboards.perms import ChainedPermutation, OneLine
-from chainedboards.placements import RookPlacement, enumerate_placements, placement_problems
+from chainedboards.perms import ChainedPermutation, OneLine, enumerate_chained_permutations
+from chainedboards.placements import RookPlacement, count_placements_brute, enumerate_placements, placement_problems
 from chainedboards.rendering import render
 from chainedboards.triangles import MonotoneTriangleChain
 from tests.reference import (
@@ -162,6 +164,30 @@ def test_attacks_and_chain_graph_share_the_rule(s):
         attacks(board, s, (1, 1, 1))
     with pytest.raises(InputDomainError):
         ChainGraph(board).endpoints(s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda board: count_placements_formula(board, 1),
+        count_max,
+        lambda board: count_placements_brute(board, 1),
+        lambda board: next(enumerate_placements(board, 1)),
+        lambda board: next(enumerate_chained_permutations(board)),
+        lambda board: next(enumerate_chained_asm(board)),
+    ],
+    ids=["formula", "closed", "brute", "placements", "perms", "asm"],
+)
+@pytest.mark.parametrize("board", [linear(10**20, 1), circular(2, sys.maxsize // 2 + 1)], ids=str)
+def test_a_board_of_more_than_sys_maxsize_squares_is_refused_before_any_work(call, board):
+    with pytest.raises(UnsupportedDomainError, match=r"^n \* k must be at most "):
+        call(board)
+
+
+def test_the_size_check_takes_a_board_of_sys_maxsize_squares():
+    _check_size(linear(sys.maxsize, 1))
+    with pytest.raises(InputDomainError, match="^board must be a BoardSpec"):
+        _check_size((sys.maxsize, 1))
 
 
 def test_board_spec_rejects_bad_dimensions():

@@ -519,6 +519,24 @@ def test_enumerate_limit_beyond_sys_maxsize_writes_the_whole_stream(capsys):
     assert run(capsys, *argv, "--limit", "9" * 23) == whole
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--family", "asm"],
+        ["enumerate", "--family", "perms"],
+        ["enumerate", "--family", "placements"],
+        ["count", "--method", "brute"],
+        ["count", "--method", "closed"],
+        ["count", "--method", "formula"],
+    ],
+    ids=" ".join,
+)
+def test_a_board_of_more_than_sys_maxsize_squares_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--shape", "linear", "-n", "9" * 20, "-k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: n * k must be at most ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("family", ["asm", "perms"])
 def test_enumerate_m_is_a_usage_error_outside_placements(capsys, family):
     code, out, err = run(

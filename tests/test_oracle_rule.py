@@ -53,23 +53,46 @@ def test_reference_imports_no_private_library_name():
     assert private == []
 
 
+# the searches checked against the transfer-matrix count or the composition
+# walk, each with the file it is defined in
+ORACLE_ENTRY_POINTS = [
+    (SRC / "asm.py", "enumerate_chained_asm"),
+    (SRC / "placements.py", "enumerate_placements"),
+    (SRC / "placements.py", "count_placements_brute"),
+    (SRC / "perms.py", "enumerate_chained_permutations"),
+    (REFERENCE, "row_search"),
+]
+
+
+def _reached(path: Path, entry: str) -> dict[tuple[Path, str], ast.FunctionDef]:
+    """The module-level functions that function ``entry`` of ``path`` reaches
+    by name, itself included, keyed by (file, name).  A name resolves to its
+    own file's function of that name, or else to every library module's."""
+    library = sorted(SRC.glob("*.py"))
+    defs = {
+        where: {node.name: node for node in ast.parse(where.read_text()).body if isinstance(node, ast.FunctionDef)}
+        for where in {*library, path}
+    }
+    reached, todo = {}, [(path, entry)]
+    while todo:
+        where, name = todo.pop()
+        if (where, name) in reached:
+            continue
+        node = reached[where, name] = defs[where][name]
+        for used in _names(node):
+            todo += [(where, used)] if used in defs[where] else [(lib, used) for lib in library if used in defs[lib]]
+    return reached
+
+
 def test_enumerators_do_not_use_the_transfer_matrix_walk():
-    for path, function in [
-        (SRC / "asm.py", "enumerate_chained_asm"),
-        (SRC / "placements.py", "enumerate_placements"),
-        (SRC / "placements.py", "count_placements_brute"),
-        (SRC / "placements.py", "_search"),
-        (SRC / "placements.py", "_options"),
-        (SRC / "placements.py", "_recorded"),
-        (SRC / "placements.py", "_squares"),
-        (SRC / "perms.py", "enumerate_chained_permutations"),
-        (REFERENCE, "row_search"),
-    ]:
-        tree = ast.parse(path.read_text())
-        (found,) = [
-            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
-        ]
-        assert not _names(found) & (TRANSFER_NAMES | WALK_NAMES), function
+    """The oracle rule, followed through calls: no function that an
+    enumerator reaches is, or mentions, a name of the transfer-matrix count
+    or of the composition walk."""
+    for path, entry in ORACLE_ENTRY_POINTS:
+        mentioned = set().union(*map(_names, _reached(path, entry).values()))
+        assert mentioned & (TRANSFER_NAMES | WALK_NAMES) == set(), f"{path.name}::{entry}"
+    # the calls are followed: the brute count reaches the per-board options through _search
+    assert (SRC / "placements.py", "_options") in _reached(SRC / "placements.py", "count_placements_brute")
 
 
 # public names with no caller in the library, each kept for a reason

@@ -151,3 +151,9 @@ def test_table_constant_is_complete():
 def test_limits_must_be_ints_or_none(limits):
     with pytest.raises(InputDomainError, match=r"^max_[nk] must be an int or None, got "):
         verify_tables(**limits)
+
+
+@pytest.mark.parametrize("budget", ["a", None, True, float("nan"), -1, -0.5, float("-inf")])
+def test_budget_must_be_an_int_or_float_of_at_least_zero(budget):
+    with pytest.raises(InputDomainError, match=r"^budget_seconds must be an int or float >= 0, got "):
+        verify_tables(max_n=1, max_k=1, budget_seconds=budget)
