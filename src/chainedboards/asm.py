@@ -101,6 +101,7 @@ def asm_to_permutation(a: ChainedASM) -> ChainedPermutation:
 
 
 _BATCH = 16  # prefixes a state's row stream extends at once
+_KEEP = 1 << 15  # completions one chained-ASM search keeps at most
 
 
 def _rows(n: int, last_plus: int, last_minus: int, r: int | None, left: int | None,
@@ -146,20 +147,70 @@ def _rows(n: int, last_plus: int, last_minus: int, r: int | None, left: int | No
                    None if left is None else left - spent)
 
 
+def _completions(n: int, rows, r: int | None, left: int | None, top: int, low: list[int],
+                 ban: tuple[int, int] = (0, 0)) -> Iterator[tuple]:
+    """One matrix's completions in lexicographic order, each as (its row
+    tuples, row-sum bits, sum, last +1 and -1 columns, deficit left): a walk
+    over an explicit stack of one frame per row, each trying the rows its
+    column state allows (``rows``).  The last row answers to the row sums
+    ``r`` (``None``: unknown; -1: the matrix's own).  The sum is at most
+    ``top`` and, once first rows sum to s, reaches ``low[s]``; row i may not
+    sum to x if bit i of ``ban[x]`` is set."""
+    chosen = [()] * n
+    stack = [(rows(0, 0, None if n > 1 else 0 if r == -1 else r, left), 0, 0)]
+    while stack:
+        todo, s, bits = stack[-1]
+        i = len(stack) - 1
+        for row, rsum, plus, minus, after in todo:
+            s2 = s + rsum
+            if s2 > top or ban[rsum] >> i & 1:
+                continue
+            chosen[i] = row
+            if i < n - 1:
+                if s2 + min(n - 1 - i, top - s2) < low[s2]:
+                    continue
+                bits2 = bits | rsum << i
+                stack.append((rows(plus, minus, None if i < n - 2 else bits2 if r == -1 else r, after), s2, bits2))
+                break
+            if s2 >= low[s2]:
+                yield tuple(chosen), bits | rsum << i, s2, plus, minus, after
+        else:
+            stack.pop()
+
+
+def _kept(lists: dict, key, options: Iterator[tuple], room: list[int]) -> Iterator[tuple]:
+    """``options``, kept as ``lists[key]`` once they run out if the room
+    ``room[0]`` that a search's keys share holds them; else the key gives
+    its room back and streams afresh on its next use."""
+    got = []
+    for option in options:
+        yield option
+        if not room[0]:
+            room[0] += len(got)
+            got.clear()
+            yield from options
+            return
+        got.append(option)
+        room[0] -= 1
+    lists[key] = got
+
+
 def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     """All chained ASMs on ``board``, exactly once, in lexicographic order of
     the flattened entry sequence (-1 < 0 < 1).
 
-    A depth-first walk over an explicit stack with one frame per row of the
-    chain, so its depth is not bounded by Python's recursion limit.  Each
-    frame tries the rows its column state allows (``_rows``) in that order,
-    and every branch spends the chain's deficit budget.  A state's rows
-    stream on first use and are kept once read (``placements._recorded``).
+    They are the product of the k matrices' completions (``_completions``),
+    each list in lexicographic order; explicit stacks bound neither n nor k
+    by Python's recursion limit.  A state's rows stream on first use, shared
+    by every reader (``placements._recorded``).  Matrix 1's completions
+    stream; a later matrix's are kept (``_kept``) by all its search reads:
+    its place, the row sums and deficit left before it, the sum before it,
+    on a circular chain matrix 1's sum and, closing it, matrix 1's bans.  A
+    search keeps ``_KEEP`` completions at most, so past that keys stream.
 
-    Each finished matrix is one tuple of the row tuples, built where it
-    finishes and held by every chain below, so consecutive objects share
-    the matrices they agree on; ``serialization.serialize_stream`` reuses
-    their text.
+    Each completion's row tuple is built once and held by every chain that
+    uses it, so consecutive objects share the matrices they agree on;
+    ``serialization.serialize_stream`` reuses their text.
     """
     _check_size(board)
     n, k = board.n, board.k
@@ -169,61 +220,39 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     # the deficit every chain spends in full (module docstring); a linear
     # chain with even k spends its last matrix's sum, so it is not budgeted
     budget = n * k - 2 * target if circ else None if k % 2 == 0 else 0
-    lists, columns, interned = {}, {}, {}  # a state's rows once read through, and _rows' tables
+    lists, columns, interned = {}, {}, {}  # each state's row stream, and _rows' tables
+    kept, room = {}, [_KEEP]  # later matrices' completions, and how many more may be kept
 
     def rows(*state) -> Iterator:  # (last_plus, last_minus, r, left)
-        if state in lists:
-            return iter(lists[state])
-        return _recorded(lists, state, _rows(n, *state, circ and k == 1, columns, interned))
+        return _recorded(lists, state, _rows, n, *state, circ and k == 1, columns, interned)
 
-    chosen = [()] * (n * k)  # the rows of the current path
-    mats = [()] * k  # the row tuple of each finished matrix on the path
-    mat_bits = [0] * k  # row-sum bits of each finished matrix on the path
-    mat_sum = [0] * k
-    # matrix 1's columns that need row sum 0 in matrix k (bottommost nonzero
-    # +1), and 1 (bottommost -1, or empty once no deficit is left)
-    first_plus = first_minus = 0
-    # frames (rows left to try, the matrix's sum and row-sum bits so far,
-    # the sum of the matrices before it)
-    stack = [(rows(0, 0, None if n > 1 or circ and k > 1 else 0, budget), 0, 0, 0)]
+    # matrix 1's last row answers to zero row sums (linear), its own (circular k = 1) or
+    # unknown ones (circular); on a circular chain its sum is a1, and the bound falls in both
+    low = [target - suffix_max[2][s][s if circ else 0] for s in range(n + 1)]
+    stack = [_completions(n, rows, None if circ and k > 1 else -1 if circ else 0, budget, min(n, target), low)]
+    mats, done = [()] * k, [0] * k  # done[l]: the sum of the matrices before matrix l + 1
+    a1, ban = 0, (0, 0)
     while stack:
-        todo, s, bits, done = stack[-1]
-        depth = len(stack) - 1
-        l, i = divmod(depth, n)
-        a1 = mat_sum[0] if circ and l >= 1 else 0
-        cap = n - mat_sum[l - 1] if l >= 1 else n
-        # circular k >= 2: column i of matrix 1 fixes the sum of row i of matrix k
-        closing = circ and k >= 2 and l == k - 1
-        if closing:
-            cap = min(cap, n - a1)
-        for row, rsum, now_plus, now_minus, left in todo:
-            s2 = s + rsum
-            if s2 > cap or done + s2 > target:
-                continue
-            if closing and (first_plus if rsum else first_minus) >> i & 1:
-                continue
-            bits2 = bits | rsum << i
-            chosen[depth] = row
-            if i < n - 1:
-                if done + s2 + min(n - 1 - i, cap - s2) + suffix_max[l + 2][s2][a1] < target:
-                    continue
-                # the row sums matrix l answers to: zero before a linear chain,
-                # its own for k = 1, unknown for matrix 1 of a longer circular chain
-                r = None if i < n - 2 or circ and l == 0 and k > 1 else mat_bits[l - 1] if l else bits2 if circ else 0
-                stack.append((rows(now_plus, now_minus, r, left), s2, bits2, done))
-                break
+        l = len(stack) - 1
+        for mat, bits, s, plus, minus, left in stack[-1]:
+            mats[l] = mat
             if l == k - 1:
-                if done + s2 == target:
-                    mats[l] = tuple(chosen[depth - n + 1 :])  # the listed row tuples themselves, shared
-                    yield _built(ChainedASM, board=board, matrices=tuple(mats))
+                yield _built(ChainedASM, board=board, matrices=tuple(mats))
                 continue
-            mat_bits[l], mat_sum[l] = bits2, s2
-            if circ and l == 0:
-                first_plus, first_minus = now_plus, now_minus | (0 if left else (1 << n) - 1 & ~(now_plus | now_minus))
-            if done + s2 + suffix_max[l + 2][s2][mat_sum[0] if circ else 0] < target:
-                continue
-            mats[l] = tuple(chosen[depth - n + 1 : depth + 1])
-            stack.append((rows(0, 0, None if n > 1 else bits2, left), 0, 0, done + s2))
+            if l == 0 and circ:
+                # row i of matrix k sums to 0 over a bottommost +1 in column i of matrix 1,
+                # to 1 over a bottommost -1 or, with no deficit left, an empty column
+                a1, ban = s, (minus | (0 if left else (1 << n) - 1 & ~(plus | minus)), plus)
+            done[l + 1] = total = done[l] + s
+            closing = circ and l == k - 2
+            bans = ban if closing else (0, 0)
+            key = l + 1, bits, left, total, a1, bans
+            todo = kept.get(key)
+            if todo is None:
+                top = min(n - s, target - total, n - a1 if closing else n)
+                low = [target - total - suffix_max[l + 3][x][a1] for x in range(n + 1)]
+                todo = _kept(kept, key, _completions(n, rows, bits, left, top, low, bans), room)
+            stack.append(iter(todo))
             break
         else:
             stack.pop()

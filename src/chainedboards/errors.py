@@ -57,10 +57,10 @@ def _clip_long_int(value: int, limit: int) -> str:
     """What ``clip`` gives for ``str(value)``, from the int's leading digits."""
     sign = "-" if value < 0 else ""
     value = abs(value)
-    digits = int(value.bit_length() * 0.30102999566398120) + 1  # log10(2)
+    # the float constant exceeds log10(2), so for b bits (b < 2^53, exact as a
+    # float) the estimate is never short: it may only need to come down
+    digits = int(value.bit_length() * 0.30102999566398120) + 1
     while 10 ** (digits - 1) > value:
         digits -= 1
-    while 10**digits <= value:
-        digits += 1
     lead = value // 10 ** (digits - (limit - len(sign)))
     return f"{sign}{lead}… ({len(sign) + digits} characters)"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
-from .asm import ChainedASM, chained_asm_problems
+from .asm import ChainedASM
 from .boards import BoardSpec, Shape, _check_board
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 
@@ -195,7 +195,16 @@ def ice_problems(c: IceConfiguration) -> list[str]:
 
 def from_ice(c: IceConfiguration) -> ChainedASM:
     """Classify each interior vertex into the six configurations and read
-    the matrix entries back off."""
+    the matrix entries back off.
+
+    What ``ice_problems`` passes decodes to a chained ASM, so it is not
+    checked again.  Two-in two-out flips a row's horizontal edges, and a
+    column's vertical ones, exactly at its nonzero entries, which so
+    alternate in sign: from the left boundary, condition (1); and up a
+    column of board l from the edge that ends row i of board l - 1, whose
+    direction is that row's sum, condition (2).  The top boundary then sets
+    each row sum of board l - 1 plus the column's sum in board l to 1, so
+    consecutive matrix sums add to n and the total is nk/2, condition (3)."""
     problems = ice_problems(c)
     if problems:
         raise ValidationError("not a chained ice configuration", problems)
@@ -209,11 +218,7 @@ def from_ice(c: IceConfiguration) -> ChainedASM:
         sources_in = horiz_in == 2  # both horizontal in, both vertical out
         value = 1 if sources_in == (l % 2 == 1) else -1
         grids[l - 1][i - 1][j - 1] = value
-    a = ChainedASM(BoardSpec(Shape.CIRCULAR, n, k), grids)
-    bad = chained_asm_problems(a)
-    if bad:
-        raise ValidationError("ice configuration decodes to an invalid chained ASM", bad)
-    return a
+    return ChainedASM(BoardSpec(Shape.CIRCULAR, n, k), grids)
 
 
 @dataclass(frozen=True)

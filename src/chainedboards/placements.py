@@ -150,10 +150,7 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
                 a1, cols1 = a, cols
             total = done[b - 1] + a
             if b == k - 1:
-                key = rows, m - total
-                todo = last.get(key)
-                if todo is None:
-                    todo = _recorded(last, key, _options(n, k, rows, 1 << m - total, payload))
+                todo = _recorded(last, (rows, m - total), _options, n, k, rows, 1 << m - total, payload)
                 for part_k, rows_k, _, _ in todo:
                     if not (circ and rows_k & cols1):
                         path[k - 1] = part_k
@@ -162,26 +159,39 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
             done[b] = total
             counts = sum(1 << c for c in range(min(m - total, n) + 1)
                          if total + c + bound[b + 2][c][a1 if circ else 0] >= m)
-            key = b + 1, rows, counts
-            todo = middle.get(key)
-            if todo is None:
-                todo = _recorded(middle, key, _options(n, b + 1, rows, counts, payload))
-            stack.append(iter(todo))
+            stack.append(_recorded(middle, (b + 1, rows, counts), _options, n, b + 1, rows, counts, payload))
             break
         else:
             stack.pop()
 
 
-def _recorded(lists: dict, key, options: Iterator[tuple]) -> Iterator[tuple]:
-    """``options``, kept as ``lists[key]`` once they run out, so a search
-    that stops early builds only the options it reads.  A key may come round
-    again before they run out, as each chained-ASM matrix starts from one
-    state; a second stream of it is correct and records an equal list."""
-    got = []
-    for option in options:
-        got.append(option)
-        yield option
-    lists[key] = got
+def _recorded(lists: dict, key, build, *args) -> Iterator[tuple]:
+    """A reader of ``key``'s options from the first one.  ``build(*args)``
+    makes them on first use, and every reader of the key shares that one
+    stream: a reader that runs ahead of the others builds the next option
+    for all of them.  They are kept as the list ``lists[key]`` once they run
+    out.  So a search that stops early builds only the options it reads, and
+    a key that comes round again before its options run out, as each
+    chained-ASM matrix starts from one state, builds none of them twice."""
+    entry = lists.get(key)
+    if entry is None:
+        entry = lists[key] = ([], build(*args))  # (the options so far, what builds the rest)
+    elif type(entry) is list:
+        return iter(entry)
+    return _shared(lists, key, *entry)
+
+
+def _shared(lists: dict, key, got: list, source: Iterator[tuple]) -> Iterator[tuple]:
+    i = 0
+    while True:
+        if i == len(got):
+            option = next(source, None)  # options are tuples, never None
+            if option is None:
+                lists[key] = got
+                return
+            got.append(option)
+        yield got[i]
+        i += 1
 
 
 def _squares(b: int, cols: tuple[int, ...]) -> tuple[Square, ...]:

@@ -196,6 +196,51 @@ def test_the_first_chained_asm_of_a_wide_board_builds_no_row_table(board):
     assert peak < 2 << 20
 
 
+@pytest.mark.parametrize(
+    "board, limit, states",
+    [(linear(16, 2), 1, 17), (linear(4, 2), None, 593), (circular(3, 3), None, 160), (circular(5, 1), None, 878)],
+    ids=str,
+)
+def test_each_row_state_streams_once(monkeypatch, board, limit, states):
+    # every matrix starts from one column state, and a zero row keeps it, so
+    # up to n readers of a state's rows are open at once; they share one stream
+    streams = []
+
+    def counted(n, *state_and_tables):
+        streams.append(state_and_tables[:4])
+        return rows(n, *state_and_tables)
+
+    rows = asm._rows
+    monkeypatch.setattr(asm, "_rows", counted)
+    sum(1 for _ in itertools.islice(enumerate_chained_asm(board), limit))
+    assert len(streams) == len(set(streams)) == states
+
+
+@pytest.mark.parametrize("board", [circular(3, 3), linear(4, 2), circular(4, 2)], ids=str)
+def test_completions_past_the_keeping_cap_stream_afresh(monkeypatch, board):
+    # with room for 50 completions, keys past it stream each time they come
+    # round, and the chains are the same in the same order
+    want = list(enumerate_chained_asm(board))
+    searches, keys = [], []
+
+    def watched(lists, key, options, room):
+        searches.append((lists, room))
+        keys.append(key)
+        return kept(lists, key, options, room)
+
+    kept = asm._kept
+    monkeypatch.setattr(asm, "_KEEP", 50)
+    monkeypatch.setattr(asm, "_kept", watched)
+    got = []
+    for a in enumerate_chained_asm(board):
+        got.append(a)
+        lists, room = searches[-1]
+        assert room[0] >= 0 and sum(map(len, lists.values())) <= 50
+    assert got == want
+    assert lists and len(keys) > len(set(keys))  # some keys were kept, and some streamed afresh
+    assert room[0] + sum(map(len, lists.values())) == 50  # a key that streams afresh gave its room back
+
+
 def test_enumeration_contains_constructed_example():
     assert LINEAR_32_WITH_TOP_MINUS.matrices in {
         a.matrices for a in enumerate_chained_asm(linear(3, 2))

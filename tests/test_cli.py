@@ -3,10 +3,12 @@ from __future__ import annotations
 import io
 import json
 import os
+import runpy
 import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -630,7 +632,7 @@ def test_count_closed_on_a_wide_linear_chain(capsys):
 )
 def test_search_reaches_past_the_recursion_limit(capsys, family, n, k, cls):
     # both searches keep their own stack: the placement walk one frame per
-    # row of the chain, the chained-ASM walk one frame per matrix row
+    # row of the chain, the chained-ASM walk one frame per matrix and one per row
     argv = ("--shape", "linear", "-n", n, "-k", k)
     code, out, err = run(capsys, "enumerate", "--family", family, *argv, "--limit", "1")
     assert code == 0 and err == "" and out.count("\n") == 1
@@ -707,3 +709,13 @@ def test_readme_example_runs(tmp_path, monkeypatch, capsys, line):
         said = stage.partition("#")[2].strip()
         if said.isdigit():  # the count the line's comment gives
             assert piped == f"{said}\n", stage
+
+
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    # python -m chainedboards.cli exits with main's code
+    argv = ["cli", "count", "--shape", "circular", "-n", "2", "-k", "2", "--method", "formula"]
+    monkeypatch.setattr(sys, "argv", argv)
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as info:
+        warnings.simplefilter("ignore", RuntimeWarning)  # the module is imported already
+        runpy.run_module("chainedboards.cli", run_name="__main__")
+    assert info.value.code == 0 and capsys.readouterr() == ("8\n", "")

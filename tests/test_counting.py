@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainedboards import counting
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
     _count_walks,
@@ -252,3 +253,12 @@ def test_qtasm_count():
     assert qtasm_count(3) == 6860
     with pytest.raises(InputDomainError):
         qtasm_count(0)
+
+
+def test_qtasm_count_refuses_a_product_that_does_not_cancel(monkeypatch):
+    # no m reaches the check, as the product counts quarter-turn symmetric
+    # ASMs; given a wrong classical count it refuses rather than drop the
+    # denominator
+    monkeypatch.setattr(counting, "classical_asm_count", lambda m: Fraction(1, 2))
+    with pytest.raises(AssertionError, match="^quarter-turn product did not cancel: 5/8$"):
+        qtasm_count(2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainedboards.asm import enumerate_chained_asm
+from chainedboards.asm import chained_asm_problems, enumerate_chained_asm
 from chainedboards.boards import circular
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.ice import (
@@ -238,6 +238,16 @@ def test_independent_ice_enumeration_matches_images():
         images = {to_ice(a).heads for a in enumerate_chained_asm(circular(n, k))}
         independent = {c.heads for c in enumerate_ice(n, k)}
         assert images == independent
+
+
+def test_every_ice_configuration_decodes_to_a_chained_asm():
+    # from_ice does not check what it decodes: two-in two-out and the domain
+    # wall boundary imply the three conditions (its docstring), as every
+    # configuration of these graphs shows
+    for n, k in [(1, 2), (2, 2), (1, 4), (2, 4), (3, 2)]:
+        decoded = [from_ice(c) for c in enumerate_ice(n, k)]
+        assert all(chained_asm_problems(a) == [] for a in decoded)
+        assert sorted(decoded, key=lambda a: a.matrices) == list(enumerate_chained_asm(circular(n, k)))
 
 
 def test_independent_fpl_enumeration_matches_images():

@@ -91,8 +91,11 @@ def test_enumerators_do_not_use_the_transfer_matrix_walk():
     for path, entry in ORACLE_ENTRY_POINTS:
         mentioned = set().union(*map(_names, _reached(path, entry).values()))
         assert mentioned & (TRANSFER_NAMES | WALK_NAMES) == set(), f"{path.name}::{entry}"
-    # the calls are followed: the brute count reaches the per-board options through _search
+    # the calls are followed: the brute count reaches the per-board options through _search,
+    # and the chained-ASM search each matrix's completions
     assert (SRC / "placements.py", "_options") in _reached(SRC / "placements.py", "count_placements_brute")
+    completions = _reached(SRC / "asm.py", "enumerate_chained_asm").get((SRC / "asm.py", "_completions"))
+    assert completions is not None and _names(completions) & (TRANSFER_NAMES | WALK_NAMES) == set()
 
 
 # public names with no caller in the library, each kept for a reason

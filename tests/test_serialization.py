@@ -17,7 +17,7 @@ from chainedboards.asm import (
     to_plain_asm,
 )
 from chainedboards.boards import BoardSpec, Shape, circular, linear, max_rooks
-from chainedboards.errors import ChainedBoardsError, InputDomainError, ParseError, ValidationError, clip
+from chainedboards.errors import ChainedBoardsError, InputDomainError, ParseError, ValidationError, _clip_long_int, clip
 from chainedboards.ice import _grid, to_fpl, to_ice
 from chainedboards.matchings import ChainGraph, ChainMatching, to_matching
 from chainedboards.perms import (
@@ -632,6 +632,14 @@ def test_clip_describes_ints_beyond_the_str_digit_limit():
             str(value)
         assert clip(value) == f"{text[:40]}… ({len(text)} characters)"
     assert clip(10**limit, limit=5) == f"10000… ({limit + 1} characters)"
+
+
+def test_the_digit_estimate_of_a_long_int_is_never_short():
+    # _clip_long_int only lowers its first estimate, from the bit length: the
+    # largest int of each bit length is where a short one would show
+    for bits in range(1, 4000):
+        value = (1 << bits) - 1
+        assert _clip_long_int(value, 1).endswith(f" ({len(str(value))} characters)"), bits
 
 
 _NESTED_HUGE_INTS = st.recursive(
