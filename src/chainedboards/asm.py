@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterator
 
-from .boards import BoardSpec, _built, _check_board, _check_size, max_rooks, suffix_bound_table
+from .boards import BoardSpec, _built, _check_board, _check_size, _suffix_bound, max_rooks
 from .counting import _count_walks
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
-from .placements import _recorded
+from .placements import _chain, _kept
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,35 @@ def asm_to_permutation(a: ChainedASM) -> ChainedPermutation:
 
 _BATCH = 16  # prefixes a state's row stream extends at once
 _KEEP = 1 << 15  # completions one chained-ASM search keeps at most
+
+
+def _recorded(lists: dict, key, build, *args) -> Iterator[tuple]:
+    """A reader of a column state's rows from the first one.  ``build(*args)``
+    makes them on first use, and every reader of the key shares that one
+    stream: a reader that runs ahead of the others builds the next row for
+    all of them.  They are kept as the list ``lists[key]`` once they run
+    out.  So a search that stops early builds only the rows it reads, and a
+    state that comes round again before its rows run out, as each matrix
+    starts from one state, builds none of them twice."""
+    entry = lists.get(key)
+    if entry is None:
+        entry = lists[key] = ([], build(*args))  # (the rows so far, what builds the rest)
+    elif type(entry) is list:
+        return iter(entry)
+    return _shared(lists, key, *entry)
+
+
+def _shared(lists: dict, key, got: list, source: Iterator[tuple]) -> Iterator[tuple]:
+    i = 0
+    while True:
+        if i == len(got):
+            option = next(source, None)  # rows are tuples, never None
+            if option is None:
+                lists[key] = got
+                return
+            got.append(option)
+        yield got[i]
+        i += 1
 
 
 def _rows(n: int, last_plus: int, last_minus: int, r: int | None, left: int | None,
@@ -178,35 +207,19 @@ def _completions(n: int, rows, r: int | None, left: int | None, top: int, low: l
             stack.pop()
 
 
-def _kept(lists: dict, key, options: Iterator[tuple], room: list[int]) -> Iterator[tuple]:
-    """``options``, kept as ``lists[key]`` once they run out if the room
-    ``room[0]`` that a search's keys share holds them; else the key gives
-    its room back and streams afresh on its next use."""
-    got = []
-    for option in options:
-        yield option
-        if not room[0]:
-            room[0] += len(got)
-            got.clear()
-            yield from options
-            return
-        got.append(option)
-        room[0] -= 1
-    lists[key] = got
-
-
 def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     """All chained ASMs on ``board``, exactly once, in lexicographic order of
     the flattened entry sequence (-1 < 0 < 1).
 
     They are the product of the k matrices' completions (``_completions``),
-    each list in lexicographic order; explicit stacks bound neither n nor k
-    by Python's recursion limit.  A state's rows stream on first use, shared
-    by every reader (``placements._recorded``).  Matrix 1's completions
-    stream; a later matrix's are kept (``_kept``) by all its search reads:
-    its place, the row sums and deficit left before it, the sum before it,
-    on a circular chain matrix 1's sum and, closing it, matrix 1's bans.  A
-    search keeps ``_KEEP`` completions at most, so past that keys stream.
+    each list in lexicographic order (``placements._chain``); explicit
+    stacks bound neither n nor k by Python's recursion limit.  A state's
+    rows stream on first use, shared by every reader (``_recorded``).
+    Matrix 1's completions stream; a later matrix's are kept
+    (``placements._kept``) by all its search reads: its place, the row sums
+    and deficit left before it, the sum before it, on a circular chain
+    matrix 1's sum and, closing it, matrix 1's bans.  A search keeps
+    ``_KEEP`` completions at most, so past that keys stream.
 
     Each completion's row tuple is built once and held by every chain that
     uses it, so consecutive objects share the matrices they agree on;
@@ -216,46 +229,40 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     n, k = board.n, board.k
     circ = board.circular
     target = max_rooks(board)
-    suffix_max = suffix_bound_table(board)  # indexed by board: matrix l is board l + 1
     # the deficit every chain spends in full (module docstring); a linear
     # chain with even k spends its last matrix's sum, so it is not budgeted
     budget = n * k - 2 * target if circ else None if k % 2 == 0 else 0
     lists, columns, interned = {}, {}, {}  # each state's row stream, and _rows' tables
     kept, room = {}, [_KEEP]  # later matrices' completions, and how many more may be kept
+    done = [0] * k  # done[b]: the sum of matrices 1..b
+    a1, ban = 0, (0, 0)
 
     def rows(*state) -> Iterator:  # (last_plus, last_minus, r, left)
         return _recorded(lists, state, _rows, n, *state, circ and k == 1, columns, interned)
 
+    def completions(b: int, bits: int, left: int | None, total: int, a1: int, bans: tuple[int, int]) -> Iterator:
+        # matrix b's, after row sums bits (matrix b - 1's sum is their count); matrix k closes a circular chain
+        top = min(n - bits.bit_count(), target - total, n - a1 if circ and b == k else n)
+        low = [target - total - _suffix_bound(n, k, circ, b + 1, x, a1) for x in range(n + 1)]
+        return _completions(n, rows, bits, left, top, low, bans)
+
+    def after(b: int, option: tuple) -> Iterator:
+        nonlocal a1, ban
+        _, bits, s, plus, minus, left = option
+        if b == 1 and circ:
+            # row i of matrix k sums to 0 over a bottommost +1 in column i of matrix 1,
+            # to 1 over a bottommost -1 or, with no deficit left, an empty column
+            a1, ban = s, (minus | (0 if left else (1 << n) - 1 & ~(plus | minus)), plus)
+        done[b] = done[b - 1] + s
+        key = b + 1, bits, left, done[b], a1, ban if circ and b == k - 1 else (0, 0)
+        return _kept(kept, key, room, completions, *key)
+
     # matrix 1's last row answers to zero row sums (linear), its own (circular k = 1) or
     # unknown ones (circular); on a circular chain its sum is a1, and the bound falls in both
-    low = [target - suffix_max[2][s][s if circ else 0] for s in range(n + 1)]
-    stack = [_completions(n, rows, None if circ and k > 1 else -1 if circ else 0, budget, min(n, target), low)]
-    mats, done = [()] * k, [0] * k  # done[l]: the sum of the matrices before matrix l + 1
-    a1, ban = 0, (0, 0)
-    while stack:
-        l = len(stack) - 1
-        for mat, bits, s, plus, minus, left in stack[-1]:
-            mats[l] = mat
-            if l == k - 1:
-                yield _built(ChainedASM, board=board, matrices=tuple(mats))
-                continue
-            if l == 0 and circ:
-                # row i of matrix k sums to 0 over a bottommost +1 in column i of matrix 1,
-                # to 1 over a bottommost -1 or, with no deficit left, an empty column
-                a1, ban = s, (minus | (0 if left else (1 << n) - 1 & ~(plus | minus)), plus)
-            done[l + 1] = total = done[l] + s
-            closing = circ and l == k - 2
-            bans = ban if closing else (0, 0)
-            key = l + 1, bits, left, total, a1, bans
-            todo = kept.get(key)
-            if todo is None:
-                top = min(n - s, target - total, n - a1 if closing else n)
-                low = [target - total - suffix_max[l + 3][x][a1] for x in range(n + 1)]
-                todo = _kept(kept, key, _completions(n, rows, bits, left, top, low, bans), room)
-            stack.append(iter(todo))
-            break
-        else:
-            stack.pop()
+    low = [target - _suffix_bound(n, k, circ, 2, s, s) for s in range(n + 1)]
+    first = _completions(n, rows, None if circ and k > 1 else -1 if circ else 0, budget, min(n, target), low)
+    for mats in _chain(k, first, after):
+        yield _built(ChainedASM, board=board, matrices=tuple(mats))
 
 
 # --- counting by transfer matrix ------------------------------------------

@@ -20,7 +20,6 @@ All coordinates are 1-based.
 from __future__ import annotations
 
 import enum
-import functools
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -179,33 +178,17 @@ def max_rooks(board: BoardSpec) -> int:
 Composition = tuple[int, ...]
 
 
-def suffix_bound_table(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``bound[b][prev][a1]``: the most rooks boards b..k can hold when board
-    b-1 holds ``prev`` and, circularly, board 1 holds ``a1`` (0 for b > k).
+def _suffix_bound(n: int, k: int, circular: bool, b: int, prev: int, a1: int) -> int:
+    """The most rooks boards b..k (b = 1..k+1) can hold when board b-1 holds
+    ``prev`` and, on a circular chain, board 1 holds ``a1``.
 
     Only the caps a_{i-1} + a_i <= n and, on the last board of a circular
     chain, a_k + a_1 <= n are used, so for partial placements it is an upper
-    bound.  Index b runs over 1..k+1; prev and a1 over 0..n.  The tables of
-    the boards used last are kept, so callers read them and never write.
+    bound.  One more rook on a board costs the boards after it at most one,
+    so each board takes all it may: boards b..k hold n - prev, prev,
+    n - prev, ... in turn, less what board k's turn exceeds n - a1 by.
     """
-    _check_board(board)  # before the cache, which cannot hash every non-board
-    return _suffix_bound(board)
-
-
-@functools.lru_cache(maxsize=32)  # bounded: a table holds (k + 2)(n + 1)^2 ints
-def _suffix_bound(board: BoardSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # bound[b][prev][a1] is the most of a + bound[b + 1][a][a1] over a <= hi.
-    # That term does not fall as a grows: bound[b + 1] drops by at most one
-    # per step of prev, as one more rook before board b + 1 costs it at most
-    # one (by induction from b = k + 1).  So the max is at a = hi, and each
-    # entry is O(1).
-    n, k = board.n, board.k
-    bound = [((0,) * (n + 1),) * (n + 1)] * (k + 2)  # b = 0 is never read; b = k + 1 has no board
-    for b in range(k, 0, -1):
-        after = bound[b + 1]
-        closing = board.circular and b == k
-        bound[b] = tuple(
-            tuple(hi + after[hi][a1] for a1 in range(n + 1) for hi in [min(n - prev, n - a1) if closing else n - prev])
-            for prev in range(n + 1)
-        )
-    return tuple(bound)
+    boards = k - b + 1
+    last = n - prev if boards % 2 else prev  # board k's turn
+    over = max(0, last - n + a1) if circular and boards else 0
+    return (boards + 1) // 2 * (n - prev) + boards // 2 * prev - over

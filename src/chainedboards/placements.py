@@ -8,6 +8,7 @@ in lexicographic order of their sorted square lists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
@@ -17,9 +18,9 @@ from .boards import (
     Square,
     _built,
     _check_size,
+    _suffix_bound,
     checked_squares,
     rook_lines,
-    suffix_bound_table,
 )
 from .errors import InputDomainError, clip
 
@@ -107,6 +108,52 @@ def _options(n: int, b: int, banned: int, counts: int, payload, self_chained: bo
                 top[:] = frame(r + 1)
 
 
+def _chain(k: int, first: Iterator[tuple], after) -> Iterator[list]:
+    """The product of k boards' options in nested order: board 1's are
+    ``first`` and, once board b takes ``option``, board b + 1's are
+    ``after(b, option)``.  Each leaf is the search's own list of every
+    board's option's first field, changed after the yield.  An explicit
+    stack of one frame per board leaves k unbounded by the recursion limit."""
+    path = [None] * k
+    stack = [first]  # board b's options, b = len(stack)
+    while stack:
+        b = len(stack)
+        for option in stack[-1]:
+            path[b - 1] = option[0]
+            if b == k:
+                yield path
+                continue
+            stack.append(after(b, option))
+            break
+        else:
+            stack.pop()
+
+
+def _kept(lists: dict, key, room: list, build, *args) -> Iterator[tuple]:
+    """A later board's options for ``key``: the list ``lists[key]`` once it
+    is kept, else ``build(*args)`` streamed.  They are kept once they run out
+    if the room ``room[0]`` that a search's keys share holds them; a key that
+    outgrows it gives its room back and streams afresh on its next use."""
+    got = lists.get(key)
+    if got is not None:
+        return iter(got)
+
+    def stream() -> Iterator[tuple]:
+        options, got = build(*args), []
+        for option in options:
+            yield option
+            if not room[0]:
+                room[0] += len(got)
+                got.clear()
+                yield from options
+                return
+            got.append(option)
+            room[0] -= 1
+        lists[key] = got
+
+    return stream()
+
+
 def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
     """Every valid m-rook placement, each exactly once, in lexicographic
     order of its squares: once, with every board empty, for m = 0.
@@ -114,84 +161,36 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
     Boards interact only through line sets: board b's columns avoid the rows
     of board b - 1 and, on a circular chain, board k's rows avoid board 1's
     columns.  So a placement is one partial permutation per board, and the
-    order is a nested product of each board's options (``_options``).
-    Board 1's options are streamed.  A later board's are streamed on first
-    use and kept once they run out (``_recorded``), by the rows of the board
-    before it and the rook counts it may hold; board 1's columns filter the
-    last board's on a circular chain.  ``suffix_bound_table`` prunes the
-    counts each board may hold before its options are built.
-
-    Each leaf is the search's own list of every board b's ``payload(b,
-    cols)``; the search changes it after the yield, so a caller copies what
-    it keeps.  An explicit stack holds one frame per board, so k is not
-    bounded by Python's recursion limit."""
+    order is a product (``_chain``) of each board's options (``_options``),
+    each leaf ``payload(b, cols)`` per board b.  Board 1's options stream; a
+    later board's are all kept (``_kept``) by the rows of the board before
+    and the counts it may hold, which ``boards._suffix_bound`` prunes; board
+    1's columns filter the last board's on a circular chain."""
     _check_size(board)
     if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
     n, k = board.n, board.k
     circ = board.circular
-    if k == 1:
-        for part, *_ in _options(n, 1, 0, 1 << m, payload, circ):
-            yield [part]
-        return
-    bound = suffix_bound_table(board)
-    first = sum(1 << a for a in range(min(m, n) + 1) if a + bound[2][a][a if circ else 0] >= m)
-    middle: dict[tuple, list] = {}  # (b, rows of board b - 1, counts) -> board b's options
-    last: dict[tuple, list] = {}  # (rows of board k - 1, count) -> board k's options
-    path = [None] * k
+    lists, room = {}, [float("inf")]  # (b, rows of board b - 1, counts) -> board b's options
     done = [0] * k  # done[b]: the rooks on boards 1..b of the path
     a1 = cols1 = 0  # board 1's count and columns
-    stack = [_options(n, 1, 0, first, payload)]  # board b's options, b = len(stack)
-    while stack:
-        b = len(stack)
-        for part, rows, cols, a in stack[-1]:
-            path[b - 1] = part
-            if b == 1:
-                a1, cols1 = a, cols
-            total = done[b - 1] + a
-            if b == k - 1:
-                todo = _recorded(last, (rows, m - total), _options, n, k, rows, 1 << m - total, payload)
-                for part_k, rows_k, _, _ in todo:
-                    if not (circ and rows_k & cols1):
-                        path[k - 1] = part_k
-                        yield path
-                continue
-            done[b] = total
-            counts = sum(1 << c for c in range(min(m - total, n) + 1)
-                         if total + c + bound[b + 2][c][a1 if circ else 0] >= m)
-            stack.append(_recorded(middle, (b + 1, rows, counts), _options, n, b + 1, rows, counts, payload))
-            break
-        else:
-            stack.pop()
 
+    @functools.cache
+    def fits(b: int, total: int, a1: int) -> int:  # the counts board b + 1 may hold
+        return sum(1 << c for c in range(min(m - total, n) + 1) if total + c + _suffix_bound(n, k, circ, b + 2, c, a1) >= m)
 
-def _recorded(lists: dict, key, build, *args) -> Iterator[tuple]:
-    """A reader of ``key``'s options from the first one.  ``build(*args)``
-    makes them on first use, and every reader of the key shares that one
-    stream: a reader that runs ahead of the others builds the next option
-    for all of them.  They are kept as the list ``lists[key]`` once they run
-    out.  So a search that stops early builds only the options it reads, and
-    a key that comes round again before its options run out, as each
-    chained-ASM matrix starts from one state, builds none of them twice."""
-    entry = lists.get(key)
-    if entry is None:
-        entry = lists[key] = ([], build(*args))  # (the options so far, what builds the rest)
-    elif type(entry) is list:
-        return iter(entry)
-    return _shared(lists, key, *entry)
+    def after(b: int, option: tuple) -> Iterator[tuple]:
+        nonlocal a1, cols1
+        _, rows, cols, a = option
+        if b == 1:
+            a1, cols1 = a, cols
+        done[b] = total = done[b - 1] + a
+        counts = fits(b, total, a1)
+        todo = _kept(lists, (b + 1, rows, counts), room, _options, n, b + 1, rows, counts, payload)
+        return (o for o in todo if not o[1] & cols1) if circ and b == k - 1 else todo
 
-
-def _shared(lists: dict, key, got: list, source: Iterator[tuple]) -> Iterator[tuple]:
-    i = 0
-    while True:
-        if i == len(got):
-            option = next(source, None)  # options are tuples, never None
-            if option is None:
-                lists[key] = got
-                return
-            got.append(option)
-        yield got[i]
-        i += 1
+    first = sum(1 << a for a in range(min(m, n) + 1) if a + _suffix_bound(n, k, circ, 2, a, a) >= m)
+    return _chain(k, _options(n, 1, 0, first, payload, circ and k == 1), after)
 
 
 def _squares(b: int, cols: tuple[int, ...]) -> tuple[Square, ...]:

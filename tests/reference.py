@@ -16,7 +16,7 @@
 - ``row_search``: the placement search row by row across the whole chain, for
   the order of the board-by-board search in ``enumerate_placements``;
 - ``suffix_bound_by_max``: the suffix bound as a max over each board's count,
-  for the closed step of ``suffix_bound_table``;
+  for the closed form of ``boards._suffix_bound``;
 - ``reference_document``: each object's document as one ``json.dumps`` of a
   dict read off its public fields, for ``serialize_stream``.
 
@@ -62,7 +62,6 @@ from chainedboards.boards import (
     Square,
     max_rooks,
     rook_lines,
-    suffix_bound_table,
 )
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.ice import EdgeId as GridEdge
@@ -455,11 +454,11 @@ def row_search(board: BoardSpec, m: int) -> Iterator[tuple[Square, ...]]:
     a walk over the rows of the whole chain in order, each trying its
     squares by column and then being left empty, with one frame per row
     that holds a rook on its own stack.  It counts rooks per board only to
-    prune by ``suffix_bound_table``, and shares nothing else with the
+    prune by ``suffix_bound_by_max``, and shares nothing else with the
     board-by-board search."""
     n, k = board.n, board.k
     circ = board.circular
-    suffix_bound = suffix_bound_table(board)
+    suffix_bound = suffix_bound_by_max(board)
     # each row's squares with their two lines; a square whose lines coincide attacks itself
     cells: dict[tuple[int, int], list] = {}
     for s in board_squares(board):

@@ -223,10 +223,10 @@ def test_completions_past_the_keeping_cap_stream_afresh(monkeypatch, board):
     want = list(enumerate_chained_asm(board))
     searches, keys = [], []
 
-    def watched(lists, key, options, room):
+    def watched(lists, key, room, build, *args):
         searches.append((lists, room))
         keys.append(key)
-        return kept(lists, key, options, room)
+        return kept(lists, key, room, build, *args)
 
     kept = asm._kept
     monkeypatch.setattr(asm, "_KEEP", 50)

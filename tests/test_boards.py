@@ -10,12 +10,12 @@ from chainedboards.boards import (
     BoardSpec,
     Square,
     _check_size,
+    _suffix_bound,
     attacks,
     circular,
     linear,
     max_rooks,
     rook_lines,
-    suffix_bound_table,
 )
 from chainedboards.counting import count_max, count_placements_formula
 from chainedboards.errors import InputDomainError, UnsupportedDomainError
@@ -141,15 +141,13 @@ def test_constructors_reject_what_is_not_a_set_of_squares(cls, given):
         (lambda: next(enumerate_chained_asm(5)), InputDomainError),
         (lambda: attacks(5, (1, 1, 1), (1, 1, 1)), InputDomainError),
         (lambda: rook_lines(5, Square(2, 1, 1)), InputDomainError),  # past board 1 no field is read
-        (lambda: suffix_bound_table(5), InputDomainError),
     ],
     ids=["one-line", "plain ASM", "plain ASM row", "chained ASM", "chained ASM matrix",
          "triangle chain", "ice", "fpl", "board shape", "render format",
          "placement board", "placement board with a square", "permutation board", "chained ASM board",
          "one-line board", "chain graph board", "matching graph", "matching board as graph", "ice graph",
          "fpl graph", "count_max board", "formula board", "transfer board", "max_rooks board",
-         "placement search board", "chained ASM search board", "attacks board", "rook_lines board",
-         "suffix bound board"],
+         "placement search board", "chained ASM search board", "attacks board", "rook_lines board"],
 )
 def test_constructors_raise_only_library_errors(make, error):
     with pytest.raises(error) as info:
@@ -209,11 +207,15 @@ def test_max_rooks_values():
     assert max_rooks(circular(3, 1)) == 1
 
 
-def test_suffix_bound_table_is_the_max_over_each_boards_count():
-    # suffix_bound_table takes each entry's max at the top count; the
-    # reference takes it over every count
+def test_suffix_bound_is_the_max_over_each_boards_count():
+    # _suffix_bound is a closed form of each board taking all it may; the
+    # reference takes the max over every count, for each entry the searches read
     for board in (shape(n, k) for shape in (linear, circular) for n in range(1, 9) for k in range(1, 9)):
-        assert suffix_bound_table(board) == suffix_bound_by_max(board), board
+        n, k = board.n, board.k
+        want = suffix_bound_by_max(board)
+        got = [[[_suffix_bound(n, k, board.circular, b, prev, a1) for a1 in range(n + 1)] for prev in range(n + 1)]
+               for b in range(1, k + 2)]
+        assert got == [list(map(list, want[b])) for b in range(1, k + 2)], board
 
 
 def test_admissible_compositions_examples():

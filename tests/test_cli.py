@@ -656,6 +656,16 @@ def test_search_reaches_past_the_recursion_limit_in_n(capsys):
     assert first.squares == (Square(1, 1, 1),) and placement_problems(first) == []
 
 
+def test_enumerate_a_placement_on_a_huge_board(capsys):
+    # the suffix bound is a closed form per entry, so a board this wide
+    # costs the search only the options it builds, not an (n + 1)^2 table per board
+    argv = ("enumerate", "--family", "placements", "--shape", "circular", "-n", "20000", "-k", "3", "-m", "5")
+    code, out, err = run(capsys, *argv, "--limit", "1")
+    assert code == 0 and err == "" and out.count("\n") == 1
+    doc = deserialize(out)
+    assert doc.board == circular(20000, 3) and doc.m == 5 and placement_problems(doc) == []
+
+
 def test_enumerate_failing_before_its_first_document_writes_no_file(tmp_path, capsys):
     argv = (
         "enumerate", "--family", "placements", "--shape", "linear", "-n", "2", "-k", "2",

@@ -96,6 +96,13 @@ def test_enumerators_do_not_use_the_transfer_matrix_walk():
     assert (SRC / "placements.py", "_options") in _reached(SRC / "placements.py", "count_placements_brute")
     completions = _reached(SRC / "asm.py", "enumerate_chained_asm").get((SRC / "asm.py", "_completions"))
     assert completions is not None and _names(completions) & (TRANSFER_NAMES | WALK_NAMES) == set()
+    # both searches run on one product loop and one keep helper, which mention neither walk
+    for path, entry in [(SRC / "placements.py", "count_placements_brute"),
+                        (SRC / "perms.py", "enumerate_chained_permutations"), (SRC / "asm.py", "enumerate_chained_asm")]:
+        reached = _reached(path, entry)
+        for shared in ("_chain", "_kept"):
+            node = reached.get((SRC / "placements.py", shared))
+            assert node is not None and _names(node) & (TRANSFER_NAMES | WALK_NAMES) == set(), (entry, shared)
 
 
 # public names with no caller in the library, each kept for a reason

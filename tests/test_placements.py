@@ -262,3 +262,11 @@ def test_few_rooks_build_only_the_options_they_use(m, placements):
     # no board lists its partial permutations of two or more rooks
     leaves, built = counted_search(linear(8, 3), m)
     assert leaves == placements and built <= 2 * placements + 3
+
+
+@pytest.mark.parametrize("board, m, pinned", [(circular(4, 3), 6, (1728, 216)), (circular(3, 5), 7, (9720, 252))],
+                         ids=["circular(4,3) m=6", "circular(3,5) m=7"])
+def test_the_suffix_bound_prunes_circular_chains_to_the_pinned_options(board, m, pinned):
+    # (leaves, options built): board 1's counts are bounded with its own count
+    # as a1; a bound read with a1 = 0 finds the same leaves but builds more options
+    assert counted_search(board, m) == pinned
