@@ -185,7 +185,7 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
         if b == 1:
             a1, cols1 = a, cols
         done[b] = total = done[b - 1] + a
-        counts = fits(b, total, a1)
+        counts = fits(b, total, a1 if circ else 0)
         todo = _kept(lists, (b + 1, rows, counts), room, _options, n, b + 1, rows, counts, payload)
         return (o for o in todo if not o[1] & cols1) if circ and b == k - 1 else todo
 
