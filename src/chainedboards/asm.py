@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 from typing import Iterator
 
 from .boards import BoardSpec, _built, _check_board, _check_size, _suffix_bound, max_rooks
-from .counting import _count_walks
+from .counting import _closed, _count_walks, _max_reads, _potential
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
 from .placements import _chain, _kept
@@ -276,10 +276,9 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
 _MAX_TRANSFER_N = 10
 
 
-@functools.cache
 def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The walk steps ``(s, T[r][s], |s|)`` with ``T[r][s] > 0`` out of each
-    row-sum vector r, sorted by (|s|, s); built once per n in a process.
+    row-sum vector r, sorted by (|s|, s).
 
     ``T[r][s]`` counts the n x n matrices that meet condition (1), have
     row-sum vector s and may follow one with row-sum vector r under
@@ -301,11 +300,12 @@ def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
                 ends += [(q ^ 1 << i, want ^ 1) for q, want in ends if p >> i & 1 == want]
             table.append([q for q, _ in ends])
         column.append(table)
+    states = list(range(size))  # one int per state, shared by every step into it
     steps = [()] * size
 
     def walk(j: int, r: int, weights: list[int]) -> None:
         if j == n:
-            steps[r] = tuple(sorted(((s, w, s.bit_count()) for s, w in enumerate(weights) if w), key=lambda t: t[2]))
+            steps[r] = tuple(sorted(((s, w, s.bit_count()) for s, w in zip(states, weights) if w), key=lambda t: t[2]))
             return
         for b in (0, 1):
             after = [0] * size
@@ -316,7 +316,33 @@ def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
             walk(j + 1, r | b << j, after)
 
     walk(0, 0, [1] + [0] * (size - 1))
+    del walk  # it refers to itself; without that cycle its rows are freed with the caller's, not at a collection
     return tuple(steps)
+
+
+@functools.cache
+def _transfer_deficits(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The transfer steps as ``(s, T[r][s], D)`` sorted by the deficit D,
+    from the potential of ``counting._potential``, and the last steps of a
+    linear walk (``counting._closed``), at most 2n + 1 per state; built once
+    per n in a process, and the only form of the steps kept.
+
+    That potential is -|r|, so D = n - |r| - |s|: condition (2) makes a
+    column's sum at most 1 - r_j, so |s| <= n - |r| on every step, and no
+    cycle of steps has a mean |s| above n/2.
+    """
+    steps = list(_transfer_steps(n))
+    p = _potential(steps, n)
+    for r, row in enumerate(steps):  # row by row, so the two forms are never both held in full
+        steps[r] = tuple(sorted(((s, w, p[r] - 2 * c + n - p[s]) for s, w, c in row), key=itemgetter(2)))
+    return tuple(steps), tuple(_closed(steps, [n + x for x in p]))
+
+
+def _count_tm_max(boards: list[BoardSpec]) -> list[int]:
+    """The chained ASMs of boards of one shape and one n, all read off one
+    walk over the transfer steps that can still reach ``max_rooks``."""
+    steps, ends = _transfer_deficits(boards[0].n)
+    return _count_walks(steps, _max_reads(boards), boards[0].circular, ends)
 
 
 def count_chained_asm_tm(board: BoardSpec) -> int:
@@ -325,13 +351,17 @@ def count_chained_asm_tm(board: BoardSpec) -> int:
     A linear chain starts from the zero vector; a circular chain must end
     where it started (the trace, so circular k = 1 is ``T[r][r]``).  Both
     keep only the walks whose total row-sum weight is ``max_rooks(board)``,
-    condition (3).  A board with n past ``_MAX_TRANSFER_N`` is refused with
-    ``UnsupportedDomainError`` before any step is built.
+    condition (3), counted by deficit n - |r| - |s| per step (the module
+    docstring's): a circular chain's deficits sum to nk - 2 max_rooks, 0 or
+    1, so its walk keeps only the steps of deficit at most 1; a linear chain
+    keeps those of deficit 0 with odd k, and all with even k
+    (``_count_tm_max``).  A board with n past ``_MAX_TRANSFER_N`` is refused
+    with ``UnsupportedDomainError`` before any step is built.
     """
     _check_board(board)
     if board.n > _MAX_TRANSFER_N:
         raise UnsupportedDomainError(f"the transfer count builds steps for n <= {_MAX_TRANSFER_N}, not n = {clip(board.n)}")
-    (count,) = _count_walks(_transfer_steps(board.n), [(board.k, max_rooks(board))], board.circular)
+    (count,) = _count_tm_max([board])
     return count
 
 

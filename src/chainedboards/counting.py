@@ -8,10 +8,12 @@ rational and asserted integral.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
-from .boards import BoardSpec, _check_size
+from .boards import BoardSpec, _check_size, max_rooks
 from .errors import InputDomainError, clip
 
 
@@ -22,41 +24,53 @@ def falling_factorial(n: int, m: int) -> int:
     return math.perm(n, m)
 
 
-def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circular: bool) -> list[int]:
-    """For each read ``(k, target)``, the weighted k-step walks whose costs
+def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circular: bool,
+                 ends: Sequence[Sequence[tuple[int, int]]] | None = None) -> list[int]:
+    """For each read ``(k, target)``, the weighted k-step walks whose digits
     sum to ``target``, all read off one walk of the longest k.
 
-    ``steps[r]`` lists the steps ``(s, weight, cost)`` out of state r, sorted
-    by cost.  A linear walk starts from state 0 and may end anywhere; a
-    circular one ends where it started, summed over every start (a trace),
-    and closes its circle from each start at every k read, at no other.
+    ``steps[r]`` lists the steps ``(s, weight, digit)`` out of state r,
+    sorted by digit: a cost, or a deficit (``_potential``).  A linear walk
+    starts from state 0 and may end anywhere; given ``ends``, its last step
+    out of a state r is one of ``ends[r]``, pairs ``(digit, weight)`` sorted
+    by digit (``_closed``).  A circular one ends where it started, summed
+    over every start (a trace), and closes its circle from each start at
+    every k read, at no other.
 
-    Each state holds one packed integer whose digit c, ``width`` bits wide,
-    counts the weighted walks reaching it at cost c; a step adds ``poly *
-    weight << width * cost`` and digits above the largest target are masked
-    off.  No digit carries: after j steps from one start all digits of all
-    states sum to at most ``heaviest ** j`` (a step multiplies that sum by at
-    most a row sum of weights), so a digit, even of a sum over end states, is
-    at most ``max(1, heaviest ** longest) < 2 ** width`` for every j up to
-    the longest k.  Each start is read on its own.
+    Each state holds one packed integer whose digit d, ``width`` bits wide,
+    counts the weighted walks reaching it at digit sum d; a step adds ``poly
+    * weight << width * digit``, and steps and digits above the largest
+    target are dropped.  A last step of ``ends`` is one product per state,
+    with its pairs packed alike.  No digit carries: after j steps from one
+    start all digits of all states sum to at most ``heaviest ** j`` (a step
+    multiplies that sum by at most a row sum of the weights kept), so a
+    digit, even of a sum over end states, is at most ``max(1, heaviest **
+    longest) < 2 ** width`` for every j up to the longest k.  Each start is
+    read on its own.
     """
+    last_apart = circular or ends is not None  # the walk stops a step short of each read
     at: dict[int, list[tuple[int, int]]] = {}  # steps walked -> the (read, target) taken after them
     top = 0
     for i, (k, target) in enumerate(reads):
-        at.setdefault(k - 1 if circular else k, []).append((i, target))
+        at.setdefault(k - 1 if last_apart else k, []).append((i, target))
         top = max(top, target)
+    steps = [row[: bisect_right(row, top, key=itemgetter(2))] for row in steps]  # the steps of digit <= top
+    ends = [row[: bisect_right(row, top, key=itemgetter(0))] for row in ends or ()]
     lengths = sorted(at)
     longest = max(reads)[0]  # reads compare by k first
-    heaviest = max((sum(w for _, w, _ in row) for row in steps), default=0)
+    heaviest = max([sum(w for _, w, _ in row) for row in steps] + [sum(w for _, w in row) for row in ends])
     width = (heaviest**longest).bit_length() + 1
     mask = (1 << width * (top + 1)) - 1
-    back = [[] for _ in steps]  # back[s]: the steps (r, weight, cost) into s, to close a circle
+    last = [sum(weight << width * digit for digit, weight in row) for row in ends]
+    back = [[] for _ in steps] if circular else []  # back[s]: the steps (r, weight, digit) into s, to close a circle
     for r, row in enumerate(steps if circular else ()):
-        for s, weight, cost in row:
-            back[s].append((r, weight, cost))
+        for s, weight, digit in row:
+            back[s].append((r, weight, digit))
     counts = [0] * len(reads)
     for start in range(len(steps)) if circular else (0,):
-        walk = [0] * len(steps)  # state -> packed weighted walks by cost so far
+        if circular and not back[start]:  # no walk returns to it
+            continue
+        walk = [0] * len(steps)  # state -> packed weighted walks by digit sum so far
         walk[start] = 1
         walked = 0
         for j in lengths:
@@ -64,19 +78,52 @@ def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circu
                 nxt = [0] * len(steps)
                 for poly, row in zip(walk, steps):
                     if poly:
-                        for s, weight, cost in row:
-                            if cost > top:
-                                break
-                            nxt[s] += poly * weight << width * cost
+                        for s, weight, digit in row:
+                            nxt[s] += poly * weight << width * digit
                 walk = [poly & mask for poly in nxt]
             walked = j
-            ends = walk
             if circular:  # the last step returns to the start
-                ends = [walk[r] * weight << width * cost for r, weight, cost in back[start]]
-            total = sum(ends)
+                total = sum(walk[r] * weight << width * digit for r, weight, digit in back[start])
+            elif last_apart:  # one product per state with its last steps
+                total = sum(poly * end for poly, end in zip(walk, last) if poly)
+            else:
+                total = sum(walk)
             for i, target in at[j]:
                 counts[i] += total >> width * target & (1 << width) - 1
     return counts
+
+
+def _potential(steps: Sequence[Sequence[tuple]], n: int) -> list[int]:
+    """A potential of the walk over ``steps``: a p with p[r] >= W + p[s] on
+    every step r -> s of cost c, for the step's weight W = 2c - n.
+
+    It is the least p >= -level, by max-plus Bellman-Ford (Baccelli, Cohen,
+    Olsder and Quadrat, *Synchronization and Linearity*, 1992, ch. 3), where
+    level[s] is the cost of a step into s (0 if none).  Each step's deficit
+    D = p[r] - W - p[s] is then >= 0, and the deficits of a k-step walk of
+    costs summing to m sum to p[start] - p[end] + nk - 2m.
+
+    On both walks every step into s costs level[s], and level[r] + c <= n
+    on every step: a board after one of p rooks holds at most n - p, and a
+    matrix after one of row sums r sums to at most n - |r| (``asm``).  So
+    p = -level, D = n - level[r] - c, and no cycle has a mean cost above
+    n/2.  A table with such a gaining cycle has no potential, and is refused
+    with AssertionError.
+    """
+    level = [0] * len(steps)
+    for row in steps:
+        for s, _, c in row:
+            level[s] = c
+    p = [-c for c in level]
+    for _ in range(len(steps) + 1):  # a pass that still raises p after len(steps) is on a gaining cycle
+        raised = False
+        for r, row in enumerate(steps):
+            for s, _, c in row:
+                if 2 * c - n + p[s] > p[r]:
+                    p[r], raised = 2 * c - n + p[s], True
+        if not raised:
+            return p
+    raise AssertionError(f"a cycle of steps has a mean cost above n/2 = {n}/2")
 
 
 def _composition_steps(n: int) -> list[list[tuple[int, int, int]]]:
@@ -84,6 +131,55 @@ def _composition_steps(n: int) -> list[list[tuple[int, int, int]]]:
     a rooks after one of p, has weight C(n - p, a) * (n)_a and costs a."""
     return [[(a, math.comb(n - p, a) * falling_factorial(n, a), a) for a in range(n - p + 1)]
             for p in range(n + 1)]
+
+
+def _composition_deficits(n: int, top: int) -> list[list[tuple[int, int, int]]]:
+    """The composition steps of deficit at most ``top``, as (a, weight,
+    deficit) sorted by deficit: their potential is -a (``_potential``), so
+    step p -> a has deficit n - p - a, and only a >= n - p - top are built."""
+    return [[(a, math.comb(n - p, a) * falling_factorial(n, a), n - p - a) for a in range(n - p, max(n - p - top, 0) - 1, -1)]
+            for p in range(n + 1)]
+
+
+def _closed(steps: Sequence[Sequence[tuple]], close: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The last steps of a linear walk by deficit (``_count_walks``'s
+    ``ends``): each step's deficit plus ``close[s]``, that of a closing step
+    out of the state s it reaches, with the weights of one digit summed."""
+    ends = []
+    for row in steps:
+        merged = {}
+        for s, weight, digit in row:
+            merged[digit + close[s]] = merged.get(digit + close[s], 0) + weight
+        ends.append(tuple(sorted(merged.items())))
+    return ends
+
+
+def _max_reads(boards: Sequence[BoardSpec]) -> list[tuple[int, int]]:
+    """The read ``(k, deficit)`` at which each board's walks reach
+    ``max_rooks``, for boards of one shape and one n.  A circular walk's
+    deficits sum to nk - 2 max_rooks, which is 0 or 1.  A linear one starts
+    from state 0, of potential 0, and ends by a closing step of deficit
+    n + p[s] into a sink of potential -n, so its deficits sum to that plus n:
+    0 with odd k, and n with even k."""
+    return [(b.k, b.n * b.k - 2 * max_rooks(b) + (0 if b.circular else b.n)) for b in boards]
+
+
+def _count_formula_max(boards: Sequence[BoardSpec]) -> list[int]:
+    """The maximum placements of boards of one shape and one n, all read off
+    one composition walk.
+
+    A circular chain, or a linear one with only odd k, walks by deficit over
+    the steps of deficit 0 or 1 (``_max_reads``), O(n) of them.  A linear
+    chain with an even k can reach its maximum through every step, so a
+    deficit walk drops none of them and only adds the closing steps it
+    builds per call: it walks by cost, as for any other m.
+    """
+    n, circ = boards[0].n, boards[0].circular
+    if not circ and any(b.k % 2 == 0 for b in boards):
+        return _count_walks(_composition_steps(n), [(b.k, max_rooks(b)) for b in boards], False)
+    reads = _max_reads(boards)
+    steps = _composition_deficits(n, max(t for _, t in reads))
+    return _count_walks(steps, reads, circ, None if circ else _closed(steps, range(n, -1, -1)))  # n + p[a] = n - a
 
 
 def count_placements_formula(board: BoardSpec, m: int) -> int:
@@ -94,12 +190,19 @@ def count_placements_formula(board: BoardSpec, m: int) -> int:
     a_k (circular), evaluated as a walk over parts: step p -> a has that
     weight and costs a rooks.  That is O(k * n^2) steps on integers of
     O(m * k * log n!) bits per walk (see ``_count_walks``), with one walk per
-    circular start a_k, instead of one term per composition.
+    circular start a_k, instead of one term per composition.  At m =
+    ``max_rooks(board)`` on a circular chain, or a linear one with odd k,
+    the walk counts deficits n - p - a instead of costs and keeps only the
+    steps that can still reach m, those of deficit 0 or 1: O(n) steps, and
+    one packed digit or two (``_count_formula_max``).
     """
     _check_size(board)
     n = board.n
     if type(m) is not int or not 0 <= m <= n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
+    if m == max_rooks(board):
+        (count,) = _count_formula_max([board])
+        return count
     (count,) = _count_walks(_composition_steps(n), [(board.k, m)], board.circular)
     return count
 

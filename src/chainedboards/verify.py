@@ -10,9 +10,13 @@ steps are built column by column once per n in a process.  A cell's
 estimate is a fixed function of its n: the 2 * 6^n additions that bound
 that build, at one measured rate.  Every cell that runs is charged its
 estimate, so the run/skip decisions depend only on the arguments, never
-on the machine's speed or load.  The rook rows of one (shape, n) read
-their six k off one composition walk, timed on the row of the largest k;
-the other rows of the group read 0 seconds.
+on the machine's speed or load.
+
+Both row kinds read every k of one (shape, n) off one walk, over the steps
+that can still reach the maximum: the chained-ASM cells that run (each
+still charged its own estimate, in table order) off one transfer walk, and
+the six rook rows off one composition walk.  A walk's time goes on its
+group's row of the largest k that ran; the other rows read 0 seconds.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 
-from .asm import count_chained_asm_tm
+from .asm import _count_tm_max
 from .boards import BoardSpec, Shape, circular, linear, max_rooks
-from .counting import _composition_steps, _count_walks, count_max
+from .counting import _count_formula_max, count_max
 from .errors import InputDomainError, clip
 from .placements import count_placements_brute
 
@@ -138,28 +142,33 @@ def verify_tables(
             raise InputDomainError(f"{name} must be an int or None, got {clip(limit)}")
     if type(budget_seconds) not in (int, float) or not budget_seconds >= 0:  # a bool or NaN is no budget
         raise InputDomainError(f"budget_seconds must be an int or float >= 0, got {clip(budget_seconds)}")
-    records = []
+    cells = []  # the table's (board, expected) within the limits, in order
+    groups = {}  # (shape, n) -> its boards that run, in table order, so by k
     left = budget_seconds
     for board, expected in TABLE_CELLS:
         if (max_n is not None and board.n > max_n) or (max_k is not None and board.k > max_k):
             continue
+        cells.append((board, expected))
         estimate = _estimate(board.n)
-        if estimate > left:
-            records.append(_record("chained-asm", board, "paper-table", expected, None, 0.0))
-            continue
-        left -= estimate
+        if estimate <= left:
+            left -= estimate
+            groups.setdefault((board.shape, board.n), []).append(board)
+    got, timed = {}, {}
+    for boards in groups.values():
         start = time.perf_counter()
-        got = count_chained_asm_tm(board)
-        seconds = time.perf_counter() - start
-        records.append(_record("chained-asm", board, "paper-table", expected, got, seconds))
+        got.update(zip(boards, _count_tm_max(boards)))
+        timed[boards[-1]] = time.perf_counter() - start  # the walk is run for the largest k
+    records = [
+        _record("chained-asm", board, "paper-table", expected, got.get(board), timed.get(board, 0.0))
+        for board, expected in cells
+    ]
 
     formula = {}  # board -> its maximum placements by the composition walk
     for shape in (linear, circular):
         for n in range(1, 5):
             boards = [shape(n, k) for k in range(1, 7)]
-            reads = [(b.k, max_rooks(b)) for b in boards]
             start = time.perf_counter()
-            counts = _count_walks(_composition_steps(n), reads, boards[0].circular)
+            counts = _count_formula_max(boards)
             seconds = time.perf_counter() - start
             for board, count in zip(boards, counts):
                 formula[board] = count

@@ -22,7 +22,7 @@ from chainedboards.asm import (
     to_plain_asm,
 )
 from chainedboards.boards import circular, linear, max_rooks
-from chainedboards.counting import classical_asm_count, qtasm_count
+from chainedboards.counting import _count_walks, _potential, classical_asm_count, qtasm_count
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.perms import placement_to_matrices
 from chainedboards.placements import enumerate_placements
@@ -487,6 +487,38 @@ def test_column_steps_equal_the_steps_of_the_row_dp(n):
         for row in transfer_matrix(n)
     )
     assert asm._transfer_steps(n) == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_transfer_potential_leaves_no_step_a_negative_deficit(n):
+    # the potential is -|r|, so a step's deficit is n - |r| - |s| >= 0; the
+    # kept form holds every step, by that deficit
+    steps = asm._transfer_steps(n)
+    p = _potential(steps, n)
+    assert p == [-r.bit_count() for r in range(1 << n)]
+    assert all(p[r] - (2 * c - n) - p[s] >= 0 for r, row in enumerate(steps) for s, _, c in row)
+    deficits, ends = asm._transfer_deficits(n)
+    assert deficits == tuple(
+        tuple(sorted(((s, w, n - r.bit_count() - c) for s, w, c in row), key=lambda t: t[2]))
+        for r, row in enumerate(steps)
+    )
+    # a linear walk's last step out of r: its deficit plus n - |s|, that of closing at s
+    for r, row in enumerate(steps):
+        merged = {}
+        for s, w, c in row:
+            merged[2 * n - r.bit_count() - 2 * c] = merged.get(2 * n - r.bit_count() - 2 * c, 0) + w
+        assert ends[r] == tuple(sorted(merged.items())), r
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_reduced_transfer_walk_equals_the_full_walk_at_the_maximum(n):
+    # the full walk counts costs over every step; the reduced one reads each
+    # (shape, n)'s eight k off one walk, and each k alone, by deficit
+    for shape in (linear, circular):
+        boards = [shape(n, k) for k in range(1, 9)]
+        full = _count_walks(asm._transfer_steps(n), [(b.k, max_rooks(b)) for b in boards], boards[0].circular)
+        assert asm._count_tm_max(boards) == full
+        assert [count_chained_asm_tm(b) for b in boards] == full
 
 
 class _Built(Exception):

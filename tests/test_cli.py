@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import runpy
 import shlex
@@ -623,6 +624,19 @@ def test_count_closed_on_a_wide_linear_chain(capsys):
     argv = ("count", "--shape", "linear", "-n", "8", "-k", "60")
     code, out, err = run(capsys, *argv, "--method", "closed")
     assert (code, err) == (0, "") and run(capsys, *argv, "--method", "formula") == (0, out, "")
+
+
+def test_count_formula_at_the_maximum_of_a_wide_board_builds_only_its_reduced_steps(capsys):
+    # m defaults to the maximum, which only the steps a = n - p reach; the
+    # full table of (n + 1)^2 / 2 steps held 1.4 GB here
+    tracemalloc.start()
+    try:
+        result = run(capsys, "count", "--method", "formula", "--shape", "linear", "-n", "1000", "-k", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (0, f"{math.factorial(1000)}\n", "")
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,11 @@ from hypothesis import strategies as st
 from chainedboards import counting
 from chainedboards.boards import circular, linear, max_rooks
 from chainedboards.counting import (
+    _composition_deficits,
+    _composition_steps,
+    _count_formula_max,
     _count_walks,
+    _potential,
     classical_asm_count,
     count_max,
     count_max_circular,
@@ -105,24 +109,89 @@ def step_tables(draw):
     return [sorted(draw(st.lists(step, max_size=6)), key=lambda t: t[2]) for _ in range(states)]
 
 
-def brute_walks(steps, k, target, circular):
-    """Every k-step sequence from each start, listed one by one."""
+def brute_walks(steps, k, target, circular, ends=None):
+    """Every k-step sequence from each start, listed one by one; given
+    ``ends``, a linear one's last step is one of ``ends[r]``."""
     total = 0
     for start in range(len(steps)) if circular else (0,):
         walks = [(start, 1, 0)]  # (state, weight product, cost sum)
-        for _ in range(k):
-            walks = [(s, w * weight, c + cost) for r, w, c in walks for s, weight, cost in steps[r]]
+        for i in range(k):
+            if ends is not None and i == k - 1:
+                walks = [(None, w * weight, c + cost) for r, w, c in walks for cost, weight in ends[r]]
+            else:
+                walks = [(s, w * weight, c + cost) for r, w, c in walks for s, weight, cost in steps[r]]
         total += sum(w for r, w, c in walks if c == target and (r == start or not circular))
     return total
 
 
+@st.composite
+def end_tables(draw, states):
+    """The last steps ``(digit, weight)`` out of each of ``states`` states, sorted by digit."""
+    pair = st.tuples(st.integers(0, 6), st.integers(0, 3) | st.integers(0, 2**70))
+    return [sorted(draw(st.lists(pair, max_size=4))) for _ in range(states)]
+
+
 @settings(derandomize=True, database=None, max_examples=300)
-@given(step_tables(), st.lists(st.tuples(st.integers(1, 4), st.integers(0, 9)), min_size=1, max_size=5), st.booleans())
-def test_count_walks_matches_every_step_sequence(steps, reads, circular):
-    # several reads off one walk, each of its own length and target
-    assert _count_walks(steps, reads, circular) == [
-        brute_walks(steps, k, target, circular) for k, target in reads
+@given(
+    step_tables().flatmap(lambda steps: st.tuples(st.just(steps), st.none() | end_tables(len(steps)))),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 9)), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_count_walks_matches_every_step_sequence(steps_and_ends, reads, circular):
+    # several reads off one walk, each of its own length and target; a
+    # circular walk has no use for the last steps of a linear one
+    steps, ends = steps_and_ends
+    assert _count_walks(steps, reads, circular, ends) == [
+        brute_walks(steps, k, target, circular, None if circular else ends) for k, target in reads
     ]
+
+
+def test_the_composition_potential_is_minus_a():
+    # _composition_deficits builds the deficit steps off this closed form:
+    # the steps of deficit at most top, sorted by it, and no others
+    for n in range(1, 9):
+        steps = _composition_steps(n)
+        p = _potential(steps, n)
+        assert p == [-a for a in range(n + 1)]
+        for top in range(n + 1):
+            want = [
+                sorted(((a, w, d) for a, w, c in row if (d := p[r] - (2 * c - n) - p[a]) <= top), key=lambda t: t[2])
+                for r, row in enumerate(steps)
+            ]
+            assert _composition_deficits(n, top) == want, (n, top)
+
+
+def test_the_potential_raises_a_level_that_is_no_potential():
+    # no cycle, but 1 -> 2 costs 2 after a step into 1 of cost 2, with n = 2:
+    # -level leaves that step a deficit of -2, and Bellman-Ford raises p
+    steps = [[(1, 1, 2)], [(2, 1, 2)], []]
+    p = _potential(steps, 2)
+    assert p == [2, 0, -2]
+    assert all(p[r] - (2 * c - 2) - p[s] >= 0 for r, row in enumerate(steps) for s, _, c in row)
+
+
+@pytest.mark.parametrize(
+    "steps, n",
+    [([[(1, 1, 2)], [(0, 1, 2)]], 2), ([[(0, 1, 1)]], 1), ([[(1, 3, 3)], [(2, 1, 2)], [(0, 1, 3)]], 5)],
+    ids=["two steps of cost n", "a loop of cost n", "three steps of mean 8/3"],
+)
+def test_the_potential_refuses_a_gaining_cycle(steps, n):
+    # a cycle of mean cost above n/2 gains weight 2c - n on every turn round it
+    with pytest.raises(AssertionError, match=rf"^a cycle of steps has a mean cost above n/2 = {n}/2$"):
+        _potential(steps, n)
+
+
+def test_the_reduced_composition_walk_equals_the_full_walk_at_the_maximum():
+    # one walk per (shape, n) reads every k; each k alone, and the odd k of a
+    # linear chain together, take the reduced walk
+    for shape in (linear, circular):
+        for n in range(1, 9):
+            boards = [shape(n, k) for k in range(1, 11)]
+            full = _count_walks(_composition_steps(n), [(b.k, max_rooks(b)) for b in boards], boards[0].circular)
+            assert _count_formula_max(boards) == full
+            assert [count_placements_formula(b, max_rooks(b)) for b in boards] == full
+            odd = [b for b in boards if b.k % 2]
+            assert _count_formula_max(odd) == [c for b, c in zip(boards, full) if b.k % 2]
 
 
 @pytest.mark.parametrize("bad", [2.0, 2.5, True])

@@ -19,9 +19,11 @@ SRC = Path(chainedboards.__file__).parent
 REFERENCE = Path(__file__).parent / "reference.py"
 
 # what the transfer-matrix count runs; the enumerators it is checked against must not
-TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_count_walks"}
+TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_transfer_deficits", "_count_tm_max", "_count_walks",
+                  "_potential", "_max_reads", "_closed"}
 # what the composition walk of count_placements_formula runs; the placement searches must not
-WALK_NAMES = {"_composition_steps", "_count_walks", "falling_factorial"}
+WALK_NAMES = {"_composition_steps", "_composition_deficits", "_count_formula_max", "_count_walks", "_max_reads",
+              "_closed", "falling_factorial"}
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -109,6 +111,8 @@ def test_enumerators_do_not_use_the_transfer_matrix_walk():
 CALLER_RULE_PINNED = {
     "attacks": "the paper's attack relation between two squares, stated for users",
     "qtasm_count": "a closed form waiting for its verify-tables row (ROADMAP item 7)",
+    "count_chained_asm_tm": "the one-board form of asm._count_tm_max, which verify-tables"
+    " reads once per (shape, n); it waits for a CLI row (ROADMAP item 19)",
 }
 
 

@@ -6,7 +6,8 @@ from chainedboards import asm
 from chainedboards.boards import BoardSpec, Shape, max_rooks
 from chainedboards.counting import count_placements_formula
 from chainedboards.errors import InputDomainError
-from chainedboards.verify import TABLE_CELLS, VerificationReport, verify_tables
+from chainedboards.asm import count_chained_asm_tm
+from chainedboards.verify import TABLE_CELLS, VerificationReport, _estimate, verify_tables
 
 
 def test_default_budget_passes_required_cells():
@@ -137,6 +138,29 @@ def test_rook_rows_read_off_one_walk_equal_the_formula():
         assert r.actual == count_placements_formula(board, r.m), r
     # the walk's time goes on its group's largest k, the row it was run for
     assert all((r.seconds > 0) == (r.family == "max-placements" and r.k == 6) for r in records)
+
+
+@pytest.mark.parametrize("budget", [0.002, 0.012, 30.0])
+def test_one_walk_per_group_keeps_every_skip_decision(budget):
+    # each cell is charged its own estimate in table order, as when every
+    # cell ran its own walk; under the two small budgets some (shape, n)
+    # groups run only their first cells
+    want, left = [], budget
+    for board, expected in TABLE_CELLS:
+        runs = _estimate(board.n) <= left
+        if runs:
+            left -= _estimate(board.n)
+        want.append((board, "pass" if runs else "skip", count_chained_asm_tm(board) if runs else None))
+    cells = [r for r in verify_tables(budget_seconds=budget).records if r.family == "chained-asm"]
+    assert [(BoardSpec(Shape(r.shape), r.n, r.k), r.status, r.actual) for r in cells] == want
+    ran = {}  # (shape, n) -> whether each of its cells ran, in table order
+    for board, status, _ in want:
+        ran.setdefault((board.shape, board.n), []).append(status == "pass")
+    assert any(True in runs and False in runs for runs in ran.values()) == (budget < 1)
+    # a group's walk is timed on its row of the largest k that ran
+    last = {max((b for b, status, _ in want if status == "pass" and (b.shape, b.n) == key), key=lambda b: b.k)
+            for key, runs in ran.items() if any(runs)}
+    assert all((r.seconds > 0) == (board in last) for r, (board, _, _) in zip(cells, want))
 
 
 def test_table_constant_is_complete():
