@@ -21,6 +21,10 @@ the column is empty over r = 0, and 0 otherwise, and summed over the
 columns it is sum_l (n - s_(l-1) - s_l) for matrix sums s_l, which
 condition (3) fixes at nk - 2 max_rooks (0, or 1 when n and k are odd) on a
 circular chain and at 0 on a linear one with odd k.
+
+A matrix's search does not extend a prefix of rows whose state (column
+signs, deficit left, sum, and on circular k = 1 its row sums) once led to
+no completion: on circular k = 1 most prefixes lead nowhere.
 """
 
 from __future__ import annotations
@@ -184,11 +188,18 @@ def _completions(n: int, rows, r: int | None, left: int | None, top: int, low: l
     column state allows (``rows``).  The last row answers to the row sums
     ``r`` (``None``: unknown; -1: the matrix's own).  The sum is at most
     ``top`` and, once first rows sum to s, reaches ``low[s]``; row i may not
-    sum to x if bit i of ``ban[x]`` is set."""
+    sum to x if bit i of ``ban[x]`` is set.
+
+    A frame that pops with no completion since its push is dead, and no
+    frame with its key is pushed again: the key is all its rows read, with
+    ``r``, ``top``, ``low`` and ``ban`` fixed per call (row index, last +1
+    and -1 columns, deficit left, and the sum, or on r = -1 the row-sum
+    bits, which give the sum and the last row's r; else they are output only)."""
     chosen = [()] * n
-    stack = [(rows(0, 0, None if n > 1 else 0 if r == -1 else r, left), 0, 0)]
+    dead, emitted = set(), 0  # the keys of frames that completed nothing, and the completions so far
+    stack = [(rows(0, 0, None if n > 1 else 0 if r == -1 else r, left), 0, 0, None, 0)]
     while stack:
-        todo, s, bits = stack[-1]
+        todo, s, bits, key, seen = stack[-1]
         i = len(stack) - 1
         for row, rsum, plus, minus, after in todo:
             s2 = s + rsum
@@ -196,15 +207,19 @@ def _completions(n: int, rows, r: int | None, left: int | None, top: int, low: l
                 continue
             chosen[i] = row
             if i < n - 1:
-                if s2 + min(n - 1 - i, top - s2) < low[s2]:
-                    continue
                 bits2 = bits | rsum << i
-                stack.append((rows(plus, minus, None if i < n - 2 else bits2 if r == -1 else r, after), s2, bits2))
+                key2 = i, plus, minus, bits2 if r == -1 else s2, after
+                if s2 + min(n - 1 - i, top - s2) < low[s2] or key2 in dead:
+                    continue
+                stack.append((rows(plus, minus, None if i < n - 2 else bits2 if r == -1 else r, after), s2, bits2, key2, emitted))
                 break
             if s2 >= low[s2]:
+                emitted += 1
                 yield tuple(chosen), bits | rsum << i, s2, plus, minus, after
         else:
             stack.pop()
+            if emitted == seen:
+                dead.add(key)
 
 
 def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:

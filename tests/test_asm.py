@@ -111,13 +111,15 @@ def test_enumeration_small_table_cells():
 
 def test_enumeration_yields_valid_unique_elements():
     # circular k = 1 chains a matrix to itself; circular(2, 2) closes on
-    # matrix 1's columns; linear(1, 1) is a single one-row matrix; the last
-    # four spend a deficit budget of 1, 1, 0 and 0.  With the count, a
-    # strictly increasing valid stream is exactly the sorted set.
+    # matrix 1's columns; linear(1, 1) is a single one-row matrix; the next
+    # four spend a deficit budget of 1, 1, 0 and 0; circular(6, 1) is where
+    # the search skips the most frames known to complete nothing.  With the
+    # count, a strictly increasing valid stream is exactly the sorted set.
     boards = (
         linear(2, 2), circular(2, 3), circular(3, 2), linear(2, 4),
         circular(1, 1), circular(4, 1), circular(2, 2), linear(1, 1),
         circular(3, 3), circular(5, 1), circular(2, 8), linear(3, 3),
+        circular(6, 1),
     )
     for board in boards:
         last = None
@@ -214,6 +216,25 @@ def test_each_row_state_streams_once(monkeypatch, board, limit, states):
     monkeypatch.setattr(asm, "_rows", counted)
     sum(1 for _ in itertools.islice(enumerate_chained_asm(board), limit))
     assert len(streams) == len(set(streams)) == states
+
+
+@pytest.mark.parametrize("board, reads", [(circular(5, 1), 4986), (circular(6, 1), 11167), (linear(4, 2), 3468)], ids=str)
+def test_a_whole_search_reads_pinned_row_streams(monkeypatch, board, reads):
+    # one read per frame the row search opens: a frame whose rows completed
+    # nothing is not opened again from the same state, so a weaker or a
+    # dropped memo, or a looser bound, reads more (without the memo:
+    # 17251, 96315 and 10488)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return recorded(*args)
+
+    recorded = asm._recorded
+    monkeypatch.setattr(asm, "_recorded", counted)
+    assert sum(1 for _ in enumerate_chained_asm(board)) == count_chained_asm_tm(board)
+    assert calls == reads
 
 
 @pytest.mark.parametrize("board", [circular(3, 3), linear(4, 2), circular(4, 2)], ids=str)
