@@ -35,7 +35,7 @@ from operator import add, itemgetter
 from typing import Iterator
 
 from .boards import BoardSpec, _built, _check_board, _check_size, _suffix_bound, max_rooks
-from .counting import _closed, _count_walks, _max_reads, _potential
+from .counting import _closed, _count_walks, _max_reads
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
 from .placements import _chain, _kept
@@ -137,8 +137,21 @@ def _shared(lists: dict, key, got: list, source: Iterator[tuple]) -> Iterator[tu
         i += 1
 
 
+def _entries(was: int, rj: int | None) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
+    """[p]: (p + x, cost, x > 0, x < 0) per entry x that ``_rows`` allows after sum p."""
+    step = ([], [])
+    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):  # x = q - p, in the order -1, 0, 1 for each p
+        x, a = q - p, q if rj == -1 else rj  # a: the row sum the column answers to
+        if not (x and x == was or rj is not None and (x or was) == (1 if a else -1)):
+            step[p].append((q, (x < 0 and not was) + (rj is not None and not (x or was or a)), x > 0, x < 0))
+    return tuple(map(tuple, step))
+
+
+_ENTRIES = {(was, rj): _entries(was, rj) for was in (-1, 0, 1) for rj in (None, -1, 0, 1)}
+
+
 def _rows(n: int, last_plus: int, last_minus: int, r: int | None, left: int | None,
-          free: bool, columns: dict, interned: dict) -> Iterator[tuple]:
+          free: bool, interned: dict) -> Iterator[tuple]:
     """The rows that a column state allows, in lexicographic order, each as
     (entries, row sum, the state after it, the deficit left after it).
 
@@ -160,13 +173,7 @@ def _rows(n: int, last_plus: int, last_minus: int, r: int | None, left: int | No
         while batch and j < n and len(batch) <= _BATCH:
             was = (last_plus >> j & 1) - (last_minus >> j & 1)
             rj = None if r is None else -1 if free and j == n - 1 else r >> j & 1  # -1: the row's own sum
-            step = columns.get((was, rj))  # [p]: (p + x, cost, x > 0, x < 0) per entry x after sum p
-            if step is None:
-                step = columns[was, rj] = ([], [])
-                for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):  # x = q - p, in the order -1, 0, 1 for each p
-                    x, a = q - p, q if rj == -1 else rj  # a: the row sum the column answers to
-                    if not (x and x == was or rj is not None and (x or was) == (1 if a else -1)):
-                        step[p].append((q, (x < 0 and not was) + (rj is not None and not (x or was or a)), x > 0, x < 0))
+            step = _ENTRIES[was, rj]
             batch = [(q, spent + cost, plus | pb << j, minus | mb << j) for p, spent, plus, minus in batch
                      for q, cost, pb, mb in step[p] if spent + cost <= cap]
             j += 1
@@ -247,13 +254,13 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     # the deficit every chain spends in full (module docstring); a linear
     # chain with even k spends its last matrix's sum, so it is not budgeted
     budget = n * k - 2 * target if circ else None if k % 2 == 0 else 0
-    lists, columns, interned = {}, {}, {}  # each state's row stream, and _rows' tables
+    lists, interned = {}, {}  # each state's row stream, and one tuple per row's entries
     kept, room = {}, [_KEEP]  # later matrices' completions, and how many more may be kept
     done = [0] * k  # done[b]: the sum of matrices 1..b
     a1, ban = 0, (0, 0)
 
     def rows(*state) -> Iterator:  # (last_plus, last_minus, r, left)
-        return _recorded(lists, state, _rows, n, *state, circ and k == 1, columns, interned)
+        return _recorded(lists, state, _rows, n, *state, circ and k == 1, interned)
 
     def completions(b: int, bits: int, left: int | None, total: int, a1: int, bans: tuple[int, int]) -> Iterator:
         # matrix b's, after row sums bits (matrix b - 1's sum is their count); matrix k closes a circular chain
@@ -286,14 +293,17 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
 # above.  Index bit i of a "row-sum vector" r is the 0/1 sum of row i.
 
 # the largest n whose steps count_chained_asm_tm builds: the n = 10 build
-# took 4.2-4.6 s and 181 MB peak RSS on a 2-vCPU machine (Python 3.11), and
-# each n costs about 6 times the last
+# took 3-5 s and 89 MB max RSS in a cold process on a shared 2-vCPU machine
+# (Python 3.11), and each n costs about 6 times the last
 _MAX_TRANSFER_N = 10
 
 
-def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The walk steps ``(s, T[r][s], |s|)`` with ``T[r][s] > 0`` out of each
-    row-sum vector r, sorted by (|s|, s).
+@functools.cache
+def _transfer_steps(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The walk steps ``(s, T[r][s], D)`` with ``T[r][s] > 0`` out of each
+    row-sum vector r, sorted by the deficit D = n - |r| - |s|, and the last
+    steps of a linear walk, which closes from s at deficit n - |s|
+    (``counting._closed``); built once per n, the only form of T kept.
 
     ``T[r][s]`` counts the n x n matrices that meet condition (1), have
     row-sum vector s and may follow one with row-sum vector r under
@@ -303,6 +313,9 @@ def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     bottom-up alternate starting with r's bit j (condition (2)); then p
     becomes p ^ S, and s is the last p.  So T[r] = e_0 C_(r_0) ... C_(r_(n-1))
     for two step tables, and a depth-first walk over r's bits shares prefixes.
+
+    D is the module docstring's deficit summed over the columns, and never
+    negative: condition (2) caps column j's sum at 1 - r_j, so |s| <= n - |r|.
     """
     size = 1 << n
     # column[b][p]: the states p ^ S for every S allowed over r's bit b
@@ -320,7 +333,8 @@ def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 
     def walk(j: int, r: int, weights: list[int]) -> None:
         if j == n:
-            steps[r] = tuple(sorted(((s, w, s.bit_count()) for s, w in zip(states, weights) if w), key=lambda t: t[2]))
+            d = n - r.bit_count()
+            steps[r] = tuple(sorted(((s, w, d - s.bit_count()) for s, w in zip(states, weights) if w), key=itemgetter(2)))
             return
         for b in (0, 1):
             after = [0] * size
@@ -332,31 +346,13 @@ def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 
     walk(0, 0, [1] + [0] * (size - 1))
     del walk  # it refers to itself; without that cycle its rows are freed with the caller's, not at a collection
-    return tuple(steps)
-
-
-@functools.cache
-def _transfer_deficits(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
-    """The transfer steps as ``(s, T[r][s], D)`` sorted by the deficit D,
-    from the potential of ``counting._potential``, and the last steps of a
-    linear walk (``counting._closed``), at most 2n + 1 per state; built once
-    per n in a process, and the only form of the steps kept.
-
-    That potential is -|r|, so D = n - |r| - |s|: condition (2) makes a
-    column's sum at most 1 - r_j, so |s| <= n - |r| on every step, and no
-    cycle of steps has a mean |s| above n/2.
-    """
-    steps = list(_transfer_steps(n))
-    p = _potential(steps, n)
-    for r, row in enumerate(steps):  # row by row, so the two forms are never both held in full
-        steps[r] = tuple(sorted(((s, w, p[r] - 2 * c + n - p[s]) for s, w, c in row), key=itemgetter(2)))
-    return tuple(steps), tuple(_closed(steps, [n + x for x in p]))
+    return tuple(steps), tuple(_closed(steps, [n - s.bit_count() for s in states]))
 
 
 def _count_tm_max(boards: list[BoardSpec]) -> list[int]:
     """The chained ASMs of boards of one shape and one n, all read off one
     walk over the transfer steps that can still reach ``max_rooks``."""
-    steps, ends = _transfer_deficits(boards[0].n)
+    steps, ends = _transfer_steps(boards[0].n)
     return _count_walks(steps, _max_reads(boards), boards[0].circular, ends)
 
 

@@ -30,12 +30,13 @@ def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circu
     sum to ``target``, all read off one walk of the longest k.
 
     ``steps[r]`` lists the steps ``(s, weight, digit)`` out of state r,
-    sorted by digit: a cost, or a deficit (``_potential``).  A linear walk
-    starts from state 0 and may end anywhere; given ``ends``, its last step
-    out of a state r is one of ``ends[r]``, pairs ``(digit, weight)`` sorted
-    by digit (``_closed``).  A circular one ends where it started, summed
-    over every start (a trace), and closes its circle from each start at
-    every k read, at no other.
+    sorted by digit: a cost, or a deficit n - level(r) - level(s), where a
+    state's level is the cost of any step into it (``_composition_deficits``,
+    ``asm._transfer_steps``).  A linear walk starts from state 0 and may end
+    anywhere; given ``ends``, its last step out of a state r is one of
+    ``ends[r]``, pairs ``(digit, weight)`` sorted by digit (``_closed``).  A
+    circular one ends where it started, summed over every start (a trace),
+    and closes its circle from each start at every k read, at no other.
 
     Each state holds one packed integer whose digit d, ``width`` bits wide,
     counts the weighted walks reaching it at digit sum d; a step adds ``poly
@@ -93,39 +94,6 @@ def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circu
     return counts
 
 
-def _potential(steps: Sequence[Sequence[tuple]], n: int) -> list[int]:
-    """A potential of the walk over ``steps``: a p with p[r] >= W + p[s] on
-    every step r -> s of cost c, for the step's weight W = 2c - n.
-
-    It is the least p >= -level, by max-plus Bellman-Ford (Baccelli, Cohen,
-    Olsder and Quadrat, *Synchronization and Linearity*, 1992, ch. 3), where
-    level[s] is the cost of a step into s (0 if none).  Each step's deficit
-    D = p[r] - W - p[s] is then >= 0, and the deficits of a k-step walk of
-    costs summing to m sum to p[start] - p[end] + nk - 2m.
-
-    On both walks every step into s costs level[s], and level[r] + c <= n
-    on every step: a board after one of p rooks holds at most n - p, and a
-    matrix after one of row sums r sums to at most n - |r| (``asm``).  So
-    p = -level, D = n - level[r] - c, and no cycle has a mean cost above
-    n/2.  A table with such a gaining cycle has no potential, and is refused
-    with AssertionError.
-    """
-    level = [0] * len(steps)
-    for row in steps:
-        for s, _, c in row:
-            level[s] = c
-    p = [-c for c in level]
-    for _ in range(len(steps) + 1):  # a pass that still raises p after len(steps) is on a gaining cycle
-        raised = False
-        for r, row in enumerate(steps):
-            for s, _, c in row:
-                if 2 * c - n + p[s] > p[r]:
-                    p[r], raised = 2 * c - n + p[s], True
-        if not raised:
-            return p
-    raise AssertionError(f"a cycle of steps has a mean cost above n/2 = {n}/2")
-
-
 def _composition_steps(n: int) -> list[list[tuple[int, int, int]]]:
     """The composition walk's steps on n x n boards: p -> a, for a board of
     a rooks after one of p, has weight C(n - p, a) * (n)_a and costs a."""
@@ -135,8 +103,9 @@ def _composition_steps(n: int) -> list[list[tuple[int, int, int]]]:
 
 def _composition_deficits(n: int, top: int) -> list[list[tuple[int, int, int]]]:
     """The composition steps of deficit at most ``top``, as (a, weight,
-    deficit) sorted by deficit: their potential is -a (``_potential``), so
-    step p -> a has deficit n - p - a, and only a >= n - p - top are built."""
+    deficit) sorted by deficit: step p -> a has deficit n - p - a, never
+    negative since a board after one of p rooks holds at most n - p, and
+    only a >= n - p - top are built."""
     return [[(a, math.comb(n - p, a) * falling_factorial(n, a), n - p - a) for a in range(n - p, max(n - p - top, 0) - 1, -1)]
             for p in range(n + 1)]
 
@@ -158,9 +127,9 @@ def _max_reads(boards: Sequence[BoardSpec]) -> list[tuple[int, int]]:
     """The read ``(k, deficit)`` at which each board's walks reach
     ``max_rooks``, for boards of one shape and one n.  A circular walk's
     deficits sum to nk - 2 max_rooks, which is 0 or 1.  A linear one starts
-    from state 0, of potential 0, and ends by a closing step of deficit
-    n + p[s] into a sink of potential -n, so its deficits sum to that plus n:
-    0 with odd k, and n with even k."""
+    from state 0, of level 0, and ends by a closing step of deficit
+    n - level(s) into a sink of level 0, so its deficits sum to
+    nk - 2 max_rooks + n: 0 with odd k, and n with even k."""
     return [(b.k, b.n * b.k - 2 * max_rooks(b) + (0 if b.circular else b.n)) for b in boards]
 
 
@@ -179,7 +148,7 @@ def _count_formula_max(boards: Sequence[BoardSpec]) -> list[int]:
         return _count_walks(_composition_steps(n), [(b.k, max_rooks(b)) for b in boards], False)
     reads = _max_reads(boards)
     steps = _composition_deficits(n, max(t for _, t in reads))
-    return _count_walks(steps, reads, circ, None if circ else _closed(steps, range(n, -1, -1)))  # n + p[a] = n - a
+    return _count_walks(steps, reads, circ, None if circ else _closed(steps, range(n, -1, -1)))  # closing from a: n - a
 
 
 def count_placements_formula(board: BoardSpec, m: int) -> int:

@@ -22,7 +22,7 @@ from chainedboards.asm import (
     to_plain_asm,
 )
 from chainedboards.boards import circular, linear, max_rooks
-from chainedboards.counting import _count_walks, _potential, classical_asm_count, qtasm_count
+from chainedboards.counting import _count_walks, classical_asm_count, qtasm_count
 from chainedboards.errors import InputDomainError, UnsupportedDomainError, ValidationError
 from chainedboards.perms import placement_to_matrices
 from chainedboards.placements import enumerate_placements
@@ -494,50 +494,86 @@ def test_transfer_matrix_matches_the_conditions_read_literally():
                 ):
                     want[r][s] += 1
         built = [[0] * (1 << n) for _ in range(1 << n)]
-        for r, out in enumerate(asm._transfer_steps(n)):
+        for r, out in enumerate(asm._transfer_steps(n)[0]):
             for s, w, _ in out:
                 built[r][s] = w
         assert transfer_matrix(n) == want == built, n
 
 
+def _entry_table_deficit(rows: list[tuple[int, ...]], r: int, free: bool) -> int | None:
+    """The deficit that ``_rows`` charges a matrix taken row after row
+    through ``asm._ENTRIES``, or None if the table refuses one of its entries."""
+    n = len(rows)
+    was, spent = [0] * n, 0
+    for i, row in enumerate(rows):
+        p = 0
+        for j, x in enumerate(row):
+            rj = None if i < n - 1 else -1 if free and j == n - 1 else r >> j & 1
+            got = [t for t in asm._ENTRIES[was[j], rj][p] if t[0] - p == x]
+            if not got:
+                return None
+            [(p, cost, plus, minus)] = got
+            assert (plus, minus) == (x > 0, x < 0)
+            spent += cost
+            was[j] = x or was[j]
+    return spent
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["after r", "after itself"])
+@pytest.mark.parametrize("n", range(1, 4))
+def test_the_entry_table_reads_the_conditions_literally(n, free):
+    # the table admits exactly the matrices meeting condition (1) and, after
+    # row sums r, condition (2), and charges each sum_j (1 - r_j - c_j); with
+    # free (circular k = 1) a matrix follows itself, so r is its own row sums
+    for entries in itertools.product((-1, 0, 1), repeat=n * n):
+        rows = [entries[i * n : (i + 1) * n] for i in range(n)]
+        one = all(s in (0, 1) for row in rows for s in itertools.accumulate(row))
+        for r in [sum((sum(row) == 1) << i for i, row in enumerate(rows))] if free else range(1 << n):
+            two = all(
+                c in (0, 1)
+                for j in range(n)
+                for c in itertools.accumulate([r >> j & 1] + [row[j] for row in rows[::-1]])
+            )
+            deficit = sum(1 - (r >> j & 1) - sum(row[j] for row in rows) for j in range(n))
+            assert _entry_table_deficit(rows, r, free) == (deficit if one and two else None), (rows, r)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_column_steps_equal_the_steps_of_the_row_dp(n):
-    # tuple for tuple, in the walk's order: by |s|, then by s
+    # tuple for tuple, in the walk's order: by the deficit n - |r| - |s|, then by s
     want = tuple(
-        tuple(sorted(((s, w, s.bit_count()) for s, w in enumerate(row) if w), key=lambda t: t[2]))
-        for row in transfer_matrix(n)
+        tuple(sorted(((s, w, n - r.bit_count() - s.bit_count()) for s, w in enumerate(row) if w), key=lambda t: t[2]))
+        for r, row in enumerate(transfer_matrix(n))
     )
-    assert asm._transfer_steps(n) == want
+    assert asm._transfer_steps(n)[0] == want
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_the_transfer_potential_leaves_no_step_a_negative_deficit(n):
-    # the potential is -|r|, so a step's deficit is n - |r| - |s| >= 0; the
-    # kept form holds every step, by that deficit
-    steps = asm._transfer_steps(n)
-    p = _potential(steps, n)
-    assert p == [-r.bit_count() for r in range(1 << n)]
-    assert all(p[r] - (2 * c - n) - p[s] >= 0 for r, row in enumerate(steps) for s, _, c in row)
-    deficits, ends = asm._transfer_deficits(n)
-    assert deficits == tuple(
-        tuple(sorted(((s, w, n - r.bit_count() - c) for s, w, c in row), key=lambda t: t[2]))
-        for r, row in enumerate(steps)
-    )
+    # a step's deficit is n - |r| - |s| >= 0: condition (2) caps column j's
+    # sum at 1 - r_j; the steps out of r are sorted by it
+    steps, ends = asm._transfer_steps(n)
+    assert all(d == n - r.bit_count() - s.bit_count() >= 0 for r, row in enumerate(steps) for s, _, d in row)
+    assert all([d for _, _, d in row] == sorted(d for _, _, d in row) for row in steps)
     # a linear walk's last step out of r: its deficit plus n - |s|, that of closing at s
     for r, row in enumerate(steps):
         merged = {}
-        for s, w, c in row:
-            merged[2 * n - r.bit_count() - 2 * c] = merged.get(2 * n - r.bit_count() - 2 * c, 0) + w
+        for s, w, _ in row:
+            digit = 2 * n - r.bit_count() - 2 * s.bit_count()
+            merged[digit] = merged.get(digit, 0) + w
         assert ends[r] == tuple(sorted(merged.items())), r
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_the_reduced_transfer_walk_equals_the_full_walk_at_the_maximum(n):
-    # the full walk counts costs over every step; the reduced one reads each
-    # (shape, n)'s eight k off one walk, and each k alone, by deficit
+    # the full walk counts costs |s| over every step of the reference's T; the
+    # reduced one reads each (shape, n)'s eight k off one walk, and each k
+    # alone, by deficit
+    costs = [sorted(((s, w, s.bit_count()) for s, w in enumerate(row) if w), key=lambda t: t[2])
+             for row in transfer_matrix(n)]
     for shape in (linear, circular):
         boards = [shape(n, k) for k in range(1, 9)]
-        full = _count_walks(asm._transfer_steps(n), [(b.k, max_rooks(b)) for b in boards], boards[0].circular)
+        full = _count_walks(costs, [(b.k, max_rooks(b)) for b in boards], boards[0].circular)
         assert asm._count_tm_max(boards) == full
         assert [count_chained_asm_tm(b) for b in boards] == full
 

@@ -16,7 +16,6 @@ from chainedboards.counting import (
     _composition_steps,
     _count_formula_max,
     _count_walks,
-    _potential,
     classical_asm_count,
     count_max,
     count_max_circular,
@@ -147,38 +146,15 @@ def test_count_walks_matches_every_step_sequence(steps_and_ends, reads, circular
 
 
 def test_the_composition_potential_is_minus_a():
-    # _composition_deficits builds the deficit steps off this closed form:
-    # the steps of deficit at most top, sorted by it, and no others
+    # _composition_deficits builds the deficit steps off the closed form
+    # n - p - a: the steps of deficit at most top, sorted by it, and no others
     for n in range(1, 9):
         steps = _composition_steps(n)
-        p = _potential(steps, n)
-        assert p == [-a for a in range(n + 1)]
+        assert all(n - p - a >= 0 for p, row in enumerate(steps) for a, _, _ in row)
         for top in range(n + 1):
-            want = [
-                sorted(((a, w, d) for a, w, c in row if (d := p[r] - (2 * c - n) - p[a]) <= top), key=lambda t: t[2])
-                for r, row in enumerate(steps)
-            ]
+            want = [sorted(((a, w, n - p - a) for a, w, _ in row if n - p - a <= top), key=lambda t: t[2])
+                    for p, row in enumerate(steps)]
             assert _composition_deficits(n, top) == want, (n, top)
-
-
-def test_the_potential_raises_a_level_that_is_no_potential():
-    # no cycle, but 1 -> 2 costs 2 after a step into 1 of cost 2, with n = 2:
-    # -level leaves that step a deficit of -2, and Bellman-Ford raises p
-    steps = [[(1, 1, 2)], [(2, 1, 2)], []]
-    p = _potential(steps, 2)
-    assert p == [2, 0, -2]
-    assert all(p[r] - (2 * c - 2) - p[s] >= 0 for r, row in enumerate(steps) for s, _, c in row)
-
-
-@pytest.mark.parametrize(
-    "steps, n",
-    [([[(1, 1, 2)], [(0, 1, 2)]], 2), ([[(0, 1, 1)]], 1), ([[(1, 3, 3)], [(2, 1, 2)], [(0, 1, 3)]], 5)],
-    ids=["two steps of cost n", "a loop of cost n", "three steps of mean 8/3"],
-)
-def test_the_potential_refuses_a_gaining_cycle(steps, n):
-    # a cycle of mean cost above n/2 gains weight 2c - n on every turn round it
-    with pytest.raises(AssertionError, match=rf"^a cycle of steps has a mean cost above n/2 = {n}/2$"):
-        _potential(steps, n)
 
 
 def test_the_reduced_composition_walk_equals_the_full_walk_at_the_maximum():

@@ -19,11 +19,21 @@ SRC = Path(chainedboards.__file__).parent
 REFERENCE = Path(__file__).parent / "reference.py"
 
 # what the transfer-matrix count runs; the enumerators it is checked against must not
-TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_transfer_deficits", "_count_tm_max", "_count_walks",
-                  "_potential", "_max_reads", "_closed"}
+TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_count_tm_max", "_count_walks", "_max_reads", "_closed"}
 # what the composition walk of count_placements_formula runs; the placement searches must not
 WALK_NAMES = {"_composition_steps", "_composition_deficits", "_count_formula_max", "_count_walks", "_max_reads",
               "_closed", "falling_factorial"}
+
+
+def test_every_walk_name_is_defined():
+    # a renamed or deleted walk helper would leave the oracle rule below
+    # checking for a name that nothing can mention
+    defined = {
+        node.name
+        for path in [*SRC.glob("*.py"), REFERENCE]
+        for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)
+    }
+    assert sorted((TRANSFER_NAMES | WALK_NAMES) - defined) == []
 
 
 def _names(node: ast.AST) -> set[str]:
