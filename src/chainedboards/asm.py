@@ -35,7 +35,7 @@ from operator import add, itemgetter
 from typing import Iterator
 
 from .boards import BoardSpec, _built, _check_board, _check_size, _suffix_bound, max_rooks
-from .counting import _closed, _count_walks, _max_reads
+from .counting import _count_walks, _max_reads
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
 from .placements import _chain, _kept
@@ -245,7 +245,8 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
 
     Each completion's row tuple is built once and held by every chain that
     uses it, so consecutive objects share the matrices they agree on;
-    ``serialization.serialize_stream`` reuses their text.
+    ``serialization.serialize_stream`` reuses their text.  The call checks
+    ``board``, before the first object.
     """
     _check_size(board)
     n, k = board.n, board.k
@@ -283,8 +284,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     # unknown ones (circular); on a circular chain its sum is a1, and the bound falls in both
     low = [target - _suffix_bound(n, k, circ, 2, s, s) for s in range(n + 1)]
     first = _completions(n, rows, None if circ and k > 1 else -1 if circ else 0, budget, min(n, target), low)
-    for mats in _chain(k, first, after):
-        yield _built(ChainedASM, board=board, matrices=tuple(mats))
+    return (_built(ChainedASM, board=board, matrices=tuple(mats)) for mats in _chain(k, first, after))
 
 
 # --- counting by transfer matrix ------------------------------------------
@@ -293,17 +293,16 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
 # above.  Index bit i of a "row-sum vector" r is the 0/1 sum of row i.
 
 # the largest n whose steps count_chained_asm_tm builds: the n = 10 build
-# took 3-5 s and 89 MB max RSS in a cold process on a shared 2-vCPU machine
-# (Python 3.11), and each n costs about 6 times the last
+# took 3.4-5.1 s and 88 MB max RSS in a cold process on a shared 2-vCPU
+# machine (Python 3.11), and each n costs about 6 times the last
 _MAX_TRANSFER_N = 10
 
 
 @functools.cache
-def _transfer_steps(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+def _transfer_steps(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The walk steps ``(s, T[r][s], D)`` with ``T[r][s] > 0`` out of each
-    row-sum vector r, sorted by the deficit D = n - |r| - |s|, and the last
-    steps of a linear walk, which closes from s at deficit n - |s|
-    (``counting._closed``); built once per n, the only form of T kept.
+    row-sum vector r, sorted by the deficit D = n - |r| - |s|; built once
+    per n, the only form of T kept.
 
     ``T[r][s]`` counts the n x n matrices that meet condition (1), have
     row-sum vector s and may follow one with row-sum vector r under
@@ -346,14 +345,15 @@ def _transfer_steps(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...
 
     walk(0, 0, [1] + [0] * (size - 1))
     del walk  # it refers to itself; without that cycle its rows are freed with the caller's, not at a collection
-    return tuple(steps), tuple(_closed(steps, [n - s.bit_count() for s in states]))
+    return tuple(steps)
 
 
 def _count_tm_max(boards: list[BoardSpec]) -> list[int]:
     """The chained ASMs of boards of one shape and one n, all read off one
-    walk over the transfer steps that can still reach ``max_rooks``."""
-    steps, ends = _transfer_steps(boards[0].n)
-    return _count_walks(steps, _max_reads(boards), boards[0].circular, ends)
+    walk over the transfer steps that can still reach ``max_rooks``; a
+    linear walk closes at s by the digit n - |s|."""
+    n = boards[0].n
+    return _count_walks(_transfer_steps(n), _max_reads(boards), boards[0].circular, [n - s.bit_count() for s in range(1 << n)])
 
 
 def count_chained_asm_tm(board: BoardSpec) -> int:
@@ -365,7 +365,8 @@ def count_chained_asm_tm(board: BoardSpec) -> int:
     condition (3), counted by deficit n - |r| - |s| per step (the module
     docstring's): a circular chain's deficits sum to nk - 2 max_rooks, 0 or
     1, so its walk keeps only the steps of deficit at most 1; a linear chain
-    keeps those of deficit 0 with odd k, and all with even k
+    takes all k steps and closes at s by the digit n - |s|, so it keeps
+    the steps of deficit 0 with odd k, and all with even k
     (``_count_tm_max``).  A board with n past ``_MAX_TRANSFER_N`` is refused
     with ``UnsupportedDomainError`` before any step is built.
     """

@@ -25,44 +25,41 @@ def falling_factorial(n: int, m: int) -> int:
 
 
 def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circular: bool,
-                 ends: Sequence[Sequence[tuple[int, int]]] | None = None) -> list[int]:
+                 close: Sequence[int] | None = None) -> list[int]:
     """For each read ``(k, target)``, the weighted k-step walks whose digits
     sum to ``target``, all read off one walk of the longest k.
 
     ``steps[r]`` lists the steps ``(s, weight, digit)`` out of state r,
     sorted by digit: a cost, or a deficit n - level(r) - level(s), where a
     state's level is the cost of any step into it (``_composition_deficits``,
-    ``asm._transfer_steps``).  A linear walk starts from state 0 and may end
-    anywhere; given ``ends``, its last step out of a state r is one of
-    ``ends[r]``, pairs ``(digit, weight)`` sorted by digit (``_closed``).  A
-    circular one ends where it started, summed over every start (a trace),
-    and closes its circle from each start at every k read, at no other.
+    ``asm._transfer_steps``).  A linear walk takes all k steps from state 0
+    and closes at the state s it reaches by the digit ``close[s]``, 0 for
+    every s if ``close`` is None.  A circular one ends where it started,
+    summed over every start (a trace): it takes k - 1 steps and closes its
+    circle from each start by the steps into it, at every k read.
 
     Each state holds one packed integer whose digit d, ``width`` bits wide,
     counts the weighted walks reaching it at digit sum d; a step adds ``poly
-    * weight << width * digit``, and steps and digits above the largest
-    target are dropped.  A last step of ``ends`` is one product per state,
-    with its pairs packed alike.  No digit carries: after j steps from one
-    start all digits of all states sum to at most ``heaviest ** j`` (a step
-    multiplies that sum by at most a row sum of the weights kept), so a
+    * weight << width * digit``, and steps, closing digits and digits above
+    the largest target are dropped.  No digit carries: after j steps from
+    one start all digits of all states sum to at most ``heaviest ** j`` (a
+    step multiplies that sum by at most a row sum of the weights kept), so a
     digit, even of a sum over end states, is at most ``max(1, heaviest **
     longest) < 2 ** width`` for every j up to the longest k.  Each start is
     read on its own.
     """
-    last_apart = circular or ends is not None  # the walk stops a step short of each read
     at: dict[int, list[tuple[int, int]]] = {}  # steps walked -> the (read, target) taken after them
     top = 0
     for i, (k, target) in enumerate(reads):
-        at.setdefault(k - 1 if last_apart else k, []).append((i, target))
+        at.setdefault(k - 1 if circular else k, []).append((i, target))
         top = max(top, target)
     steps = [row[: bisect_right(row, top, key=itemgetter(2))] for row in steps]  # the steps of digit <= top
-    ends = [row[: bisect_right(row, top, key=itemgetter(0))] for row in ends or ()]
+    ends = [(s, c) for s, c in enumerate(close or [0] * len(steps)) if c <= top]  # (state, closing digit)
     lengths = sorted(at)
     longest = max(reads)[0]  # reads compare by k first
-    heaviest = max([sum(w for _, w, _ in row) for row in steps] + [sum(w for _, w in row) for row in ends])
+    heaviest = max(sum(w for _, w, _ in row) for row in steps)
     width = (heaviest**longest).bit_length() + 1
     mask = (1 << width * (top + 1)) - 1
-    last = [sum(weight << width * digit for digit, weight in row) for row in ends]
     back = [[] for _ in steps] if circular else []  # back[s]: the steps (r, weight, digit) into s, to close a circle
     for r, row in enumerate(steps if circular else ()):
         for s, weight, digit in row:
@@ -85,10 +82,8 @@ def _count_walks(steps: Sequence[Sequence[tuple]], reads: Sequence[tuple], circu
             walked = j
             if circular:  # the last step returns to the start
                 total = sum(walk[r] * weight << width * digit for r, weight, digit in back[start])
-            elif last_apart:  # one product per state with its last steps
-                total = sum(poly * end for poly, end in zip(walk, last) if poly)
             else:
-                total = sum(walk)
+                total = sum(walk[s] << width * c for s, c in ends)
             for i, target in at[j]:
                 counts[i] += total >> width * target & (1 << width) - 1
     return counts
@@ -110,26 +105,13 @@ def _composition_deficits(n: int, top: int) -> list[list[tuple[int, int, int]]]:
             for p in range(n + 1)]
 
 
-def _closed(steps: Sequence[Sequence[tuple]], close: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
-    """The last steps of a linear walk by deficit (``_count_walks``'s
-    ``ends``): each step's deficit plus ``close[s]``, that of a closing step
-    out of the state s it reaches, with the weights of one digit summed."""
-    ends = []
-    for row in steps:
-        merged = {}
-        for s, weight, digit in row:
-            merged[digit + close[s]] = merged.get(digit + close[s], 0) + weight
-        ends.append(tuple(sorted(merged.items())))
-    return ends
-
-
 def _max_reads(boards: Sequence[BoardSpec]) -> list[tuple[int, int]]:
     """The read ``(k, deficit)`` at which each board's walks reach
     ``max_rooks``, for boards of one shape and one n.  A circular walk's
     deficits sum to nk - 2 max_rooks, which is 0 or 1.  A linear one starts
-    from state 0, of level 0, and ends by a closing step of deficit
-    n - level(s) into a sink of level 0, so its deficits sum to
-    nk - 2 max_rooks + n: 0 with odd k, and n with even k."""
+    from state 0, of level 0, and closes at the state s it ends in by the
+    digit n - level(s), the deficit of a step into a sink of level 0, so its
+    digits sum to nk - 2 max_rooks + n: 0 with odd k, and n with even k."""
     return [(b.k, b.n * b.k - 2 * max_rooks(b) + (0 if b.circular else b.n)) for b in boards]
 
 
@@ -138,17 +120,17 @@ def _count_formula_max(boards: Sequence[BoardSpec]) -> list[int]:
     one composition walk.
 
     A circular chain, or a linear one with only odd k, walks by deficit over
-    the steps of deficit 0 or 1 (``_max_reads``), O(n) of them.  A linear
+    the steps of deficit 0 or 1 (``_max_reads``), O(n) of them; a linear
+    walk takes all k steps and closes at a by the digit n - a.  A linear
     chain with an even k can reach its maximum through every step, so a
-    deficit walk drops none of them and only adds the closing steps it
-    builds per call: it walks by cost, as for any other m.
+    deficit walk would drop none: it walks by cost, as for any other m.
     """
     n, circ = boards[0].n, boards[0].circular
     if not circ and any(b.k % 2 == 0 for b in boards):
         return _count_walks(_composition_steps(n), [(b.k, max_rooks(b)) for b in boards], False)
     reads = _max_reads(boards)
     steps = _composition_deficits(n, max(t for _, t in reads))
-    return _count_walks(steps, reads, circ, None if circ else _closed(steps, range(n, -1, -1)))  # closing from a: n - a
+    return _count_walks(steps, reads, circ, range(n, -1, -1))  # closing from a: n - a
 
 
 def count_placements_formula(board: BoardSpec, m: int) -> int:

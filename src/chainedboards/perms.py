@@ -126,12 +126,12 @@ def enumerate_chained_permutations(board: BoardSpec) -> Iterator[ChainedPermutat
     """Every chained permutation of ``board``, each exactly once, in the
     lexicographic order of its maximum placement: the k matrices of the
     placement search's per-board options, with no ``RookPlacement`` made
-    between."""
+    between.  The call checks ``board``, before the first object."""
     _check_size(board)  # before the unit rows, which hold n entries each
     m = max_rooks(board)
     rows = _unit_rows(board.n)
-    for path in _search(board, m, lambda b, cols: tuple(map(rows.__getitem__, cols))):
-        yield _built(ChainedPermutation, board=board, matrices=tuple(path))
+    paths = _search(board, m, lambda b, cols: tuple(map(rows.__getitem__, cols)))
+    return (_built(ChainedPermutation, board=board, matrices=tuple(path)) for path in paths)
 
 
 def _ones(cp: ChainedPermutation) -> Iterator[Square]:

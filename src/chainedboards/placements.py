@@ -201,9 +201,10 @@ def _squares(b: int, cols: tuple[int, ...]) -> tuple[Square, ...]:
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     """All valid m-rook placements, each exactly once, in lexicographic order.
 
-    The search makes their squares valid, so they skip ``RookPlacement``'s checks."""
-    for path in _search(board, m, _squares):
-        yield _built(RookPlacement, board=board, squares=tuple(chain.from_iterable(path)))
+    The search makes their squares valid, so they skip ``RookPlacement``'s
+    checks.  The call checks ``board`` and m, before the first object."""
+    paths = _search(board, m, _squares)
+    return (_built(RookPlacement, board=board, squares=tuple(chain.from_iterable(path))) for path in paths)
 
 
 def count_placements_brute(board: BoardSpec, m: int) -> int:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .asm import (
@@ -135,13 +136,22 @@ def _ints(value, depth: int = 0):
     return value
 
 
-def _triples(value) -> tuple:
-    """``value`` as a tuple of squares or edges: arrays of three JSON integers."""
+def _once(items: tuple, name: Callable[[Any], str]) -> tuple:
+    """``items``, or a ParseError that names one listed twice, which a
+    constructor would merge silently."""
+    if len(set(items)) < len(items):
+        raise ParseError(f"{name(next(x for x, c in Counter(items).items() if c > 1))} is listed twice")
+    return items
+
+
+def _triples(value, noun: str) -> tuple:
+    """``value`` as a tuple of squares or edges: arrays of three JSON
+    integers, none listed twice."""
     triples = _ints(value, 2)
     for t in triples:
         if len(t) != 3:
             raise ParseError(f"expected three integers, got {clip(json.dumps(t))}")
-    return triples
+    return _once(triples, lambda t: f"{noun} {clip(json.dumps(t))}")
 
 
 def _circular(obj: GridGraph | MonotoneTriangleChain) -> BoardSpec:
@@ -177,7 +187,8 @@ def _oriented(c: IceConfiguration) -> Iterator[tuple[str, str, str]]:
 def _fpl_from(board: BoardSpec, value) -> FPLConfiguration:
     graph = GridGraph(board.n, board.k)
     # a list is unhashable: only strings go through the cache
-    edges = tuple(_edge_of_text(s) if type(s) is str else str_to_edge(s) for s in _array(value))
+    edges = _once(tuple(_edge_of_text(s) if type(s) is str else str_to_edge(s) for s in _array(value)),
+                  lambda e: f"edge {edge_to_str(e)}")
     # a fully-packed loop holds n^2 k + nk/2 edges: fewer fail before the graph's are listed
     want = board.n * board.n * board.k + board.n * board.k // 2
     if len(edges) < want:
@@ -219,7 +230,7 @@ FAMILIES = (
     Family(
         "placement", "placement", RookPlacement, _BOTH, lambda p: p.board, "squares",
         lambda p: p.squares,
-        lambda board, v: RookPlacement(board, _triples(v)),
+        lambda board, v: RookPlacement(board, _triples(v, "square")),
         placement_problems,
         {"matrix": placement_to_matrices},
     ),
@@ -241,7 +252,7 @@ FAMILIES = (
     Family(
         "chain-matching", "matching", ChainMatching, _BOTH, lambda m: m.graph.board, "edges",
         lambda m: m.edges,
-        lambda board, v: ChainMatching(ChainGraph(board), _triples(v)),
+        lambda board, v: ChainMatching(ChainGraph(board), _triples(v, "edge")),
         matching_problems,
         {"matrix": from_matching},
     ),

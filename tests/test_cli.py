@@ -112,6 +112,21 @@ def test_enumerate_limit_and_out(tmp_path, capsys):
     assert code == 0 and out == "" and empty.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "argv, want, says",
+    [
+        (["--family", "placements", "--shape", "linear", "-n", "2", "-k", "2", "-m", "99"], 1, "m must be in 0..n*k"),
+        (["--family", "asm", "--shape", "linear", "-n", "3000000000", "-k", "4000000000000"], 2, "n * k must be at most"),
+    ],
+    ids=["m past n*k", "n*k past sys.maxsize"],
+)
+@pytest.mark.parametrize("limit", ["0", "1"])
+def test_enumerate_checks_its_arguments_at_any_limit(capsys, argv, want, says, limit):
+    # the stream is checked when it is made, not when its first object is read
+    code, out, err = run(capsys, "enumerate", *argv, "--limit", limit)
+    assert code == want and out == "" and says in err
+
+
 def test_enumerate_perms_of_a_board_without_rooks_is_one_zero_matrix(capsys):
     board = ["--family", "perms", "--shape", "circular", "-n", "1", "-k", "1"]
     code, out, _ = run(capsys, "enumerate", *board)

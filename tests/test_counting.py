@@ -108,40 +108,39 @@ def step_tables(draw):
     return [sorted(draw(st.lists(step, max_size=6)), key=lambda t: t[2]) for _ in range(states)]
 
 
-def brute_walks(steps, k, target, circular, ends=None):
+def brute_walks(steps, k, target, circular, close=None):
     """Every k-step sequence from each start, listed one by one; given
-    ``ends``, a linear one's last step is one of ``ends[r]``."""
+    ``close``, each ends by adding ``close[s]`` at the state s it reaches."""
     total = 0
     for start in range(len(steps)) if circular else (0,):
         walks = [(start, 1, 0)]  # (state, weight product, cost sum)
-        for i in range(k):
-            if ends is not None and i == k - 1:
-                walks = [(None, w * weight, c + cost) for r, w, c in walks for cost, weight in ends[r]]
-            else:
-                walks = [(s, w * weight, c + cost) for r, w, c in walks for s, weight, cost in steps[r]]
+        for _ in range(k):
+            walks = [(s, w * weight, c + cost) for r, w, c in walks for s, weight, cost in steps[r]]
+        if close is not None:
+            walks = [(s, w, c + close[s]) for s, w, c in walks]
         total += sum(w for r, w, c in walks if c == target and (r == start or not circular))
     return total
 
 
 @st.composite
-def end_tables(draw, states):
-    """The last steps ``(digit, weight)`` out of each of ``states`` states, sorted by digit."""
-    pair = st.tuples(st.integers(0, 6), st.integers(0, 3) | st.integers(0, 2**70))
-    return [sorted(draw(st.lists(pair, max_size=4))) for _ in range(states)]
+def closed_step_tables(draw):
+    """A step table, and None or a closing digit (0-6) for each of its states."""
+    steps = draw(step_tables())
+    return steps, draw(st.none() | st.lists(st.integers(0, 6), min_size=len(steps), max_size=len(steps)))
 
 
 @settings(derandomize=True, database=None, max_examples=300)
 @given(
-    step_tables().flatmap(lambda steps: st.tuples(st.just(steps), st.none() | end_tables(len(steps)))),
+    closed_step_tables(),
     st.lists(st.tuples(st.integers(1, 4), st.integers(0, 9)), min_size=1, max_size=5),
     st.booleans(),
 )
-def test_count_walks_matches_every_step_sequence(steps_and_ends, reads, circular):
+def test_count_walks_matches_every_step_sequence(steps_and_close, reads, circular):
     # several reads off one walk, each of its own length and target; a
-    # circular walk has no use for the last steps of a linear one
-    steps, ends = steps_and_ends
-    assert _count_walks(steps, reads, circular, ends) == [
-        brute_walks(steps, k, target, circular, None if circular else ends) for k, target in reads
+    # circular walk has no use for the closing digits of a linear one
+    steps, close = steps_and_close
+    assert _count_walks(steps, reads, circular, close) == [
+        brute_walks(steps, k, target, circular, None if circular else close) for k, target in reads
     ]
 
 

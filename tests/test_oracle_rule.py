@@ -19,10 +19,10 @@ SRC = Path(chainedboards.__file__).parent
 REFERENCE = Path(__file__).parent / "reference.py"
 
 # what the transfer-matrix count runs; the enumerators it is checked against must not
-TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_count_tm_max", "_count_walks", "_max_reads", "_closed"}
+TRANSFER_NAMES = {"transfer_matrix", "_transfer_steps", "_count_tm_max", "_count_walks", "_max_reads"}
 # what the composition walk of count_placements_formula runs; the placement searches must not
 WALK_NAMES = {"_composition_steps", "_composition_deficits", "_count_formula_max", "_count_walks", "_max_reads",
-              "_closed", "falling_factorial"}
+              "falling_factorial"}
 
 
 def test_every_walk_name_is_defined():

@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
+from chainedboards.asm import enumerate_chained_asm
 from chainedboards.boards import Square, attacks, circular, linear, max_rooks
 from chainedboards.counting import count_placements_formula
-from chainedboards.errors import InputDomainError
+from chainedboards.errors import InputDomainError, UnsupportedDomainError
+from chainedboards.perms import enumerate_chained_permutations
 from chainedboards.placements import (
     RookPlacement,
     _search,
@@ -217,6 +219,24 @@ def test_built_squares_are_taken_only_where_they_are_in_range():
 def test_placements_check_their_board(squares):
     with pytest.raises(InputDomainError, match=r"^board must be a BoardSpec, got 5$"):
         RookPlacement(5, squares)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: enumerate_placements(linear(2, 2), 99), InputDomainError),
+        (lambda: enumerate_placements(5, 1), InputDomainError),
+        (lambda: enumerate_chained_permutations(linear(3 * 10**9, 4 * 10**12)), UnsupportedDomainError),
+        (lambda: enumerate_chained_asm(linear(3 * 10**9, 4 * 10**12)), UnsupportedDomainError),
+        (lambda: enumerate_chained_asm(None), InputDomainError),
+    ],
+    ids=["placements past n*k", "placements of no board", "perms past sys.maxsize", "asm past sys.maxsize",
+         "asm of no board"],
+)
+def test_the_enumerators_check_their_arguments_when_called(call, error):
+    # the call raises, before anything reads the stream it would return
+    with pytest.raises(error):
+        call()
 
 
 # --- the board-by-board search keeps the row search's order ------------------

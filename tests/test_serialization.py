@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import sys
 import tracemalloc
 
@@ -293,6 +294,20 @@ def test_a_matrix_document_takes_memory_linear_in_its_length(family):
 def test_malformed_documents_raise_parse_errors(text):
     with pytest.raises(ParseError):
         deserialize(text)
+
+
+@pytest.mark.parametrize(
+    "name, says",
+    [
+        ("square listed twice", "square [1, 1, 1]"),
+        ("matching edge listed twice", "edge [1, 1, 1]"),
+        ("fpl edge listed twice", "edge c:2,1"),
+    ],
+)
+def test_a_square_or_edge_listed_twice_is_named(name, says):
+    # the constructors merge a repeated square or edge; the parse boundary refuses it
+    with pytest.raises(ParseError, match=rf"^{re.escape(says)} is listed twice$"):
+        deserialize(MALFORMED[name])
 
 
 @pytest.mark.parametrize("text", ["h:1,2", "bl:1,1,1", "x:1,1"])
