@@ -10,6 +10,7 @@ stdout or --out.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import io
 import itertools
@@ -98,7 +99,7 @@ def _cmd_count(args) -> int:
         value = count_placements_brute(board, m)
     else:
         value = count_placements_formula(board, m)
-    print(value)
+    print(decimal.Decimal(value))  # str(int) refuses more than sys.get_int_max_str_digits() digits
     return 0
 
 

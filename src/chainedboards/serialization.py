@@ -13,20 +13,25 @@ of the conversions between them.
 ``serialize_stream`` is the one writer, and ``serialize`` is its
 one-object case.  It writes the header itself (ASCII names and ints: the
 bytes of ``json.dumps``) once per run of objects of one class on one board
-object, then each payload with ``json.dumps``.  The two matrix families
-(payload key ``"matrices"``) are written row by row from a bounded cache of
-row texts, sound as their constructors admit exact ints alone (``(True, 0)``
-equals and hashes like ``(1, 0)``).  They keep each matrix's text until a
-matrix before it is not the very tuple the document before held there; the
-enumerators share those tuples, so most of a streamed document's text is
-reused, and what is kept stays linear in the document's length.  Ice and FPL ids come from a bounded per-(n, k) table of each
-edge's id and its endpoints' ids (``_wire``), built after the edge-count
-checks; an ice value other than those exact texts (``"1:01,1"``, a number)
-is parsed as any id.
+object, then the payload.  A placement is written square by square and a
+matrix row by row, from a bounded cache of their texts keyed by value,
+sound as the constructors admit exact ints alone (``(True, 0)`` equals and
+hashes like ``(1, 0)``); other payloads go through ``json.dumps``.  The two matrix families (payload key ``"matrices"``) keep
+each leading matrix's text until a matrix before it is not the very tuple
+the document before held there.  The last matrix, which changes with nearly
+every document, takes its text from a table of the stream keyed by the
+tuple's identity; each entry holds its tuple, so the id cannot return on
+another while the entry lives, and the table holds at most ``_HELD``.  The
+enumerators share those tuples, so a streamed document costs a lookup per
+matrix that changed, and what a document keeps stays linear in its length.
+Ice and FPL ids come from a bounded per-(n, k) table of each edge's id and
+its endpoints' ids (``_wire``), built after the edge-count checks; an ice
+value other than those exact texts (``"1:01,1"``, a number) is parsed as
+any id.
 
 Parsing is strict: numbers are JSON integers (no booleans or floats), ids
-use ASCII digits, and valid JSON that decodes to an object violating its
-family's invariants is a validation error.
+use ASCII digits, no object lists a key twice, and valid JSON that decodes
+to an object violating its family's invariants is a validation error.
 """
 
 from __future__ import annotations
@@ -144,6 +149,18 @@ def _once(items: tuple, name: Callable[[Any], str]) -> tuple:
     return items
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict, or a ParseError that names a key listed
+    twice, of which ``json.loads`` would keep the last silently."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):  # _once raises, naming the key
+        _once(tuple(key for key, _ in pairs), lambda key: f"key {clip(json.dumps(key))}")
+    return doc
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)  # json.loads would build one per call
+
+
 def _triples(value, noun: str) -> tuple:
     """``value`` as a tuple of squares or edges: arrays of three JSON
     integers, none listed twice."""
@@ -214,13 +231,21 @@ class Family(NamedTuple):
     to: dict[str, Callable[[Any], Any]]  # target alias -> direct conversion, the graph `convert` walks
 
 
-# sound only as the matrix constructors admit exact ints: (True, 0) == (1, 0), same hash
-_row_text = functools.lru_cache(maxsize=1024)(json.dumps)  # every row of an ASM with n <= 10
+# a matrix row's or a square's text, keyed by value: sound only as the
+# constructors admit exact ints, since (True, 0) == (1, 0) with the same hash
+_ints_text = functools.lru_cache(maxsize=1024)(json.dumps)  # every row of an ASM with n <= 10
 
 
-@functools.lru_cache(maxsize=256)  # bounded; more entries gained nothing on `enumerate` and cost memory
-def _matrix_text(mat) -> str:
-    return "[" + ", ".join(map(_row_text, mat)) + "]"
+def _matrix_json(mat) -> str:
+    return "[" + ", ".join(map(_ints_text, mat)) + "]"
+
+
+# a leading matrix's text, and a last matrix's when its table misses, so that
+# equal matrices share one str; bounded, as more entries gained nothing on
+# `enumerate` and cost memory.  A chain of one matrix, new in every document,
+# builds its text with `_matrix_json` and keeps nothing.
+_matrix_text = functools.lru_cache(maxsize=256)(_matrix_json)
+_HELD = 2048  # last matrices a stream keeps texts of by identity; perms linear(5,2) has 1,546
 
 
 _BOTH = ("linear", "circular")
@@ -329,21 +354,28 @@ def serialize_stream(objs: Iterable) -> Iterator[str]:
     k - 1 matrices and the document's text before its last matrix, and
     rebuilds them from the first matrix that is not the very object the
     document before held there: a search's consecutive objects share their
-    leading matrices.  What it keeps is linear in the document's length.
+    leading matrices.  The last matrix of a chain of two or more takes its
+    text from the stream's table keyed by its identity, emptied when it
+    holds ``_HELD``.  What a document keeps is linear in its length.
     """
     cls = board = None
+    texts = {}  # id(last matrix) -> (that matrix, its text); holding it keeps its id from reuse
     for obj in objs:
         if type(obj) is not cls or board is None or family.board(obj) is not board:
             family = family_of(obj)
             cls, board, payload = type(obj), family.board(obj), family.encode(obj)
             head = _head(family, board, payload)
-            if matrices := family.key == "matrices":
+            key = family.key
+            if key == "matrices":
                 last = board.k - 1
                 parts, before = [None] * last, head + "["  # each matrix's text, the text before the last
                 held = (None,) * board.k  # no matrix is None: the header's first document writes each
         else:
             payload = family.encode(obj)
-        if not matrices:
+        if key == "squares":
+            yield f"{head}[{', '.join(map(_ints_text, payload))}]}}\n"
+            continue
+        if key != "matrices":
             yield f"{head}{json.dumps(payload)}}}\n"
             continue
         i = 0
@@ -353,7 +385,16 @@ def serialize_stream(objs: Iterable) -> Iterator[str]:
             parts[i:] = map(_matrix_text, payload[i:last])
             before = f"{head}[{', '.join(parts)}, "
         held = payload
-        yield f"{before}{_matrix_text(payload[last])}]}}\n"
+        mat = payload[last]
+        if not last:  # a chain of one: its matrix is new in every document
+            yield f"{before}{_matrix_json(mat)}]}}\n"
+            continue
+        got = texts.get(id(mat))
+        if got is None:
+            if len(texts) == _HELD:
+                texts.clear()
+            got = texts[id(mat)] = mat, _matrix_text(mat)
+        yield f"{before}{got[1]}]}}\n"
 
 
 def _need(doc: dict, key: str):
@@ -390,7 +431,7 @@ def deserialize(text: str):
     if not stripped.startswith("{"):
         return _checked(_BY_NAME["one-line"], parse_one_line(stripped))
     try:
-        doc = json.loads(stripped)
+        doc = _DECODER.decode(stripped)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON at offset {exc.pos}: {exc.msg}") from None
     except ValueError as exc:  # an integer beyond Python's int-conversion digit limit

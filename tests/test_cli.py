@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import io
 import json
 import math
@@ -17,6 +18,7 @@ import pytest
 from chainedboards.asm import ChainedASM, chained_asm_problems, enumerate_chained_asm, permutation_to_asm
 from chainedboards.boards import Square, circular, linear, max_rooks
 from chainedboards.cli import _BLOCK, _print_problems, build_parser, main
+from chainedboards.counting import count_placements_formula
 from chainedboards.errors import ValidationError
 from chainedboards.ice import to_fpl, to_ice
 from chainedboards.matchings import to_matching
@@ -652,6 +654,17 @@ def test_count_formula_at_the_maximum_of_a_wide_board_builds_only_its_reduced_st
         tracemalloc.stop()
     assert result == (0, f"{math.factorial(1000)}\n", "")
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("method", ["formula", "closed"])
+def test_count_prints_a_value_past_the_int_to_str_digit_limit(capsys, method):
+    # the maximum of linear(1000, 3) has 5136 digits, past the default limit of 4300
+    board = linear(1000, 3)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--method", method, "--shape", "linear", "-n", "1000", "-k", "3")
+    assert (code, err) == (0, "") and out.endswith("\n")
+    assert decimal.Decimal(out) == count_placements_formula(board, max_rooks(board))
+    assert len(out) - 1 > 4300 and sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(

@@ -5,11 +5,13 @@ import json
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainedboards import serialization
 from chainedboards.asm import (
     ChainedASM,
     PlainASM,
@@ -30,6 +32,7 @@ from chainedboards.perms import (
 from chainedboards.placements import RookPlacement, enumerate_placements
 from chainedboards.serialization import (
     FAMILIES,
+    _HELD,
     _wire,
     deserialize,
     edge_to_str,
@@ -290,6 +293,68 @@ def test_a_matrix_document_takes_memory_linear_in_its_length(family):
     assert peak < 8 * len(text)
 
 
+# 2 x 2 matrices: the first four are 0/1, so a chained permutation may hold them
+WRITER_VALUES = (((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 0)), ((0, 1), (1, -1)))
+WRITER_BOARDS = (linear(2, 1), linear(2, 2), circular(2, 3))
+# each document: its board (the last index: a new object equal to the board before),
+# its class, and how each matrix is made from a value: the matrix the document
+# before held there, a new tuple equal to the value, or the value's own tuple
+WRITER_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, len(WRITER_BOARDS)),
+        st.booleans(),
+        st.lists(st.tuples(st.sampled_from(["same", "equal", "kept"]), st.integers(0, 4)), min_size=3, max_size=3),
+    ),
+    max_size=40,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(steps=WRITER_STEPS, held=st.sampled_from([1, 2, _HELD]))
+def test_stream_writer_matches_the_reference_whatever_its_matrices_share(steps, held):
+    # the objects are made as the writer reads them and dropped after, so a
+    # matrix the writer does not hold is freed and its id may return on a new one
+    want = []
+
+    def objects():
+        board, before = WRITER_BOARDS[0], ()
+        for b, perm, how in steps:
+            board = WRITER_BOARDS[b] if b < len(WRITER_BOARDS) else BoardSpec(board.shape, board.n, board.k)
+            mats = []
+            for i, (made, v) in enumerate(how[: board.k]):
+                value = WRITER_VALUES[v % 4 if perm else v]
+                if made == "same" and i < len(before) and (not perm or before[i] in WRITER_VALUES[:4]):
+                    mats.append(before[i])
+                else:
+                    # from a list: a tuple made so reuses the memory of one freed (a generator's does not)
+                    mats.append(tuple([tuple(list(row)) for row in value]) if made == "equal" else value)
+            obj = (ChainedPermutation if perm else ChainedASM)(board, tuple(mats))
+            want.append(reference_document(obj))
+            before = obj.matrices
+            yield obj
+
+    with mock.patch.object(serialization, "_HELD", held):
+        assert list(serialize_stream(objects())) == want
+
+
+def test_a_stream_of_new_last_matrices_keeps_bounded_memory():
+    # each chained ASM's last matrix is a new tuple that only the writer may keep
+    board, eye = linear(2, 2), ((1, 0), (0, 1))
+
+    def peak(count: int) -> int:
+        objs = (ChainedASM(board, (eye, ((i % 2, 1 - i % 2), (1 - i % 2, i % 2)))) for i in range(count))
+        tracemalloc.start()
+        try:
+            for _ in serialize_stream(objs):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(_HELD)  # the first stream also fills the module's caches
+    assert peak(8 * _HELD) < 1.1 * peak(2 * _HELD)
+
+
 @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_documents_raise_parse_errors(text):
     with pytest.raises(ParseError):
@@ -307,6 +372,13 @@ def test_malformed_documents_raise_parse_errors(text):
 def test_a_square_or_edge_listed_twice_is_named(name, says):
     # the constructors merge a repeated square or edge; the parse boundary refuses it
     with pytest.raises(ParseError, match=rf"^{re.escape(says)} is listed twice$"):
+        deserialize(MALFORMED[name])
+
+
+@pytest.mark.parametrize("name, key", [("family key listed twice", "family"), ("ice edge key listed twice", "c:1,1")])
+def test_an_object_key_listed_twice_is_named(name, key):
+    # json.loads alone would keep the last of the two
+    with pytest.raises(ParseError, match=f'^key "{key}" is listed twice$'):
         deserialize(MALFORMED[name])
 
 

@@ -80,7 +80,8 @@ WIDE_ONE_LINE = ",".join(str(v) for v in range(1, 11))  # the identity on linear
 # document with one change: a boolean, float or string where an integer
 # belongs, a non-ASCII, signed, spaced or underscored number, a linear shape
 # on a circular-only family, a square or edge of the wrong length or listed
-# twice (which the constructors would merge), or JSON nested too deep to decode.
+# twice (which the constructors would merge), an object key listed twice
+# (which ``json.loads`` would merge), or JSON nested too deep to decode.
 MALFORMED = {
     "chained-asm entry true": _doc("chained-asm", shape="circular", n=1, k=2, matrices=[[[True]], [[0]]]),
     "chained-asm entry 1.0": _doc("chained-asm", shape="circular", n=1, k=2, matrices=[[[1.0]], [[0]]]),
@@ -101,6 +102,10 @@ MALFORMED = {
     "square listed twice": _doc("placement", shape="linear", n=2, k=2, squares=[[1, 1, 1], [1, 1, 1]]),
     "matching edge listed twice": _doc("chain-matching", shape="linear", n=1, k=1, edges=[[1, 1, 1], [1, 1, 1]]),
     "fpl edge listed twice": _doc("fpl", shape="circular", n=1, k=2, edges=FPL_12 + ["c:2,01"]),
+    "family key listed twice": '{"family": "placement", ' + _doc("chained-asm", shape="linear", n=1, k=1, matrices=[[[1]]])[1:],
+    "ice edge key listed twice": _doc("ice", shape="circular", n=1, k=2, orientation=ICE_12).replace(
+        '"c:1,1": "2:1,1"', '"c:1,1": "2:1,1", "c:1,1": "2:1,1"'
+    ),
     "one-line arabic-indic digits": "\u0661\u0662-\u0660\u0660-",  # 12-00-
     "one-line comma block with +1": "+" + WIDE_ONE_LINE,
     "one-line comma block with a space": WIDE_ONE_LINE.replace(",2", ", 2"),
