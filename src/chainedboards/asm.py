@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Iterator
 
-from .boards import BoardSpec, _built, _check_board, _check_size, _suffix_bound, max_rooks
+from .boards import BoardSpec, _built, _check_board, _check_entries, _suffix_bound, max_rooks
 from .counting import _count_walks, _max_reads
 from .errors import InputDomainError, UnsupportedDomainError, ValidationError, clip
 from .perms import ChainedPermutation, Matrix, _check_matrix_tuple, _previous_matrix
@@ -229,9 +229,11 @@ def _completions(n: int, rows, r: int | None, left: int | None, top: int, low: l
                 dead.add(key)
 
 
-def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
-    """All chained ASMs on ``board``, exactly once, in lexicographic order of
-    the flattened entry sequence (-1 < 0 < 1).
+def _matrix_paths(board: BoardSpec) -> Iterator[list[Matrix]]:
+    """The matrices of every chained ASM on ``board``, exactly once, in
+    lexicographic order of the flattened entry sequence (-1 < 0 < 1): each
+    path is the search's own list of the k matrices, changed after the
+    yield.
 
     They are the product of the k matrices' completions (``_completions``),
     each list in lexicographic order (``placements._chain``); explicit
@@ -243,12 +245,12 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     matrix 1's sum and, closing it, matrix 1's bans.  A search keeps
     ``_KEEP`` completions at most, so past that keys stream.
 
-    Each completion's row tuple is built once and held by every chain that
-    uses it, so consecutive objects share the matrices they agree on;
-    ``serialization.serialize_stream`` reuses their text.  The call checks
-    ``board``, before the first object.
+    Each completion's row tuple is built once and held by every path that
+    uses it, so consecutive paths share the matrices they agree on, and the
+    document writer (``serialization._documents``) reuses their text.  The
+    call checks ``board``, n * n * k included, before the first path.
     """
-    _check_size(board)
+    _check_entries(board)
     n, k = board.n, board.k
     circ = board.circular
     target = max_rooks(board)
@@ -284,7 +286,15 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     # unknown ones (circular); on a circular chain its sum is a1, and the bound falls in both
     low = [target - _suffix_bound(n, k, circ, 2, s, s) for s in range(n + 1)]
     first = _completions(n, rows, None if circ and k > 1 else -1 if circ else 0, budget, min(n, target), low)
-    return (_built(ChainedASM, board=board, matrices=tuple(mats)) for mats in _chain(k, first, after))
+    return _chain(k, first, after)
+
+
+def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
+    """All chained ASMs on ``board``, exactly once, in lexicographic order of
+    the flattened entry sequence (-1 < 0 < 1): the search ``_matrix_paths``,
+    each path as an object.  The call checks ``board``, before the first
+    object."""
+    return (_built(ChainedASM, board=board, matrices=tuple(mats)) for mats in _matrix_paths(board))
 
 
 # --- counting by transfer matrix ------------------------------------------

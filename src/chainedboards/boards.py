@@ -98,6 +98,18 @@ def _check_size(board) -> None:
         )
 
 
+def _check_entries(board) -> None:
+    """``_check_size``, then UnsupportedDomainError for a board whose k
+    matrices hold n * n * k entries past ``sys.maxsize``: a document of a
+    matrix family lists them all, so the matrix searches refuse such a board
+    before any work."""
+    _check_size(board)
+    if board.n * board.n * board.k > sys.maxsize:
+        raise UnsupportedDomainError(
+            f"n * n * k must be at most {sys.maxsize}, got n = {clip(board.n)}, k = {clip(board.k)}"
+        )
+
+
 def _square(board: BoardSpec, s) -> tuple[int, int, int]:
     """The items of ``s``, if they are a square of ``board``: three exact
     ints (board, row, col) with 1 <= board <= k and 1 <= row, col <= n.

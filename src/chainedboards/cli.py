@@ -2,9 +2,9 @@
 
 Subcommands: count, enumerate, convert, validate, render, verify-tables.
 Exit codes: 0 success / all checks pass / stdout closed by its reader, 1
-validation failure or count mismatch, 2 usage error (including operations
-undefined for the input's domain). Diagnostics go to stderr; data goes to
-stdout or --out.
+validation failure, count mismatch or out of memory, 2 usage error
+(including operations undefined for the input's domain). Diagnostics go to
+stderr; data goes to stdout or --out.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from collections import deque
 from collections.abc import Iterable
 from contextlib import nullcontext, suppress
 
-from .asm import enumerate_chained_asm
+from .asm import _matrix_paths as _asm_paths
 from .boards import BoardSpec, Shape, max_rooks
 from .counting import count_max, count_placements_formula
 from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, ValidationError, clip
-from .perms import enumerate_chained_permutations
-from .placements import count_placements_brute, enumerate_placements
+from .perms import _matrix_paths as _permutation_paths
+from .placements import _square_paths, count_placements_brute
 from .rendering import render
-from .serialization import FAMILIES, deserialize, family_of, serialize, serialize_stream
+from .serialization import _BY_NAME, FAMILIES, _documents, deserialize, family_of, serialize
 from .verify import verify_tables
 
 
@@ -109,16 +109,17 @@ def _cmd_enumerate(args) -> int:
     if args.m is not None and args.family != "placements":
         raise UnsupportedDomainError("-m applies to --family placements only")
     board = BoardSpec(Shape(args.shape), args.n, args.k)
+    # each search's own paths, written as they are: the public enumerators make an object of each
     if args.family == "placements":
         m = max_rooks(board) if args.m is None else args.m
-        stream = enumerate_placements(board, m)
+        family, paths = "placement", _square_paths(board, m)
     elif args.family == "perms":
-        stream = enumerate_chained_permutations(board)
+        family, paths = "chained-permutation", _permutation_paths(board)
     else:
-        stream = enumerate_chained_asm(board)
+        family, paths = "chained-asm", _asm_paths(board)
     # islice refuses a stop above sys.maxsize; no stream is that long, so such a limit never binds
     limit = None if args.limit is None else min(args.limit, sys.maxsize)
-    docs = serialize_stream(itertools.islice(stream, limit))
+    docs = _documents(_BY_NAME[family], board, map(tuple, itertools.islice(paths, limit)))
     blocks = iter(lambda: "".join(itertools.islice(docs, _BLOCK)), "")
     # the first block is ready before --out is opened, so a search that fails
     # before its first document leaves no file behind
@@ -258,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ChainedBoardsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _print_problems([p for p in getattr(exc, "problems", ()) if p != str(exc)])
+        return 1
+    except MemoryError:  # e.g. the placement search's column of each row's rook, on -n 10**13
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -10,14 +10,15 @@ chained ASM conditions restricted to 0/1 entries, so
 
 Matrices are tuples of row tuples.  The library's chained permutations
 share their rows from one table per n: the zero row and the n unit rows.
-``enumerate_chained_permutations`` takes each board's matrix as the
-placement search's option for that board carries it, built once per
-option.  ``_with_ones`` builds the others, with a 1 on each of a set of
-squares checked before it sees them, by the check of the placement,
-matching or one-line notation they come from (the squares (l, i, v) of a
-block's nonzero entries).  Both build their result without the
-constructor's walk (``boards._built``); the constructor walks every entry
-it is given, and keeps tuple input as is.
+Their search (``_matrix_paths``, which ``enumerate_chained_permutations``
+makes objects of) takes each board's matrix as the placement search's
+option for that board carries it, built once per option.  ``_with_ones``
+builds the others, with a 1 on each of a set of squares checked before it
+sees them, by the check of the placement, matching or one-line notation
+they come from (the squares (l, i, v) of a block's nonzero entries).  Both
+build their objects without the constructor's walk (``boards._built``);
+the constructor walks every entry it is given, and keeps tuple input as
+is.
 
 One-line notation records, per row of each matrix, the column of its 1 (0
 for an empty row).  Blocks are joined by dashes and written with a trailing
@@ -31,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .boards import BoardSpec, Shape, Square, _built, _check_board, _check_size, max_rooks
+from .boards import BoardSpec, Shape, Square, _built, _check_board, _check_entries, max_rooks
 from .errors import InputDomainError, ParseError, ValidationError, clip
 from .placements import RookPlacement, _search, placement_problems
 
@@ -122,16 +123,23 @@ def _with_ones(board: BoardSpec, squares) -> ChainedPermutation:
     return _built(ChainedPermutation, board=board, matrices=tuple(flat[j : j + n] for j in range(0, n * k, n)))
 
 
+def _matrix_paths(board: BoardSpec) -> Iterator[list[Matrix]]:
+    """The matrices of every chained permutation of ``board``, each exactly
+    once, in the lexicographic order of its maximum placement: the k
+    matrices of the placement search's per-board options, each path the
+    search's own list, changed after the yield.  The call checks ``board``,
+    n * n * k included, before the first path."""
+    _check_entries(board)  # before the n + 1 unit rows of n entries each
+    rows = _unit_rows(board.n)
+    return _search(board, max_rooks(board), lambda b, cols: tuple(map(rows.__getitem__, cols)))
+
+
 def enumerate_chained_permutations(board: BoardSpec) -> Iterator[ChainedPermutation]:
     """Every chained permutation of ``board``, each exactly once, in the
-    lexicographic order of its maximum placement: the k matrices of the
-    placement search's per-board options, with no ``RookPlacement`` made
-    between.  The call checks ``board``, before the first object."""
-    _check_size(board)  # before the unit rows, which hold n entries each
-    m = max_rooks(board)
-    rows = _unit_rows(board.n)
-    paths = _search(board, m, lambda b, cols: tuple(map(rows.__getitem__, cols)))
-    return (_built(ChainedPermutation, board=board, matrices=tuple(path)) for path in paths)
+    lexicographic order of its maximum placement: the search
+    ``_matrix_paths``, each path as an object, with no ``RookPlacement``
+    made between.  The call checks ``board``, before the first object."""
+    return (_built(ChainedPermutation, board=board, matrices=tuple(path)) for path in _matrix_paths(board))
 
 
 def _ones(cp: ChainedPermutation) -> Iterator[Square]:

@@ -198,13 +198,21 @@ def _squares(b: int, cols: tuple[int, ...]) -> tuple[Square, ...]:
     return tuple([Square(b, r, c) for r, c in enumerate(cols, start=1) if c])
 
 
+def _square_paths(board: BoardSpec, m: int) -> Iterator[Iterator[Square]]:
+    """The squares of every valid m-rook placement, each exactly once, in
+    lexicographic order: each an iterator over the search's own list, which
+    changes after the yield.  The call checks ``board`` and m, before the
+    first path."""
+    return map(chain.from_iterable, _search(board, m, _squares))
+
+
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
-    """All valid m-rook placements, each exactly once, in lexicographic order.
+    """All valid m-rook placements, each exactly once, in lexicographic order:
+    the search ``_square_paths``, each path as an object.
 
     The search makes their squares valid, so they skip ``RookPlacement``'s
     checks.  The call checks ``board`` and m, before the first object."""
-    paths = _search(board, m, _squares)
-    return (_built(RookPlacement, board=board, squares=tuple(chain.from_iterable(path))) for path in paths)
+    return (_built(RookPlacement, board=board, squares=tuple(path)) for path in _square_paths(board, m))
 
 
 def count_placements_brute(board: BoardSpec, m: int) -> int:

@@ -10,20 +10,23 @@ points at.  ``deserialize`` also accepts the bare one-line string format
 (``0200-3104-...``).  ``FAMILIES`` is the one registry of the families and
 of the conversions between them.
 
-``serialize_stream`` is the one writer, and ``serialize`` is its
-one-object case.  It writes the header itself (ASCII names and ints: the
-bytes of ``json.dumps``) once per run of objects of one class on one board
-object, then the payload.  A placement is written square by square and a
-matrix row by row, from a bounded cache of their texts keyed by value,
-sound as the constructors admit exact ints alone (``(True, 0)`` equals and
-hashes like ``(1, 0)``); other payloads go through ``json.dumps``.  The two matrix families (payload key ``"matrices"``) keep
-each leading matrix's text until a matrix before it is not the very tuple
-the document before held there.  The last matrix, which changes with nearly
-every document, takes its text from a table of the stream keyed by the
-tuple's identity; each entry holds its tuple, so the id cannot return on
-another while the entry lives, and the table holds at most ``_HELD``.  The
-enumerators share those tuples, so a streamed document costs a lookup per
-matrix that changed, and what a document keeps stays linear in its length.
+``_documents`` is the one writer loop, from the payloads of one family on
+one board: ``chained-boards enumerate`` feeds it each search's own, with
+no object made per document, ``serialize_stream`` those of each run of
+objects, and ``serialize`` one object's.  It writes the header itself
+(ASCII names and ints: the bytes of ``json.dumps``) once per run, then the
+payload.  A placement is written square by square and a matrix row by
+row, from a bounded cache of their texts keyed by value, sound as the
+constructors admit exact ints alone (``(True, 0)`` equals and hashes like
+``(1, 0)``); other payloads go through ``json.dumps``.  The two matrix families (payload key
+``"matrices"``) keep each leading matrix's text until a matrix before it
+is not the very tuple the payload before held there.  The last matrix,
+which changes with nearly every document, takes its text from a table of
+the run keyed by the tuple's identity; each entry holds its tuple, so the
+id cannot return on another while the entry lives, and the table holds at
+most ``_HELD``.  A chain of one matrix builds its text anew.  The searches
+share those tuples, so a document costs a lookup per matrix that changed,
+and what a document keeps stays linear in its length.
 Ice and FPL ids come from a bounded per-(n, k) table of each edge's id and
 its endpoints' ids (``_wire``), built after the edge-count checks; an ice
 value other than those exact texts (``"1:01,1"``, a number) is parsed as
@@ -37,6 +40,7 @@ to an object violating its family's invariants is a validation error.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from collections import Counter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -245,7 +249,7 @@ def _matrix_json(mat) -> str:
 # `enumerate` and cost memory.  A chain of one matrix, new in every document,
 # builds its text with `_matrix_json` and keeps nothing.
 _matrix_text = functools.lru_cache(maxsize=256)(_matrix_json)
-_HELD = 2048  # last matrices a stream keeps texts of by identity; perms linear(5,2) has 1,546
+_HELD = 2048  # last matrices a run keeps texts of by identity; perms linear(5,2) has 1,546
 
 
 _BOTH = ("linear", "circular")
@@ -340,61 +344,64 @@ def _head(family: Family, board: BoardSpec | None, payload) -> str:
     return f'{head}, "{family.key}": '
 
 
+def _documents(family: Family, board: BoardSpec | None, payloads: Iterable) -> Iterator[str]:
+    """The document of each payload of ``payloads`` (what ``family.encode``
+    gives), in order, as it is read, for objects of ``family`` on ``board``:
+    the library's one writer loop, as the module docstring describes.  The
+    header is built once, but a plain ASM's, which holds its size."""
+    key = family.key
+    if key == "squares":
+        head = _head(family, board, None) + "["
+        for squares in payloads:
+            yield f"{head}{', '.join(map(_ints_text, squares))}]}}\n"
+    elif key != "matrices":
+        for payload in payloads:
+            yield f"{_head(family, board, payload)}{json.dumps(payload)}}}\n"
+    elif board.k == 1:  # a chain of one: its matrix is new in every document
+        head = _head(family, board, None) + "["
+        for (mat,) in payloads:
+            yield f"{head}{_matrix_json(mat)}]}}\n"
+    else:
+        head, last = _head(family, board, None), board.k - 1
+        parts, before = [None] * last, None  # each leading matrix's text, the text before the last
+        held = (None,) * last  # no matrix is None: the first payload writes each
+        texts = {}  # id(last matrix) -> (that matrix, its text); holding it keeps its id from reuse
+        for payload in payloads:
+            i = 0
+            while i < last and payload[i] is held[i]:
+                i += 1
+            if i < last:
+                parts[i:] = map(_matrix_text, payload[i:last])
+                before = f"{head}[{', '.join(parts)}, "
+            held = payload
+            mat = payload[last]
+            got = texts.get(id(mat))
+            if got is None:
+                if len(texts) == _HELD:
+                    texts.clear()
+                got = texts[id(mat)] = mat, _matrix_text(mat)
+            yield f"{before}{got[1]}]}}\n"
+
+
+def _family_board(obj) -> tuple[Family, BoardSpec | None]:
+    family = family_of(obj)
+    return family, family.board(obj)
+
+
 def serialize(obj) -> str:
     """The canonical one-line document for any domain object."""
-    return next(serialize_stream((obj,)))
+    family, board = _family_board(obj)
+    return next(_documents(family, board, (family.encode(obj),)))
 
 
 def serialize_stream(objs: Iterable) -> Iterator[str]:
     """The canonical document of each object of ``objs``, in order, as it is read.
 
-    The header is built again whenever an object's class or board object is
-    not the one before it; a plain ASM's header holds its size, so each plain
-    ASM builds its own.  A matrix family keeps the text of each of its first
-    k - 1 matrices and the document's text before its last matrix, and
-    rebuilds them from the first matrix that is not the very object the
-    document before held there: a search's consecutive objects share their
-    leading matrices.  The last matrix of a chain of two or more takes its
-    text from the stream's table keyed by its identity, emptied when it
-    holds ``_HELD``.  What a document keeps is linear in its length.
+    Each run of objects of one family on equal boards is one call of the
+    writer ``_documents`` over their payloads.
     """
-    cls = board = None
-    texts = {}  # id(last matrix) -> (that matrix, its text); holding it keeps its id from reuse
-    for obj in objs:
-        if type(obj) is not cls or board is None or family.board(obj) is not board:
-            family = family_of(obj)
-            cls, board, payload = type(obj), family.board(obj), family.encode(obj)
-            head = _head(family, board, payload)
-            key = family.key
-            if key == "matrices":
-                last = board.k - 1
-                parts, before = [None] * last, head + "["  # each matrix's text, the text before the last
-                held = (None,) * board.k  # no matrix is None: the header's first document writes each
-        else:
-            payload = family.encode(obj)
-        if key == "squares":
-            yield f"{head}[{', '.join(map(_ints_text, payload))}]}}\n"
-            continue
-        if key != "matrices":
-            yield f"{head}{json.dumps(payload)}}}\n"
-            continue
-        i = 0
-        while i < last and payload[i] is held[i]:
-            i += 1
-        if i < last:
-            parts[i:] = map(_matrix_text, payload[i:last])
-            before = f"{head}[{', '.join(parts)}, "
-        held = payload
-        mat = payload[last]
-        if not last:  # a chain of one: its matrix is new in every document
-            yield f"{before}{_matrix_json(mat)}]}}\n"
-            continue
-        got = texts.get(id(mat))
-        if got is None:
-            if len(texts) == _HELD:
-                texts.clear()
-            got = texts[id(mat)] = mat, _matrix_text(mat)
-        yield f"{before}{got[1]}]}}\n"
+    for (family, board), run in itertools.groupby(objs, _family_board):
+        yield from _documents(family, board, map(family.encode, run))
 
 
 def _need(doc: dict, key: str):

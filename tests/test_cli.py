@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import decimal
 import io
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from chainedboards import asm, boards, perms, placements
 from chainedboards.asm import ChainedASM, chained_asm_problems, enumerate_chained_asm, permutation_to_asm
 from chainedboards.boards import Square, circular, linear, max_rooks
 from chainedboards.cli import _BLOCK, _print_problems, build_parser, main
@@ -22,9 +24,9 @@ from chainedboards.counting import count_placements_formula
 from chainedboards.errors import ValidationError
 from chainedboards.ice import to_fpl, to_ice
 from chainedboards.matchings import to_matching
-from chainedboards.perms import ChainedPermutation, placement_to_matrices, to_one_line
+from chainedboards.perms import ChainedPermutation, enumerate_chained_permutations, placement_to_matrices, to_one_line
 from chainedboards.placements import enumerate_placements, placement_problems
-from chainedboards.serialization import FAMILIES, deserialize, family_of, serialize
+from chainedboards.serialization import FAMILIES, deserialize, family_of, serialize, serialize_stream
 from chainedboards.triangles import to_monotone_triangles
 from tests.worked_examples import (
     ALL_ONES_20,
@@ -225,6 +227,55 @@ def test_enumerate_matches_an_independent_encoder(capsys, argv, want):
     code, out, _ = run(capsys, "enumerate", *argv)
     assert code == 0
     assert out == want() != ""
+
+
+# every cell with n * k <= 8 of both shapes, as tests/test_built.py searches
+AGREE_CELLS = [shape(n, k) for shape in (linear, circular) for n in range(1, 9) for k in range(1, 8 // n + 1)]
+
+
+@pytest.mark.parametrize("board", AGREE_CELLS, ids=lambda b: f"{b.shape.value}({b.n},{b.k})")
+def test_enumerate_writes_what_the_stream_writer_makes_of_the_enumerated_objects(capsys, board):
+    # the CLI writes each search's payloads, the library's enumerators wrap the
+    # same search in objects: two consumers of one search must agree to the byte
+    streams = [("asm", (), enumerate_chained_asm), ("perms", (), enumerate_chained_permutations)]
+    streams += [("placements", ("-m", str(m)), lambda b, m=m: enumerate_placements(b, m))
+                for m in range(board.n * board.k + 1)]
+    argv = ["--shape", board.shape.value, "-n", str(board.n), "-k", str(board.k)]
+    for family, more, objects in streams:
+        command = ["enumerate", "--family", family, *argv, *more]
+        first = list(itertools.islice(objects(board), 300))
+        code, out, err = run(capsys, *command, "--limit", "300")
+        assert (code, err) == (0, "") and out == "".join(serialize_stream(first)), command
+        if sum(1 for _ in itertools.islice(objects(board), 2001)) <= 2000:
+            code, out, err = run(capsys, *command)
+            assert (code, err) == (0, "") and out == "".join(serialize_stream(objects(board))), command
+
+
+def test_enumerate_builds_no_object_per_document(capsys, monkeypatch):
+    # boards._built, patched where each search module reads it, counts the objects made
+    calls = []
+
+    def counted(cls, **fields):
+        calls.append(cls)
+        return boards._built(cls, **fields)
+
+    for module in (asm, perms, placements):
+        monkeypatch.setattr(module, "_built", counted)
+    cells = [
+        (["--family", "perms", "--shape", "linear", "-n", "4", "-k", "2"], 1680),
+        (["--family", "asm", "--shape", "circular", "-n", "3", "-k", "2"], 140),
+        (["--family", "placements", "--shape", "linear", "-n", "3", "-k", "2", "-m", "3"], 120),
+    ]
+    for argv, documents in cells:
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0 and out.count("\n") == documents
+    assert calls == []
+    # the patch is live: the library's enumerators make one object per document
+    for objects, documents in [(perms.enumerate_chained_permutations(linear(4, 2)), 1680),
+                               (asm.enumerate_chained_asm(circular(3, 2)), 140),
+                               (placements.enumerate_placements(linear(3, 2), 3), 120)]:
+        before = len(calls)
+        assert sum(1 for _ in objects) == documents == len(calls) - before
 
 
 def test_enumerate_into_a_closed_pipe_ends_quietly(monkeypatch, capsys):
@@ -555,6 +606,34 @@ def test_a_board_of_more_than_sys_maxsize_squares_is_a_usage_error(capsys, argv)
     code, out, err = run(capsys, *argv, "--shape", "linear", "-n", "9" * 20, "-k", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: n * k must be at most ") and err.count("\n") == 1
+
+
+# 10^13: a list or tuple of n items asks for 80 TB, which fails at once; a smaller
+# n, such as 10^9, would be allocated gradually until the machine ran out
+HUGE_N = str(10**13)
+
+
+@pytest.mark.parametrize("family", ["asm", "perms"])
+def test_a_matrix_search_refuses_more_than_sys_maxsize_entries(capsys, family):
+    # n * k = 10^13 fits, but a document would list n * n * k = 10^26 entries
+    argv = ["enumerate", "--family", family, "--shape", "linear", "-n", HUGE_N, "-k", "1", "--limit", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: n * n * k must be at most {sys.maxsize}, got n = {HUGE_N}, k = 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--family", "placements", "--limit", "1"],
+        ["count", "--method", "brute"],
+    ],
+    ids=" ".join,
+)
+def test_running_out_of_memory_is_an_error_not_a_traceback(capsys, argv):
+    # the placement search lists the column of each of the n rows
+    code, out, err = run(capsys, *argv, "--shape", "linear", "-n", HUGE_N, "-k", "1", "-m", "1")
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("family", ["asm", "perms"])

@@ -72,6 +72,10 @@ ORACLE_ENTRY_POINTS = [
     (SRC / "placements.py", "enumerate_placements"),
     (SRC / "placements.py", "count_placements_brute"),
     (SRC / "perms.py", "enumerate_chained_permutations"),
+    # the private path streams that the CLI writes from, and the enumerators wrap
+    (SRC / "asm.py", "_matrix_paths"),
+    (SRC / "perms.py", "_matrix_paths"),
+    (SRC / "placements.py", "_square_paths"),
     (REFERENCE, "row_search"),
 ]
 
@@ -109,8 +113,8 @@ def test_enumerators_do_not_use_the_transfer_matrix_walk():
     completions = _reached(SRC / "asm.py", "enumerate_chained_asm").get((SRC / "asm.py", "_completions"))
     assert completions is not None and _names(completions) & (TRANSFER_NAMES | WALK_NAMES) == set()
     # both searches run on one product loop and one keep helper, which mention neither walk
-    for path, entry in [(SRC / "placements.py", "count_placements_brute"),
-                        (SRC / "perms.py", "enumerate_chained_permutations"), (SRC / "asm.py", "enumerate_chained_asm")]:
+    for path, entry in [(SRC / "placements.py", "count_placements_brute"), (SRC / "placements.py", "_square_paths"),
+                        (SRC / "perms.py", "_matrix_paths"), (SRC / "asm.py", "_matrix_paths")]:
         reached = _reached(path, entry)
         for shared in ("_chain", "_kept"):
             node = reached.get((SRC / "placements.py", shared))
@@ -123,6 +127,15 @@ CALLER_RULE_PINNED = {
     "qtasm_count": "a closed form waiting for its verify-tables row (ROADMAP item 7)",
     "count_chained_asm_tm": "the one-board form of asm._count_tm_max, which verify-tables"
     " reads once per (shape, n); it waits for a CLI row (ROADMAP item 19)",
+    # the CLI writes each search's payloads with serialization._documents, making no object
+    "enumerate_chained_asm": "the paper's enumeration of chained ASMs as objects, for library users;"
+    " the CLI streams the same search's payloads (asm._matrix_paths)",
+    "enumerate_chained_permutations": "the paper's enumeration of chained permutations as objects, for"
+    " library users; the CLI streams the same search's payloads (perms._matrix_paths)",
+    "enumerate_placements": "the paper's enumeration of rook placements as objects, for library users;"
+    " the CLI streams the same search's payloads (placements._square_paths)",
+    "serialize_stream": "the stream writer of objects, for library users; the CLI writes the searches'"
+    " payloads with the same writer core (serialization._documents)",
 }
 
 
