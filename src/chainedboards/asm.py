@@ -187,15 +187,15 @@ def _rows(n: int, last_plus: int, last_minus: int, r: int | None, left: int | No
                    None if left is None else left - spent)
 
 
-def _completions(n: int, rows, r: int | None, left: int | None, top: int, low: list[int],
+def _completions(n: int, rows, matrix, r: int | None, left: int | None, top: int, low: list[int],
                  ban: tuple[int, int] = (0, 0)) -> Iterator[tuple]:
-    """One matrix's completions in lexicographic order, each as (its row
-    tuples, row-sum bits, sum, last +1 and -1 columns, deficit left): a walk
-    over an explicit stack of one frame per row, each trying the rows its
-    column state allows (``rows``).  The last row answers to the row sums
-    ``r`` (``None``: unknown; -1: the matrix's own).  The sum is at most
-    ``top`` and, once first rows sum to s, reaches ``low[s]``; row i may not
-    sum to x if bit i of ``ban[x]`` is set.
+    """One matrix's completions in lexicographic order, each as (``matrix``
+    of its list of row tuples, row-sum bits, sum, last +1 and -1 columns,
+    deficit left): a walk over an explicit stack of one frame per row, each
+    trying the rows its column state allows (``rows``).  The last row
+    answers to the row sums ``r`` (``None``: unknown; -1: the matrix's
+    own).  The sum is at most ``top`` and, once first rows sum to s,
+    reaches ``low[s]``; row i may not sum to x if bit i of ``ban[x]`` is set.
 
     A frame that pops with no completion since its push is dead, and no
     frame with its key is pushed again: the key is all its rows read, with
@@ -222,18 +222,18 @@ def _completions(n: int, rows, r: int | None, left: int | None, top: int, low: l
                 break
             if s2 >= low[s2]:
                 emitted += 1
-                yield tuple(chosen), bits | rsum << i, s2, plus, minus, after
+                yield matrix(chosen), bits | rsum << i, s2, plus, minus, after
         else:
             stack.pop()
             if emitted == seen:
                 dead.add(key)
 
 
-def _matrix_paths(board: BoardSpec) -> Iterator[list[Matrix]]:
+def _matrix_paths(board: BoardSpec, matrix) -> Iterator[list]:
     """The matrices of every chained ASM on ``board``, exactly once, in
-    lexicographic order of the flattened entry sequence (-1 < 0 < 1): each
-    path is the search's own list of the k matrices, changed after the
-    yield.
+    lexicographic order of the flattened entry sequence (-1 < 0 < 1), each
+    as ``matrix`` builds it from its list of row tuples: each path is the
+    search's own list of the k matrices, changed after the yield.
 
     They are the product of the k matrices' completions (``_completions``),
     each list in lexicographic order (``placements._chain``); explicit
@@ -245,10 +245,11 @@ def _matrix_paths(board: BoardSpec) -> Iterator[list[Matrix]]:
     matrix 1's sum and, closing it, matrix 1's bans.  A search keeps
     ``_KEEP`` completions at most, so past that keys stream.
 
-    Each completion's row tuple is built once and held by every path that
-    uses it, so consecutive paths share the matrices they agree on, and the
-    document writer (``serialization._documents``) reuses their text.  The
-    call checks ``board``, n * n * k included, before the first path.
+    Each completion's matrix is built once and held by every path that
+    uses it, so a kept completion's matrix, a tuple for the objects or a
+    text for the documents (``serialization._matrix_json``), is built once
+    for all of them.  The call checks ``board``, n * n * k included, before
+    the first path.
     """
     _check_entries(board)
     n, k = board.n, board.k
@@ -269,7 +270,7 @@ def _matrix_paths(board: BoardSpec) -> Iterator[list[Matrix]]:
         # matrix b's, after row sums bits (matrix b - 1's sum is their count); matrix k closes a circular chain
         top = min(n - bits.bit_count(), target - total, n - a1 if circ and b == k else n)
         low = [target - total - _suffix_bound(n, k, circ, b + 1, x, a1) for x in range(n + 1)]
-        return _completions(n, rows, bits, left, top, low, bans)
+        return _completions(n, rows, matrix, bits, left, top, low, bans)
 
     def after(b: int, option: tuple) -> Iterator:
         nonlocal a1, ban
@@ -285,7 +286,7 @@ def _matrix_paths(board: BoardSpec) -> Iterator[list[Matrix]]:
     # matrix 1's last row answers to zero row sums (linear), its own (circular k = 1) or
     # unknown ones (circular); on a circular chain its sum is a1, and the bound falls in both
     low = [target - _suffix_bound(n, k, circ, 2, s, s) for s in range(n + 1)]
-    first = _completions(n, rows, None if circ and k > 1 else -1 if circ else 0, budget, min(n, target), low)
+    first = _completions(n, rows, matrix, None if circ and k > 1 else -1 if circ else 0, budget, min(n, target), low)
     return _chain(k, first, after)
 
 
@@ -294,7 +295,7 @@ def enumerate_chained_asm(board: BoardSpec) -> Iterator[ChainedASM]:
     the flattened entry sequence (-1 < 0 < 1): the search ``_matrix_paths``,
     each path as an object.  The call checks ``board``, before the first
     object."""
-    return (_built(ChainedASM, board=board, matrices=tuple(mats)) for mats in _matrix_paths(board))
+    return (_built(ChainedASM, board=board, matrices=tuple(mats)) for mats in _matrix_paths(board, tuple))
 
 
 # --- counting by transfer matrix ------------------------------------------

@@ -25,9 +25,9 @@ from .boards import BoardSpec, Shape, max_rooks
 from .counting import count_max, count_placements_formula
 from .errors import ChainedBoardsError, ParseError, UnsupportedDomainError, ValidationError, clip
 from .perms import _matrix_paths as _permutation_paths
-from .placements import _square_paths, count_placements_brute
+from .placements import _search, count_placements_brute
 from .rendering import render
-from .serialization import _BY_NAME, FAMILIES, _documents, deserialize, family_of, serialize
+from .serialization import _BY_NAME, FAMILIES, _documents, _matrix_json, _squares_json, deserialize, family_of, serialize
 from .verify import verify_tables
 
 
@@ -109,17 +109,17 @@ def _cmd_enumerate(args) -> int:
     if args.m is not None and args.family != "placements":
         raise UnsupportedDomainError("-m applies to --family placements only")
     board = BoardSpec(Shape(args.shape), args.n, args.k)
-    # each search's own paths, written as they are: the public enumerators make an object of each
+    # each search's own paths of texts, joined as they are: the public enumerators make an object of each
     if args.family == "placements":
         m = max_rooks(board) if args.m is None else args.m
-        family, paths = "placement", _square_paths(board, m)
+        family, paths = "placement", _search(board, m, _squares_json)
     elif args.family == "perms":
-        family, paths = "chained-permutation", _permutation_paths(board)
+        family, paths = "chained-permutation", _permutation_paths(board, _matrix_json)
     else:
-        family, paths = "chained-asm", _asm_paths(board)
+        family, paths = "chained-asm", _asm_paths(board, _matrix_json)
     # islice refuses a stop above sys.maxsize; no stream is that long, so such a limit never binds
     limit = None if args.limit is None else min(args.limit, sys.maxsize)
-    docs = _documents(_BY_NAME[family], board, map(tuple, itertools.islice(paths, limit)))
+    docs = _documents(_BY_NAME[family], board, itertools.islice(paths, limit))
     blocks = iter(lambda: "".join(itertools.islice(docs, _BLOCK)), "")
     # the first block is ready before --out is opened, so a search that fails
     # before its first document leaves no file behind

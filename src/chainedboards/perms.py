@@ -10,9 +10,11 @@ chained ASM conditions restricted to 0/1 entries, so
 
 Matrices are tuples of row tuples.  The library's chained permutations
 share their rows from one table per n: the zero row and the n unit rows.
-Their search (``_matrix_paths``, which ``enumerate_chained_permutations``
-makes objects of) takes each board's matrix as the placement search's
-option for that board carries it, built once per option.  ``_with_ones``
+Their search (``_matrix_paths``) takes each board's matrix as the placement
+search's option for that board carries it, built once per option by the
+caller's builder: a tuple of rows for ``enumerate_chained_permutations``,
+which makes objects of them, and a text for ``chained-boards enumerate``,
+which joins them into documents.  ``_with_ones``
 builds the others, with a 1 on each of a set of squares checked before it
 sees them, by the check of the placement, matching or one-line notation
 they come from (the squares (l, i, v) of a block's nonzero entries).  Both
@@ -123,15 +125,16 @@ def _with_ones(board: BoardSpec, squares) -> ChainedPermutation:
     return _built(ChainedPermutation, board=board, matrices=tuple(flat[j : j + n] for j in range(0, n * k, n)))
 
 
-def _matrix_paths(board: BoardSpec) -> Iterator[list[Matrix]]:
+def _matrix_paths(board: BoardSpec, matrix) -> Iterator[list]:
     """The matrices of every chained permutation of ``board``, each exactly
-    once, in the lexicographic order of its maximum placement: the k
+    once, in the lexicographic order of its maximum placement, each as
+    ``matrix`` builds it from an iterator over its shared rows: the k
     matrices of the placement search's per-board options, each path the
     search's own list, changed after the yield.  The call checks ``board``,
     n * n * k included, before the first path."""
     _check_entries(board)  # before the n + 1 unit rows of n entries each
     rows = _unit_rows(board.n)
-    return _search(board, max_rooks(board), lambda b, cols: tuple(map(rows.__getitem__, cols)))
+    return _search(board, max_rooks(board), lambda b, cols: matrix(map(rows.__getitem__, cols)))
 
 
 def enumerate_chained_permutations(board: BoardSpec) -> Iterator[ChainedPermutation]:
@@ -139,7 +142,7 @@ def enumerate_chained_permutations(board: BoardSpec) -> Iterator[ChainedPermutat
     lexicographic order of its maximum placement: the search
     ``_matrix_paths``, each path as an object, with no ``RookPlacement``
     made between.  The call checks ``board``, before the first object."""
-    return (_built(ChainedPermutation, board=board, matrices=tuple(path)) for path in _matrix_paths(board))
+    return (_built(ChainedPermutation, board=board, matrices=tuple(path)) for path in _matrix_paths(board, tuple))
 
 
 def _ones(cp: ChainedPermutation) -> Iterator[Square]:

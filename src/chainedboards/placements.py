@@ -165,7 +165,8 @@ def _search(board: BoardSpec, m: int, payload) -> Iterator[list]:
     each leaf ``payload(b, cols)`` per board b.  Board 1's options stream; a
     later board's are all kept (``_kept``) by the rows of the board before
     and the counts it may hold, which ``boards._suffix_bound`` prunes; board
-    1's columns filter the last board's on a circular chain."""
+    1's columns filter the last board's on a circular chain.  The call
+    checks ``board`` and m, before the first path."""
     _check_size(board)
     if type(m) is not int or not 0 <= m <= board.n * board.k:
         raise InputDomainError(f"m must be in 0..n*k, got {clip(m)}")
@@ -198,21 +199,14 @@ def _squares(b: int, cols: tuple[int, ...]) -> tuple[Square, ...]:
     return tuple([Square(b, r, c) for r, c in enumerate(cols, start=1) if c])
 
 
-def _square_paths(board: BoardSpec, m: int) -> Iterator[Iterator[Square]]:
-    """The squares of every valid m-rook placement, each exactly once, in
-    lexicographic order: each an iterator over the search's own list, which
-    changes after the yield.  The call checks ``board`` and m, before the
-    first path."""
-    return map(chain.from_iterable, _search(board, m, _squares))
-
-
 def enumerate_placements(board: BoardSpec, m: int) -> Iterator[RookPlacement]:
     """All valid m-rook placements, each exactly once, in lexicographic order:
-    the search ``_square_paths``, each path as an object.
+    the search ``_search``, each path's squares (``_squares``) as an object.
 
     The search makes their squares valid, so they skip ``RookPlacement``'s
     checks.  The call checks ``board`` and m, before the first object."""
-    return (_built(RookPlacement, board=board, squares=tuple(path)) for path in _square_paths(board, m))
+    return (_built(RookPlacement, board=board, squares=tuple(chain.from_iterable(path)))
+            for path in _search(board, m, _squares))
 
 
 def count_placements_brute(board: BoardSpec, m: int) -> int:

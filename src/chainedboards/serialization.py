@@ -11,30 +11,28 @@ points at.  ``deserialize`` also accepts the bare one-line string format
 of the conversions between them.
 
 ``_documents`` is the one writer loop, from the payloads of one family on
-one board: ``chained-boards enumerate`` feeds it each search's own, with
-no object made per document, ``serialize_stream`` those of each run of
+one board: ``chained-boards enumerate`` feeds it each search's own paths,
+with no object made per document, ``serialize_stream`` those of each run of
 objects, and ``serialize`` one object's.  It writes the header itself
 (ASCII names and ints: the bytes of ``json.dumps``) once per run, then the
-payload.  A placement is written square by square and a matrix row by
-row, from a bounded cache of their texts keyed by value, sound as the
+payload.  A matrix or placement payload comes as the texts of its matrices
+or boards' squares, and a document is one join of them.  The searches build
+each option's text once, with the option, by the builders given them here
+(``_matrix_json``, ``_squares_json``, "" for a board with no rook); the
+objects' writers take each matrix's or square's text from a bounded cache
+keyed by value (``_matrix_text``, ``_ints_text``), sound as the
 constructors admit exact ints alone (``(True, 0)`` equals and hashes like
-``(1, 0)``); other payloads go through ``json.dumps``.  The two matrix families (payload key
-``"matrices"``) keep each leading matrix's text until a matrix before it
-is not the very tuple the payload before held there.  The last matrix,
-which changes with nearly every document, takes its text from a table of
-the run keyed by the tuple's identity; each entry holds its tuple, so the
-id cannot return on another while the entry lives, and the table holds at
-most ``_HELD``.  A chain of one matrix builds its text anew.  The searches
-share those tuples, so a document costs a lookup per matrix that changed,
-and what a document keeps stays linear in its length.
+``(1, 0)``), so what a document keeps stays linear in its length.  Other
+payloads go through ``json.dumps``.
 Ice and FPL ids come from a bounded per-(n, k) table of each edge's id and
 its endpoints' ids (``_wire``), built after the edge-count checks; an ice
 value other than those exact texts (``"1:01,1"``, a number) is parsed as
 any id.
 
 Parsing is strict: numbers are JSON integers (no booleans or floats), ids
-use ASCII digits, no object lists a key twice, and valid JSON that decodes
-to an object violating its family's invariants is a validation error.
+use ASCII digits, no object lists a key twice, a document holds only the
+keys its family writes, and valid JSON that decodes to an object violating
+its family's invariants is a validation error.
 """
 
 from __future__ import annotations
@@ -241,15 +239,19 @@ _ints_text = functools.lru_cache(maxsize=1024)(json.dumps)  # every row of an AS
 
 
 def _matrix_json(mat) -> str:
+    """The text of a matrix given as its rows, in any iterable."""
     return "[" + ", ".join(map(_ints_text, mat)) + "]"
 
 
-# a leading matrix's text, and a last matrix's when its table misses, so that
-# equal matrices share one str; bounded, as more entries gained nothing on
-# `enumerate` and cost memory.  A chain of one matrix, new in every document,
-# builds its text with `_matrix_json` and keeps nothing.
+def _squares_json(b: int, cols) -> str:
+    """The text of board b's squares, one in each row r with a column
+    cols[r - 1]; "" for a board with no rook."""
+    return ", ".join([f"[{b}, {r}, {c}]" for r, c in enumerate(cols, start=1) if c])
+
+
+# a matrix's text, keyed by value, so that equal matrices share one str;
+# bounded, as more entries gained nothing and cost memory
 _matrix_text = functools.lru_cache(maxsize=256)(_matrix_json)
-_HELD = 2048  # last matrices a run keeps texts of by identity; perms linear(5,2) has 1,546
 
 
 _BOTH = ("linear", "circular")
@@ -344,43 +346,34 @@ def _head(family: Family, board: BoardSpec | None, payload) -> str:
     return f'{head}, "{family.key}": '
 
 
+# the text of each part of a matrix or placement payload, the parts _documents joins
+_PART_TEXT = {"matrices": _matrix_text, "squares": _ints_text}
+
+
 def _documents(family: Family, board: BoardSpec | None, payloads: Iterable) -> Iterator[str]:
-    """The document of each payload of ``payloads`` (what ``family.encode``
-    gives), in order, as it is read, for objects of ``family`` on ``board``:
-    the library's one writer loop, as the module docstring describes.  The
-    header is built once, but a plain ASM's, which holds its size."""
-    key = family.key
-    if key == "squares":
+    """The document of each payload of ``payloads``, in order, as it is
+    read, for objects of ``family`` on ``board``: the library's one writer
+    loop, as the module docstring describes.  A matrix or placement payload
+    is the texts of its matrices or squares, a placement's "" for a board
+    with no rook; any other is what ``family.encode`` gives.  The header is
+    built once, but a plain ASM's, which holds its size."""
+    if family.key in _PART_TEXT:
         head = _head(family, board, None) + "["
-        for squares in payloads:
-            yield f"{head}{', '.join(map(_ints_text, squares))}]}}\n"
-    elif key != "matrices":
+        if family.key == "squares":  # without the "" of each board with no rook
+            payloads = map(functools.partial(filter, None), payloads)
+        for texts in payloads:
+            yield f"{head}{', '.join(texts)}]}}\n"
+    else:
         for payload in payloads:
             yield f"{_head(family, board, payload)}{json.dumps(payload)}}}\n"
-    elif board.k == 1:  # a chain of one: its matrix is new in every document
-        head = _head(family, board, None) + "["
-        for (mat,) in payloads:
-            yield f"{head}{_matrix_json(mat)}]}}\n"
-    else:
-        head, last = _head(family, board, None), board.k - 1
-        parts, before = [None] * last, None  # each leading matrix's text, the text before the last
-        held = (None,) * last  # no matrix is None: the first payload writes each
-        texts = {}  # id(last matrix) -> (that matrix, its text); holding it keeps its id from reuse
-        for payload in payloads:
-            i = 0
-            while i < last and payload[i] is held[i]:
-                i += 1
-            if i < last:
-                parts[i:] = map(_matrix_text, payload[i:last])
-                before = f"{head}[{', '.join(parts)}, "
-            held = payload
-            mat = payload[last]
-            got = texts.get(id(mat))
-            if got is None:
-                if len(texts) == _HELD:
-                    texts.clear()
-                got = texts[id(mat)] = mat, _matrix_text(mat)
-            yield f"{before}{got[1]}]}}\n"
+
+
+def _payloads(family: Family, objs: Iterable) -> Iterator:
+    """What ``_documents`` reads of each object of ``objs``, all of
+    ``family``: its matrices' or squares' texts, else its payload."""
+    text = _PART_TEXT.get(family.key)
+    payloads = map(family.encode, objs)
+    return payloads if text is None else (map(text, payload) for payload in payloads)
 
 
 def _family_board(obj) -> tuple[Family, BoardSpec | None]:
@@ -391,7 +384,7 @@ def _family_board(obj) -> tuple[Family, BoardSpec | None]:
 def serialize(obj) -> str:
     """The canonical one-line document for any domain object."""
     family, board = _family_board(obj)
-    return next(_documents(family, board, (family.encode(obj),)))
+    return next(_documents(family, board, _payloads(family, (obj,))))
 
 
 def serialize_stream(objs: Iterable) -> Iterator[str]:
@@ -401,7 +394,7 @@ def serialize_stream(objs: Iterable) -> Iterator[str]:
     writer ``_documents`` over their payloads.
     """
     for (family, board), run in itertools.groupby(objs, _family_board):
-        yield from _documents(family, board, map(family.encode, run))
+        yield from _documents(family, board, _payloads(family, run))
 
 
 def _need(doc: dict, key: str):
@@ -449,6 +442,10 @@ def deserialize(text: str):
     family = _BY_NAME.get(name) if type(name) is str else None
     if family is None:
         raise ParseError(f"unknown family {clip(repr(name))}")
+    keys = ("family", "n", family.key, *(("shape", "k") if family.shapes else ()))
+    for key in doc:
+        if key not in keys:  # e.g. a shape, which a plain ASM does not have
+            raise ParseError(f"a {name} document takes no key {clip(json.dumps(key))}")
     try:
         where = _board_from(doc, family.shapes) if family.shapes else _ints(_need(doc, "n"))
         return _checked(family, family.decode(where, _need(doc, family.key)))

@@ -216,12 +216,22 @@ def _documents(family: str, board, key: str, objects) -> str:
                 "chained-asm", circular(2, 4), "matrices", enumerate_chained_asm(circular(2, 4))
             ),
         ),
+        (  # a chain of one matrix
+            ["--family", "asm", "--shape", "circular", "-n", "3", "-k", "1"],
+            lambda: _documents(
+                "chained-asm", circular(3, 1), "matrices", enumerate_chained_asm(circular(3, 1))
+            ),
+        ),
         (
             ["--family", "placements", "--shape", "linear", "-n", "3", "-k", "2", "-m", "2"],
             lambda: _documents("placement", linear(3, 2), "squares", enumerate_placements(linear(3, 2), 2)),
         ),
+        (  # placements whose middle board holds no rook
+            ["--family", "placements", "--shape", "linear", "-n", "2", "-k", "3", "-m", "2"],
+            lambda: _documents("placement", linear(2, 3), "squares", enumerate_placements(linear(2, 3), 2)),
+        ),
     ],
-    ids=["perms", "asm", "placements"],
+    ids=["perms", "asm", "asm k=1", "placements", "placements empty middle board"],
 )
 def test_enumerate_matches_an_independent_encoder(capsys, argv, want):
     code, out, _ = run(capsys, "enumerate", *argv)

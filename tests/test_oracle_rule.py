@@ -75,7 +75,7 @@ ORACLE_ENTRY_POINTS = [
     # the private path streams that the CLI writes from, and the enumerators wrap
     (SRC / "asm.py", "_matrix_paths"),
     (SRC / "perms.py", "_matrix_paths"),
-    (SRC / "placements.py", "_square_paths"),
+    (SRC / "placements.py", "_search"),
     (REFERENCE, "row_search"),
 ]
 
@@ -113,12 +113,27 @@ def test_enumerators_do_not_use_the_transfer_matrix_walk():
     completions = _reached(SRC / "asm.py", "enumerate_chained_asm").get((SRC / "asm.py", "_completions"))
     assert completions is not None and _names(completions) & (TRANSFER_NAMES | WALK_NAMES) == set()
     # both searches run on one product loop and one keep helper, which mention neither walk
-    for path, entry in [(SRC / "placements.py", "count_placements_brute"), (SRC / "placements.py", "_square_paths"),
+    for path, entry in [(SRC / "placements.py", "count_placements_brute"), (SRC / "placements.py", "_search"),
                         (SRC / "perms.py", "_matrix_paths"), (SRC / "asm.py", "_matrix_paths")]:
         reached = _reached(path, entry)
         for shared in ("_chain", "_kept"):
             node = reached.get((SRC / "placements.py", shared))
             assert node is not None and _names(node) & (TRANSFER_NAMES | WALK_NAMES) == set(), (entry, shared)
+
+
+def test_the_searches_do_not_know_the_document_format():
+    """The format rule: the searches that the CLI writes from take builders
+    of their payloads and import neither ``json`` nor ``serialization``, the
+    one module that knows the document format."""
+    for name in ("asm.py", "perms.py", "placements.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {node.module or "", *(f"{node.module or ''}.{alias.name}" for alias in node.names)}
+        modules = {part for module in imported for part in module.split(".") if part}
+        assert modules & {"json", "serialization"} == set(), name
 
 
 # public names with no caller in the library, each kept for a reason
@@ -127,13 +142,13 @@ CALLER_RULE_PINNED = {
     "qtasm_count": "a closed form waiting for its verify-tables row (ROADMAP item 7)",
     "count_chained_asm_tm": "the one-board form of asm._count_tm_max, which verify-tables"
     " reads once per (shape, n); it waits for a CLI row (ROADMAP item 19)",
-    # the CLI writes each search's payloads with serialization._documents, making no object
+    # the CLI writes each search's paths of texts with serialization._documents, making no object
     "enumerate_chained_asm": "the paper's enumeration of chained ASMs as objects, for library users;"
     " the CLI streams the same search's payloads (asm._matrix_paths)",
     "enumerate_chained_permutations": "the paper's enumeration of chained permutations as objects, for"
     " library users; the CLI streams the same search's payloads (perms._matrix_paths)",
     "enumerate_placements": "the paper's enumeration of rook placements as objects, for library users;"
-    " the CLI streams the same search's payloads (placements._square_paths)",
+    " the CLI streams the same search's payloads (placements._search)",
     "serialize_stream": "the stream writer of objects, for library users; the CLI writes the searches'"
     " payloads with the same writer core (serialization._documents)",
 }

@@ -81,7 +81,8 @@ WIDE_ONE_LINE = ",".join(str(v) for v in range(1, 11))  # the identity on linear
 # belongs, a non-ASCII, signed, spaced or underscored number, a linear shape
 # on a circular-only family, a square or edge of the wrong length or listed
 # twice (which the constructors would merge), an object key listed twice
-# (which ``json.loads`` would merge), or JSON nested too deep to decode.
+# (which ``json.loads`` would merge), a key the family does not write, or
+# JSON nested too deep to decode.
 MALFORMED = {
     "chained-asm entry true": _doc("chained-asm", shape="circular", n=1, k=2, matrices=[[[True]], [[0]]]),
     "chained-asm entry 1.0": _doc("chained-asm", shape="circular", n=1, k=2, matrices=[[[1.0]], [[0]]]),
@@ -124,6 +125,10 @@ MALFORMED = {
     "triangles on a linear board": _doc(
         "monotone-triangle-chain", shape="linear", n=1, k=2, triangles=[[[2]]]
     ),
+    "placement with an extra key": _doc(
+        "placement", shape="linear", n=2, k=1, squares=[[1, 1, 1], [1, 2, 2]], extra=1
+    ),
+    "plain-asm with a shape": _doc("plain-asm", n=1, matrix=[[1]], shape="circular"),
     "JSON nested 100k deep": '{"family": "chained-asm", "matrices": ' + "[" * 100_000 + "]" * 100_000 + "}",
 }
 
